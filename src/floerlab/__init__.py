@@ -70,7 +70,6 @@ from .scale_operator import (
     adjoint,
     band_indices,
     check_interpolation,
-    compactness_profile,
     derivative_operator,
     extension_consistency,
     fredholm_diagnostic,

@@ -8,17 +8,19 @@ conventions, with g the grid-sample axis:
     hessian[g, i, j, k]  = d^2 Phi_i / (d x_j d x_k)
     third[g, i, j, k, l] = d^3 Phi_i / (d x_j d x_k d x_l)
 
-Nonlinear built-ins are generated symbolically, so the supplied tensors
-are exact; finite differences appear only in tests, as oracles.
+Nonlinear built-ins are planar maps f(z, conj z) of one complex
+variable, with closed-form Wirtinger derivatives d^a dbar^b f; the real
+tensors follow from d_x = d + dbar and d_y = i (d - dbar).  Finite
+differences appear only in tests, as oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 # Default domain slack, in chart coordinates, demanded of every sample.
 DEFAULT_MARGIN = 0.05
@@ -64,14 +66,13 @@ def _entry_evaluator(fns: list, n_in: int, shape: tuple[int, ...]):
     return run
 
 
-def chart_from_sympy(
-    exprs,
-    symbols,
-    name: str,
-    boundary_clearance=None,
-    with_third: bool = True,
-) -> DiffeoChart:
-    """Build a chart from sympy expressions, differentiating symbolically."""
+def chart_from_sympy(exprs, symbols, name: str, boundary_clearance=None) -> DiffeoChart:
+    """Build a chart from sympy expressions, differentiating symbolically.
+
+    sympy is imported here, not with the package: no built-in chart needs it.
+    """
+    import sympy as sp
+
     n = len(symbols)
     exprs = [sp.sympify(e) for e in exprs]
     if len(exprs) != n:
@@ -90,16 +91,14 @@ def chart_from_sympy(
         for k in range(n)
     ]
     hes = _entry_evaluator([lam(e) for e in d2], n, (n, n, n))
-    third = None
-    if with_third:
-        d3 = [
-            sp.diff(exprs[i], symbols[j], symbols[k], symbols[l])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for l in range(n)
-        ]
-        third = _entry_evaluator([lam(e) for e in d3], n, (n, n, n, n))
+    d3 = [
+        sp.diff(exprs[i], symbols[j], symbols[k], symbols[l])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        for l in range(n)
+    ]
+    third = _entry_evaluator([lam(e) for e in d3], n, (n, n, n, n))
     return DiffeoChart(
         n=n,
         name=name,
@@ -109,6 +108,78 @@ def chart_from_sympy(
         third=third,
         boundary_clearance=boundary_clearance,
     )
+
+
+def _wirtinger_rows(m: int) -> np.ndarray:
+    """rows[k, a]: d_x^(m-k) d_y^k = sum_a rows[k, a] d^a dbar^(m-a)."""
+    rows = []
+    for k in range(m + 1):
+        c = np.ones(1, dtype=complex)
+        for _ in range(m - k):
+            c = np.convolve(c, [1.0, 1.0])  # d_x = d + dbar
+        for _ in range(k):
+            c = np.convolve(c, [-1j, 1j])  # d_y = i d - i dbar
+        rows.append(c)
+    return np.array(rows)
+
+
+_WIRTINGER = [_wirtinger_rows(m) for m in range(4)]
+
+
+def _real_tensor(derivs, m: int):
+    """(G,2)->(G,2)+(2,)*m evaluator of the m-th derivative of (Re f, Im f).
+
+    derivs(z, m) returns the (m+1, G) array of d^a dbar^(m-a) f at z; an
+    entry with k y-slots depends only on k, through row k of _WIRTINGER.
+    """
+    rows = _WIRTINGER[m]
+    k_of_slot = np.indices((2,) * m, dtype=int).sum(axis=0)
+
+    def run(points: np.ndarray) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        by_k = rows @ derivs(p[:, 0] + 1j * p[:, 1], m)
+        t = np.moveaxis(by_k[k_of_slot], -1, 0)
+        return np.stack([t.real, t.imag], axis=1)
+
+    return run
+
+
+def _wirtinger_chart(name: str, derivs, boundary_clearance=None) -> DiffeoChart:
+    value, jac, hes, third = (_real_tensor(derivs, m) for m in range(4))
+    return DiffeoChart(
+        n=2,
+        name=name,
+        value=value,
+        jacobian=jac,
+        hessian=hes,
+        third=third,
+        boundary_clearance=boundary_clearance,
+    )
+
+
+def _mobius_chart(a, b, c, d, conjugate: bool, name: str, boundary_clearance=None) -> DiffeoChart:
+    """The planar chart of g(w) = (a w + b)/(c w + d), at w = z or w = conj z.
+
+    g^(m)(w) = (-1)^(m-1) m! c^(m-1) (ad - bc)/(cw + d)^(m+1).  The value is
+    (aw + b) conj(cw + d) with each part divided by |cw + d|^2, so that
+    1/conj z evaluates bit-exactly as x/|x|^2.
+    """
+    det = a * d - b * c
+
+    def derivs(z: np.ndarray, m: int) -> np.ndarray:
+        w = np.conj(z) if conjugate else z
+        q = c * w + d
+        if m == 0:
+            num = (a * w + b) * np.conj(q)
+            den = q.real**2 + q.imag**2
+            g = num.real / den + 1j * (num.imag / den)
+        else:
+            g = (-1) ** (m - 1) * math.factorial(m) * c ** (m - 1) * det / q ** (m + 1)
+        out = np.zeros((m + 1,) + z.shape, dtype=complex)
+        out[0 if conjugate else m] = g  # only dbar^m f, or only d^m f, survives
+        return out
+
+    return _wirtinger_chart(name, derivs, boundary_clearance)
 
 
 # ---------------------------------------------------------------------------
@@ -184,33 +255,42 @@ def rotation_field_chart(strength: float = 1.0) -> DiffeoChart:
 
     Radius preserving with unit Jacobian determinant everywhere, so it is
     a global diffeomorphism whose inverse rotates by the opposite angle.
+    In complex form it is f = z exp(i lam z conj z).
     """
-    x, y = sp.symbols("x y", real=True)
 
-    def exprs(lam):
-        theta = lam * (x**2 + y**2)
-        return [sp.cos(theta) * x - sp.sin(theta) * y, sp.sin(theta) * x + sp.cos(theta) * y]
+    def make(lam: float) -> DiffeoChart:
+        s = 1j * lam
 
-    fwd = chart_from_sympy(exprs(strength), (x, y), f"rotation_field[{strength}]")
-    bwd = chart_from_sympy(exprs(-strength), (x, y), f"rotation_field[{-strength}]")
-    return pair_inverses(fwd, bwd)
+        def derivs(z: np.ndarray, m: int) -> np.ndarray:
+            w = np.conj(z)
+            E = np.exp(s * (z.real**2 + z.imag**2))
+
+            def dE(a: int, b: int) -> np.ndarray:
+                # d^a dbar^b exp(s z w), differentiating in w first: Leibniz
+                # over the (s z)^b factor that dbar^b brings down.
+                return E * sum(
+                    math.comb(a, i) * math.perm(b, i) * s**b * z ** (b - i) * (s * w) ** (a - i)
+                    for i in range(min(a, b) + 1)
+                )
+
+            return np.array([z * dE(a, m - a) + (a * dE(a - 1, m - a) if a else 0) for a in range(m + 1)])
+
+        return _wirtinger_chart(f"rotation_field[{lam}]", derivs)
+
+    return pair_inverses(make(strength), make(-strength))
 
 
 def inversion_chart(min_radius: float = 0.0) -> DiffeoChart:
     """The planar inversion x -> x / |x|^2 on R^2 minus the origin.
 
     This is the transition between the two stereographic charts of the
-    round sphere; it is an involution.
+    round sphere, the anti-Moebius map 1/conj z; it is an involution.
     """
-    x, y = sp.symbols("x y", real=True)
-    r2 = x**2 + y**2
 
     def clearance(p):
         return np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2) - min_radius
 
-    chart = chart_from_sympy(
-        [x / r2, y / r2], (x, y), "inversion", boundary_clearance=clearance
-    )
+    chart = _mobius_chart(0.0, 1.0, 1.0, 0.0, True, "inversion", boundary_clearance=clearance)
     chart.inverse = chart
     return chart
 

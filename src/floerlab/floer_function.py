@@ -115,17 +115,17 @@ def driven_hamiltonian(dim: int = 2, c: float = 1.0, eps: float = 0.3, mode: int
 class FloerFunctionNumeric:
     """A function on truncated loop space with its level-annotated calculus.
 
-    gradient2/hessian2 are the restrictions acting between the higher
-    level pairs (values agree in coefficients; the annotation and the
-    norms checked differ).  rebuild re-instantiates the same function at
-    another truncation for N-sweeps.
+    hessian2 is the restriction acting between the higher level pair
+    (values agree in coefficients; the annotation and the norms checked
+    differ).  The gradient needs no such twin: its restriction has the
+    same coefficients and is checked in the level-1 norm.  rebuild
+    re-instantiates the same function at another truncation for N-sweeps.
     """
 
     n: int
     N: int
     value: Callable[[FourierLoop], float]
     gradient: Callable[[FourierLoop], FourierLoop]
-    gradient2: Callable[[FourierLoop], FourierLoop]
     hessian: Callable[[FourierLoop], LevelOperator]
     hessian2: Callable[[FourierLoop], LevelOperator]
     principal_split: Callable[[FourierLoop], tuple[LevelOperator, LevelOperator]]
@@ -180,7 +180,6 @@ def symplectic_action(
         N=N,
         value=value,
         gradient=gradient,
-        gradient2=gradient,
         hessian=hessian,
         hessian2=hessian2,
         principal_split=principal_split,
@@ -216,7 +215,6 @@ def quadratic_spectral(
         N=N,
         value=value,
         gradient=gradient,
-        gradient2=gradient,
         hessian=lambda u: L.with_levels(1.0, 0.0),
         hessian2=lambda u: L.with_levels(2.0, 1.0),
         principal_split=split,
@@ -286,12 +284,12 @@ def gradient_axiom_check(
     if F.rebuild is not None:
         for M in sorted(N_sweep):
             FM = F.rebuild(M)
-            worst = max(FM.gradient2(q.resize(M)).norm(1.0) for q in samples)
+            worst = max(FM.gradient(q.resize(M)).norm(1.0) for q in samples)
             sweep.append({"N": int(M), "norm": float(worst)})
     restr_ok = _stabilized([e["norm"] for e in sweep], stability_rtol) if sweep else True
     base = samples[0]
     bump = 1e-3 * (1.0 / directions[0].norm(2.0)) * directions[0]
-    modulus = (F.gradient2(base + bump) - F.gradient2(base)).norm(1.0) / bump.norm(2.0)
+    modulus = (F.gradient(base + bump) - F.gradient(base)).norm(1.0) / bump.norm(2.0)
 
     report = {
         "H0-gradient": {"max_rel_err": float(pair_err), "tol": GRAD_FD_RTOL, "passed": bool(grad_ok)},

@@ -44,11 +44,6 @@ class ChartDomainError(ValueError):
     """A loop's grid samples left the chart domain (margin included)."""
 
 
-def _dual_weights(N: int, level: float) -> np.ndarray:
-    """Weights of the norm dual to level `level` under the L^2 pairing."""
-    return 1.0 / weights(N, level)
-
-
 @dataclass
 class BilinearLevelMap:
     """Second derivative of a superposition map, held as grid tensor values.
@@ -73,12 +68,6 @@ class BilinearLevelMap:
         ve = to_grid(eta, self.grid_points)
         vals = np.einsum("gijk,gj,gk->gi", self.tensor, vx, ve)
         return from_grid(vals, self.N)
-
-    def fixed_first(self, xi: FourierLoop) -> np.ndarray:
-        """Matrix of eta -> B(xi, eta) in mode space."""
-        vx = to_grid(xi, self.grid_points)
-        factor = np.einsum("gijk,gj->gik", self.tensor, vx)
-        return multiplication_matrix(factor, self.N)
 
     def trilinear(self, xi: FourierLoop, eta: FourierLoop, zeta: FourierLoop) -> float:
         """<zeta, B(xi, eta)>_0; grid quadrature, exact for band-limited data."""

@@ -6,9 +6,11 @@ grid samples.  Transitions between charts are superposition maps, so the
 whole axiom battery from floer_map applies to them unchanged.
 
 Sphere charts are stereographic projections in a rotated (possibly
-reflected) orthonormal frame.  Their pairwise transitions are rational,
-generated symbolically, and satisfy the cocycle identity exactly at the
-chart level; the loop-level residuals are then pure truncation noise.
+reflected) orthonormal frame.  Their pairwise transitions are Moebius
+maps z -> (az + b)/(cz + d), taken at conj z when the frame change
+reverses orientation, with (a, b, c, d) read off the SU(2) lift of the
+frame rotation.  They are closed forms and satisfy the cocycle identity
+at the chart level; the loop-level residuals are then truncation noise.
 Domain slack is measured as height below the forbidden polar cap, the
 same scale for chart membership and transition clearance.
 """
@@ -18,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .charts import (
     DEFAULT_MARGIN,
     DiffeoChart,
-    chart_from_sympy,
+    _mobius_chart,
     compose_charts,
     identity_chart,
     pair_inverses,
@@ -95,13 +96,43 @@ class SphereChart:
         return chart
 
 
+def _su2_lift(R: np.ndarray) -> tuple[complex, complex, complex, complex]:
+    """Moebius coefficients (a, b, c, d) of the rotation R in stereographic
+    coordinates, from its unit quaternion (w, x, y, z): the SU(2) matrix
+    w + i (x sigma_1 - y sigma_2 + z sigma_3), for projection from +e_3.
+
+    Shepperd's method: P = 4 q q^T is linear in R, and q is read off the
+    row of P with the largest diagonal entry, which keeps every component
+    accurate.  The identity gives exactly (1, 0, 0, 1).
+    """
+    t = np.trace(R)
+    P = np.array(
+        [
+            [1 + t, R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]],
+            [R[2, 1] - R[1, 2], 1 + 2 * R[0, 0] - t, R[0, 1] + R[1, 0], R[0, 2] + R[2, 0]],
+            [R[0, 2] - R[2, 0], R[0, 1] + R[1, 0], 1 + 2 * R[1, 1] - t, R[1, 2] + R[2, 1]],
+            [R[1, 0] - R[0, 1], R[0, 2] + R[2, 0], R[1, 2] + R[2, 1], 1 + 2 * R[2, 2] - t],
+        ]
+    )
+    k = int(np.argmax(np.diag(P)))
+    w, x, y, z = P[k] / (2.0 * np.sqrt(P[k, k]))
+    return complex(w, z), complex(-y, x), complex(y, x), complex(w, -z)
+
+
 def _stereo_chart(a: SphereChart, b: SphereChart) -> DiffeoChart:
+    """stereo o R o stereo^-1 with R = Q_b Q_a^T, in closed form.
+
+    When det R = -1, R = R' F with F = diag(1, 1, -1), whose map in
+    coordinates is 1/conj z; the transition is then g'(1/conj z), the
+    anti-Moebius map with coefficients (b', a', d', c') at conj z.
+    """
     R = b.Q @ a.Q.T
-    x1, x2 = sp.symbols("x1 x2", real=True)
-    r2 = x1**2 + x2**2
-    u = sp.Matrix([2 * x1, 2 * x2, r2 - 1]) / (1 + r2)
-    v = sp.Matrix(R) * u
-    exprs = [sp.cancel(v[0] / (1 - v[2])), sp.cancel(v[1] / (1 - v[2]))]
+    reflects = bool(np.linalg.det(R) < 0)
+    if reflects:
+        ra, rb, rc, rd = _su2_lift(R @ _SOUTH_FLIP)
+        coeffs = (rb, ra, rd, rc)
+    else:
+        coeffs = _su2_lift(R)
 
     def clearance(x: np.ndarray) -> np.ndarray:
         u_num = _unstereo(np.asarray(x, dtype=float))
@@ -109,9 +140,7 @@ def _stereo_chart(a: SphereChart, b: SphereChart) -> DiffeoChart:
         zb = u_num @ R.T[:, 2]
         return np.minimum((1.0 - a.cap) - za, (1.0 - b.cap) - zb)
 
-    return chart_from_sympy(
-        exprs, (x1, x2), name=f"stereo[{a.name}->{b.name}]", boundary_clearance=clearance
-    )
+    return _mobius_chart(*coeffs, reflects, f"stereo[{a.name}->{b.name}]", clearance)
 
 
 @dataclass

@@ -29,10 +29,10 @@ from .scale_operator import (
     LevelOperator,
     _flat_weights,
     adjoint,
-    compactness_profile,
     fredholm_diagnostic,
     identity_operator,
     op_norm,
+    weighted_singular_values,
 )
 from .scale_space import FourierLoop, multiplication_matrix, random_loop, to_grid
 
@@ -165,7 +165,6 @@ def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> Pullb
         N=phi.N,
         value=lambda q: F.value(apply(phi, q)),
         gradient=lambda q: pull_back_gradient(F, phi, q),
-        gradient2=lambda q: pull_back_gradient(F, phi, q),
         hessian=lambda q: pull_back_hessian(F, phi, q, s),
         hessian2=lambda q: pull_back_hessian_level2(F, phi, q, s),
         principal_split=split,
@@ -219,7 +218,7 @@ def certify_pullback(
     conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0, N_sweep=fred_Ns)
 
     K = riesz_correction(F, phi, base_q, s)
-    tail = compactness_profile(K @ identity_operator(phi.N, phi.n, 1.0, s), 1.0, 0.0)
+    tail = weighted_singular_values(K @ identity_operator(phi.N, phi.n, 1.0, s), 1.0, 0.0)
     slope = _decay_slope(tail)
     decaying = bool(tail[-1] < tail[0] and slope < -0.02)
 

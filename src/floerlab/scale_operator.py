@@ -192,11 +192,6 @@ def extension_consistency(
     return out
 
 
-def compactness_profile(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
-    """Weighted singular values, sorted descending; decay witnesses compactness."""
-    return weighted_singular_values(T, a, b)
-
-
 @dataclass
 class FredholmReport:
     """N-sweep evidence for Fredholm structure of an operator family.

@@ -10,7 +10,6 @@ from floerlab.scale_operator import (
     adjoint,
     band_indices,
     check_interpolation,
-    compactness_profile,
     extension_consistency,
     fredholm_diagnostic,
     identity_operator,
@@ -96,7 +95,7 @@ def test_inclusion_is_not_fredholm():
 
 
 def test_compactness_profile_of_inclusion_decays():
-    prof = compactness_profile(identity_operator(24, 1, 1.0, 0.0))
+    prof = weighted_singular_values(identity_operator(24, 1, 1.0, 0.0))
     assert all(a >= b for a, b in zip(prof, prof[1:]))
     assert prof[0] == pytest.approx(1.0, rel=1e-13)  # the constant mode
     assert prof[-1] < 0.01
