@@ -26,6 +26,7 @@ import numpy as np
 from .floer_function import FloerFunctionNumeric, full_report
 from .floer_map import SuperpositionMap, apply, d2phi, dphi
 from .scale_operator import (
+    KERNEL_RTOL,
     LevelOperator,
     _flat_weights,
     adjoint,
@@ -175,13 +176,19 @@ def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> Pullb
 
 
 def _decay_slope(profile: np.ndarray) -> float:
-    """Log-log slope of the trailing half of a singular value profile."""
-    tail = profile[profile.size // 2 :]
-    tail = tail[tail > 0.0]
-    if tail.size < 2:
+    """Log-log slope of the trailing half of the resolved part of a descending profile.
+
+    Values below KERNEL_RTOL times the largest are roundoff, not decay;
+    fitting them would report the slope of the noise floor.
+    """
+    if profile.size == 0 or not profile[0] > 0.0:
         return 0.0
-    idx = np.arange(profile.size // 2, profile.size // 2 + tail.size) + 1.0
-    return float(np.polyfit(np.log(idx), np.log(tail), 1)[0])
+    resolved = profile[profile >= KERNEL_RTOL * profile[0]]
+    start = resolved.size // 2
+    if resolved.size - start < 2:
+        return 0.0
+    idx = np.arange(start, resolved.size) + 1.0
+    return float(np.polyfit(np.log(idx), np.log(resolved[start:]), 1)[0])
 
 
 def certify_pullback(

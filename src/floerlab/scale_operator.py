@@ -3,8 +3,7 @@
 An operator is a complex matrix acting on mode-major coefficient vectors.
 Every operator built here commutes with the reality structure
 c_k -> conj(c_{-k}), so the matrix is the complexification of a real
-operator on real loops: in the cosine/sine basis it would be a real
-matrix.  Singular values, operator norms and kernel dimensions of the
+operator on real loops: in the cosine/sine basis it is a real matrix.  Singular values, operator norms and kernel dimensions of the
 complex matrix therefore coincide with those of the underlying real
 operator, which is what all diagnostics report.
 
@@ -13,6 +12,24 @@ singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
 weight.  Because the weight family is exactly geometric in s, the
 Stein-Weiss interpolation inequality holds for every matrix, and the
 level-1/level-(-1) duality is an exact diagonal isometry.
+
+weighted_singular_values reads the structure off the matrix entries and
+takes one of three paths, each giving the singular values of the dense
+weighted matrix:
+
+1. Mode-block-diagonal (every entry outside the n x n blocks of equal
+   mode is exactly 0: the inclusion, d/dt, principal parts).  The
+   weighted matrix is then block diagonal, and its singular values are
+   the union of those of the 2N+1 weighted blocks.
+2. Real-structured (X[rev][:, rev] == conj(X) bit for bit, rev the flat
+   permutation (k, i) -> (-k, i): multiplication operators, the action
+   Hessian, the Riesz correction).  The unitary change to the cosine/sine
+   basis makes the matrix real, and it commutes with the weights because
+   they depend only on |k|; a unitary change of basis keeps the singular
+   values, so a real SVD, at about half the cost, gives them.
+3. Anything else (for instance products such as adjoint(D) @ A @ D,
+   whose rounding breaks the exact mirror symmetry): the complex SVD of
+   the weighted matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +47,10 @@ KERNEL_RTOL = 1e-8
 # A gap is called stabilized when its relative spread over the trailing
 # half of the N-sweep stays below this.
 GAP_STABLE_RTOL = 0.05
+
+# Rows of the real cosine/sine form built per step; bounds its temporaries.
+_ROW_BLOCK = 256
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +136,72 @@ def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = 
     return np.sqrt(wb)[:, None] * T.matrix / np.sqrt(wa)[None, :]
 
 
+def _mode_blocks(T: LevelOperator) -> np.ndarray | None:
+    """The (2N+1, n, n) diagonal mode blocks, or None if any other entry is nonzero."""
+    M = 2 * T.N + 1
+    modes = np.arange(M)
+    blocks = T.matrix.reshape(M, T.n, M, T.n)[modes, :, modes, :]
+    if np.count_nonzero(blocks) != np.count_nonzero(T.matrix):
+        return None
+    return blocks
+
+
+def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray | None:
+    """W_b^{1/2} T W_a^{-1/2} in the cosine/sine basis, or None if T is not real-structured.
+
+    The basis is e_0 and, for k = 1..N, (e_k + e_{-k})/sqrt(2) and
+    i (e_k - e_{-k})/sqrt(2), each times the n components; rows and
+    columns are ordered mode 0, cosines, sines.  With S = X[k, l] +
+    X[k, -l] and D = X[k, l] - X[k, -l] the cosine row of mode k > 0 is
+    [sqrt(2) Re X[k, 0], Re S, -Im D] and its sine row [sqrt(2) Im X[k, 0],
+    Im S, Re D]; the mode-0 row is the cosine formula over sqrt(2).  Only
+    the rows of modes k >= 0 are read, a fixed number at a time, and the
+    mirror test runs on the same rows, so no full-size temporary is made.
+    """
+    N, n, X = T.N, T.n, T.matrix
+    d = X.shape[0]
+    h = N * n  # flat start of mode 0; modes 1..N follow from h + n
+    rev = np.arange(d).reshape(2 * N + 1, n)[::-1].ravel()
+    neg = rev[h + n :]  # modes -1..-N, aligned with the columns of modes 1..N
+    root_b = np.repeat(np.sqrt(weights(N, b))[N:], n)
+    root_a = np.repeat(np.sqrt(weights(N, a))[N:], n)
+    col = np.concatenate([root_a, root_a[n:]])
+    R = np.empty((d, d))
+    for r0 in range(h, d, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, d)
+        A = X[r0:r1]
+        if not np.array_equal(X[np.ix_(rev[r0:r1], rev)], A.conj()):
+            return None
+        S = A[:, h + n :] + A[:, neg]
+        D = A[:, h + n :] - A[:, neg]
+        row = root_b[r0 - h : r1 - h, None]
+        cos = np.concatenate([_SQRT2 * A[:, h : h + n].real, S.real, -D.imag], axis=1)
+        R[r0 - h : r1 - h] = row * cos / col
+        z = min(max(h + n - r0, 0), r1 - r0)  # mode-0 rows in this block; they have no sine row
+        R[r0 - h : r0 - h + z] /= _SQRT2
+        sin = np.concatenate([_SQRT2 * A[z:, h : h + n].imag, S[z:].imag, D[z:].real], axis=1)
+        R[r0 + z : r1] = row[z:] * sin / col  # sines start at (N+1)n = h + n
+    return R
+
+
 def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
+    """Singular values of W_b^{1/2} T W_a^{-1/2} in descending order.
+
+    Takes the block, real or complex path of the module docstring, in
+    that order; each returns the dense weighted matrix's values up to
+    roundoff.
+    """
+    a = T.dom if a is None else check_level(a)
+    b = T.cod if b is None else check_level(b)
+    blocks = _mode_blocks(T)
+    if blocks is not None:
+        root_a = np.sqrt(weights(T.N, a))[:, None, None]
+        root_b = np.sqrt(weights(T.N, b))[:, None, None]
+        sv = np.linalg.svd(root_b * blocks / root_a, compute_uv=False)
+        return np.sort(sv.ravel())[::-1]
+    R = _real_form(T, a, b)
+    if R is not None:
+        return np.linalg.svd(R, compute_uv=False)
     return np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
 
 

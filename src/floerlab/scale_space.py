@@ -227,12 +227,18 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
     matrix-valued one.  The result acts on mode-major coefficient vectors
     and agrees exactly with truncate(from_grid(factor * to_grid(.))) on
     the same grid.
+
+    The symbol comes from the real FFT, mirrored so that fhat[G-m] is
+    conj(fhat[m]) bit for bit: the matrix then commutes exactly with the
+    reality structure c_k -> conj(c_{-k}), which weighted_singular_values
+    detects to take its real cosine/sine path.
     """
     factor_values = np.asarray(factor_values, dtype=float)
     G = factor_values.shape[0]
     if G < 2 * N + 1:
         raise ValueError("grid too coarse for the requested mode range")
-    fhat = np.fft.fft(factor_values, axis=0) / G
+    half = np.fft.rfft(factor_values, axis=0) / G
+    fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
     k = mode_numbers(N)
     idx = (k[:, None] - k[None, :]) % G
     if factor_values.ndim == 1:

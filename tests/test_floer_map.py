@@ -28,6 +28,7 @@ from floerlab.scale_space import (
     to_grid,
 )
 from floerlab.scale_operator import band_indices
+from floerlab.suites import SuiteConfig, suite_floer_map
 
 HOPM = {"restarts": 1, "iters": 80}
 
@@ -165,3 +166,11 @@ def test_leibniz_residual_is_second_order():
     # steps stay large enough that the h^2 term dominates cancellation noise
     rep = leibniz_check(psi, phi, _loop(11), _loop(12), _loop(13), steps=(1e-2, 3e-3, 1e-3))
     assert abs(rep["slope"] - 2.0) < 0.2
+
+
+def test_suite_leibniz_slope_is_second_order_at_seed_13():
+    # at this seed a step of 1e-5 puts the remainder into roundoff and bends the slope to 1.57
+    report = suite_floer_map(SuiteConfig(seed=13))
+    check = next(c for c in report["checks"] if c["name"] == "second-order remainder slope for the composite")
+    assert check["passed"]
+    assert check["slope"] == pytest.approx(2.0, abs=1e-3)

@@ -12,6 +12,7 @@ from floerlab.floer_function import (
 )
 from floerlab.floer_map import SuperpositionMap, apply, compose, d2phi
 from floerlab.pullback import (
+    _decay_slope,
     certify_pullback,
     kappa_bound_check,
     pull_back,
@@ -112,6 +113,14 @@ def test_certificate_passes_for_shear_pullback():
     assert cert["pullback"]["kappa_passed"]
     assert cert["pullback"]["tail_decaying"]
     assert cert["pullback"]["conjugated_fredholm"]["verdict"] == "fredholm"
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-17])
+def test_decay_slope_ignores_the_roundoff_floor(floor):
+    # a k^-3 profile whose trailing half is roundoff, as in the correction's spectrum
+    decay = np.arange(1.0, 65.0) ** -3.0
+    noise = floor * np.sort(np.random.default_rng(0).uniform(size=64))[::-1]
+    assert _decay_slope(np.concatenate([decay, noise])) == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_two_stage_pullback_matches_composite_chart():

@@ -1,0 +1,112 @@
+"""Structured weighted SVDs agree with the dense complex SVD they replace."""
+
+import numpy as np
+import pytest
+
+from floerlab.charts import shear_chart
+from floerlab.floer_function import driven_hamiltonian, symplectic_action
+from floerlab.floer_map import SuperpositionMap, apply, dphi
+from floerlab.pullback import riesz_correction
+from floerlab.scale_operator import (
+    LevelOperator,
+    _mode_blocks,
+    _real_form,
+    adjoint,
+    derivative_operator,
+    identity_operator,
+    weighted_matrix,
+    weighted_singular_values,
+)
+from floerlab.scale_space import default_grid_points, min_grid_points, multiplication_matrix, random_loop, to_grid
+from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
+
+LEVEL_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (2.0, -1.0), (0.5, 0.5)]
+
+
+def _path(T, a, b):
+    if _mode_blocks(T) is not None:
+        return "block"
+    return "real" if _real_form(T, a, b) is not None else "complex"
+
+
+def _mirror(N, n):
+    return np.arange((2 * N + 1) * n).reshape(2 * N + 1, n)[::-1].ravel()
+
+
+def _riesz(N, seed):
+    F = symplectic_action(driven_hamiltonian(), N)
+    phi = SuperpositionMap(shear_chart(), 0.75, N)
+    q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
+    return riesz_correction(F, phi, q, 0.75)
+
+
+def _composed(N, seed):
+    # the pullback's conjugated term: products round differently at mirrored entries
+    F = symplectic_action(driven_hamiltonian(), N)
+    phi = SuperpositionMap(shear_chart(), 0.75, N)
+    q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
+    D = dphi(phi, q)
+    return adjoint(D, 0.0) @ F.hessian(apply(phi, q)) @ D.with_levels(1.0, 1.0)
+
+
+def _random_complex(N, n, seed):
+    rng = np.random.default_rng(seed)
+    d = (2 * N + 1) * n
+    return LevelOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1.0, 0.0, N, n)
+
+
+CASES = [
+    ("block", lambda N: identity_operator(N, 1, 1.0, 0.0)),
+    ("block", lambda N: identity_operator(N, 2, 2.0, -1.0)),
+    ("block", lambda N: derivative_operator(N, 1)),
+    ("block", lambda N: derivative_operator(N, 2)),
+    ("real", lambda N: mult_operator(smooth_factor(N), "(1,1->1)")),
+    ("real", lambda N: mult_operator(rough_factor(N), "(-1,1->-1)")),
+    ("real", lambda N: _riesz(N, 3)),
+    ("complex", lambda N: _random_complex(N, 1, 4)),
+    ("complex", lambda N: _random_complex(N, 2, 5)),
+    ("complex", lambda N: _composed(N, 6)),
+]
+
+
+@pytest.mark.parametrize("N", [4, 16, 48])
+@pytest.mark.parametrize("expected, build", CASES)
+def test_structured_paths_match_dense_svd(expected, build, N):
+    T = build(N)
+    for a, b in LEVEL_PAIRS:
+        assert _path(T, a, b) == expected
+        sv = weighted_singular_values(T, a, b)
+        oracle = np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
+        assert sv.shape == oracle.shape
+        assert np.all(np.diff(sv) <= 0.0)
+        assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
+
+
+def test_real_form_spans_several_row_blocks():
+    # d = 1050 exceeds the fixed row block, so the blocked assembly is exercised
+    T = mult_operator(rough_factor(262), "(1,0->0)")
+    sv = weighted_singular_values(T, 2.0, -1.0)
+    oracle = np.linalg.svd(weighted_matrix(T, 2.0, -1.0), compute_uv=False)
+    assert _path(T, 2.0, -1.0) == "real"
+    assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
+
+
+def test_one_broken_mirror_entry_leaves_the_real_path():
+    T = mult_operator(smooth_factor(8), "(1,0->0)")
+    m = T.matrix.copy()
+    m[3, 5] += 1e-15
+    broken = LevelOperator(m, 0.0, 0.0, 8, 1)
+    assert _path(broken, 0.0, 0.0) == "complex"
+
+
+@pytest.mark.parametrize("N", [5, 8, 33])
+@pytest.mark.parametrize("grid", [default_grid_points, min_grid_points, lambda N: 2 * N + 1, lambda N: 2 * N + 2])
+def test_multiplication_matrix_commutes_with_reality_structure(N, grid):
+    G = grid(N)
+    rng = np.random.default_rng(N)
+    scalar = to_grid(random_loop(rng, 1, N, top_mode=N), G)[:, 0]
+    matrix = rng.normal(size=(G, 2, 2))
+    for values, n in ((scalar, 1), (matrix, 2)):
+        M = multiplication_matrix(values, N)
+        rev = _mirror(N, n)
+        assert np.array_equal(M[np.ix_(rev, rev)], M.conj())
