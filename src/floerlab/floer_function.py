@@ -162,9 +162,12 @@ def symplectic_action(
         return FourierLoop(du @ J0.T - force.coeffs)
 
     def hessian(u: FourierLoop) -> LevelOperator:
-        top = np.kron(np.diag(2j * np.pi * k), J0)
-        well = multiplication_matrix(H.hess_x(t, to_grid(u, G)), N)
-        return LevelOperator(top - well, 1.0, 0.0, N, dim)
+        # -well, then 2 pi i k J0 added on the mode blocks: no second d x d array
+        A = multiplication_matrix(H.hess_x(t, to_grid(u, G)), N)
+        np.negative(A, out=A)
+        M = 2 * N + 1
+        A.reshape(M, dim, M, dim)[np.arange(M), :, np.arange(M), :] += (2j * np.pi * k)[:, None, None] * J0
+        return LevelOperator(A, 1.0, 0.0, N, dim)
 
     def hessian2(u: FourierLoop) -> LevelOperator:
         return hessian(u).with_levels(2.0, 1.0)

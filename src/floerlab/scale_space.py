@@ -232,24 +232,34 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
     conj(fhat[m]) bit for bit: the matrix then commutes exactly with the
     reality structure c_k -> conj(c_{-k}), which weighted_singular_values
     detects to take its real cosine/sine path.
+
+    A constant factor (every grid sample equal) gets its exact symbol,
+    the value at m = 0 and zeros elsewhere, with no FFT roundoff: the
+    matrix is then exactly zero outside the mode blocks, so the
+    mode-block paths of scale_operator apply to it.
     """
     factor_values = np.asarray(factor_values, dtype=float)
     G = factor_values.shape[0]
     if G < 2 * N + 1:
         raise ValueError("grid too coarse for the requested mode range")
-    half = np.fft.rfft(factor_values, axis=0) / G
-    fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
+    if np.all(factor_values == factor_values[0]):
+        fhat = np.zeros(factor_values.shape, dtype=complex)
+        fhat[0] = factor_values[0]
+    else:
+        half = np.fft.rfft(factor_values, axis=0) / G
+        fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
     k = mode_numbers(N)
     idx = (k[:, None] - k[None, :]) % G
     if factor_values.ndim == 1:
         return fhat[idx]
     if factor_values.ndim != 3 or factor_values.shape[1] != factor_values.shape[2]:
         raise ValueError("factor must be scalar (G,) or square matrix valued (G, n, n)")
-    n = factor_values.shape[1]
-    blocks = fhat[idx]  # (2N+1, 2N+1, n, n)
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape(
-        (2 * N + 1) * n, (2 * N + 1) * n
-    )
+    M, n = 2 * N + 1, factor_values.shape[1]
+    out = np.empty((M, n, M, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[:, i, :, j] = fhat[:, i, j][idx]
+    return out.reshape(M * n, M * n)
 
 
 # ---------------------------------------------------------------------------

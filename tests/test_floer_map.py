@@ -174,3 +174,11 @@ def test_suite_leibniz_slope_is_second_order_at_seed_13():
     check = next(c for c in report["checks"] if c["name"] == "second-order remainder slope for the composite")
     assert check["passed"]
     assert check["slope"] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", [1, 6, 8, 10, 11])
+def test_suite_c1_negative_control_bites(seed):
+    # at these seeds neither control sample's x-component used to cross 0,
+    # so sign(x) was constant on the loops and the control was smooth there
+    report = suite_floer_map(SuiteConfig(seed=seed, negative_controls=True))
+    assert report["verdict"] == "pass", [c["name"] for c in report["checks"] if not c["passed"]]

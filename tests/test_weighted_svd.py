@@ -1,10 +1,15 @@
-"""Structured weighted SVDs agree with the dense complex SVD they replace."""
+"""Structured weighted SVDs and op_norm agree with the dense complex SVD they replace."""
 
 import numpy as np
 import pytest
 
 from floerlab.charts import shear_chart
-from floerlab.floer_function import driven_hamiltonian, symplectic_action
+from floerlab.floer_function import (
+    driven_hamiltonian,
+    quadratic_hamiltonian,
+    standard_symplectic_matrix,
+    symplectic_action,
+)
 from floerlab.floer_map import SuperpositionMap, apply, dphi
 from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
@@ -14,10 +19,19 @@ from floerlab.scale_operator import (
     adjoint,
     derivative_operator,
     identity_operator,
+    op_norm,
     weighted_matrix,
     weighted_singular_values,
 )
-from floerlab.scale_space import default_grid_points, min_grid_points, multiplication_matrix, random_loop, to_grid
+from floerlab.scale_space import (
+    default_grid_points,
+    grid_times,
+    min_grid_points,
+    mode_numbers,
+    multiplication_matrix,
+    random_loop,
+    to_grid,
+)
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
 
 LEVEL_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (2.0, -1.0), (0.5, 0.5)]
@@ -82,6 +96,25 @@ def test_structured_paths_match_dense_svd(expected, build, N):
         assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
 
 
+@pytest.mark.parametrize("N", [4, 16, 48])
+@pytest.mark.parametrize("expected, build", CASES)
+def test_op_norm_matches_dense_svd(expected, build, N):
+    # (1.75, 1) are the levels of K2 = riesz_correction in the kappa check at s = 0.75
+    T = build(N)
+    for a, b in LEVEL_PAIRS + [(1.75, 1.0)]:
+        assert _path(T, a, b) == expected
+        oracle = np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)[0]
+        assert abs(op_norm(T, a, b) - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("N, n", [(4, 1), (16, 2)])
+def test_op_norm_of_zero_operator_is_exactly_zero(N, n):
+    d = (2 * N + 1) * n
+    zero = LevelOperator(np.zeros((d, d)), 1.0, 0.0, N, n)
+    for a, b in LEVEL_PAIRS:
+        assert op_norm(zero, a, b) == 0.0
+
+
 def test_real_form_spans_several_row_blocks():
     # d = 1050 exceeds the fixed row block, so the blocked assembly is exercised
     T = mult_operator(rough_factor(262), "(1,0->0)")
@@ -110,3 +143,57 @@ def test_multiplication_matrix_commutes_with_reality_structure(N, grid):
         M = multiplication_matrix(values, N)
         rev = _mirror(N, n)
         assert np.array_equal(M[np.ix_(rev, rev)], M.conj())
+
+
+@pytest.mark.parametrize("N", [4, 16, 64])
+def test_constant_factor_has_exact_symbol(N):
+    G = default_grid_points(N)
+    scalar = np.full(G, 0.1)
+    matrix = np.broadcast_to(np.array([[0.3, -1.7], [2.9, 1.0 / 3.0]]), (G, 2, 2))
+    modes = np.arange(2 * N + 1)
+    for values, n in ((scalar, 1), (matrix, 2)):
+        blocks = multiplication_matrix(values, N).reshape(2 * N + 1, n, 2 * N + 1, n).copy()
+        # the mode blocks carry the value itself, without rfft roundoff
+        diag = blocks[modes, :, modes, :]
+        assert np.array_equal(diag, np.broadcast_to(values[0].reshape(n, n), diag.shape))
+        blocks[modes, :, modes, :] = 0.0
+        assert np.count_nonzero(blocks) == 0
+
+
+def _gather_reference(values, N):
+    # the former assembly: the full (M, M, n, n) gather, transposed and copied
+    G, n = values.shape[0], values.shape[1]
+    half = np.fft.rfft(values, axis=0) / G
+    fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
+    k = mode_numbers(N)
+    blocks = fhat[(k[:, None] - k[None, :]) % G]
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3)).reshape((2 * N + 1) * n, (2 * N + 1) * n)
+
+
+@pytest.mark.parametrize("N, n", [(5, 2), (16, 3)])
+def test_blockwise_assembly_is_bit_identical_to_the_gather(N, n):
+    values = np.random.default_rng(N).normal(size=(default_grid_points(N), n, n))
+    new, old = multiplication_matrix(values, N), _gather_reference(values, N)
+    assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+def _kron_assembly(H, N, q):
+    J0 = standard_symplectic_matrix(H.dim)
+    G = default_grid_points(N)
+    k = mode_numbers(N).astype(float)
+    well = multiplication_matrix(H.hess_x(grid_times(G), to_grid(q, G)), N)
+    return np.kron(np.diag(2j * np.pi * k), J0) - well
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("H", [quadratic_hamiltonian(), driven_hamiltonian()], ids=["quadratic", "driven"])
+def test_action_hessian_is_exactly_block_diagonal(H, N):
+    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.5)
+    A = symplectic_action(H, N).hessian(q)
+    assert _mode_blocks(A) is not None
+    if N == 16:
+        old = _kron_assembly(H, N, q)
+        assert np.array_equal(A.matrix, old)
+        # bit for bit wherever the entry is nonzero; 0 - 0 and -(0) differ only in the sign of zero
+        nonzero = old.view(float) != 0.0
+        assert np.array_equal(A.matrix.view(np.uint64)[nonzero], old.view(np.uint64)[nonzero])
