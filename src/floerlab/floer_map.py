@@ -16,7 +16,11 @@ The four extension axioms checked here, with s the map's level parameter:
 
 Bilinear operator norms are estimated by alternating Riesz/power ascent;
 the estimate is an achieved lower bound, which keeps every inequality
-that consumes it conservative.
+that consumes it conservative.  All starting triples advance together
+along a leading trial axis, each leaving the batch on its own exit rule,
+and each Riesz step runs on the half spectrum of modes 0..N, since every
+slot holds a real loop.  Batching never mixes trials, so each reported
+value is still the trilinear form at one explicit triple of unit vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .scale_space import (
     FourierLoop,
     default_grid_points,
     from_grid,
-    mode_numbers,
+    grid_samples,
+    half_spectrum,
     multiplication_matrix,
     to_grid,
     weights,
@@ -42,6 +47,23 @@ AXIOMS = ("(i)1", "(i)2", "(ii)1", "(ii)2")
 
 class ChartDomainError(ValueError):
     """A loop's grid samples left the chart domain (margin included)."""
+
+
+def _level_norms(c: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """Per-trial norms of half spectra c (trial, n, N+1); mw holds m_k w_k."""
+    return np.sqrt((c.real**2 + c.imag**2).sum(axis=1) @ mw)
+
+
+def _unit_samples(c: np.ndarray, mw: np.ndarray, G: int) -> np.ndarray:
+    """Grid samples of the half spectra c scaled to unit norm, per trial."""
+    return grid_samples(c / _level_norms(c, mw)[:, None, None], G, axis=-1)
+
+
+def _slot_gradient(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One slot's gradient on the grid, sum_p t[i, p, g] u_p1(t_g) v_p2(t_g), per trial."""
+    trials, n, G = u.shape
+    pair = (u[:, :, None, :] * v[:, None, :, :]).reshape(trials, n * n, G)
+    return np.einsum("ipg,tpg->tig", t, pair)
 
 
 @dataclass
@@ -89,31 +111,34 @@ class BilinearLevelMap:
         """sup ||B(xi, eta)||_out / (||xi||_a ||eta||_b), by alternating ascent.
 
         The output slot is handled through the dual pairing, so each slot
-        update is a closed-form Riesz step; the returned value is attained
-        by an explicit triple and therefore never overestimates.
+        update is a closed-form Riesz step.  The restarts + 2 trials (two
+        fixed starting triples, then random ones) advance together, held
+        as grid samples of shape (trial, n, G).  The tensor is regrouped
+        once per slot to (n, n*n, G), so a slot gradient is an outer
+        product and one two-operand contraction.  The Riesz step reads the
+        gradient's half spectrum U (modes 0..N) and takes U / w, whose
+        squared norm is sum_k m_k |U_k|^2 / w_k with m_0 = 1 and m_k = 2
+        counting the mode -k.  A trial leaves the batch when the output
+        gradient vanishes, when its value changes by at most rtol, or at
+        the iters cap.
+
+        Each trial's value is the trilinear form at its current triple of
+        unit vectors, by grid quadrature exact for band-limited data, so
+        the returned maximum is attained and never overestimates.
         """
         G, N, n = self.grid_points, self.N, self.n
-        wa = weights(N, a)[:, None]
-        wb = weights(N, b)[:, None]
-        wz = 1.0 / weights(N, out)[:, None]  # dual weight of the output norm
-
-        def grid(c):
-            full = np.zeros((G, n), dtype=complex)
-            full[mode_numbers(N) % G] = c
-            return np.real(np.fft.ifft(full, axis=0)) * G
-
-        def coeffs(vals):
-            return np.fft.fft(vals, axis=0)[mode_numbers(N) % G] / G
-
-        def riesz(gradc, w):
-            cand = gradc / w
-            nrm = np.sqrt(np.sum(w * np.abs(cand) ** 2))
-            if nrm == 0.0:
-                return None
-            return cand / nrm
+        wa, wb = weights(N, a)[N:], weights(N, b)[N:]
+        wz = 1.0 / weights(N, out)[N:]  # dual weight of the output norm
+        mult = np.r_[1.0, np.full(N, 2.0)]  # mode k > 0 stands for k and -k
+        ma, mb, mz = mult * wa, mult * wb, mult * wz
+        # tensor[g, i, j, k] regrouped per slot as [slot index, other two, g]
+        tz, tx, te = (
+            np.ascontiguousarray(self.tensor.transpose(axes)).reshape(n, n * n, G)
+            for axes in ((1, 2, 3, 0), (2, 1, 3, 0), (3, 1, 2, 0))
+        )
 
         rng = np.random.default_rng(seed)
-        best = 0.0
+        starts = []
         for trial in range(restarts + 2):
             if trial == 0:
                 cx = np.zeros((2 * N + 1, n), dtype=complex)
@@ -130,29 +155,33 @@ class BilinearLevelMap:
                 cx = 0.5 * (cx + np.conj(cx[::-1]))
                 ce = rng.standard_normal((2 * N + 1, n)) + 1j * rng.standard_normal((2 * N + 1, n))
                 ce = 0.5 * (ce + np.conj(ce[::-1]))
-            cx = cx / np.sqrt(np.sum(wa * np.abs(cx) ** 2))
-            ce = ce / np.sqrt(np.sum(wb * np.abs(ce) ** 2))
-            vx, ve = grid(cx), grid(ce)
-            val = 0.0
-            for _ in range(iters):
-                gz = coeffs(np.einsum("gijk,gj,gk->gi", self.tensor, vx, ve) / G)
-                cz = riesz(gz, wz)
-                if cz is None:
+            starts.append((cx[N:].T, ce[N:].T))
+        cx, ce = (np.stack(c) for c in zip(*starts))
+        vx = _unit_samples(cx, ma, G)
+        ve = _unit_samples(ce, mb, G)
+
+        vals = np.zeros(restarts + 2)
+        live = np.arange(restarts + 2)
+        for _ in range(iters):
+            if live.size == 0:
+                break
+            rz = half_spectrum(_slot_gradient(tz, vx, ve), N, axis=-1) / wz
+            nz = _level_norms(rz, mz)
+            if not np.all(nz > 0.0):  # null gradient: the trial keeps its value
+                keep = nz > 0.0
+                live, vx, ve, rz, nz = live[keep], vx[keep], ve[keep], rz[keep], nz[keep]
+                if live.size == 0:
                     break
-                vz = grid(cz)
-                gx = coeffs(np.einsum("gijk,gi,gk->gj", self.tensor, vz, ve) / G)
-                cx = riesz(gx, wa)
-                vx = grid(cx)
-                ge = coeffs(np.einsum("gijk,gi,gj->gk", self.tensor, vz, vx) / G)
-                ce = riesz(ge, wb)
-                ve = grid(ce)
-                new = float(np.einsum("gijk,gi,gj,gk->", self.tensor, vz, vx, ve) / G)
-                if abs(new - val) <= rtol * max(abs(new), 1.0):
-                    val = new
-                    break
-                val = new
-            best = max(best, abs(val))
-        return best
+            vz = grid_samples(rz / nz[:, None, None], G, axis=-1)
+            rx = half_spectrum(_slot_gradient(tx, vz, ve), N, axis=-1) / wa
+            vx = _unit_samples(rx, ma, G)
+            ge = _slot_gradient(te, vz, vx)
+            ve = _unit_samples(half_spectrum(ge, N, axis=-1) / wb, mb, G)
+            new = np.einsum("tig,tig->t", ge, ve) / G
+            keep = np.abs(new - vals[live]) > rtol * np.maximum(np.abs(new), 1.0)
+            vals[live] = new
+            live, vx, ve = live[keep], vx[keep], ve[keep]
+        return float(np.max(np.abs(vals), initial=0.0))
 
     def __sub__(self, other: "BilinearLevelMap") -> "BilinearLevelMap":
         if self.tensor.shape != other.tensor.shape or self.N != other.N:

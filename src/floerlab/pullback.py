@@ -31,7 +31,6 @@ from .scale_operator import (
     _flat_weights,
     adjoint,
     fredholm_diagnostic,
-    identity_operator,
     op_norm,
     weighted_singular_values,
 )
@@ -75,8 +74,8 @@ def pull_back_hessian(
     """Hessian of f o phi as an operator H_1 -> H_0."""
     conj = _conjugated_term(F, phi, q)
     K = riesz_correction(F, phi, q, s)
-    iota = identity_operator(phi.N, phi.n, 1.0, s)
-    return conj + K @ iota
+    # K o iota_s: the inclusion H_1 -> H_s is the identity on coefficients
+    return conj + K.with_levels(1.0, K.cod)
 
 
 def pull_back_hessian_level2(
@@ -87,9 +86,8 @@ def pull_back_hessian_level2(
     D = dphi(phi, q)
     p = apply(phi, q)
     conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ F.hessian2(p) @ D.with_levels(2.0, 2.0)
-    K2 = riesz_correction(F, phi, q, s).with_levels(1.0 + s, 1.0)
-    iota2 = identity_operator(phi.N, phi.n, 2.0, 1.0 + s)
-    return conj2 + K2 @ iota2
+    K2 = riesz_correction(F, phi, q, s).with_levels(2.0, 1.0)
+    return conj2 + K2
 
 
 def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
@@ -152,8 +150,7 @@ def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> Pullb
     def split(q: FourierLoop) -> tuple[LevelOperator, LevelOperator]:
         conj = _conjugated_term(F, phi, q)
         K = riesz_correction(F, phi, q, s)
-        iota = identity_operator(phi.N, phi.n, 1.0, s)
-        return conj, K @ iota
+        return conj, K.with_levels(1.0, K.cod)
 
     rebuild = None
     if F.rebuild is not None:
@@ -225,7 +222,7 @@ def certify_pullback(
     conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0, N_sweep=fred_Ns)
 
     K = riesz_correction(F, phi, base_q, s)
-    tail = weighted_singular_values(K @ identity_operator(phi.N, phi.n, 1.0, s), 1.0, 0.0)
+    tail = weighted_singular_values(K.with_levels(1.0, K.cod), 1.0, 0.0)
     slope = _decay_slope(tail)
     decaying = bool(tail[-1] < tail[0] and slope < -0.02)
 

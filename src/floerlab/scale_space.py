@@ -13,7 +13,12 @@ diagonal isometry.  Admissible levels are {-1} union [0, 2].
 The grid bridge maps coefficients to samples on a uniform grid with at
 least 3N points (3/2-rule); the default grid of 4N+2 points keeps every
 product of up to three band-limited factors alias-free, which is what the
-superposition machinery downstream relies on.
+superposition machinery downstream relies on.  Loops are real, so the
+bridge is the real FFT on the half spectrum of modes 0..N: grid_samples
+(irfft, synthesis) and half_spectrum (rfft, analysis) act on raw arrays
+along a given axis, and to_grid, from_grid, the symbol of
+multiplication_matrix and the trilinear ascent of floer_map all go
+through these two helpers.
 """
 
 from __future__ import annotations
@@ -198,14 +203,33 @@ def grid_times(grid_points: int) -> np.ndarray:
     return np.arange(grid_points) / grid_points
 
 
+def grid_samples(half: np.ndarray, G: int, axis: int = 0) -> np.ndarray:
+    """Samples on t_j = j/G of the real loops whose modes 0..N lie along axis.
+
+    Synthesis leg of the bridge; the modes -N..-1 are the conjugates of
+    the given ones and are never stored.
+    """
+    return np.fft.irfft(half, n=G, axis=axis) * G
+
+
+def half_spectrum(values: np.ndarray, N: int, axis: int = 0) -> np.ndarray:
+    """Coefficients of modes 0..N of real grid samples along axis.
+
+    Analysis leg of the bridge; with N = G // 2 it keeps every mode the
+    real FFT returns.
+    """
+    spec = np.fft.rfft(values, axis=axis)
+    keep = [slice(None)] * spec.ndim
+    keep[axis] = slice(0, N + 1)
+    return spec[tuple(keep)] / values.shape[axis]
+
+
 def to_grid(u: FourierLoop, grid_points: int | None = None) -> np.ndarray:
     """Sample the loop on the uniform grid t_j = j/G, shape (G, n)."""
     G = default_grid_points(u.N) if grid_points is None else int(grid_points)
     if G < 2 * u.N + 1:
         raise ValueError(f"grid of {G} points cannot carry modes up to {u.N}")
-    c = np.zeros((G, u.n), dtype=complex)
-    c[mode_numbers(u.N) % G] = u.coeffs
-    return np.real(np.fft.ifft(c, axis=0)) * G
+    return grid_samples(u.coeffs[u.N :], G)
 
 
 def from_grid(values: np.ndarray, N: int) -> FourierLoop:
@@ -216,8 +240,8 @@ def from_grid(values: np.ndarray, N: int) -> FourierLoop:
     G = values.shape[0]
     if G < 2 * N + 1:
         raise ValueError(f"grid of {G} points cannot determine modes up to {N}")
-    fhat = np.fft.fft(values, axis=0) / G
-    return FourierLoop(fhat[mode_numbers(N) % G])
+    half = half_spectrum(values, N)
+    return FourierLoop(np.concatenate([np.conj(half[:0:-1]), half]))
 
 
 def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
@@ -228,7 +252,7 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
     and agrees exactly with truncate(from_grid(factor * to_grid(.))) on
     the same grid.
 
-    The symbol comes from the real FFT, mirrored so that fhat[G-m] is
+    The symbol comes from half_spectrum, mirrored so that fhat[G-m] is
     conj(fhat[m]) bit for bit: the matrix then commutes exactly with the
     reality structure c_k -> conj(c_{-k}), which weighted_singular_values
     detects to take its real cosine/sine path.
@@ -246,7 +270,7 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
         fhat = np.zeros(factor_values.shape, dtype=complex)
         fhat[0] = factor_values[0]
     else:
-        half = np.fft.rfft(factor_values, axis=0) / G
+        half = half_spectrum(factor_values, G // 2)
         fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
     k = mode_numbers(N)
     idx = (k[:, None] - k[None, :]) % G

@@ -10,16 +10,19 @@ from floerlab.floer_function import (
     richardson_second,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, compose, d2phi
+from floerlab.floer_map import SuperpositionMap, apply, compose, d2phi, dphi
 from floerlab.pullback import (
+    _conjugated_term,
     _decay_slope,
     certify_pullback,
     kappa_bound_check,
     pull_back,
     pull_back_gradient,
+    pull_back_hessian,
+    pull_back_hessian_level2,
     riesz_correction,
 )
-from floerlab.scale_operator import band_indices
+from floerlab.scale_operator import adjoint, band_indices, identity_operator
 from floerlab.scale_space import inner, random_loop
 
 HOPM = {"restarts": 1, "iters": 80}
@@ -146,3 +149,32 @@ def test_gradient_helper_agrees_with_bundle():
     bundle = pull_back(F, phi, 0.75)
     direct = pull_back_gradient(F, phi, q)
     assert np.max(np.abs(direct.coeffs - bundle.derived.gradient(q).coeffs)) == 0.0
+
+
+@pytest.mark.parametrize("chart", [shear_chart, lambda: rotation_field_chart(0.5)], ids=["shear", "rotation"])
+def test_correction_terms_equal_the_products_with_the_inclusion(chart):
+    # re-annotating K's domain gives exactly the entries of K @ iota
+    N, s = 16, 0.75
+    F = symplectic_action(quadratic_hamiltonian(), N)
+    phi = SuperpositionMap(chart(), s, N)
+    q = random_loop(np.random.default_rng(4), 2, N, amplitude=0.3)
+    K = riesz_correction(F, phi, q, s)
+    iota = identity_operator(N, 2, 1.0, s)
+    conj = _conjugated_term(F, phi, q)
+
+    old = conj + K @ iota
+    new = pull_back_hessian(F, phi, q, s)
+    assert (new.dom, new.cod) == (old.dom, old.cod)
+    assert np.all(new.matrix == old.matrix)
+
+    conj_split, k_split = pull_back(F, phi, s).derived.principal_split(q)
+    assert np.all(conj_split.matrix == conj.matrix)
+    assert (k_split.dom, k_split.cod) == (1.0, 0.0)
+    assert np.all(k_split.matrix == (K @ iota).matrix)
+
+    D = dphi(phi, q)
+    conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ F.hessian2(apply(phi, q)) @ D.with_levels(2.0, 2.0)
+    old2 = conj2 + K.with_levels(1.0 + s, 1.0) @ identity_operator(N, 2, 2.0, 1.0 + s)
+    new2 = pull_back_hessian_level2(F, phi, q, s)
+    assert (new2.dom, new2.cod) == (old2.dom, old2.cod) == (2.0, 1.0)
+    assert np.all(new2.matrix == old2.matrix)
