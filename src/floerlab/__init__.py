@@ -71,10 +71,10 @@ from .scale_operator import (
     band_indices,
     check_interpolation,
     derivative_operator,
-    extension_consistency,
     fredholm_diagnostic,
     identity_operator,
     op_norm,
+    sweep_verdict,
     weighted_singular_values,
 )
 from .scale_space import (

@@ -28,8 +28,8 @@ from .loop_atlas import (
     sphere_small_loop_atlas,
 )
 from .pullback import certify_pullback, kappa_bound_check
-from .scale_operator import identity_operator, op_norm, weighted_singular_values
-from .scale_space import random_loop
+from .scale_operator import op_norm, weighted_singular_values
+from .scale_space import random_loop, weights
 from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
 from .suites import LIGHT_HOPM, SUITES, SuiteConfig, run_suite
 
@@ -123,26 +123,12 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _worker_count(cfg: RunConfig) -> int:
-    if cfg.workers is not None:
-        return cfg.workers
-    env = os.environ.get("FLOERLAB_WORKERS", "")
-    if env:
-        try:
-            count = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"FLOERLAB_WORKERS must be an integer, got {env!r}") from exc
-        if count < 1:
-            raise ConfigError("FLOERLAB_WORKERS must be positive")
-        return count
-    return min(4, os.cpu_count() or 1)
-
-
 def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     suite_cfg = cfg.suite_config()
     names = sorted(cfg.suites)
     results = {}
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
+    workers = cfg.workers if cfg.workers is not None else min(4, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {name: pool.submit(run_suite, name, suite_cfg) for name in names}
         for name in names:
             results[name] = futures[name].result()
@@ -171,8 +157,10 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     rows = []
     shear = shear_chart()
     for N in cfg.N:
-        sv = weighted_singular_values(identity_operator(N, 2, 1.0, 0.0))
-        rows.append(("scale_operator", N, "", "inclusion_sigma_min", float(sv[-1])))
+        # the inclusion H_1 -> H_0 scales mode k by sqrt(w_k(0) / w_k(1)),
+        # least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
+        sigma_min = np.min(np.sqrt(weights(N, 0.0)) / np.sqrt(weights(N, 1.0)))
+        rows.append(("scale_operator", N, "", "inclusion_sigma_min", float(sigma_min)))
 
         F = symplectic_action(quadratic_hamiltonian(), N)
         q = random_loop(rng, 2, N, amplitude=0.4)

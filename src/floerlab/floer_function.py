@@ -25,11 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .scale_operator import (
+    STABLE_RTOL,
     LevelOperator,
-    _stabilized,
     adjoint,
     fredholm_diagnostic,
     op_norm,
+    sweep_verdict,
 )
 from .scale_space import (
     FourierLoop,
@@ -265,7 +266,6 @@ def gradient_axiom_check(
     directions: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
     h: float = 1e-3,
-    stability_rtol: float = 0.05,
 ) -> dict:
     """Check the three gradient axioms; JSON-ready report keyed by axiom name."""
     pair_err = 0.0
@@ -289,7 +289,7 @@ def gradient_axiom_check(
             FM = F.rebuild(M)
             worst = max(FM.gradient(q.resize(M)).norm(1.0) for q in samples)
             sweep.append({"N": int(M), "norm": float(worst)})
-    restr_ok = _stabilized([e["norm"] for e in sweep], stability_rtol) if sweep else True
+    restr_ok = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL) == "stable"
     base = samples[0]
     bump = 1e-3 * (1.0 / directions[0].norm(2.0)) * directions[0]
     modulus = (F.gradient(base + bump) - F.gradient(base)).norm(1.0) / bump.norm(2.0)
@@ -313,7 +313,6 @@ def hessian_axiom_check(
     pairs: list[tuple[FourierLoop, FourierLoop]],
     N_sweep: tuple[int, ...] = (16, 32, 64),
     h: float = 1e-3,
-    stability_rtol: float = 0.05,
 ) -> dict:
     """Check the four Hessian axioms; the Fredholm entry carries both level pairs."""
     sym_err = 0.0
@@ -340,9 +339,7 @@ def hessian_axiom_check(
             FM = F.rebuild(M)
             worst = max(op_norm(FM.hessian2(q.resize(M)), 2.0, 1.0) for q in samples)
             sweep2.append({"N": int(M), "norm": float(worst)})
-    restr_ok = restr_drift <= 1e-12 and (
-        _stabilized([e["norm"] for e in sweep2], stability_rtol) if sweep2 else True
-    )
+    restr_ok = restr_drift <= 1e-12 and sweep_verdict([e["norm"] for e in sweep2], STABLE_RTOL) == "stable"
 
     base = samples[0]
     bump = 1e-3 * (1.0 / pairs[0][0].norm(1.0)) * pairs[0][0]
@@ -361,7 +358,7 @@ def hessian_axiom_check(
         for a, b in ((1.0, 0.0), (2.0, 1.0)):
             rep = fredholm_diagnostic(fam((a, b)), a, b, N_sweep=tuple(sorted(N_sweep)))
             fred[f"({a:g}->{b:g})"] = rep.to_json()
-    fred_ok = all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values()) if fred else True
+    fred_ok = bool(fred) and all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values())
 
     report = {
         "H0-Hessian": {

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import DEFAULT_MARGIN, DiffeoChart, compose_charts
-from .scale_operator import LevelOperator, _stabilized, op_norm
+from .scale_operator import STABLE_RTOL, LevelOperator, op_norm, sweep_verdict
 from .scale_space import (
     FourierLoop,
     default_grid_points,
@@ -322,7 +322,6 @@ def verify_floer_axioms(
     phi: SuperpositionMap,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    stability_rtol: float = 0.05,
     modulus_step: float = 1e-3,
     hopm: dict | None = None,
 ) -> list[AxiomReport]:
@@ -330,8 +329,8 @@ def verify_floer_axioms(
 
     Per axiom the report carries the worst sample norm at every N, the
     divided-difference continuity modulus at the largest N, and a verdict:
-    pass when the norms stabilize (trailing half within stability_rtol of
-    the final value) and the modulus is finite.
+    pass when sweep_verdict finds the norms stable at STABLE_RTOL and the
+    modulus is finite.
     """
     hopm = dict(hopm or {})
     axioms = list(AXIOMS)
@@ -348,7 +347,7 @@ def verify_floer_axioms(
         bump = modulus_step * _unit_direction(base)
         modulus = _axiom_modulus(phN, axiom, base, bump, hopm)
         norms = [e["norm"] for e in sweep]
-        ok = _stabilized(norms, stability_rtol) and np.isfinite(modulus)
+        ok = sweep_verdict(norms, STABLE_RTOL) == "stable" and np.isfinite(modulus)
         reports.append(
             AxiomReport(
                 axiom=axiom,

@@ -39,6 +39,11 @@ relative error O(eps) in sigma_max, so the norm is as exact as the SVD's.
 The same absolute error swamps any sigma^2 below about eps sigma_max^2,
 so sigma_min, gaps and kernel counts would lose half their digits that
 way; weighted_singular_values therefore keeps its SVDs.
+
+Truncation certifies boundedness only as an N-sweep that stabilizes.
+sweep_verdict is the one rule every sweep in the package is read by:
+stable, growing, unstable, or insufficient when the sweep has fewer
+than two truncations.
 """
 
 from __future__ import annotations
@@ -53,9 +58,8 @@ from .scale_space import FourierLoop, check_level, mode_numbers, weights
 # Relative singular-value threshold separating numerical kernel from gap.
 KERNEL_RTOL = 1e-8
 
-# A gap is called stabilized when its relative spread over the trailing
-# half of the N-sweep stays below this.
-GAP_STABLE_RTOL = 0.05
+# A sweep is stable when its trailing half sits within this of its final value.
+STABLE_RTOL = 0.05
 
 # Rows of the real cosine/sine form built per step; bounds its temporaries.
 _ROW_BLOCK = 256
@@ -272,46 +276,28 @@ def check_interpolation(T: LevelOperator, s: float, tol: float = 1e-10) -> dict:
     }
 
 
-def _stabilized(values: list[float], rtol: float) -> bool:
-    """True when the trailing half of the sweep sits within rtol of the final value.
+def sweep_verdict(values: list[float], rtol: float) -> str:
+    """The one rule that reads an N-sweep: stable, growing, unstable or insufficient.
 
-    The window keeps at least two values whenever the sweep has them; a
-    single trailing point is vacuously stable and would wave divergent
-    quantities through on two-point sweeps.
+    stable: the trailing half of the values, keeping at least two, all
+    lie within rtol |final| of the final value (all 0 when it is 0).
+    growing: not stable, and the values increase strictly.  insufficient:
+    fewer than two values, which show nothing about stabilization.
+    unstable: anything else.
     """
-    if not values:
-        return False
-    cut = min(len(values) // 2, max(len(values) - 2, 0))
-    tail = values[cut:]
+    if len(values) < 2:
+        return "insufficient"
+    tail = values[min(len(values) // 2, len(values) - 2) :]
     final = tail[-1]
     if final == 0.0:
-        return all(v == 0.0 for v in tail)
-    return all(abs(v - final) <= rtol * abs(final) for v in tail)
-
-
-def extension_consistency(
-    family: LevelOperator | Mapping[int, LevelOperator],
-    levels: tuple[float, ...],
-    stability_rtol: float = GAP_STABLE_RTOL,
-) -> dict:
-    """Operator norms of the same coefficients at several levels.
-
-    With a single operator this just tabulates the norms.  With an
-    N-indexed family it additionally flags each level whose norm fails to
-    stabilize along the sweep, which is the numerical meaning of "does
-    not extend" at finite truncation.
-    """
-    if isinstance(family, LevelOperator):
-        family = {family.N: family}
-    Ns = sorted(family)
-    out = {"N": Ns, "levels": {}, "flagged": []}
-    for s in levels:
-        vals = [op_norm(family[N], s, s) for N in Ns]
-        stable = _stabilized(vals, stability_rtol) if len(Ns) > 1 else True
-        out["levels"][s] = {"norms": vals, "stable": bool(stable)}
-        if not stable:
-            out["flagged"].append(s)
-    return out
+        stable = all(v == 0.0 for v in tail)
+    else:
+        stable = all(abs(v - final) <= rtol * abs(final) for v in tail)
+    if stable:
+        return "stable"
+    if all(b > a for a, b in zip(values, values[1:])):
+        return "growing"
+    return "unstable"
 
 
 @dataclass
@@ -321,6 +307,8 @@ class FredholmReport:
     At any fixed truncation a square matrix has equal kernel and cokernel
     counts; the informative part is whether the first singular value above
     the kernel cluster stabilizes at a positive constant as N grows.
+    The verdict is fredholm, non_fredholm, or insufficient for a sweep of
+    fewer than two truncations.
     """
 
     a: float
@@ -344,8 +332,6 @@ def fredholm_diagnostic(
     a: float,
     b: float,
     N_sweep: tuple[int, ...] | None = None,
-    threshold: float = KERNEL_RTOL,
-    gap_rtol: float = GAP_STABLE_RTOL,
 ) -> FredholmReport:
     if callable(family):
         if N_sweep is None:
@@ -356,7 +342,7 @@ def fredholm_diagnostic(
     for N in Ns:
         sv = weighted_singular_values(family[N], a, b)
         smax = float(sv[0]) if sv.size else 0.0
-        cut = threshold * smax
+        cut = KERNEL_RTOL * smax
         ker = int(np.sum(sv < cut))
         # Left and right null counts agree for a square matrix; both are
         # reported because the contract asks for both.
@@ -376,7 +362,10 @@ def fredholm_diagnostic(
     cokers = [e["coker_dim"] for e in sweep]
     gaps = [e["gap"] for e in sweep]
     stable_dims = len(set(kers)) == 1 and len(set(cokers)) == 1
-    stable_gap = _stabilized(gaps, gap_rtol)
+    gap_verdict = sweep_verdict(gaps, STABLE_RTOL)
     index = kers[-1] - cokers[-1]
-    verdict = "fredholm" if (stable_dims and stable_gap) else "non_fredholm"
+    if gap_verdict == "insufficient":
+        verdict = gap_verdict
+    else:
+        verdict = "fredholm" if (stable_dims and gap_verdict == "stable") else "non_fredholm"
     return FredholmReport(a=a, b=b, sweep=sweep, index_estimate=index, verdict=verdict)

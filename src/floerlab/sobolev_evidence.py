@@ -4,7 +4,10 @@ Boundedness of multiplication u -> g u depends on where the factor, the
 input, and the output live; the four signatures exercised here are the
 ones the rest of the package leans on.  Truncation cannot certify
 boundedness outright, so every verdict is a stabilization statement
-about an N-sweep, with rough factors as the diverging negative control.
+about an N-sweep, read by the one rule scale_operator.sweep_verdict
+(trailing half within a relative tolerance of the final value; fewer
+than two truncations are insufficient), with rough factors as the
+diverging negative control.
 
 The embedding checks estimate a Hölder seminorm on a fine grid with
 dyadic offsets; the worst-case profile (coefficients the inverse square
@@ -19,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scale_operator import LevelOperator, _stabilized, op_norm
+from .scale_operator import STABLE_RTOL, LevelOperator, op_norm, sweep_verdict
 from .scale_space import (
     FourierLoop,
     LevelError,
@@ -32,8 +35,6 @@ from .scale_space import (
     weights,
 )
 
-STABLE_FROM_N = 64
-STABLE_RTOL = 0.05
 HOLDER_RTOL = 0.10
 FINE_GRID = 4096
 DYADIC_OFFSETS = tuple(range(1, 11))
@@ -81,10 +82,11 @@ def mult_norm_sweep(
     g: FourierLoop | Callable[[int], FourierLoop],
     sig: MultSignature | str,
     N_sweep: tuple[int, ...] = (16, 32, 64, 128, 256),
-    stable_from: int = STABLE_FROM_N,
-    rtol: float = STABLE_RTOL,
 ) -> dict:
     """Operator norms across truncations with a bounded/unbounded verdict.
+
+    A stable sweep is bounded, a growing or unstable one unbounded, and
+    one of fewer than two truncations insufficient.
 
     A fixed loop is resized to each N; a callable is asked for the factor
     at each N, which is how factors with full-band coefficient tails
@@ -96,20 +98,10 @@ def mult_norm_sweep(
     for M in sorted(N_sweep):
         norm = op_norm(mult_operator(factory(M), sig))
         sweep.append({"N": int(M), "norm": float(norm)})
-    final = sweep[-1]["norm"]
-    window = [e["norm"] for e in sweep if e["N"] >= stable_from]
-    if len(window) < 2:
-        # a window below two points says nothing about growth
-        window = [e["norm"] for e in sweep][-2:]
-    if final == 0.0:
-        bounded = all(v == 0.0 for v in window)
-    else:
-        bounded = all(abs(v - final) <= rtol * final for v in window)
-    return {
-        "signature": sig.label,
-        "sweep": sweep,
-        "verdict": "bounded" if bounded else "unbounded",
-    }
+    verdict = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL)
+    if verdict != "insufficient":
+        verdict = "bounded" if verdict == "stable" else "unbounded"
+    return {"signature": sig.label, "sweep": sweep, "verdict": verdict}
 
 
 def smooth_factor(N: int) -> FourierLoop:
@@ -245,15 +237,15 @@ def holder_embedding_check(
     s: float,
     samples: list[FourierLoop] | None = None,
     N_sweep: tuple[int, ...] = (16, 32, 64, 128, 256),
-    rtol: float = HOLDER_RTOL,
 ) -> dict:
     """Sharp seminorm-to-norm constants across N; they must stabilize.
 
     Each swept constant is the exact dual-norm value, cross-checked by
     the loop that attains it.  Samples are asserted against the largest
     swept constant, which bounds them by Cauchy-Schwarz with no slack
-    beyond roundoff.  s = 1/2 is admitted as the documented endpoint
-    control: there the constant keeps growing and the verdict says so.
+    beyond roundoff.  The verdict is sweep_verdict's at HOLDER_RTOL.
+    s = 1/2 is admitted as the documented endpoint control: there the
+    constant keeps growing and the verdict says so.
     """
     if not 0.5 <= s < 1.5:
         raise LevelError(f"embedding level s={s} out of range [1/2, 3/2)")
@@ -267,7 +259,6 @@ def holder_embedding_check(
             {"N": int(M), "ratio": float(c), "offset": y, "attained": float(attained / c)}
         )
     ratios = [e["ratio"] for e in sweep]
-    monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     constant = max(ratios)
 
     sample_rows = []
@@ -280,18 +271,11 @@ def holder_embedding_check(
                 {"N": u.N, "ratio": float(ratio), "within_constant": bool(ratio <= constant * (1.0 + 1e-9))}
             )
 
-    if _stabilized(ratios, rtol):
-        verdict = "stable"
-    elif monotone:
-        verdict = "growing"
-    else:
-        verdict = "unstable"
     return {
         "s": s,
         "alpha": alpha,
         "sweep": sweep,
         "constant": float(constant),
-        "monotone": monotone,
         "samples": sample_rows,
-        "verdict": verdict,
+        "verdict": sweep_verdict(ratios, HOLDER_RTOL),
     }

@@ -419,7 +419,7 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
     checks.append(
         _expected_fail(
             "endpoint control keeps growing",
-            endpoint["verdict"] == "growing" and endpoint["monotone"],
+            endpoint["verdict"] == "growing",
             {"sweep": endpoint["sweep"]},
         )
         | {"expected": "growth"}

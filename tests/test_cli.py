@@ -91,6 +91,20 @@ def test_verify_reports_failure_with_exit_1(tmp_path):
     assert report["verdict"] == "fail"
 
 
+def test_verify_one_truncation_is_insufficient_and_exits_1(tmp_path):
+    # a one-point sweep shows nothing about stabilization, so every suite
+    # must fail on it rather than pass vacuously
+    path = tmp_path / "n32.json"
+    path.write_text(json.dumps({"N": [32]}))
+    out = tmp_path / "n32-report.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "fail"
+    assert {name: r["verdict"] for name, r in report["suites"].items()} == {
+        name: "fail" for name in RunConfig().suites
+    }
+
+
 def test_sweep_rows_and_monotone_inclusion(tmp_path):
     cfg = _config(tmp_path, N=[16, 32, 64], s=[0.75])
     out = tmp_path / "sweep.csv"

@@ -10,15 +10,15 @@ from floerlab.scale_operator import (
     adjoint,
     band_indices,
     check_interpolation,
-    extension_consistency,
     fredholm_diagnostic,
     identity_operator,
     derivative_operator,
     op_norm,
+    sweep_verdict,
     weighted_singular_values,
 )
 from floerlab.scale_space import inner, random_loop, weights
-from floerlab.sobolev_evidence import mult_operator, smooth_factor
+from floerlab.sobolev_evidence import mult_operator
 
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -115,11 +115,43 @@ def test_interpolation_rejects_outer_levels():
         check_interpolation(T, 1.5)
 
 
-def test_extension_consistency_tabulates_levels():
-    T = mult_operator(smooth_factor(16), "(1,1->1)")
-    out = extension_consistency({16: T, 32: mult_operator(smooth_factor(32), "(1,1->1)")}, (0.0, 1.0))
-    assert set(out["levels"]) == {0.0, 1.0}
-    assert out["flagged"] == []
+def test_one_point_fredholm_sweep_is_insufficient():
+    # the inclusion is the non-Fredholm control, but one truncation cannot show it
+    rep = fredholm_diagnostic({32: identity_operator(32, 2, 1.0, 0.0)}, 1.0, 0.0)
+    assert rep.verdict == "insufficient"
+
+
+# rtol 1/4 and power-of-two values keep every comparison exact
+BELOW_3 = float(np.nextafter(3.0, 0.0))
+ABOVE_5 = float(np.nextafter(5.0, 6.0))
+
+
+@pytest.mark.parametrize(
+    "values, verdict",
+    [
+        ([], "insufficient"),
+        ([4.0], "insufficient"),
+        ([0.0], "insufficient"),
+        ([4.0, 4.0], "stable"),
+        ([1.0, 2.0], "growing"),  # a one-point window would call this stable
+        ([2.0, 1.0], "unstable"),
+        ([0.0, 0.0], "stable"),
+        ([7.0, 0.0, 0.0], "stable"),
+        ([0.0, 1e-300, 0.0], "unstable"),
+        ([-4.0, -4.0], "stable"),
+        ([3.0, 4.0], "stable"),  # exactly rtol below the final value
+        ([5.0, 4.0], "stable"),  # exactly rtol above it
+        ([BELOW_3, 4.0], "growing"),
+        ([ABOVE_5, 4.0], "unstable"),
+        ([1.0, 16.0, 16.0, 16.0], "stable"),  # early drift outside the trailing half
+        ([1.0, 1.0, 2.0, 4.0, 4.0], "unstable"),  # the window is the last three of five
+        ([1.0, 2.0, 4.0, 8.0], "growing"),
+        ([1.0, 2.0, 2.0, 8.0], "unstable"),  # growth must be strict
+        ([1.0, 4.0, 2.0, 8.0], "unstable"),  # non-monotone divergence
+    ],
+)
+def test_sweep_verdict_table(values, verdict):
+    assert sweep_verdict(values, 0.25) == verdict
 
 
 def test_band_indices_selects_inner_modes():

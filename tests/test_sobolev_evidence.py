@@ -70,6 +70,12 @@ def test_rough_factor_norms_grow_without_bound():
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
+def test_one_point_sweeps_are_insufficient():
+    # the rough factor is the unbounded control, but one truncation cannot show it
+    assert mult_norm_sweep(rough_factor, "(1,1->1)", N_sweep=(64,))["verdict"] == "insufficient"
+    assert holder_embedding_check(0.5, N_sweep=(64,))["verdict"] == "insufficient"
+
+
 def test_unknown_signature_rejected():
     with pytest.raises(ValueError, match="signature"):
         mult_operator(smooth_factor(8), "(0,0->0)")
