@@ -56,7 +56,6 @@ from .loop_atlas import (
     transition,
 )
 from .pullback import (
-    PullbackBundle,
     certify_pullback,
     kappa_bound_check,
     pull_back,
@@ -72,7 +71,9 @@ from .scale_operator import (
     check_interpolation,
     derivative_operator,
     fredholm_diagnostic,
+    fredholm_from_spectra,
     identity_operator,
+    inclusion_singular_values,
     op_norm,
     sweep_verdict,
     weighted_singular_values,

@@ -28,8 +28,8 @@ from .loop_atlas import (
     sphere_small_loop_atlas,
 )
 from .pullback import certify_pullback, kappa_bound_check
-from .scale_operator import op_norm, weighted_singular_values
-from .scale_space import random_loop, weights
+from .scale_operator import inclusion_singular_values, op_norm, weighted_singular_values
+from .scale_space import random_loop
 from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
 from .suites import LIGHT_HOPM, SUITES, SuiteConfig, run_suite
 
@@ -157,9 +157,8 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     rows = []
     shear = shear_chart()
     for N in cfg.N:
-        # the inclusion H_1 -> H_0 scales mode k by sqrt(w_k(0) / w_k(1)),
-        # least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
-        sigma_min = np.min(np.sqrt(weights(N, 0.0)) / np.sqrt(weights(N, 1.0)))
+        # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
+        sigma_min = inclusion_singular_values(N, 2, 1.0, 0.0)[-1]
         rows.append(("scale_operator", N, "", "inclusion_sigma_min", float(sigma_min)))
 
         F = symplectic_action(quadratic_hamiltonian(), N)

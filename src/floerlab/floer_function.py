@@ -116,11 +116,12 @@ def driven_hamiltonian(dim: int = 2, c: float = 1.0, eps: float = 0.3, mode: int
 class FloerFunctionNumeric:
     """A function on truncated loop space with its level-annotated calculus.
 
-    hessian2 is the restriction acting between the higher level pair
-    (values agree in coefficients; the annotation and the norms checked
-    differ).  The gradient needs no such twin: its restriction has the
-    same coefficients and is checked in the level-1 norm.  rebuild
-    re-instantiates the same function at another truncation for N-sweeps.
+    hessian(q) is the one Hessian, annotated H_1 -> H_0.  Its restriction
+    H_2 -> H_1 has the same coefficients, so callers choose the level pair
+    through the a, b arguments of op_norm, weighted_singular_values and
+    fredholm_diagnostic; the gradient's restriction is likewise checked in
+    the level-1 norm.  rebuild re-instantiates the same function at
+    another truncation for N-sweeps.
     """
 
     n: int
@@ -128,9 +129,7 @@ class FloerFunctionNumeric:
     value: Callable[[FourierLoop], float]
     gradient: Callable[[FourierLoop], FourierLoop]
     hessian: Callable[[FourierLoop], LevelOperator]
-    hessian2: Callable[[FourierLoop], LevelOperator]
-    principal_split: Callable[[FourierLoop], tuple[LevelOperator, LevelOperator]]
-    rebuild: Callable[[int], "FloerFunctionNumeric"] | None = None
+    rebuild: Callable[[int], "FloerFunctionNumeric"]
     name: str = ""
 
 
@@ -138,14 +137,8 @@ def symplectic_action(
     H: HamiltonianData,
     N: int,
     grid_points: int | None = None,
-    split_shift: float = 1.0,
 ) -> FloerFunctionNumeric:
-    """The perturbed action as a FloerFunctionNumeric at truncation N.
-
-    split_shift is the constant subtracted from J0 d/dt in the principal
-    split; the default 1.0 avoids the per-mode spectrum 2 pi Z, making
-    the principal part invertible.
-    """
+    """The perturbed action as a FloerFunctionNumeric at truncation N."""
     dim = H.dim
     J0 = standard_symplectic_matrix(dim)
     G = default_grid_points(N) if grid_points is None else int(grid_points)
@@ -170,24 +163,13 @@ def symplectic_action(
         A.reshape(M, dim, M, dim)[np.arange(M), :, np.arange(M), :] += (2j * np.pi * k)[:, None, None] * J0
         return LevelOperator(A, 1.0, 0.0, N, dim)
 
-    def hessian2(u: FourierLoop) -> LevelOperator:
-        return hessian(u).with_levels(2.0, 1.0)
-
-    def principal_split(u: FourierLoop) -> tuple[LevelOperator, LevelOperator]:
-        A = hessian(u)
-        top = np.kron(np.diag(2j * np.pi * k), J0) - split_shift * np.eye((2 * N + 1) * dim)
-        P = LevelOperator(top, 1.0, 0.0, N, dim)
-        return P, A - P
-
     return FloerFunctionNumeric(
         n=dim,
         N=N,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        hessian2=hessian2,
-        principal_split=principal_split,
-        rebuild=lambda M: symplectic_action(H, M, split_shift=split_shift),
+        rebuild=lambda M: symplectic_action(H, M),
         name=f"action[{H.name}]",
     )
 
@@ -210,18 +192,12 @@ def quadratic_spectral(
     def gradient(u: FourierLoop) -> FourierLoop:
         return L.apply(u)
 
-    def split(u: FourierLoop) -> tuple[LevelOperator, LevelOperator]:
-        zero = LevelOperator(np.zeros_like(L.matrix), 1.0, 0.0, L.N, L.n)
-        return L.with_levels(1.0, 0.0), zero
-
     return FloerFunctionNumeric(
         n=L.n,
         N=N,
         value=value,
         gradient=gradient,
         hessian=lambda u: L.with_levels(1.0, 0.0),
-        hessian2=lambda u: L.with_levels(2.0, 1.0),
-        principal_split=split,
         rebuild=lambda M: quadratic_spectral(op_builder, M, name=name),
         name=name,
     )
@@ -284,11 +260,10 @@ def gradient_axiom_check(
     c1_ok = c1_err <= C1_RTOL
 
     sweep = []
-    if F.rebuild is not None:
-        for M in sorted(N_sweep):
-            FM = F.rebuild(M)
-            worst = max(FM.gradient(q.resize(M)).norm(1.0) for q in samples)
-            sweep.append({"N": int(M), "norm": float(worst)})
+    for M in sorted(N_sweep):
+        FM = F.rebuild(M)
+        worst = max(FM.gradient(q.resize(M)).norm(1.0) for q in samples)
+        sweep.append({"N": int(M), "norm": float(worst)})
     restr_ok = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL) == "stable"
     base = samples[0]
     bump = 1e-3 * (1.0 / directions[0].norm(2.0)) * directions[0]
@@ -328,37 +303,27 @@ def hessian_axiom_check(
             fd = richardson_second(F.value, q, xi, eta, h)
             fd_err = max(fd_err, _rel(abs(fd - left), max(abs(left), scale)))
 
-    restr_drift = 0.0
+    # one rebuilt Hessian per (N, sample), read at both level pairs
     sweep2 = []
-    for q in samples:
-        A = F.hessian(q)
-        A2 = F.hessian2(q)
-        restr_drift = max(restr_drift, float(np.max(np.abs(A.matrix - A2.matrix))))
-    if F.rebuild is not None:
-        for M in sorted(N_sweep):
-            FM = F.rebuild(M)
-            worst = max(op_norm(FM.hessian2(q.resize(M)), 2.0, 1.0) for q in samples)
-            sweep2.append({"N": int(M), "norm": float(worst)})
-    restr_ok = restr_drift <= 1e-12 and sweep_verdict([e["norm"] for e in sweep2], STABLE_RTOL) == "stable"
+    family = {}
+    for M in sorted(N_sweep):
+        FM = F.rebuild(M)
+        hessians = [FM.hessian(q.resize(M)) for q in samples]
+        family[M] = hessians[0]
+        worst = max(op_norm(A, 2.0, 1.0) for A in hessians)
+        sweep2.append({"N": int(M), "norm": float(worst)})
+    restr_ok = sweep_verdict([e["norm"] for e in sweep2], STABLE_RTOL) == "stable"
 
     base = samples[0]
     bump = 1e-3 * (1.0 / pairs[0][0].norm(1.0)) * pairs[0][0]
     dA = F.hessian(base + bump) - F.hessian(base)
     modulus = op_norm(dA, 1.0, 0.0) / bump.norm(1.0)
 
-    fred = {}
-    if F.rebuild is not None:
-        def fam(levels):
-            def build(M):
-                FM = F.rebuild(M)
-                q = samples[0].resize(M)
-                T = FM.hessian(q) if levels == (1.0, 0.0) else FM.hessian2(q)
-                return T
-            return build
-        for a, b in ((1.0, 0.0), (2.0, 1.0)):
-            rep = fredholm_diagnostic(fam((a, b)), a, b, N_sweep=tuple(sorted(N_sweep)))
-            fred[f"({a:g}->{b:g})"] = rep.to_json()
-    fred_ok = bool(fred) and all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values())
+    fred = {
+        f"({a:g}->{b:g})": fredholm_diagnostic(family, a, b).to_json()
+        for a, b in ((1.0, 0.0), (2.0, 1.0))
+    }
+    fred_ok = all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values())
 
     report = {
         "H0-Hessian": {
@@ -368,7 +333,6 @@ def hessian_axiom_check(
             "passed": bool(sym_err <= SYMMETRY_RTOL and fd_err <= HESS_FD_RTOL),
         },
         "Restriction": {
-            "coefficient_drift": float(restr_drift),
             "sweep": sweep2,
             "passed": bool(restr_ok),
         },

@@ -25,7 +25,7 @@ value is still the trilinear form at one explicit triple of unit vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,7 +277,6 @@ class AxiomReport:
     sweep: list[dict]
     continuity_modulus: float
     verdict: str
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {

@@ -19,8 +19,6 @@ visible directly in its weighted singular values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .floer_function import FloerFunctionNumeric, full_report
@@ -78,18 +76,6 @@ def pull_back_hessian(
     return conj + K.with_levels(1.0, K.cod)
 
 
-def pull_back_hessian_level2(
-    F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop, s: float
-) -> LevelOperator:
-    """The same coefficients annotated H_2 -> H_1; finite for every truncated q."""
-    _check_match(F, phi)
-    D = dphi(phi, q)
-    p = apply(phi, q)
-    conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ F.hessian2(p) @ D.with_levels(2.0, 2.0)
-    K2 = riesz_correction(F, phi, q, s).with_levels(2.0, 1.0)
-    return conj2 + K2
-
-
 def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
     _check_match(F, phi)
     D = dphi(phi, q)
@@ -127,49 +113,24 @@ def kappa_bound_check(
     }
 
 
-@dataclass
-class PullbackBundle:
-    """A base function, the map it is pulled through, and the composite."""
+def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> FloerFunctionNumeric:
+    """f o phi with its full level-annotated calculus.
 
-    base: FloerFunctionNumeric
-    map: SuperpositionMap
-    s: float
-    derived: FloerFunctionNumeric
-
-
-def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> PullbackBundle:
-    """Assemble f o phi with its full level-annotated calculus.
-
-    The derived value is F.value(apply(phi, q)) verbatim; gradient and
-    Hessians come from the pull-back formulas above.  principal_split
-    exposes the certificate structure: conjugated summand first, the
-    correction term second.
+    The value is F.value(apply(phi, q)) verbatim; the gradient and the
+    one Hessian come from the pull-back formulas above.  The Hessian is
+    annotated H_1 -> H_0 and read at H_2 -> H_1 through the level
+    arguments of the diagnostics, as for any FloerFunctionNumeric.
     """
     _check_match(F, phi)
-
-    def split(q: FourierLoop) -> tuple[LevelOperator, LevelOperator]:
-        conj = _conjugated_term(F, phi, q)
-        K = riesz_correction(F, phi, q, s)
-        return conj, K.with_levels(1.0, K.cod)
-
-    rebuild = None
-    if F.rebuild is not None:
-
-        def rebuild(M: int) -> FloerFunctionNumeric:
-            return pull_back(F.rebuild(M), phi.rebuild(M), s).derived
-
-    derived = FloerFunctionNumeric(
+    return FloerFunctionNumeric(
         n=phi.n,
         N=phi.N,
         value=lambda q: F.value(apply(phi, q)),
         gradient=lambda q: pull_back_gradient(F, phi, q),
         hessian=lambda q: pull_back_hessian(F, phi, q, s),
-        hessian2=lambda q: pull_back_hessian_level2(F, phi, q, s),
-        principal_split=split,
-        rebuild=rebuild,
+        rebuild=lambda M: pull_back(F.rebuild(M), phi.rebuild(M), s),
         name=f"pullback[{F.name} via {phi.chart.name}]",
     )
-    return PullbackBundle(base=F, map=phi, s=s, derived=derived)
 
 
 def _decay_slope(profile: np.ndarray) -> float:
@@ -203,8 +164,7 @@ def certify_pullback(
     singular value decay for the correction, with the kappa bound tying
     the correction's size to computable data.
     """
-    bundle = pull_back(F, phi, s)
-    Ft = bundle.derived
+    Ft = pull_back(F, phi, s)
 
     rng = np.random.default_rng(2024)
     directions = [random_loop(rng, phi.n, phi.N) for _ in range(2)]
@@ -212,14 +172,10 @@ def certify_pullback(
     report = full_report(Ft, samples, directions, pairs, N_sweep)
 
     base_q = samples[0]
-
-    def conj_family(M: int) -> LevelOperator:
-        if F.rebuild is None:
-            return _conjugated_term(F, phi, base_q)
-        return _conjugated_term(F.rebuild(M), phi.rebuild(M), base_q.resize(M))
-
-    fred_Ns = tuple(sorted(N_sweep)) if F.rebuild is not None else (phi.N,)
-    conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0, N_sweep=fred_Ns)
+    conj_family = {
+        M: _conjugated_term(F.rebuild(M), phi.rebuild(M), base_q.resize(M)) for M in N_sweep
+    }
+    conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0)
 
     K = riesz_correction(F, phi, base_q, s)
     tail = weighted_singular_values(K.with_levels(1.0, K.cod), 1.0, 0.0)

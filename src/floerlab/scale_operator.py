@@ -18,9 +18,9 @@ takes one of three paths, each giving the singular values of the dense
 weighted matrix:
 
 1. Mode-block-diagonal (every entry outside the n x n blocks of equal
-   mode is exactly 0: the inclusion, d/dt, principal parts).  The
-   weighted matrix is then block diagonal, and its singular values are
-   the union of those of the 2N+1 weighted blocks.
+   mode is exactly 0: the inclusion, d/dt, the quadratic-well action
+   Hessian).  The weighted matrix is then block diagonal, and its
+   singular values are the union of those of the 2N+1 weighted blocks.
 2. Real-structured (X[rev][:, rev] == conj(X) bit for bit, rev the flat
    permutation (k, i) -> (-k, i): multiplication operators, the action
    Hessian, the Riesz correction).  The unitary change to the cosine/sine
@@ -49,7 +49,7 @@ than two truncations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -85,10 +85,6 @@ class LevelOperator:
         object.__setattr__(self, "dom", check_level(self.dom))
         object.__setattr__(self, "cod", check_level(self.cod))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def with_levels(self, dom: float, cod: float) -> "LevelOperator":
         """Re-annotate the same coefficients at another level pair."""
         return LevelOperator(self.matrix, dom, cod, self.N, self.n)
@@ -122,6 +118,18 @@ def identity_operator(N: int, n: int, dom: float, cod: float) -> LevelOperator:
     """Identity coefficients annotated dom -> cod (the insertion when dom > cod)."""
     d = (2 * N + 1) * n
     return LevelOperator(np.eye(d, dtype=complex), dom, cod, N, n)
+
+
+def inclusion_singular_values(N: int, n: int, a: float, b: float) -> np.ndarray:
+    """Descending singular values of the identity H_a -> H_b, in closed form.
+
+    The identity scales mode k by sqrt(w_k(b)) / sqrt(w_k(a)), once per
+    component; written as this quotient of square roots it equals
+    weighted_singular_values(identity_operator(N, n, a, b)) bit for bit,
+    without building the dense (2N+1)n square matrix.
+    """
+    ratio = np.sqrt(weights(N, b)) / np.sqrt(weights(N, a))
+    return np.sort(np.repeat(ratio, n))[::-1]
 
 
 def derivative_operator(N: int, n: int, dom: float = 1.0, cod: float = 0.0) -> LevelOperator:
@@ -327,20 +335,15 @@ class FredholmReport:
         }
 
 
-def fredholm_diagnostic(
-    family: Mapping[int, LevelOperator] | Callable[[int], LevelOperator],
-    a: float,
-    b: float,
-    N_sweep: tuple[int, ...] | None = None,
-) -> FredholmReport:
-    if callable(family):
-        if N_sweep is None:
-            raise ValueError("a callable family needs an explicit N_sweep")
-        family = {N: family(N) for N in N_sweep}
-    Ns = sorted(family)
+def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float) -> FredholmReport:
+    """Read an N-sweep of descending singular values into a FredholmReport.
+
+    spectra maps each truncation N to the weighted singular values of
+    the family's operator H_a -> H_b at that N.
+    """
     sweep = []
-    for N in Ns:
-        sv = weighted_singular_values(family[N], a, b)
+    for N in sorted(spectra):
+        sv = spectra[N]
         smax = float(sv[0]) if sv.size else 0.0
         cut = KERNEL_RTOL * smax
         ker = int(np.sum(sv < cut))
@@ -369,3 +372,12 @@ def fredholm_diagnostic(
     else:
         verdict = "fredholm" if (stable_dims and gap_verdict == "stable") else "non_fredholm"
     return FredholmReport(a=a, b=b, sweep=sweep, index_estimate=index, verdict=verdict)
+
+
+def fredholm_diagnostic(family: Mapping[int, LevelOperator], a: float, b: float) -> FredholmReport:
+    """Fredholm evidence for an operator family {N: T_N}, each read as H_a -> H_b.
+
+    The operators' own level annotations are ignored: the same Hessian
+    is read at (1 -> 0) and at (2 -> 1) by passing those levels.
+    """
+    return fredholm_from_spectra({N: weighted_singular_values(T, a, b) for N, T in family.items()}, a, b)

@@ -52,14 +52,14 @@ def _quadratic_pullback(N, s=0.75):
 
 def test_criterion_01_pullback_gradient_oracle(criterion):
     N = 128
-    _, _, bundle = _quadratic_pullback(N)
+    _, _, Ft = _quadratic_pullback(N)
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(100):
         q = random_loop(rng, 2, N, amplitude=0.4)
         xi = random_loop(rng, 2, N, amplitude=0.4)
-        fd = richardson_directional(bundle.derived.value, q, xi)
-        lin = inner(bundle.derived.gradient(q), xi, 0.0)
+        fd = richardson_directional(Ft.value, q, xi)
+        lin = inner(Ft.gradient(q), xi, 0.0)
         worst = max(worst, abs(fd - lin) / max(abs(fd), 1e-12))
     assert criterion(
         1, worst <= 1e-7, f"pulled-back gradient vs central differences, rel {worst:.2e} <= 1e-07"
@@ -68,17 +68,17 @@ def test_criterion_01_pullback_gradient_oracle(criterion):
 
 def test_criterion_02_pullback_hessian_oracle(criterion):
     N = 128
-    _, _, bundle = _quadratic_pullback(N)
+    _, _, Ft = _quadratic_pullback(N)
     rng = np.random.default_rng(2027)
     worst_fd, worst_sym = 0.0, 0.0
     for _ in range(25):
         q = random_loop(rng, 2, N, amplitude=0.4)
-        A = bundle.derived.hessian(q)
+        A = Ft.hessian(q)
         for _ in range(4):
             xi = random_loop(rng, 2, N, amplitude=0.4)
             eta = random_loop(rng, 2, N, amplitude=0.4)
             quad = inner(A.apply(xi), eta, 0.0)
-            fd = richardson_second(bundle.derived.value, q, xi, eta)
+            fd = richardson_second(Ft.value, q, xi, eta)
             worst_fd = max(worst_fd, abs(quad - fd) / max(abs(fd), 1e-12))
             flipped = inner(A.apply(eta), xi, 0.0)
             worst_sym = max(worst_sym, abs(quad - flipped) / max(abs(quad), 1e-12))
@@ -125,17 +125,15 @@ def test_criterion_03_riesz_correction(criterion):
 def test_criterion_04_fredholm_index_zero(criterion):
     sweep = (16, 32, 64, 128, 256)
 
-    def hess_family(level2):
-        def build(M):
-            F = symplectic_action(quadratic_hamiltonian(), M)
-            q = random_loop(np.random.default_rng(2029), 2, M, amplitude=0.4)
-            return F.hessian2(q) if level2 else F.hessian(q)
+    def hessian(M):
+        F = symplectic_action(quadratic_hamiltonian(), M)
+        q = random_loop(np.random.default_rng(2029), 2, M, amplitude=0.4)
+        return F.hessian(q)
 
-        return build
-
+    family = {M: hessian(M) for M in sweep}
     dims_ok, gaps_ok = True, True
-    for level2, (a, b) in ((False, (1.0, 0.0)), (True, (2.0, 1.0))):
-        rep = fredholm_diagnostic(hess_family(level2), a, b, N_sweep=sweep)
+    for a, b in ((1.0, 0.0), (2.0, 1.0)):
+        rep = fredholm_diagnostic(family, a, b)
         dims_ok = dims_ok and all(e["ker_dim"] == e["coker_dim"] for e in rep.sweep)
         by_N = {e["N"]: e["gap"] for e in rep.sweep}
         gaps_ok = gaps_ok and abs(by_N[256] - by_N[64]) / by_N[64] <= 0.02

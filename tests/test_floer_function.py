@@ -1,5 +1,7 @@
 """Action-type functions: derivative oracles, spectra, Fredholm structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from floerlab.scale_operator import (
     op_norm,
 )
 from floerlab.scale_space import FourierLoop, inner, mode_numbers, random_loop
+from floerlab.suites import _inclusion_control
 
 # closed forms for the quadratic well H = 1/2 |x|^2: the Hessian blocks are
 # 2 pi k J0 - I with singular values |2 pi k -+ 1|, so on the (1,0) pair the
@@ -72,26 +75,10 @@ def test_hessian_matches_second_differences_and_is_symmetric():
         assert abs(quad - flipped) / max(abs(quad), 1e-12) < 1e-10
 
 
-def test_hessian_levels_and_restriction_share_coefficients():
-    F = symplectic_action(driven_hamiltonian(), 16)
-    q = _loop(3)
-    A, A2 = F.hessian(q), F.hessian2(q)
-    assert np.max(np.abs(A.matrix - A2.matrix)) == 0.0
-    assert (A.dom, A.cod) == (1.0, 0.0)
-    assert (A2.dom, A2.cod) == (2.0, 1.0)
-
-
 def test_quadratic_action_gap_is_level_independent():
-    def family(level2=False):
-        def build(N):
-            F = symplectic_action(quadratic_hamiltonian(), N)
-            q = _loop(4, N=N)
-            return F.hessian2(q) if level2 else F.hessian(q)
-
-        return build
-
-    rep1 = fredholm_diagnostic(family(), 1.0, 0.0, N_sweep=(16, 32, 64))
-    rep2 = fredholm_diagnostic(family(level2=True), 2.0, 1.0, N_sweep=(16, 32, 64))
+    family = {N: symplectic_action(quadratic_hamiltonian(), N).hessian(_loop(4, N=N)) for N in (16, 32, 64)}
+    rep1 = fredholm_diagnostic(family, 1.0, 0.0)
+    rep2 = fredholm_diagnostic(family, 2.0, 1.0)
     for rep in (rep1, rep2):
         assert rep.verdict == "fredholm"
         assert rep.index_estimate == 0
@@ -104,19 +91,8 @@ def test_quadratic_action_gap_is_level_independent():
 def test_hessian2_norm_closed_form():
     N = 16
     F = symplectic_action(quadratic_hamiltonian(), N)
-    A2 = F.hessian2(_loop(5, N=N))
-    assert abs(op_norm(A2) - HESS2_NORM) < 1e-9
-
-
-def test_principal_split_recovers_hessian_with_bounded_remainder():
-    F = symplectic_action(quadratic_hamiltonian(), 16)
-    q = _loop(6)
-    P, K = F.principal_split(q)
-    assert np.max(np.abs((P + K).matrix - F.hessian(q).matrix)) < 1e-12
-    # the remainder collects the zero-order well term; its unweighted
-    # entries must stay O(1) while the principal part carries the modes
-    assert np.max(np.abs(K.matrix)) < 5.0
-    assert op_norm(K, 0.0, 0.0) < op_norm(P, 0.0, 0.0)
+    A = F.hessian(_loop(5, N=N))
+    assert abs(op_norm(A, 2.0, 1.0) - HESS2_NORM) < 1e-9
 
 
 def test_full_report_passes_for_driven_hamiltonian():
@@ -143,3 +119,17 @@ def test_quadratic_spectral_requires_symmetry():
     sym = quadratic_spectral(lambda M: identity_operator(M, 2, 0.0, 0.0), N)
     q = _loop(8, N=N)
     assert abs(sym.value(q) - 0.5 * q.norm(0.0) ** 2) < 1e-12
+
+
+def test_inclusion_control_needs_no_dense_identity():
+    # the default sweep pads the control to N = 512; one dense complex
+    # identity per N peaked at 90 MB there, and one at N = 64 alone takes 1 MB
+    tracemalloc.start()
+    try:
+        check = _inclusion_control((16, 32, 64, 128, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check["passed"]
+    assert check["report"]["sweep"][-1]["N"] == 512
+    assert peak < 1e6

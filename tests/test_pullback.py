@@ -19,7 +19,6 @@ from floerlab.pullback import (
     pull_back,
     pull_back_gradient,
     pull_back_hessian,
-    pull_back_hessian_level2,
     riesz_correction,
 )
 from floerlab.scale_operator import adjoint, band_indices, identity_operator
@@ -36,39 +35,29 @@ def _setup(N=16, s=0.75):
 
 def test_gradient_matches_directional_differences():
     F, phi = _setup()
-    bundle = pull_back(F, phi, 0.75)
+    Ft = pull_back(F, phi, 0.75)
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = random_loop(rng, 2, 16, amplitude=0.4)
         xi = random_loop(rng, 2, 16, amplitude=0.4)
-        fd = richardson_directional(bundle.derived.value, q, xi)
-        lin = inner(bundle.derived.gradient(q), xi, 0.0)
+        fd = richardson_directional(Ft.value, q, xi)
+        lin = inner(Ft.gradient(q), xi, 0.0)
         assert abs(fd - lin) / max(abs(fd), 1e-12) < 1e-7
 
 
 def test_hessian_matches_stencil_and_is_symmetric():
     F, phi = _setup()
-    bundle = pull_back(F, phi, 0.75)
+    Ft = pull_back(F, phi, 0.75)
     rng = np.random.default_rng(1)
     q = random_loop(rng, 2, 16, amplitude=0.4)
-    A = bundle.derived.hessian(q)
+    A = Ft.hessian(q)
     for _ in range(4):
         xi = random_loop(rng, 2, 16, amplitude=0.4)
         eta = random_loop(rng, 2, 16, amplitude=0.4)
         quad = inner(A.apply(xi), eta, 0.0)
-        fd = richardson_second(bundle.derived.value, q, xi, eta)
+        fd = richardson_second(Ft.value, q, xi, eta)
         assert abs(quad - fd) / max(abs(fd), 1e-12) < 1e-6
         assert abs(quad - inner(A.apply(eta), xi, 0.0)) / max(abs(quad), 1e-12) < 1e-10
-
-
-def test_level_two_hessian_shares_coefficients():
-    F, phi = _setup()
-    bundle = pull_back(F, phi, 0.75)
-    q = random_loop(np.random.default_rng(2), 2, 16, amplitude=0.4)
-    A, A2 = bundle.derived.hessian(q), bundle.derived.hessian2(q)
-    assert np.max(np.abs(A.matrix - A2.matrix)) < 1e-14
-    assert (A.dom, A.cod) == (1.0, 0.0)
-    assert (A2.dom, A2.cod) == (2.0, 1.0)
 
 
 def test_correction_represents_gradient_weighted_second_derivative():
@@ -85,15 +74,6 @@ def test_correction_represents_gradient_weighted_second_derivative():
         lhs = inner(K.apply(xi), eta, 0.0)
         rhs = B.trilinear(xi, eta, g)
         assert abs(lhs - rhs) / max(abs(rhs), 1.0) < 1e-10
-
-
-def test_split_reassembles_the_hessian():
-    F, phi = _setup()
-    bundle = pull_back(F, phi, 0.75)
-    q = random_loop(np.random.default_rng(4), 2, 16, amplitude=0.4)
-    conj, corr = bundle.derived.principal_split(q)
-    total = conj.matrix + corr.matrix
-    assert np.max(np.abs(total - bundle.derived.hessian(q).matrix)) < 1e-13
 
 
 @pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
@@ -132,23 +112,23 @@ def test_two_stage_pullback_matches_composite_chart():
     phi = SuperpositionMap(shear_chart(), s, N)
     psi = SuperpositionMap(rotation_field_chart(0.5), s, N)
     q = random_loop(np.random.default_rng(7), 2, N, amplitude=0.3)
-    staged = pull_back(pull_back(F, psi, s).derived, phi, s)
+    staged = pull_back(pull_back(F, psi, s), phi, s)
     direct = pull_back(F, compose(psi, phi), s)
     g_res = np.max(
-        np.abs(staged.derived.gradient(q).coeffs - direct.derived.gradient(q).coeffs)
+        np.abs(staged.gradient(q).coeffs - direct.gradient(q).coeffs)
     )
     assert g_res < 1e-10
     rows = band_indices(N, 2, N // 2)
-    diff = staged.derived.hessian(q).matrix - direct.derived.hessian(q).matrix
+    diff = staged.hessian(q).matrix - direct.hessian(q).matrix
     assert np.max(np.abs(diff[np.ix_(rows, rows)])) < 1e-9
 
 
 def test_gradient_helper_agrees_with_bundle():
     F, phi = _setup()
     q = random_loop(np.random.default_rng(8), 2, 16, amplitude=0.4)
-    bundle = pull_back(F, phi, 0.75)
+    Ft = pull_back(F, phi, 0.75)
     direct = pull_back_gradient(F, phi, q)
-    assert np.max(np.abs(direct.coeffs - bundle.derived.gradient(q).coeffs)) == 0.0
+    assert np.max(np.abs(direct.coeffs - Ft.gradient(q).coeffs)) == 0.0
 
 
 @pytest.mark.parametrize("chart", [shear_chart, lambda: rotation_field_chart(0.5)], ids=["shear", "rotation"])
@@ -167,14 +147,10 @@ def test_correction_terms_equal_the_products_with_the_inclusion(chart):
     assert (new.dom, new.cod) == (old.dom, old.cod)
     assert np.all(new.matrix == old.matrix)
 
-    conj_split, k_split = pull_back(F, phi, s).derived.principal_split(q)
-    assert np.all(conj_split.matrix == conj.matrix)
-    assert (k_split.dom, k_split.cod) == (1.0, 0.0)
-    assert np.all(k_split.matrix == (K @ iota).matrix)
-
+    # the one Hessian read at H_2 -> H_1 has the coefficients of the explicit level-2 product
     D = dphi(phi, q)
-    conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ F.hessian2(apply(phi, q)) @ D.with_levels(2.0, 2.0)
+    A2 = F.hessian(apply(phi, q)).with_levels(2.0, 1.0)
+    conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ A2 @ D.with_levels(2.0, 2.0)
     old2 = conj2 + K.with_levels(1.0 + s, 1.0) @ identity_operator(N, 2, 2.0, 1.0 + s)
-    new2 = pull_back_hessian_level2(F, phi, q, s)
-    assert (new2.dom, new2.cod) == (old2.dom, old2.cod) == (2.0, 1.0)
-    assert np.all(new2.matrix == old2.matrix)
+    assert (old2.dom, old2.cod) == (2.0, 1.0)
+    assert np.all(pull_back(F, phi, s).hessian(q).matrix == old2.matrix)

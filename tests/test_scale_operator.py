@@ -13,6 +13,7 @@ from floerlab.scale_operator import (
     fredholm_diagnostic,
     identity_operator,
     derivative_operator,
+    inclusion_singular_values,
     op_norm,
     sweep_verdict,
     weighted_singular_values,
@@ -99,6 +100,12 @@ def test_compactness_profile_of_inclusion_decays():
     assert all(a >= b for a, b in zip(prof, prof[1:]))
     assert prof[0] == pytest.approx(1.0, rel=1e-13)  # the constant mode
     assert prof[-1] < 0.01
+
+
+@pytest.mark.parametrize("N", [8, 64, 512])
+def test_inclusion_singular_values_match_the_dense_identity(N):
+    dense = weighted_singular_values(identity_operator(N, 2, 1.0, 0.0), 1.0, 0.0)
+    assert np.array_equal(inclusion_singular_values(N, 2, 1.0, 0.0), dense)
 
 
 @settings(max_examples=20, deadline=None)
