@@ -166,9 +166,13 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
         gap = float(weighted_singular_values(F.hessian(q))[-1])
         rows.append(("floer_function", N, "", "action_gap", gap))
 
+        # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
+        norms = {}
         for key in sorted(SIGNATURES):
-            norm = op_norm(mult_operator(smooth_factor(N), key))
-            rows.append(("sobolev_evidence", N, "", f"mult{key}", float(norm)))
+            sig = SIGNATURES[key]
+            if (sig.dom, sig.cod) not in norms:
+                norms[sig.dom, sig.cod] = op_norm(mult_operator(smooth_factor(N), sig))
+            rows.append(("sobolev_evidence", N, "", f"mult{key}", float(norms[sig.dom, sig.cod])))
 
         for s in cfg.s:
             phi = SuperpositionMap(shear, s, N)

@@ -63,7 +63,8 @@ def riesz_correction(
     hes = phi.chart.hessian(phi.sample_values(q))
     form = multiplication_matrix(np.einsum("gi,gijk->gjk", g, hes), phi.N)
     gram = _flat_weights(phi.N, phi.n, 0.0)
-    return LevelOperator(form / gram[:, None], s, 0.0, phi.N, phi.n)
+    form /= gram[:, None]
+    return LevelOperator(form, s, 0.0, phi.N, phi.n)
 
 
 def pull_back_hessian(

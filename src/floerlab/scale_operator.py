@@ -3,8 +3,9 @@
 An operator is a complex matrix acting on mode-major coefficient vectors.
 Every operator built here commutes with the reality structure
 c_k -> conj(c_{-k}), so the matrix is the complexification of a real
-operator on real loops: in the cosine/sine basis it is a real matrix.  Singular values, operator norms and kernel dimensions of the
-complex matrix therefore coincide with those of the underlying real
+operator on real loops: in the cosine/sine basis it is a real matrix.
+Singular values, operator norms and kernel dimensions of the complex
+matrix therefore coincide with those of the underlying real
 operator, which is what all diagnostics report.
 
 Norms between levels are weighted: op_norm(T, a, b) is the largest
@@ -31,14 +32,35 @@ weighted matrix:
    whose rounding breaks the exact mirror symmetry): the complex SVD of
    the weighted matrix.
 
-op_norm needs only sigma_max.  Off the block path it takes the top
+op_norm needs only sigma_max, and takes the first of three paths that
+applies.  Mode-block-diagonal operators take the block path.  When the
+top singular value is isolated, a certified matrix-free path applies
+the weighted matrix A and its adjoint straight from T.matrix and the
+weights: a power iteration on A^H A whose Rayleigh quotient theta and
+residual r give the Kato-Temple bracket
+
+    theta <= sigma_max^2 <= theta + |r|^2 / (2 theta - F),  F = |A|_F^2,
+
+valid as soon as 2 theta > F, because every other eigenvalue of A^H A
+is then at most F - theta < theta (Parlett, The Symmetric Eigenvalue
+Problem, section 10.5).  The path accepts a bracket a few ulps wide and
+returns the square root of its upper end, so a check such as
+||K|| <= kappa stays evidence; the matvecs that compute theta and r
+round at the O(eps) relative level of the dense path.  Where
+2 sigma_max^2 <= F, as for a clustered top (multiplication operators,
+whose singular values crowd near sup |g|), 2 theta > F can never hold;
+a screen with sigma_max^2 <= ||A||_1 ||A||_inf sends most such operators
+to the dense path after one pass over the matrix, and the rest fall
+through after a fixed number of steps.  The dense path, the fallback
+and the reference the other two are tested against, takes the top
 eigenvalue of the Gram matrix R^H R of the real form (or of the complex
 weighted matrix) instead of an SVD.  A symmetric eigensolver returns
 that eigenvalue with absolute error O(eps sigma_max^2), which is
-relative error O(eps) in sigma_max, so the norm is as exact as the SVD's.
-The same absolute error swamps any sigma^2 below about eps sigma_max^2,
-so sigma_min, gaps and kernel counts would lose half their digits that
-way; weighted_singular_values therefore keeps its SVDs.
+relative error O(eps) in sigma_max, so the norm is as exact as the
+SVD's.  The same absolute error swamps any sigma^2 below about
+eps sigma_max^2, so sigma_min, gaps and kernel counts would lose half
+their digits that way; weighted_singular_values therefore keeps its
+SVDs.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -64,6 +86,12 @@ STABLE_RTOL = 0.05
 # Rows of the real cosine/sine form built per step; bounds its temporaries.
 _ROW_BLOCK = 256
 _SQRT2 = np.sqrt(2.0)
+_EPS = np.finfo(float).eps
+
+# Power steps the certified op_norm path may take before it gives up, and
+# the relative width of the Kato-Temple bracket it accepts.
+_CERT_STEPS = 8
+_CERT_RTOL = 4 * _EPS
 
 
 @dataclass(frozen=True)
@@ -231,23 +259,56 @@ def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float 
     return np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
 
 
-def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) -> float:
-    """Operator norm of T : H_a -> H_b (largest weighted singular value).
+def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
+    """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
 
-    Mode-block-diagonal operators take the block path.  Otherwise the
-    weighted matrix R (its real cosine/sine form when T is
-    real-structured) gives the Gram matrix R^H R, whose top eigenvalue
-    is sigma_max^2.  A symmetric eigensolver finds it with absolute error
-    O(eps ||R||^2), so sigma_max comes out with O(eps) relative error, as
-    from an SVD; smaller singular values would not (see the module
-    docstring).  The result is an exact dense value, never a Krylov lower
-    bound, so a check such as ||K|| <= kappa stays evidence.
+    One pass over T.matrix in row blocks gives F = ||A||_F^2 and the
+    largest row and column sums of |A|.  sigma_max^2 <= ||A||_1 ||A||_inf,
+    so when that product is at most F/2 the condition 2 theta > F can
+    never hold and None is returned at once.  Otherwise a power
+    iteration on A^H A from the constant vector runs at most _CERT_STEPS
+    steps; it returns theta + |r|^2 / (2 theta - F) as soon as 2 theta > F
+    and the bracket is at most _CERT_RTOL theta wide, and None if that
+    never happens.  F is inflated by its worst-case summation error, a
+    bound for any order of adding d^2 nonnegative terms.
     """
-    a = T.dom if a is None else check_level(a)
-    b = T.cod if b is None else check_level(b)
-    blocks = _mode_blocks(T)
-    if blocks is not None:
-        return float(_block_singular_values(blocks, T.N, a, b)[0])
+    X = T.matrix
+    d = X.shape[0]
+    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
+    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
+    inv_a = 1.0 / root_a
+    frob = 0.0
+    row_max = 0.0
+    col_sums = np.zeros(d)
+    for r0 in range(0, d, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, d)
+        mod = np.abs(X[r0:r1])
+        rb = root_b[r0:r1]
+        frob += float((rb * rb) @ ((mod * mod) @ (inv_a * inv_a)))
+        row_max = max(row_max, float((rb * (mod @ inv_a)).max()))
+        col_sums += rb @ mod
+    if row_max * float((col_sums * inv_a).max()) <= frob / 2:
+        return None
+    frob *= 1.0 + 2 * d * d * _EPS
+    x = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+    for _ in range(_CERT_STEPS):
+        y = root_b * (X @ (x / root_a))
+        theta = float(np.vdot(y, y).real)
+        z = np.conj(np.conj(root_b * y) @ X) / root_a  # A^H A x
+        if 2 * theta > frob:
+            r = z - theta * x
+            width = float(np.vdot(r, r).real) / (2 * theta - frob)
+            if width <= _CERT_RTOL * theta:
+                return theta + width
+        norm = np.linalg.norm(z)
+        if norm == 0.0:
+            return None
+        x = z / norm
+    return None
+
+
+def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
+    """sigma_max from the top eigenvalue of the dense Gram matrix R^H R."""
     R = _real_form(T, a, b)
     if R is not None:
         gram = R.T @ R
@@ -258,6 +319,27 @@ def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) ->
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
+def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) -> float:
+    """Operator norm of T : H_a -> H_b (largest weighted singular value).
+
+    Takes the block, certified or dense Gram path of the module
+    docstring, in that order.  The certified path returns the upper end
+    of a Kato-Temple bracket at most a few ulps wide; the dense path
+    returns the Gram matrix's top eigenvalue, with O(eps) relative error
+    in sigma_max as from an SVD.  Neither is a Krylov lower bound, so a
+    check such as ||K|| <= kappa stays evidence.
+    """
+    a = T.dom if a is None else check_level(a)
+    b = T.cod if b is None else check_level(b)
+    blocks = _mode_blocks(T)
+    if blocks is not None:
+        return float(_block_singular_values(blocks, T.N, a, b)[0])
+    top = _certified_top_eigenvalue(T, a, b)
+    if top is not None:
+        return float(np.sqrt(top))
+    return _gram_norm(T, a, b)
+
+
 def adjoint(T: LevelOperator, s: float) -> LevelOperator:
     """Adjoint with respect to the level-s inner product on both sides."""
     s = check_level(s)
@@ -266,22 +348,31 @@ def adjoint(T: LevelOperator, s: float) -> LevelOperator:
     return LevelOperator(m, T.cod, T.dom, T.N, T.n)
 
 
-def check_interpolation(T: LevelOperator, s: float, tol: float = 1e-10) -> dict:
-    """Stein-Weiss bound ||T||_s <= ||T||_0^(1-s) ||T||_1^s, slack tol."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("interpolation level must lie in [0, 1]")
+def check_interpolation(T: LevelOperator, levels: tuple[float, ...], tol: float = 1e-10) -> list[dict]:
+    """Stein-Weiss bound ||T||_s <= ||T||_0^(1-s) ||T||_1^s at each level s, slack tol.
+
+    The end norms ||T||_0 and ||T||_1 are computed once for all levels;
+    one report per level, in the order given.
+    """
+    if not all(0.0 <= s <= 1.0 for s in levels):
+        raise ValueError("interpolation levels must lie in [0, 1]")
     n0 = op_norm(T, 0.0, 0.0)
     n1 = op_norm(T, 1.0, 1.0)
-    ns = op_norm(T, s, s)
-    bound = n0 ** (1.0 - s) * n1**s
-    return {
-        "s": s,
-        "norm_s": ns,
-        "norm_0": n0,
-        "norm_1": n1,
-        "bound": bound,
-        "passed": bool(ns <= bound + tol),
-    }
+    reports = []
+    for s in levels:
+        ns = op_norm(T, s, s)
+        bound = n0 ** (1.0 - s) * n1**s
+        reports.append(
+            {
+                "s": s,
+                "norm_s": ns,
+                "norm_0": n0,
+                "norm_1": n1,
+                "bound": bound,
+                "passed": bool(ns <= bound + tol),
+            }
+        )
+    return reports
 
 
 def sweep_verdict(values: list[float], rtol: float) -> str:

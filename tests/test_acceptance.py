@@ -157,8 +157,7 @@ def test_criterion_05_stein_weiss(criterion):
     for _ in range(50):
         g = random_loop(rng, 1, 64, top_mode=5, amplitude=1.0)
         T = mult_operator(g, "(1,0->0)")
-        for s in (0.25, 0.5, 0.75):
-            rep = check_interpolation(T, s, tol=1e-10)
+        for rep in check_interpolation(T, (0.25, 0.5, 0.75), tol=1e-10):
             ok = ok and rep["passed"]
             worst_slack = max(worst_slack, rep["norm_s"] - rep["bound"])
     assert criterion(

@@ -112,14 +112,14 @@ def test_inclusion_singular_values_match_the_dense_identity(N):
 @given(seed=st.integers(0, 2**31), s=st.sampled_from([0.25, 0.5, 0.75]))
 def test_interpolation_bound_multiplication(seed, s):
     g = random_loop(np.random.default_rng(seed), 1, 16, top_mode=5, amplitude=0.8)
-    rep = check_interpolation(mult_operator(g, "(1,1->1)"), s)
+    (rep,) = check_interpolation(mult_operator(g, "(1,1->1)"), (s,))
     assert rep["passed"], rep
 
 
 def test_interpolation_rejects_outer_levels():
     T = identity_operator(8, 1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        check_interpolation(T, 1.5)
+        check_interpolation(T, (0.5, 1.5))
 
 
 def test_one_point_fredholm_sweep_is_insufficient():

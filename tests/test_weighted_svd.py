@@ -14,6 +14,8 @@ from floerlab.floer_map import SuperpositionMap, apply, dphi
 from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
+    _certified_top_eigenvalue,
+    _gram_norm,
     _mode_blocks,
     _real_form,
     adjoint,
@@ -113,6 +115,56 @@ def test_op_norm_of_zero_operator_is_exactly_zero(N, n):
     zero = LevelOperator(np.zeros((d, d)), 1.0, 0.0, N, n)
     for a, b in LEVEL_PAIRS:
         assert op_norm(zero, a, b) == 0.0
+
+
+def _kappa_correction(N, seed, s=0.75):
+    # K2 of the kappa check: the Riesz correction read H_{1+s} -> H_1
+    F = symplectic_action(quadratic_hamiltonian(), N)
+    phi = SuperpositionMap(shear_chart(), s, N)
+    q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
+    return riesz_correction(F, phi, q, s).with_levels(1.0 + s, 1.0)
+
+
+@pytest.mark.parametrize("N", [16, 64, 128])
+def test_correction_is_certified_and_multiplication_is_not(N):
+    K2 = _kappa_correction(N, 1)
+    assert _certified_top_eigenvalue(K2, K2.dom, K2.cod) is not None
+    # the top of a multiplication operator's spectrum is a cluster near sup |g|
+    T = mult_operator(smooth_factor(N), "(1,0->0)")
+    assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
+    assert op_norm(T) == _gram_norm(T, T.dom, T.cod)
+
+
+def test_second_singular_value_does_not_pass_for_the_first():
+    # sigma = (10, 9, small...) with the top right singular vector orthogonal
+    # to the constant start: the iteration settles on 9, where 2 theta < F
+    N, n = 8, 2
+    d = (2 * N + 1) * n
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(np.column_stack([np.ones(d), rng.normal(size=(d, d - 1))]))
+    V = Q.astype(complex)
+    V[:, [0, 2]] = np.column_stack([Q[:, 0] + Q[:, 2], Q[:, 0] - Q[:, 2]]) / np.sqrt(2.0)
+    V = V[:, [1, 0, 2, *range(3, d)]]  # v1 = Q[:, 1] is orthogonal to the constant vector
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    sigma = np.concatenate([[10.0, 9.0], 1e-3 * rng.uniform(size=d - 2)])
+    M = (U * sigma) @ V.conj().T
+    assert abs(np.vdot(np.ones(d), V[:, 0])) < 1e-12
+    mod = np.abs(M)
+    assert mod.sum(axis=1).max() * mod.sum(axis=0).max() > np.vdot(mod, mod) / 2  # not screened out
+    T = LevelOperator(M, 0.0, 0.0, N, n)
+    assert _certified_top_eigenvalue(T, 0.0, 0.0) is None
+    assert op_norm(T) == pytest.approx(10.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [16, 64, 128])
+def test_certified_norm_is_never_below_the_dense_one(N):
+    for seed in range(12):
+        K2 = _kappa_correction(N, seed)
+        norm = op_norm(K2)
+        oracle = np.linalg.svd(weighted_matrix(K2), compute_uv=False)[0]
+        for dense in (oracle, _gram_norm(K2, K2.dom, K2.cod)):
+            assert norm >= dense * (1.0 - 1e-15)
+            assert abs(norm - dense) <= 1e-13 * dense
 
 
 def test_real_form_spans_several_row_blocks():
