@@ -51,7 +51,7 @@ round at the O(eps) relative level of the dense path.  Where
 whose singular values crowd near sup |g|), 2 theta > F can never hold;
 a screen with sigma_max^2 <= ||A||_1 ||A||_inf sends most such operators
 to the dense path after one pass over the matrix, and the rest fall
-through after a fixed number of steps.  The dense path, the fallback
+through once theta stalls below F/2 (or at a fixed number of steps).  The dense path, the fallback
 and the reference the other two are tested against, takes the top
 eigenvalue of the Gram matrix R^H R of the real form (or of the complex
 weighted matrix) instead of an SVD.  A symmetric eigensolver returns
@@ -88,10 +88,12 @@ _ROW_BLOCK = 256
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
 
-# Power steps the certified op_norm path may take before it gives up, and
-# the relative width of the Kato-Temple bracket it accepts.
+# Power steps the certified op_norm path may take before it gives up, the
+# relative width of the Kato-Temple bracket it accepts, and the relative
+# gain per step below which theta counts as stalled.
 _CERT_STEPS = 8
 _CERT_RTOL = 4 * _EPS
+_CERT_STALL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -269,8 +271,12 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
     iteration on A^H A from the constant vector runs at most _CERT_STEPS
     steps; it returns theta + |r|^2 / (2 theta - F) as soon as 2 theta > F
     and the bracket is at most _CERT_RTOL theta wide, and None if that
-    never happens.  F is inflated by its worst-case summation error, a
-    bound for any order of adding d^2 nonnegative terms.
+    never happens.  Since theta only grows towards an eigenvalue, a step
+    that leaves 2 theta <= F and gains less than _CERT_STALL theta shows
+    the iteration settling below F/2, and None is returned there and then
+    (a clustered top, where sigma_max^2 <= F/2).  F is inflated by its
+    worst-case summation error, a bound for any order of adding d^2
+    nonnegative terms.
     """
     X = T.matrix
     d = X.shape[0]
@@ -291,9 +297,13 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
         return None
     frob *= 1.0 + 2 * d * d * _EPS
     x = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+    last = 0.0
     for _ in range(_CERT_STEPS):
         y = root_b * (X @ (x / root_a))
         theta = float(np.vdot(y, y).real)
+        if 2 * theta <= frob and theta - last <= _CERT_STALL * theta:
+            return None
+        last = theta
         z = np.conj(np.conj(root_b * y) @ X) / root_a  # A^H A x
         if 2 * theta > frob:
             r = z - theta * x

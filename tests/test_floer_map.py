@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from floerlab import floer_map
 from floerlab.charts import (
     c1_only_chart,
     inversion_chart,
@@ -10,6 +11,7 @@ from floerlab.charts import (
     shear_chart,
 )
 from floerlab.floer_map import (
+    AXIOMS,
     ChartDomainError,
     SuperpositionMap,
     apply,
@@ -27,7 +29,7 @@ from floerlab.scale_space import (
     random_loop,
     to_grid,
 )
-from floerlab.scale_operator import band_indices
+from floerlab.scale_operator import STABLE_RTOL, LevelOperator, band_indices, op_norm, sweep_verdict
 from floerlab.suites import SuiteConfig, suite_floer_map
 
 HOPM = {"restarts": 1, "iters": 80}
@@ -182,3 +184,80 @@ def test_suite_c1_negative_control_bites(seed):
     # so sign(x) was constant on the loops and the control was smooth there
     report = suite_floer_map(SuiteConfig(seed=seed, negative_controls=True))
     assert report["verdict"] == "pass", [c["name"] for c in report["checks"] if not c["passed"]]
+
+
+def _per_sample_reports(phi, samples, Ns, hopm, modulus_step=1e-3):
+    # the axiom reports built one norm call at a time: each axiom, N and sample alone
+    def axiom_norm(phN, axiom, q):
+        if axiom == "(i)1":
+            return op_norm(dphi(phN, q), 0.0, 0.0)
+        if axiom == "(i)2":
+            return op_norm(dphi(phN, q), -1.0, -1.0)
+        levels = (phN.s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + phN.s, -1.0, -1.0)
+        return d2phi(phN, q).norm(*levels, **hopm)
+
+    reports = []
+    top = phi.rebuild(Ns[-1])
+    base = samples[0].resize(Ns[-1])
+    bump = modulus_step * floer_map._unit_direction(base)
+    for axiom in AXIOMS:
+        norms = [max(axiom_norm(phi.rebuild(N), axiom, q.resize(N)) for q in samples) for N in Ns]
+        if axiom in ("(i)1", "(i)2"):
+            lvl = 0.0 if axiom == "(i)1" else -1.0
+            diff = dphi(top, base + bump).matrix - dphi(top, base).matrix
+            modulus = op_norm(LevelOperator(diff, 0.0, 0.0, top.N, top.n), lvl, lvl)
+        else:
+            levels = (phi.s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + phi.s, -1.0, -1.0)
+            modulus = (d2phi(top, base + bump) - d2phi(top, base)).norm(*levels, **hopm)
+        modulus /= bump.norm(1.0)
+        ok = sweep_verdict(norms, STABLE_RTOL) == "stable" and np.isfinite(modulus)
+        reports.append((axiom, norms, modulus, "pass" if ok else "fail"))
+    return reports
+
+
+def _c1_samples(N=16):
+    c = np.zeros((2 * N + 1, 2), dtype=complex)
+    c[N + 1, 0] = c[N - 1, 0] = 0.5
+    c[N, 1] = 0.1
+    base = FourierLoop(c)
+    return [base, base + random_loop(np.random.default_rng(2), 2, N, amplitude=0.05), _loop(3)]
+
+
+@pytest.mark.parametrize(
+    "chart, samples",
+    [(rotation_field_chart(0.4), [_loop(9), _loop(10)]), (c1_only_chart(), _c1_samples())],
+    ids=["rotation", "c1"],
+)
+def test_axiom_reports_match_per_sample_norms(chart, samples):
+    Ns = (16, 32, 64)
+    phi = SuperpositionMap(chart, 0.75, 16)
+    got = verify_floer_axioms(phi, samples, Ns, hopm=HOPM)
+    want = _per_sample_reports(phi, samples, Ns, HOPM)
+    assert [r.verdict for r in got] == [w[3] for w in want]
+    for r, (axiom, norms, modulus, _) in zip(got, want):
+        assert r.axiom == axiom
+        assert [e["N"] for e in r.sweep] == list(Ns)
+        for e, v in zip(r.sweep, norms):
+            assert abs(e["norm"] - v) <= 1e-13 * v
+        assert abs(r.continuity_modulus - modulus) <= 1e-13 * modulus
+
+
+def test_axioms_build_each_derivative_once_and_batch_per_truncation(monkeypatch):
+    calls = {"dphi": 0, "d2phi": 0, "trilinear_norms": 0}
+
+    def counted(name):
+        fn = getattr(floer_map, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(floer_map, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    samples = [_loop(9), _loop(10), _loop(11)]
+    Ns = (16, 32, 64)
+    verify_floer_axioms(SuperpositionMap(rotation_field_chart(0.4), 0.75, 16), samples, Ns, hopm=HOPM)
+    # one per (N, sample), plus the moved base point of the modulus
+    assert calls == {"dphi": 9 + 1, "d2phi": 9 + 1, "trilinear_norms": 3}

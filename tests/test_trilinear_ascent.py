@@ -2,15 +2,16 @@
 
 `sequential_norm` is the ascent as it ran before the trials were batched:
 full complex spectra, one trial after another, and a separate quadrature
-for each step's value.  It serves as the oracle for
-`BilinearLevelMap.norm` the way the dense SVD serves the structured paths.
+for each step's value.  It serves as the oracle for `trilinear_norms`,
+whether it holds one map (`BilinearLevelMap.norm`) or many, the way the
+dense SVD serves the structured paths.
 """
 
 import numpy as np
 import pytest
 
 from floerlab.charts import rotation_field_chart, shear_chart
-from floerlab.floer_map import BilinearLevelMap, SuperpositionMap, d2phi
+from floerlab.floer_map import EXITS, BilinearLevelMap, SuperpositionMap, d2phi, trilinear_norms
 from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
 
 LEVELS = [(0.75, 0.0, 0.0), (1.75, -1.0, -1.0)]
@@ -120,6 +121,11 @@ def test_shear_fixed_triples_take_the_null_exit():
     assert B.norm(0.75, 0.0, 0.0, restarts=0) == 0.0
     assert sequential_norm(B, 0.75, 0.0, 0.0, restarts=0) == 0.0
     assert B.norm(0.75, 0.0, 0.0) > 0.0
+    # and the record says so: null before any sweep, the random starts run on
+    rec = trilinear_norms([B], [LEVELS[0]])
+    assert list(rec.exits[0, :2]) == ["null", "null"]
+    assert list(rec.iterations[0, :2]) == [0, 0]
+    assert set(rec.exits[0, 2:]) <= {"rtol", "cap"}
 
 
 def test_zero_tensor_has_norm_exactly_zero():
@@ -128,3 +134,72 @@ def test_zero_tensor_has_norm_exactly_zero():
     assert type(got) is float
     assert got == 0.0
 
+
+def _mixed_batch():
+    # shear, rotation-field, random symmetric and zero tensors, each at both level triples
+    N = 16
+    tensors = [
+        _chart_hessian(shear_chart(), N, seed=3),
+        _chart_hessian(rotation_field_chart(0.5), N, seed=4),
+        _symmetric_tensor(N, seed=5),
+        BilinearLevelMap(np.zeros((default_grid_points(N), 2, 2, 2)), N),
+    ]
+    maps = [B for B in tensors for _ in LEVELS]
+    levels = [lv for _ in tensors for lv in LEVELS]
+    return maps, levels
+
+
+def _oracle_mismatches(norms, hopm):
+    maps, levels = _mixed_batch()
+    got = norms(maps, levels, **hopm).values
+    want = [sequential_norm(B, *lv, **hopm) for B, lv in zip(maps, levels)]
+    return [p for p, (g, w) in enumerate(zip(got, want)) if not abs(g - w) <= 1e-13 * w]
+
+
+@pytest.mark.parametrize("hopm", BUDGETS)
+def test_mixed_batch_matches_sequential_ascent_per_map(hopm):
+    assert _oracle_mismatches(trilinear_norms, hopm) == []
+
+
+@pytest.mark.parametrize("hopm", BUDGETS)
+def test_batch_level_mix_up_is_caught(hopm):
+    # a mutant that reads the whole batch at the first map's level triple
+    def first_levels_only(maps, levels, **kw):
+        return trilinear_norms(maps, [levels[0]] * len(maps), **kw)
+
+    assert _oracle_mismatches(first_levels_only, hopm) != []
+
+
+@pytest.mark.parametrize("hopm", BUDGETS)
+def test_batch_records_each_trial_as_if_run_alone(hopm):
+    maps, levels = _mixed_batch()
+    batch = trilinear_norms(maps, levels, **hopm)
+    trials = hopm.get("restarts", 4) + 2
+    assert batch.exits.shape == batch.iterations.shape == (len(maps), trials)
+    assert set(batch.exits.ravel()) <= set(EXITS)
+    for p, (B, lv) in enumerate(zip(maps, levels)):
+        alone = trilinear_norms([B], [lv], **hopm)
+        assert alone.values[0] == batch.values[p]
+        assert alone.values[0] == B.norm(*lv, **hopm)
+        assert list(alone.exits[0]) == list(batch.exits[p])
+        assert list(alone.iterations[0]) == list(batch.iterations[p])
+    # the zero tensor leaves at once on every trial
+    assert set(batch.exits[-1]) == {"null"} and not batch.iterations[-1].any()
+    cap = batch.exits == "cap"
+    assert np.all(batch.iterations[cap] == hopm.get("iters", 150))
+
+
+def test_permuting_the_maps_permutes_the_values():
+    maps, levels = _mixed_batch()
+    values = trilinear_norms(maps, levels, restarts=1, iters=40).values
+    perm = np.random.default_rng(0).permutation(len(maps))
+    shuffled = trilinear_norms([maps[p] for p in perm], [levels[p] for p in perm], restarts=1, iters=40)
+    assert np.array_equal(shuffled.values, values[perm])
+    assert not np.array_equal(shuffled.values, values)
+
+
+def test_batch_rejects_maps_on_different_grids():
+    with pytest.raises(ValueError, match="different grids"):
+        trilinear_norms([_symmetric_tensor(8), _symmetric_tensor(16)], LEVELS)
+    with pytest.raises(ValueError, match="one level triple per map"):
+        trilinear_norms([_symmetric_tensor(8)], LEVELS)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from floerlab import scale_operator
 from floerlab.charts import shear_chart
 from floerlab.floer_function import (
     driven_hamiltonian,
@@ -11,6 +12,7 @@ from floerlab.floer_function import (
     symplectic_action,
 )
 from floerlab.floer_map import SuperpositionMap, apply, dphi
+from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
 from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
@@ -154,6 +156,39 @@ def test_second_singular_value_does_not_pass_for_the_first():
     T = LevelOperator(M, 0.0, 0.0, N, n)
     assert _certified_top_eigenvalue(T, 0.0, 0.0) is None
     assert op_norm(T) == pytest.approx(10.0, rel=1e-13)
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix view that counts the products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        _CountingMatrix.products += 1
+        return other @ np.asarray(self)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_stalled_power_iteration_gives_up_early(monkeypatch, N):
+    # dphi of the north-south transition read at (-1, -1) passes the screen,
+    # but its top is a cluster, so 2 theta > F never holds; theta settles
+    # within three steps and the path must hand over then, not at the step cap
+    atlas = sphere_small_loop_atlas(s=0.75)
+    north, south = atlas.chart("north"), atlas.chart("south")
+    q = loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0]
+    T = dphi(transition(atlas, "north", "south", N), q)
+    counted = LevelOperator(T.matrix, T.dom, T.cod, T.N, T.n)
+    object.__setattr__(counted, "matrix", T.matrix.view(_CountingMatrix))
+    monkeypatch.setattr(scale_operator, "_CERT_STEPS", 1000)
+    _CountingMatrix.products = 0
+    assert _certified_top_eigenvalue(counted, -1.0, -1.0) is None
+    screen = 3  # one row block of the F and row/column-sum pass
+    assert _CountingMatrix.products <= screen + 2 * 4
+    assert op_norm(T, -1.0, -1.0) == _gram_norm(T, -1.0, -1.0)
 
 
 @pytest.mark.parametrize("N", [16, 64, 128])
