@@ -39,7 +39,6 @@ from .scale_space import (
     grid_times,
     inner,
     mode_numbers,
-    multiplication_matrix,
     to_grid,
 )
 
@@ -156,12 +155,10 @@ def symplectic_action(
         return FourierLoop(du @ J0.T - force.coeffs)
 
     def hessian(u: FourierLoop) -> LevelOperator:
-        # -well, then 2 pi i k J0 added on the mode blocks: no second d x d array
-        A = multiplication_matrix(H.hess_x(t, to_grid(u, G)), N)
-        np.negative(A, out=A)
-        M = 2 * N + 1
-        A.reshape(M, dim, M, dim)[np.arange(M), :, np.arange(M), :] += (2j * np.pi * k)[:, None, None] * J0
-        return LevelOperator(A, 1.0, 0.0, N, dim)
+        # multiplication by -hess_x H along u, plus 2 pi i k J0 on the mode blocks
+        well = np.negative(H.hess_x(t, to_grid(u, G)))
+        blocks = (2j * np.pi * k)[:, None, None] * J0
+        return LevelOperator(None, 1.0, 0.0, N, dim, factor=well, blocks=blocks)
 
     return FloerFunctionNumeric(
         n=dim,

@@ -42,7 +42,6 @@ from .scale_space import (
     from_grid,
     grid_samples,
     half_spectrum,
-    multiplication_matrix,
     to_grid,
     weights,
 )
@@ -314,8 +313,7 @@ def apply(phi: SuperpositionMap, u: FourierLoop) -> FourierLoop:
 def dphi(phi: SuperpositionMap, u: FourierLoop) -> LevelOperator:
     """Derivative at u: dealiased multiplication by the chart Jacobian along u."""
     jac = phi.chart.jacobian(phi.sample_values(u))
-    m = multiplication_matrix(jac, phi.N)
-    return LevelOperator(m, 0.0, 0.0, phi.N, phi.n)
+    return LevelOperator(None, 0.0, 0.0, phi.N, phi.n, factor=jac)
 
 
 def d2phi(phi: SuperpositionMap, u: FourierLoop) -> BilinearLevelMap:
@@ -379,11 +377,10 @@ def verify_floer_axioms(
     """Run the four extension-axiom checks over an N-sweep.
 
     Per axiom the report carries the worst sample norm at every N, the
-    divided-difference continuity modulus at the largest N, and a verdict:
-    pass when sweep_verdict finds the norms stable at STABLE_RTOL and the
-    modulus is finite.  The modulus of (i)1/(i)2 reads the difference of
-    dphi, that of (ii)1/(ii)2 the difference of d2phi, between the first
-    sample q and q + bump, over |bump|_1.
+    divided-difference continuity modulus at the largest N, and the
+    verdict of axiom_reports.  The modulus of (i)1/(i)2 reads the
+    difference of dphi, that of (ii)1/(ii)2 the difference of d2phi,
+    between the first sample q and q + bump, over |bump|_1.
 
     Per N the map is rebuilt once, dphi and d2phi are built once per
     sample, and one trilinear_norms call holds every sample at both the
@@ -419,7 +416,17 @@ def verify_floer_axioms(
         norms["(ii)1"].append(worst[0])
         norms["(ii)2"].append(worst[1])
     moduli += [float(v) / step for v in values[-2:]]  # the largest N's batch ends with them
+    return axiom_reports(phi.s, Ns, norms, moduli)
 
+
+def axiom_reports(
+    s: float, Ns: list[int], norms: dict[str, list[float]], moduli: list[float]
+) -> list[AxiomReport]:
+    """The four AxiomReports from the worst norm per N and the moduli, in AXIOMS order.
+
+    The one rule for an axiom: pass when sweep_verdict finds its norms
+    stable at STABLE_RTOL and its continuity modulus is finite.
+    """
     reports = []
     for axiom, modulus in zip(AXIOMS, moduli):
         sweep = [{"N": int(N), "norm": float(v)} for N, v in zip(Ns, norms[axiom])]
@@ -427,7 +434,7 @@ def verify_floer_axioms(
         reports.append(
             AxiomReport(
                 axiom=axiom,
-                s=phi.s,
+                s=s,
                 sweep=sweep,
                 continuity_modulus=float(modulus),
                 verdict="pass" if ok else "fail",

@@ -29,7 +29,15 @@ from .charts import (
     identity_chart,
     pair_inverses,
 )
-from .floer_map import SuperpositionMap, apply, compose, dphi, verify_floer_axioms
+from .floer_map import (
+    AxiomReport,
+    SuperpositionMap,
+    apply,
+    axiom_reports,
+    compose,
+    dphi,
+    verify_floer_axioms,
+)
 from .scale_space import FourierLoop, default_grid_points, from_grid, random_loop, to_grid
 
 SPHERE_CAP = 0.1
@@ -338,6 +346,22 @@ def check_compatibility(
     return {"s": A.s, "pairs": pairs, "verdict": verdict}
 
 
+def _union_reports(pieces: list[list[AxiomReport]], s: float) -> list[AxiomReport]:
+    """The axiom reports of all the pieces' samples together, read off the pieces.
+
+    verify_floer_axioms on the union of the samples would give, at each
+    N, the largest of the pieces' worst norms (each sample's norm does
+    not depend on the others in its batch), and the moduli of the first
+    piece, which holds the union's first sample.
+    """
+    Ns = [e["N"] for e in pieces[0][0].sweep]
+    norms = {
+        r.axiom: [max(p[i].sweep[j]["norm"] for p in pieces) for j in range(len(Ns))]
+        for i, r in enumerate(pieces[0])
+    }
+    return axiom_reports(s, Ns, norms, [r.continuity_modulus for r in pieces[0]])
+
+
 def check_transitivity(
     A: LoopAtlas,
     B: LoopAtlas,
@@ -356,7 +380,8 @@ def check_transitivity(
     so the gate is tight.  Routing a sample through a materialized
     intermediate loop truncates twice and only converges with N, so that
     residual is reported (two_step_residual) but not gated.  The axiom
-    verdicts on each B-piece of the overlap must match the union's.
+    verdicts on each B-piece of the overlap must match the union's, which
+    are read off the pieces' own reports (_union_reports).
     """
     if not (A.s == B.s == C.s):
         raise ValueError("atlases must share the level parameter")
@@ -372,8 +397,7 @@ def check_transitivity(
     for a in A.charts:
         for c in C.charts:
             direct = _pair_map(a, c, A.s, N, margin)
-            union_samples = []
-            piece_verdicts = []
+            pieces = []
             for b in B.charts:
                 samples = loops_in_chart(corpus, a, N, margin, also_in=(b, c))[:max_samples]
                 if not samples:
@@ -392,9 +416,7 @@ def check_transitivity(
                 worst_apply = max(worst_apply, r_apply)
                 worst_two_step = max(worst_two_step, r_two)
                 worst_dphi = max(worst_dphi, r_dphi)
-                piece = verify_floer_axioms(direct, samples, N_sweep, hopm=hopm)
-                piece_verdicts.append([r.verdict for r in piece])
-                union_samples.extend(samples)
+                pieces.append(verify_floer_axioms(direct, samples, N_sweep, hopm=hopm))
                 triples.append(
                     {
                         "from": a.name,
@@ -406,10 +428,11 @@ def check_transitivity(
                         "dphi_residual": float(r_dphi),
                     }
                 )
-            if union_samples and piece_verdicts:
-                union = verify_floer_axioms(direct, union_samples, N_sweep, hopm=hopm)
-                union_verdicts = [r.verdict for r in union]
-                pieces_agree = pieces_agree and all(v == union_verdicts for v in piece_verdicts)
+            if pieces:
+                union_verdicts = [r.verdict for r in _union_reports(pieces, direct.s)]
+                pieces_agree = pieces_agree and all(
+                    [r.verdict for r in piece] == union_verdicts for piece in pieces
+                )
     ok = worst_apply <= APPLY_RTOL and worst_dphi <= DPHI_RTOL and pieces_agree and triples
     return {
         "s": A.s,

@@ -26,13 +26,12 @@ from .floer_map import SuperpositionMap, apply, d2phi, dphi
 from .scale_operator import (
     KERNEL_RTOL,
     LevelOperator,
-    _flat_weights,
     adjoint,
     fredholm_diagnostic,
     op_norm,
     weighted_singular_values,
 )
-from .scale_space import FourierLoop, multiplication_matrix, random_loop, to_grid
+from .scale_space import FourierLoop, random_loop, to_grid
 
 KAPPA_SLACK = 1e-8
 
@@ -54,17 +53,17 @@ def riesz_correction(
 ) -> LevelOperator:
     """The correction operator K(q), annotated H_s -> H_0.
 
-    Assembles the form matrix from the multiplication symbol and applies
-    the level-0 Riesz map explicitly (a Gram solve, trivial here because
-    the mode basis is level-0 orthonormal, kept literal on purpose).
+    The form is multiplication by the matrix field V of the module
+    docstring, sampled on the map's grid.  The level-0 Riesz map is a
+    solve with the Gram matrix of the mode basis, which is the identity
+    (the basis is level-0 orthonormal), so K is that multiplication
+    operator, held by its factor V.
     """
     _check_match(F, phi)
     g = to_grid(F.gradient(apply(phi, q)), phi.grid_points)
     hes = phi.chart.hessian(phi.sample_values(q))
-    form = multiplication_matrix(np.einsum("gi,gijk->gjk", g, hes), phi.N)
-    gram = _flat_weights(phi.N, phi.n, 0.0)
-    form /= gram[:, None]
-    return LevelOperator(form, s, 0.0, phi.N, phi.n)
+    V = np.einsum("gi,gijk->gjk", g, hes)
+    return LevelOperator(None, s, 0.0, phi.N, phi.n, factor=V)
 
 
 def pull_back_hessian(

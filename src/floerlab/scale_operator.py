@@ -1,6 +1,6 @@
-"""Level-annotated dense operators on the truncated coefficient space.
+"""Level-annotated operators on the truncated coefficient space.
 
-An operator is a complex matrix acting on mode-major coefficient vectors.
+An operator acts on mode-major coefficient vectors.
 Every operator built here commutes with the reality structure
 c_k -> conj(c_{-k}), so the matrix is the complexification of a real
 operator on real loops: in the cosine/sine basis it is a real matrix.
@@ -8,15 +8,31 @@ Singular values, operator norms and kernel dimensions of the complex
 matrix therefore coincide with those of the underlying real
 operator, which is what all diagnostics report.
 
+A LevelOperator keeps the structure its producer knows.  Multiplication
+operators (sobolev_evidence.mult_operator, floer_map.dphi, the Riesz
+correction of pullback) hold the real grid samples of their factor,
+shape (G, n, n), and its symbol g(m), m = -2N..2N, the entries their
+Toeplitz matrix reads.  Mode-block operators (identity_operator,
+derivative_operator) hold their (2N+1, n, n) diagonal blocks, and the
+action Hessian holds both: the factor -hess_x H and the blocks
+2 pi i k J0.  The dense complex matrix, .matrix, is built from these the
+first time it is read and kept; products, sums, differences and
+adjoint give dense operators.  Which path reads what:
+
+- the mode-block test (_mode_blocks) reads the symbol and the blocks;
+- op_norm's certified path reads the symbol and applies the factor on
+  its grid by FFTs, for an operator that is multiplication alone;
+- everything else reads .matrix: the real form, the complex SVD, the
+  dense Gram, the certified path of any other operator, apply and @.
+
 Norms between levels are weighted: op_norm(T, a, b) is the largest
 singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
 weight.  Because the weight family is exactly geometric in s, the
 Stein-Weiss interpolation inequality holds for every matrix, and the
 level-1/level-(-1) duality is an exact diagonal isometry.
 
-weighted_singular_values reads the structure off the matrix entries and
-takes one of three paths, each giving the singular values of the dense
-weighted matrix:
+weighted_singular_values takes one of three paths, each giving the
+singular values of the dense weighted matrix:
 
 1. Mode-block-diagonal (every entry outside the n x n blocks of equal
    mode is exactly 0: the inclusion, d/dt, the quadratic-well action
@@ -35,9 +51,11 @@ weighted matrix:
 op_norm needs only sigma_max, and takes the first of three paths that
 applies.  Mode-block-diagonal operators take the block path.  When the
 top singular value is isolated, a certified matrix-free path applies
-the weighted matrix A and its adjoint straight from T.matrix and the
-weights: a power iteration on A^H A whose Rayleigh quotient theta and
-residual r give the Kato-Temple bracket
+the weighted matrix A and its adjoint, from the factor's grid samples
+for a multiplication operator (exact circular convolutions on its
+G-point grid) and from T.matrix otherwise: a power iteration on A^H A
+whose Rayleigh quotient theta and residual r give the Kato-Temple
+bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (2 theta - F),  F = |A|_F^2,
 
@@ -47,11 +65,13 @@ Problem, section 10.5).  The path accepts a bracket a few ulps wide and
 returns the square root of its upper end, so a check such as
 ||K|| <= kappa stays evidence; the matvecs that compute theta and r
 round at the O(eps) relative level of the dense path.  Where
-2 sigma_max^2 <= F, as for a clustered top (multiplication operators,
-whose singular values crowd near sup |g|), 2 theta > F can never hold;
-a screen with sigma_max^2 <= ||A||_1 ||A||_inf sends most such operators
-to the dense path after one pass over the matrix, and the rest fall
-through once theta stalls below F/2 (or at a fixed number of steps).  The dense path, the fallback
+2 sigma_max^2 <= F, as for a clustered top (multiplication operators
+at level 0, whose singular values crowd near sup |g|), 2 theta > F can
+never hold; a screen with sigma_max^2 <= ||A||_1 ||A||_inf sends most
+such operators to the dense path at once (F and the screen come from
+the symbol for a multiplication operator, from one pass over the
+matrix otherwise), and the rest fall through once theta stalls below
+F/2 (or at a fixed number of steps).  The dense path, the fallback
 and the reference the other two are tested against, takes the top
 eigenvalue of the Gram matrix R^H R of the real form (or of the complex
 weighted matrix) instead of an SVD.  A symmetric eigensolver returns
@@ -75,7 +95,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .scale_space import FourierLoop, check_level, mode_numbers, weights
+from .scale_space import (
+    FourierLoop,
+    check_level,
+    mode_numbers,
+    multiplication_matrix,
+    multiplication_symbol,
+    weights,
+)
 
 # Relative singular-value threshold separating numerical kernel from gap.
 KERNEL_RTOL = 1e-8
@@ -96,28 +123,89 @@ _CERT_RTOL = 4 * _EPS
 _CERT_STALL = 1e-3
 
 
-@dataclass(frozen=True)
 class LevelOperator:
-    """Dense operator between levels dom -> cod of the scale."""
+    """Operator between levels dom -> cod of the scale, on (2N+1)n coefficients.
 
-    matrix: np.ndarray
-    dom: float
-    cod: float
-    N: int
-    n: int
+    LevelOperator(matrix, dom, cod, N, n) is a dense operator.  A
+    structured one passes None for the matrix and keeps what its producer
+    knows: factor, the real grid samples (G, n, n) of a multiplication
+    operator (G >= 2N+1), and blocks, complex (2N+1, n, n) mode blocks
+    added on the diagonal; either may be absent.  Its symbol, the
+    multiplication_symbol of the factor, is computed once on
+    construction; .matrix, the multiplication_matrix of the factor with
+    the blocks added, is built when it is first read and kept.
+    Operators are immutable.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = (2 * self.N + 1) * self.n
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match d={d}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dom", check_level(self.dom))
-        object.__setattr__(self, "cod", check_level(self.cod))
+    def __init__(
+        self,
+        matrix: np.ndarray | None,
+        dom: float,
+        cod: float,
+        N: int,
+        n: int,
+        *,
+        factor: np.ndarray | None = None,
+        blocks: np.ndarray | None = None,
+    ):
+        M, d = 2 * N + 1, (2 * N + 1) * n
+        fields = dict(dom=check_level(dom), cod=check_level(cod), N=N, n=n, factor=None, symbol=None, blocks=None)
+        if matrix is not None:
+            if factor is not None or blocks is not None:
+                raise ValueError("a dense operator carries no factor or blocks")
+            m = np.asarray(matrix, dtype=complex)
+            if m.shape != (d, d):
+                raise ValueError(f"matrix shape {m.shape} does not match d={d}")
+            fields["matrix"] = m
+        elif factor is None and blocks is None:
+            raise ValueError("an operator needs a matrix, a factor or blocks")
+        if factor is not None:
+            factor = np.asarray(factor, dtype=float)
+            if factor.ndim != 3 or factor.shape[1:] != (n, n):
+                raise ValueError(f"factor shape {factor.shape} is not (G, {n}, {n})")
+            fields.update(factor=factor, symbol=multiplication_symbol(factor, N))
+        if blocks is not None:
+            blocks = np.asarray(blocks, dtype=complex)
+            if blocks.shape != (M, n, n):
+                raise ValueError(f"blocks shape {blocks.shape} is not ({M}, {n}, {n})")
+            fields["blocks"] = blocks
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LevelOperator is immutable")
+
+    def __getattr__(self, name):
+        # Python looks here only for names missing from the instance dict,
+        # which for .matrix means it is not built yet
+        if name != "matrix":
+            raise AttributeError(name)
+        M, n = 2 * self.N + 1, self.n
+        if self.factor is not None:
+            m = multiplication_matrix(self.factor, self.N)
+        else:
+            m = np.zeros((M * n, M * n), dtype=complex)
+        if self.blocks is not None:
+            view = m.reshape(M, n, M, n)
+            modes = np.arange(M)
+            if self.factor is None:
+                view[modes, :, modes, :] = self.blocks
+            else:
+                view[modes, :, modes, :] += self.blocks
+        self.__dict__["matrix"] = m
+        return m
+
+    def __repr__(self) -> str:
+        parts = [p for p in ("factor", "blocks") if self.__dict__[p] is not None] or ["dense"]
+        return f"LevelOperator({'+'.join(parts)}, {self.dom:g} -> {self.cod:g}, N={self.N}, n={self.n})"
 
     def with_levels(self, dom: float, cod: float) -> "LevelOperator":
-        """Re-annotate the same coefficients at another level pair."""
-        return LevelOperator(self.matrix, dom, cod, self.N, self.n)
+        """Re-annotate the same coefficients at another level pair.
+
+        Keeps the structure and shares the matrix if it is already built.
+        """
+        op = object.__new__(LevelOperator)
+        op.__dict__.update(self.__dict__, dom=check_level(dom), cod=check_level(cod))
+        return op
 
     def apply(self, u: FourierLoop) -> FourierLoop:
         return FourierLoop((self.matrix @ u.flat_coeffs()).reshape(2 * self.N + 1, self.n))
@@ -145,9 +233,12 @@ def _flat_weights(N: int, n: int, s: float) -> np.ndarray:
 
 
 def identity_operator(N: int, n: int, dom: float, cod: float) -> LevelOperator:
-    """Identity coefficients annotated dom -> cod (the insertion when dom > cod)."""
-    d = (2 * N + 1) * n
-    return LevelOperator(np.eye(d, dtype=complex), dom, cod, N, n)
+    """Identity coefficients annotated dom -> cod (the insertion when dom > cod).
+
+    Held as its mode blocks; the block paths never build the matrix.
+    """
+    blocks = np.broadcast_to(np.eye(n, dtype=complex), (2 * N + 1, n, n))
+    return LevelOperator(None, dom, cod, N, n, blocks=blocks)
 
 
 def inclusion_singular_values(N: int, n: int, a: float, b: float) -> np.ndarray:
@@ -155,17 +246,18 @@ def inclusion_singular_values(N: int, n: int, a: float, b: float) -> np.ndarray:
 
     The identity scales mode k by sqrt(w_k(b)) / sqrt(w_k(a)), once per
     component; written as this quotient of square roots it equals
-    weighted_singular_values(identity_operator(N, n, a, b)) bit for bit,
-    without building the dense (2N+1)n square matrix.
+    weighted_singular_values(identity_operator(N, n, a, b)) bit for bit.
     """
     ratio = np.sqrt(weights(N, b)) / np.sqrt(weights(N, a))
     return np.sort(np.repeat(ratio, n))[::-1]
 
 
 def derivative_operator(N: int, n: int, dom: float = 1.0, cod: float = 0.0) -> LevelOperator:
-    """d/dt, diagonal 2 pi i k per mode."""
-    diag = np.repeat(2j * np.pi * mode_numbers(N).astype(float), n)
-    return LevelOperator(np.diag(diag), dom, cod, N, n)
+    """d/dt, diagonal 2 pi i k per mode, held as its mode blocks."""
+    diag = np.repeat(2j * np.pi * mode_numbers(N).astype(float), n).reshape(2 * N + 1, n)
+    blocks = np.zeros((2 * N + 1, n, n), dtype=complex)
+    blocks[:, np.arange(n), np.arange(n)] = diag
+    return LevelOperator(None, dom, cod, N, n, blocks=blocks)
 
 
 def band_indices(N: int, n: int, max_mode: int) -> np.ndarray:
@@ -188,10 +280,23 @@ def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = 
 
 
 def _mode_blocks(T: LevelOperator) -> np.ndarray | None:
-    """The (2N+1, n, n) diagonal mode blocks, or None if any other entry is nonzero."""
-    M = 2 * T.N + 1
+    """The (2N+1, n, n) diagonal mode blocks, or None if any other entry is nonzero.
+
+    A structured operator answers from its symbol and blocks: its matrix
+    is zero off the mode blocks exactly when the symbol vanishes at every
+    mode difference 0 < |m| <= 2N, the entries a dense test would read.
+    """
+    M, n = 2 * T.N + 1, T.n
+    if T.symbol is None and T.blocks is not None:
+        return T.blocks
+    if T.symbol is not None:
+        c = 2 * T.N  # the symbol's m = 0 entry
+        if np.count_nonzero(T.symbol[:c]) or np.count_nonzero(T.symbol[c + 1 :]):
+            return None
+        diag = np.broadcast_to(T.symbol[c], (M, n, n))
+        return diag + T.blocks if T.blocks is not None else diag.copy()
     modes = np.arange(M)
-    blocks = T.matrix.reshape(M, T.n, M, T.n)[modes, :, modes, :]
+    blocks = T.matrix.reshape(M, n, M, n)[modes, :, modes, :]
     if np.count_nonzero(blocks) != np.count_nonzero(T.matrix):
         return None
     return blocks
@@ -261,27 +366,14 @@ def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float 
     return np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
 
 
-def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
-    """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
+def _dense_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
+    """F = ||A||_F^2, the screen's ||A||_1 ||A||_inf, and A, A^H as matvecs, from T.matrix.
 
-    One pass over T.matrix in row blocks gives F = ||A||_F^2 and the
-    largest row and column sums of |A|.  sigma_max^2 <= ||A||_1 ||A||_inf,
-    so when that product is at most F/2 the condition 2 theta > F can
-    never hold and None is returned at once.  Otherwise a power
-    iteration on A^H A from the constant vector runs at most _CERT_STEPS
-    steps; it returns theta + |r|^2 / (2 theta - F) as soon as 2 theta > F
-    and the bracket is at most _CERT_RTOL theta wide, and None if that
-    never happens.  Since theta only grows towards an eigenvalue, a step
-    that leaves 2 theta <= F and gains less than _CERT_STALL theta shows
-    the iteration settling below F/2, and None is returned there and then
-    (a clustered top, where sigma_max^2 <= F/2).  F is inflated by its
-    worst-case summation error, a bound for any order of adding d^2
-    nonnegative terms.
+    One pass over the matrix in row blocks gives F and the largest row
+    and column sums of |A|.
     """
     X = T.matrix
     d = X.shape[0]
-    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
-    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
     inv_a = 1.0 / root_a
     frob = 0.0
     row_max = 0.0
@@ -293,18 +385,89 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
         frob += float((rb * rb) @ ((mod * mod) @ (inv_a * inv_a)))
         row_max = max(row_max, float((rb * (mod @ inv_a)).max()))
         col_sums += rb @ mod
-    if row_max * float((col_sums * inv_a).max()) <= frob / 2:
+    screen = row_max * float((col_sums * inv_a).max())
+    return (
+        frob,
+        screen,
+        lambda x: root_b * (X @ (x / root_a)),
+        lambda y: np.conj(np.conj(root_b * y) @ X) / root_a,
+    )
+
+
+def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
+    """The same four as _dense_pass for a pure multiplication operator, from its symbol.
+
+    Entry (k, i; l, j) of |A| is root_b(k) |g_ij(k - l)| / root_a(l), so F
+    is sum_m ||g(m)||_F^2 S(m) with S(m) = sum_{k - l = m} w_b(k) / w_a(l),
+    and the row and column sums of |A| are convolutions of |g| with the
+    reciprocal and the plain square roots of the weights.  The matvecs
+    are exact circular convolutions on the factor's own G-point grid:
+    T x is fft(g(t) ifft(x)) read back at the modes k mod G, and T^H
+    multiplies by g(t)^H instead.
+    """
+    N, n, sym, g = T.N, T.n, T.symbol, T.factor
+    rb, ra = root_b[::n], root_a[::n]  # one weight per mode
+    mod = np.abs(sym)
+    frob = float(np.sum((mod * mod).sum(axis=(1, 2)) * np.correlate(rb * rb, 1.0 / (ra * ra), "full")))
+    rows = mod.sum(axis=2)  # (4N+1, n): row i of the symbol, summed over j
+    cols = mod.sum(axis=1)[::-1]  # column j, summed over i, at -m
+    row_max = max(float((rb * np.convolve(rows[:, i], 1.0 / ra, "valid")).max()) for i in range(n))
+    col_max = max(float((np.convolve(cols[:, j], rb, "valid") / ra).max()) for j in range(n))
+    G = g.shape[0]
+    modes = np.arange(-N, N + 1) % G
+    gh = g.transpose(0, 2, 1)  # g(t)^H; the factor is real
+
+    def multiply(factor, x):
+        spec = np.zeros((G, n), dtype=complex)
+        spec[modes] = x.reshape(2 * N + 1, n)
+        values = np.einsum("gij,gj->gi", factor, np.fft.ifft(spec, axis=0))
+        return np.fft.fft(values, axis=0)[modes].ravel()
+
+    return (
+        frob,
+        row_max * col_max,
+        lambda x: root_b * multiply(g, x / root_a),
+        lambda y: multiply(gh, root_b * y) / root_a,
+    )
+
+
+def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
+    """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
+
+    A pure multiplication operator (a factor, no blocks) is read from its
+    symbol and applied by FFTs on its grid (_symbol_pass); any other one
+    from T.matrix (_dense_pass).  Either gives F = ||A||_F^2 and the
+    product ||A||_1 ||A||_inf of the largest row and column sums of |A|.
+    sigma_max^2 <= ||A||_1 ||A||_inf, so when that product is at most
+    F/2 the condition 2 theta > F can never hold and None is returned at
+    once.  Otherwise a power iteration on A^H A from the constant vector
+    runs at most _CERT_STEPS steps; it returns theta + |r|^2 / (2 theta - F)
+    as soon as 2 theta > F and the bracket is at most _CERT_RTOL theta
+    wide, and None if that never happens.  Since theta only grows towards
+    an eigenvalue, a step that leaves 2 theta <= F and gains less than
+    _CERT_STALL theta shows the iteration settling below F/2, and None is
+    returned there and then (a clustered top, where sigma_max^2 <= F/2).
+    F is inflated by its worst-case summation error, a bound for any
+    order of adding d^2 nonnegative terms, which covers both ways of
+    summing it.
+    """
+    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
+    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
+    structured = T.factor is not None and T.blocks is None
+    frob, screen, forward, backward = (_symbol_pass if structured else _dense_pass)(T, root_a, root_b)
+    if screen <= frob / 2:
         return None
+    d = root_a.size
     frob *= 1.0 + 2 * d * d * _EPS
     x = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     last = 0.0
     for _ in range(_CERT_STEPS):
-        y = root_b * (X @ (x / root_a))
+        y = forward(x)
         theta = float(np.vdot(y, y).real)
         if 2 * theta <= frob and theta - last <= _CERT_STALL * theta:
             return None
         last = theta
-        z = np.conj(np.conj(root_b * y) @ X) / root_a  # A^H A x
+        z = backward(y)  # A^H A x
         if 2 * theta > frob:
             r = z - theta * x
             width = float(np.vdot(r, r).real) / (2 * theta - frob)

@@ -16,9 +16,10 @@ product of up to three band-limited factors alias-free, which is what the
 superposition machinery downstream relies on.  Loops are real, so the
 bridge is the real FFT on the half spectrum of modes 0..N: grid_samples
 (irfft, synthesis) and half_spectrum (rfft, analysis) act on raw arrays
-along a given axis, and to_grid, from_grid, the symbol of
-multiplication_matrix and the trilinear ascent of floer_map all go
-through these two helpers.
+along a given axis, and to_grid, from_grid, multiplication_symbol
+(the symbol behind multiplication_matrix and the structured
+multiplication operators of scale_operator) and the trilinear ascent of
+floer_map all go through these two helpers.
 """
 
 from __future__ import annotations
@@ -244,18 +245,20 @@ def from_grid(values: np.ndarray, N: int) -> FourierLoop:
     return FourierLoop(np.concatenate([np.conj(half[:0:-1]), half]))
 
 
-def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
-    """Mode-space matrix of dealiased multiplication by a sampled factor.
+def multiplication_symbol(factor_values: np.ndarray, N: int) -> np.ndarray:
+    """Symbol of dealiased multiplication by a sampled factor, at the modes m = -2N..2N.
 
     factor_values has shape (G,) for a scalar factor or (G, n, n) for a
-    matrix-valued one.  The result acts on mode-major coefficient vectors
-    and agrees exactly with truncate(from_grid(factor * to_grid(.))) on
-    the same grid.
+    matrix-valued one; entry m + 2N of the result is the coefficient
+    (or n x n block) that multiplication_matrix holds at every (k, l)
+    with k - l = m.  These are all the symbol entries a (2N+1)-mode
+    operator reads; with G < 4N+1 some of them repeat, since the mode
+    difference is taken mod G.
 
-    The symbol comes from half_spectrum, mirrored so that fhat[G-m] is
-    conj(fhat[m]) bit for bit: the matrix then commutes exactly with the
-    reality structure c_k -> conj(c_{-k}), which weighted_singular_values
-    detects to take its real cosine/sine path.
+    The coefficients come from half_spectrum, mirrored so that fhat[G-m]
+    is conj(fhat[m]) bit for bit: the matrix then commutes exactly with
+    the reality structure c_k -> conj(c_{-k}), which
+    weighted_singular_values detects to take its real cosine/sine path.
 
     A constant factor (every grid sample equal) gets its exact symbol,
     the value at m = 0 and zeros elsewhere, with no FFT roundoff: the
@@ -266,23 +269,41 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
     G = factor_values.shape[0]
     if G < 2 * N + 1:
         raise ValueError("grid too coarse for the requested mode range")
+    square = factor_values.ndim == 3 and factor_values.shape[1] == factor_values.shape[2]
+    if factor_values.ndim != 1 and not square:
+        raise ValueError("factor must be scalar (G,) or square matrix valued (G, n, n)")
     if np.all(factor_values == factor_values[0]):
         fhat = np.zeros(factor_values.shape, dtype=complex)
         fhat[0] = factor_values[0]
     else:
         half = half_spectrum(factor_values, G // 2)
         fhat = np.concatenate([half, np.conj(half[1 : G - G // 2][::-1])])
-    k = mode_numbers(N)
-    idx = (k[:, None] - k[None, :]) % G
-    if factor_values.ndim == 1:
-        return fhat[idx]
-    if factor_values.ndim != 3 or factor_values.shape[1] != factor_values.shape[2]:
-        raise ValueError("factor must be scalar (G,) or square matrix valued (G, n, n)")
-    M, n = 2 * N + 1, factor_values.shape[1]
+    return fhat[np.arange(-2 * N, 2 * N + 1) % G]
+
+
+def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
+    """Mode-space matrix of dealiased multiplication by a sampled factor.
+
+    factor_values has shape (G,) for a scalar factor or (G, n, n) for a
+    matrix-valued one.  The result acts on mode-major coefficient vectors
+    and agrees exactly with truncate(from_grid(factor * to_grid(.))) on
+    the same grid.  It is the Toeplitz matrix of multiplication_symbol,
+    whose docstring holds the mirroring and the exact symbol of a
+    constant factor: block (k, l) is symbol[2N + k - l].  Windows of the
+    reversed symbol, taken in reverse order, hold exactly these entries
+    (row a is the window starting at 2N - a), so the matrix is one
+    strided copy with no index array.
+    """
+    symbol = multiplication_symbol(factor_values, N)
+    M = 2 * N + 1
+    windows = np.lib.stride_tricks.sliding_window_view(symbol[::-1], M, axis=0)[::-1]
+    if symbol.ndim == 1:
+        out = np.empty((M, M), dtype=complex)
+        np.copyto(out, windows)
+        return out
+    n = symbol.shape[1]
     out = np.empty((M, n, M, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[:, i, :, j] = fhat[:, i, j][idx]
+    np.copyto(out, windows.transpose(0, 1, 3, 2))
     return out.reshape(M * n, M * n)
 
 

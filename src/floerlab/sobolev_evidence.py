@@ -30,7 +30,6 @@ from .scale_space import (
     dual_pair,
     from_grid,
     mode_numbers,
-    multiplication_matrix,
     to_grid,
     weights,
 )
@@ -73,9 +72,8 @@ def mult_operator(g: FourierLoop, sig: MultSignature | str) -> LevelOperator:
     sig = _resolve(sig)
     if g.n != 1:
         raise ValueError("multiplication factors are scalar loops")
-    values = to_grid(g, default_grid_points(g.N))[:, 0]
-    m = multiplication_matrix(values, g.N)
-    return LevelOperator(m, sig.dom, sig.cod, g.N, 1)
+    values = to_grid(g, default_grid_points(g.N))
+    return LevelOperator(None, sig.dom, sig.cod, g.N, 1, factor=values[:, :, None])
 
 
 def mult_norm_sweep(

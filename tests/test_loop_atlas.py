@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from floerlab.charts import c1_only_chart, inversion_chart, shear_chart
-from floerlab.floer_map import apply, invert
+from floerlab.charts import DEFAULT_MARGIN, c1_only_chart, inversion_chart, shear_chart
+from floerlab.floer_map import apply, invert, verify_floer_axioms
 from floerlab.loop_atlas import (
     EmptyOverlapError,
+    _pair_map,
+    _union_reports,
     SphereChart,
     check_compatibility,
     check_transitivity,
@@ -167,3 +169,21 @@ def test_rotated_atlas_names_and_compatibility():
     assert [c.name for c in rot.charts] == ["north@0.3", "south@0.3"]
     rep = check_compatibility(base, rot, N_sweep=(16, 32), hopm=LIGHT, max_samples=1)
     assert rep["verdict"] == "pass"
+
+
+def test_union_reports_equal_a_verify_on_the_union_of_the_pieces():
+    # check_transitivity reads the union's axiom reports off its pieces
+    # instead of verifying the union of their samples a second time
+    A = sphere_small_loop_atlas()
+    B = rotated_sphere_atlas(0.3)
+    a, c = A.chart("north"), A.chart("south")
+    N, Ns, hopm = 32, (16, 32), {"restarts": 0, "iters": 60}
+    direct = _pair_map(a, c, A.s, N, DEFAULT_MARGIN)
+    pieces, union = [], []
+    for b in B.charts:
+        samples = loops_in_chart(A.corpus + B.corpus, a, N, also_in=(b, c))[:2]
+        pieces.append(verify_floer_axioms(direct, samples, Ns, hopm=hopm))
+        union += samples
+    assert len(pieces) == 2 and len(union) == 4
+    expected = verify_floer_axioms(direct, union, Ns, hopm=hopm)
+    assert [r.to_json() for r in _union_reports(pieces, A.s)] == [r.to_json() for r in expected]
