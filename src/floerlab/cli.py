@@ -40,6 +40,14 @@ class ConfigError(ValueError):
     """The run configuration does not satisfy the contract."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     N: list[int] = field(default_factory=lambda: [16, 32, 64, 128, 256])
@@ -52,24 +60,33 @@ class RunConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if not self.N:
-            raise ConfigError("N list must not be empty")
+        if not isinstance(self.N, list) or not self.N:
+            raise ConfigError("N must be a non-empty list")
         for N in self.N:
-            if not isinstance(N, int) or N < 16 or N > 512 or N & (N - 1):
+            if not _is_int(N) or N < 16 or N > 512 or N & (N - 1):
                 raise ConfigError(f"N values must be powers of two in [16, 512], got {N!r}")
-        if not self.s:
-            raise ConfigError("s list must not be empty")
+        if len(set(self.N)) != len(self.N):
+            raise ConfigError(f"N values must be distinct, got {self.N}")
+        if not isinstance(self.s, list) or not self.s:
+            raise ConfigError("s must be a non-empty list")
         for s in self.s:
-            if not isinstance(s, (int, float)) or not 0.5 < s < 1.0:
+            if not _is_number(s) or not 0.5 < s < 1.0:
                 raise ConfigError(f"s values must lie strictly between 1/2 and 1, got {s!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be a mapping")
-        if not isinstance(self.seed, int):
+        bad = sorted(k for k, v in self.tolerances.items() if not _is_number(v))
+        if bad:
+            raise ConfigError(f"tolerances {bad} must be numbers")
+        if not _is_int(self.seed):
             raise ConfigError("seed must be an integer")
-        unknown = [name for name in self.suites if name not in SUITES]
+        if not isinstance(self.suites, list) or not self.suites:
+            raise ConfigError(f"suites must be a non-empty list; choose from {sorted(SUITES)}")
+        unknown = [name for name in self.suites if not isinstance(name, str) or name not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
-        if self.workers is not None and (not isinstance(self.workers, int) or self.workers < 1):
+        if not isinstance(self.negative_controls, bool):
+            raise ConfigError("negative_controls must be true or false")
+        if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):
             raise ConfigError("workers must be a positive integer")
 
     @classmethod

@@ -30,7 +30,7 @@ differences at the largest N, into one such batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -358,13 +358,7 @@ class AxiomReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "s": self.s,
-            "sweep": self.sweep,
-            "continuity_modulus": self.continuity_modulus,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def verify_floer_axioms(

@@ -411,7 +411,8 @@ def check_transitivity(
                     r_apply = max(r_apply, (apply(composite, q) - direct_q).norm(1.0))
                     two_step = apply(phi_bc, apply(phi_ab, q))
                     r_two = max(r_two, (two_step - direct_q).norm(1.0))
-                    d = dphi(composite, q).matrix - dphi(direct, q).matrix
+                    # every symbol entry m = -2N..2N is an entry of the Toeplitz matrix
+                    d = dphi(composite, q).symbol - dphi(direct, q).symbol
                     r_dphi = max(r_dphi, float(np.max(np.abs(d))))
                 worst_apply = max(worst_apply, r_apply)
                 worst_two_step = max(worst_two_step, r_two)

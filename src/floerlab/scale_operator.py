@@ -1,9 +1,10 @@
 """Level-annotated operators on the truncated coefficient space.
 
 An operator acts on mode-major coefficient vectors.
-Every operator built here commutes with the reality structure
-c_k -> conj(c_{-k}), so the matrix is the complexification of a real
-operator on real loops: in the cosine/sine basis it is a real matrix.
+Every operator commutes with the reality structure c_k -> conj(c_{-k}),
+which the LevelOperator constructor enforces, so the matrix is the
+complexification of a real operator on real loops: in the cosine/sine
+basis it is a real matrix.
 Singular values, operator norms and kernel dimensions of the complex
 matrix therefore coincide with those of the underlying real
 operator, which is what all diagnostics report.
@@ -17,13 +18,14 @@ derivative_operator) hold their (2N+1, n, n) diagonal blocks, and the
 action Hessian holds both: the factor -hess_x H and the blocks
 2 pi i k J0.  The dense complex matrix, .matrix, is built from these the
 first time it is read and kept; products, sums, differences and
-adjoint give dense operators.  Which path reads what:
+adjoint give dense operators, which the constructor makes commute with
+the reality structure bit for bit.  Which path reads what:
 
 - the mode-block test (_mode_blocks) reads the symbol and the blocks;
 - op_norm's certified path reads the symbol and applies the factor on
   its grid by FFTs, for an operator that is multiplication alone;
-- everything else reads .matrix: the real form, the complex SVD, the
-  dense Gram, the certified path of any other operator, apply and @.
+- everything else reads .matrix: the real form, its SVD and its Gram
+  matrix, apply and @.
 
 Norms between levels are weighted: op_norm(T, a, b) is the largest
 singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
@@ -31,31 +33,27 @@ weight.  Because the weight family is exactly geometric in s, the
 Stein-Weiss interpolation inequality holds for every matrix, and the
 level-1/level-(-1) duality is an exact diagonal isometry.
 
-weighted_singular_values takes one of three paths, each giving the
+weighted_singular_values takes one of two paths, each giving the
 singular values of the dense weighted matrix:
 
 1. Mode-block-diagonal (every entry outside the n x n blocks of equal
    mode is exactly 0: the inclusion, d/dt, the quadratic-well action
    Hessian).  The weighted matrix is then block diagonal, and its
    singular values are the union of those of the 2N+1 weighted blocks.
-2. Real-structured (X[rev][:, rev] == conj(X) bit for bit, rev the flat
-   permutation (k, i) -> (-k, i): multiplication operators, the action
-   Hessian, the Riesz correction).  The unitary change to the cosine/sine
-   basis makes the matrix real, and it commutes with the weights because
-   they depend only on |k|; a unitary change of basis keeps the singular
-   values, so a real SVD, at about half the cost, gives them.
-3. Anything else (for instance products such as adjoint(D) @ A @ D,
-   whose rounding breaks the exact mirror symmetry): the complex SVD of
-   the weighted matrix.
+2. Any other operator.  Its matrix satisfies X[rev][:, rev] == conj(X),
+   rev the flat permutation (k, i) -> (-k, i), so the unitary change to
+   the cosine/sine basis makes it real, and that change commutes with
+   the weights because they depend only on |k|; a unitary change of
+   basis keeps the singular values, so a real SVD, at about half the
+   cost of a complex one, gives them.
 
 op_norm needs only sigma_max, and takes the first of three paths that
-applies.  Mode-block-diagonal operators take the block path.  When the
-top singular value is isolated, a certified matrix-free path applies
-the weighted matrix A and its adjoint, from the factor's grid samples
-for a multiplication operator (exact circular convolutions on its
-G-point grid) and from T.matrix otherwise: a power iteration on A^H A
-whose Rayleigh quotient theta and residual r give the Kato-Temple
-bracket
+applies.  Mode-block-diagonal operators take the block path.  For a
+pure multiplication operator whose top singular value is isolated, a
+certified matrix-free path applies the weighted matrix A and its
+adjoint as exact circular convolutions on the factor's G-point grid: a
+power iteration on A^H A whose Rayleigh quotient theta and residual r
+give the Kato-Temple bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (2 theta - F),  F = |A|_F^2,
 
@@ -67,20 +65,18 @@ returns the square root of its upper end, so a check such as
 round at the O(eps) relative level of the dense path.  Where
 2 sigma_max^2 <= F, as for a clustered top (multiplication operators
 at level 0, whose singular values crowd near sup |g|), 2 theta > F can
-never hold; a screen with sigma_max^2 <= ||A||_1 ||A||_inf sends most
-such operators to the dense path at once (F and the screen come from
-the symbol for a multiplication operator, from one pass over the
-matrix otherwise), and the rest fall through once theta stalls below
-F/2 (or at a fixed number of steps).  The dense path, the fallback
-and the reference the other two are tested against, takes the top
-eigenvalue of the Gram matrix R^H R of the real form (or of the complex
-weighted matrix) instead of an SVD.  A symmetric eigensolver returns
-that eigenvalue with absolute error O(eps sigma_max^2), which is
-relative error O(eps) in sigma_max, so the norm is as exact as the
-SVD's.  The same absolute error swamps any sigma^2 below about
-eps sigma_max^2, so sigma_min, gaps and kernel counts would lose half
-their digits that way; weighted_singular_values therefore keeps its
-SVDs.
+never hold; a screen with sigma_max^2 <= ||A||_1 ||A||_inf, F and the
+screen both read from the symbol, sends most such operators to the
+dense path at once, and the rest fall through once theta stalls below
+F/2 (or at a fixed number of steps).  The dense path, the fallback for
+every other operator and the reference the other two are tested
+against, takes the top eigenvalue of the Gram matrix R^T R of the real
+form instead of an SVD.  A symmetric eigensolver returns that
+eigenvalue with absolute error O(eps sigma_max^2), which is relative
+error O(eps) in sigma_max, so the norm is as exact as the SVD's.  The
+same absolute error swamps any sigma^2 below about eps sigma_max^2, so
+sigma_min, gaps and kernel counts would lose half their digits that
+way; weighted_singular_values therefore keeps its SVDs.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -90,12 +86,13 @@ than two truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .scale_space import (
+    REALITY_RTOL,
     FourierLoop,
     check_level,
     mode_numbers,
@@ -110,8 +107,9 @@ KERNEL_RTOL = 1e-8
 # A sweep is stable when its trailing half sits within this of its final value.
 STABLE_RTOL = 0.05
 
-# Rows of the real cosine/sine form built per step; bounds its temporaries.
-_ROW_BLOCK = 256
+# Rows per step of the real cosine/sine form and of the reality check on
+# construction; bounds their temporaries.
+_ROW_BLOCK = 64
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
 
@@ -126,15 +124,23 @@ _CERT_STALL = 1e-3
 class LevelOperator:
     """Operator between levels dom -> cod of the scale, on (2N+1)n coefficients.
 
-    LevelOperator(matrix, dom, cod, N, n) is a dense operator.  A
-    structured one passes None for the matrix and keeps what its producer
-    knows: factor, the real grid samples (G, n, n) of a multiplication
-    operator (G >= 2N+1), and blocks, complex (2N+1, n, n) mode blocks
-    added on the diagonal; either may be absent.  Its symbol, the
-    multiplication_symbol of the factor, is computed once on
-    construction; .matrix, the multiplication_matrix of the factor with
-    the blocks added, is built when it is first read and kept.
-    Operators are immutable.
+    LevelOperator(matrix, dom, cod, N, n) is a dense operator.  Every
+    operator commutes with the reality structure c_k -> conj(c_{-k}), as
+    every FourierLoop is real: the constructor compares a dense matrix X
+    with its mirror conj(X[rev][:, rev]), rev the flat mode reversal,
+    raises ValueError where they differ by more than REALITY_RTOL times
+    max(max |X|, 1), and otherwise stores 0.5 (X + mirror), which is
+    mirrored bit for bit; a matrix that already was (sums, adjoint) keeps
+    its values.  A structured operator passes None for the matrix and
+    keeps what its producer knows: factor, the real grid samples
+    (G, n, n) of a multiplication operator (G >= 2N+1), and blocks,
+    complex (2N+1, n, n) mode blocks added on the diagonal, which the
+    producers give mirrored (block -k is the conjugate of block k); either
+    may be absent.  Its symbol, the multiplication_symbol of the real
+    factor, is mirrored (g(-m) = conj g(m) bit for bit) and computed once
+    on construction; .matrix, the multiplication_matrix of the factor with
+    the blocks added, is built when it is first read and kept.  Operators
+    are immutable.
     """
 
     def __init__(
@@ -156,7 +162,17 @@ class LevelOperator:
             m = np.asarray(matrix, dtype=complex)
             if m.shape != (d, d):
                 raise ValueError(f"matrix shape {m.shape} does not match d={d}")
-            fields["matrix"] = m
+            mirror = np.conj(m.reshape(M, n, M, n)[::-1, :, ::-1, :]).reshape(d, d)
+            scale, defect = 1.0, 0.0
+            for r0 in range(0, d, _ROW_BLOCK):
+                rows = slice(r0, r0 + _ROW_BLOCK)
+                scale = max(scale, float(np.max(np.abs(m[rows]))))
+                defect = max(defect, float(np.max(np.abs(m[rows] - mirror[rows]))))
+            if defect > REALITY_RTOL * scale:
+                raise ValueError("matrix does not commute with the reality structure c_k -> conj(c_{-k})")
+            mirror += m
+            mirror *= 0.5
+            fields["matrix"] = mirror
         elif factor is None and blocks is None:
             raise ValueError("an operator needs a matrix, a factor or blocks")
         if factor is not None:
@@ -220,12 +236,15 @@ class LevelOperator:
         return LevelOperator(self.matrix @ other.matrix, other.dom, self.cod, self.N, self.n)
 
     def __add__(self, other: "LevelOperator") -> "LevelOperator":
-        if (self.dom, self.cod, self.N, self.n) != (other.dom, other.cod, other.N, other.n):
-            raise ValueError("can only add operators with identical annotations")
-        return LevelOperator(self.matrix + other.matrix, self.dom, self.cod, self.N, self.n)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LevelOperator") -> "LevelOperator":
-        return self + LevelOperator(-other.matrix, other.dom, other.cod, other.N, other.n)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "LevelOperator", op) -> "LevelOperator":
+        if (self.dom, self.cod, self.N, self.n) != (other.dom, other.cod, other.N, other.n):
+            raise ValueError("can only add or subtract operators with identical annotations")
+        return LevelOperator(op(self.matrix, other.matrix), self.dom, self.cod, self.N, self.n)
 
 
 def _flat_weights(N: int, n: int, s: float) -> np.ndarray:
@@ -272,6 +291,7 @@ def band_indices(N: int, n: int, max_mode: int) -> np.ndarray:
 
 
 def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
+    """The dense complex W_b^{1/2} T W_a^{-1/2}, the reference every path is tested against."""
     a = T.dom if a is None else check_level(a)
     b = T.cod if b is None else check_level(b)
     wa = _flat_weights(T.N, T.n, a)
@@ -302,8 +322,8 @@ def _mode_blocks(T: LevelOperator) -> np.ndarray | None:
     return blocks
 
 
-def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray | None:
-    """W_b^{1/2} T W_a^{-1/2} in the cosine/sine basis, or None if T is not real-structured.
+def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
+    """W_b^{1/2} T W_a^{-1/2} in the cosine/sine basis, a real matrix.
 
     The basis is e_0 and, for k = 1..N, (e_k + e_{-k})/sqrt(2) and
     i (e_k - e_{-k})/sqrt(2), each times the n components; rows and
@@ -311,8 +331,9 @@ def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray | None:
     X[k, -l] and D = X[k, l] - X[k, -l] the cosine row of mode k > 0 is
     [sqrt(2) Re X[k, 0], Re S, -Im D] and its sine row [sqrt(2) Im X[k, 0],
     Im S, Re D]; the mode-0 row is the cosine formula over sqrt(2).  Only
-    the rows of modes k >= 0 are read, a fixed number at a time, and the
-    mirror test runs on the same rows, so no full-size temporary is made.
+    the rows of modes k >= 0 are read, a fixed number at a time, so no
+    full-size temporary is made; the rows of modes k < 0 are their
+    mirrors, as for every LevelOperator.
     """
     N, n, X = T.N, T.n, T.matrix
     d = X.shape[0]
@@ -326,8 +347,6 @@ def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray | None:
     for r0 in range(h, d, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, d)
         A = X[r0:r1]
-        if not np.array_equal(X[np.ix_(rev[r0:r1], rev)], A.conj()):
-            return None
         S = A[:, h + n :] + A[:, neg]
         D = A[:, h + n :] - A[:, neg]
         row = root_b[r0 - h : r1 - h, None]
@@ -351,8 +370,8 @@ def _block_singular_values(blocks: np.ndarray, N: int, a: float, b: float) -> np
 def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
     """Singular values of W_b^{1/2} T W_a^{-1/2} in descending order.
 
-    Takes the block, real or complex path of the module docstring, in
-    that order; each returns the dense weighted matrix's values up to
+    Takes the block or the real path of the module docstring, in that
+    order; each returns the dense weighted matrix's values up to
     roundoff.
     """
     a = T.dom if a is None else check_level(a)
@@ -360,50 +379,20 @@ def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float 
     blocks = _mode_blocks(T)
     if blocks is not None:
         return _block_singular_values(blocks, T.N, a, b)
-    R = _real_form(T, a, b)
-    if R is not None:
-        return np.linalg.svd(R, compute_uv=False)
-    return np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
-
-
-def _dense_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
-    """F = ||A||_F^2, the screen's ||A||_1 ||A||_inf, and A, A^H as matvecs, from T.matrix.
-
-    One pass over the matrix in row blocks gives F and the largest row
-    and column sums of |A|.
-    """
-    X = T.matrix
-    d = X.shape[0]
-    inv_a = 1.0 / root_a
-    frob = 0.0
-    row_max = 0.0
-    col_sums = np.zeros(d)
-    for r0 in range(0, d, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, d)
-        mod = np.abs(X[r0:r1])
-        rb = root_b[r0:r1]
-        frob += float((rb * rb) @ ((mod * mod) @ (inv_a * inv_a)))
-        row_max = max(row_max, float((rb * (mod @ inv_a)).max()))
-        col_sums += rb @ mod
-    screen = row_max * float((col_sums * inv_a).max())
-    return (
-        frob,
-        screen,
-        lambda x: root_b * (X @ (x / root_a)),
-        lambda y: np.conj(np.conj(root_b * y) @ X) / root_a,
-    )
+    return np.linalg.svd(_real_form(T, a, b), compute_uv=False)
 
 
 def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
-    """The same four as _dense_pass for a pure multiplication operator, from its symbol.
+    """F = ||A||_F^2, the screen's ||A||_1 ||A||_inf, and A, A^H as matvecs, from the symbol.
 
-    Entry (k, i; l, j) of |A| is root_b(k) |g_ij(k - l)| / root_a(l), so F
-    is sum_m ||g(m)||_F^2 S(m) with S(m) = sum_{k - l = m} w_b(k) / w_a(l),
-    and the row and column sums of |A| are convolutions of |g| with the
-    reciprocal and the plain square roots of the weights.  The matvecs
-    are exact circular convolutions on the factor's own G-point grid:
-    T x is fft(g(t) ifft(x)) read back at the modes k mod G, and T^H
-    multiplies by g(t)^H instead.
+    T is a pure multiplication operator.  Entry (k, i; l, j) of |A| is
+    root_b(k) |g_ij(k - l)| / root_a(l), so F is sum_m ||g(m)||_F^2 S(m)
+    with S(m) = sum_{k - l = m} w_b(k) / w_a(l), and the row and column
+    sums of |A| are convolutions of |g| with the reciprocal and the plain
+    square roots of the weights.  The matvecs are exact circular
+    convolutions on the factor's own G-point grid: T x is
+    fft(g(t) ifft(x)) read back at the modes k mod G, and T^H multiplies
+    by g(t)^H instead.
     """
     N, n, sym, g = T.N, T.n, T.symbol, T.factor
     rb, ra = root_b[::n], root_a[::n]  # one weight per mode
@@ -434,30 +423,35 @@ def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
 def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
     """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
 
-    A pure multiplication operator (a factor, no blocks) is read from its
-    symbol and applied by FFTs on its grid (_symbol_pass); any other one
-    from T.matrix (_dense_pass).  Either gives F = ||A||_F^2 and the
-    product ||A||_1 ||A||_inf of the largest row and column sums of |A|.
-    sigma_max^2 <= ||A||_1 ||A||_inf, so when that product is at most
-    F/2 the condition 2 theta > F can never hold and None is returned at
-    once.  Otherwise a power iteration on A^H A from the constant vector
-    runs at most _CERT_STEPS steps; it returns theta + |r|^2 / (2 theta - F)
+    Only a pure multiplication operator (a factor, no blocks) is tried:
+    _symbol_pass reads F = ||A||_F^2 and the product ||A||_1 ||A||_inf of
+    the largest row and column sums of |A| from its symbol, and applies A
+    and A^H by FFTs on its grid.  sigma_max^2 <= ||A||_1 ||A||_inf, so
+    when that product is at most F/2 the condition 2 theta > F can never
+    hold and None is returned at once; otherwise _kato_temple runs.
+    """
+    if T.factor is None or T.blocks is not None:
+        return None
+    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
+    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
+    frob, screen, forward, backward = _symbol_pass(T, root_a, root_b)
+    if screen <= frob / 2:
+        return None
+    return _kato_temple(frob, forward, backward, root_a.size)
+
+
+def _kato_temple(frob: float, forward, backward, d: int) -> float | None:
+    """Power iteration on A^H A from the constant vector, given F = ||A||_F^2 and A, A^H as matvecs.
+
+    Runs at most _CERT_STEPS steps; returns theta + |r|^2 / (2 theta - F)
     as soon as 2 theta > F and the bracket is at most _CERT_RTOL theta
     wide, and None if that never happens.  Since theta only grows towards
     an eigenvalue, a step that leaves 2 theta <= F and gains less than
     _CERT_STALL theta shows the iteration settling below F/2, and None is
     returned there and then (a clustered top, where sigma_max^2 <= F/2).
     F is inflated by its worst-case summation error, a bound for any
-    order of adding d^2 nonnegative terms, which covers both ways of
-    summing it.
+    order of adding d^2 nonnegative terms.
     """
-    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
-    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
-    structured = T.factor is not None and T.blocks is None
-    frob, screen, forward, backward = (_symbol_pass if structured else _dense_pass)(T, root_a, root_b)
-    if screen <= frob / 2:
-        return None
-    d = root_a.size
     frob *= 1.0 + 2 * d * d * _EPS
     x = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     last = 0.0
@@ -481,13 +475,9 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
 
 
 def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
-    """sigma_max from the top eigenvalue of the dense Gram matrix R^H R."""
+    """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form."""
     R = _real_form(T, a, b)
-    if R is not None:
-        gram = R.T @ R
-    else:
-        R = weighted_matrix(T, a, b)
-        gram = R.conj().T @ R
+    gram = R.T @ R
     del R
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
@@ -590,13 +580,7 @@ class FredholmReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "sweep": self.sweep,
-            "index_estimate": self.index_estimate,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float) -> FredholmReport:

@@ -257,8 +257,8 @@ def multiplication_symbol(factor_values: np.ndarray, N: int) -> np.ndarray:
 
     The coefficients come from half_spectrum, mirrored so that fhat[G-m]
     is conj(fhat[m]) bit for bit: the matrix then commutes exactly with
-    the reality structure c_k -> conj(c_{-k}), which
-    weighted_singular_values detects to take its real cosine/sine path.
+    the reality structure c_k -> conj(c_{-k}), as every LevelOperator
+    must, and the real cosine/sine form reads only its rows k >= 0.
 
     A constant factor (every grid sample equal) gets its exact symbol,
     the value at m = 0 and zeros elsewhere, with no FFT roundoff: the

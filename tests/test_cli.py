@@ -23,6 +23,19 @@ def test_default_config_values():
     assert not cfg.negative_controls
 
 
+# each of these once ran: an empty suite list even passed with exit 0, and
+# one truncation given twice read as a stable sweep
+ONCE_ACCEPTED = [
+    {"suites": []},
+    {"negative_controls": "no"},
+    {"seed": True},
+    {"workers": True},
+    {"tolerances": {"pairing_tol": "tight"}},
+    {"suites": "floer_map"},
+    {"N": [32, 32]},
+]
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -37,11 +50,21 @@ def test_default_config_values():
         {"suites": ["floer_function", "nope"]},
         {"tolerances": 3},
         {"workers": 0},
+        *ONCE_ACCEPTED,
     ],
 )
 def test_invalid_settings_rejected(bad):
     with pytest.raises(ConfigError):
         RunConfig(**{**{"N": [16], "s": [0.75]}, **bad})
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_bad_settings_exit_2_before_any_report(tmp_path, capsys, command):
+    for i, bad in enumerate(ONCE_ACCEPTED):
+        out = tmp_path / f"report{i}.json"
+        assert main([command, "--config", _config(tmp_path, **bad), "--out", str(out)]) == 2, bad
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_load_rejects_malformed_and_unknown(tmp_path):

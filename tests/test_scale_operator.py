@@ -67,9 +67,7 @@ def test_adjoint_pairing_identity(seed, s):
 
 def test_adjoint_involution():
     rng = np.random.default_rng(5)
-    N, n = 5, 2
-    m = rng.normal(size=((2 * N + 1) * n,) * 2) + 1j * rng.normal(size=((2 * N + 1) * n,) * 2)
-    T = LevelOperator(m, 1.0, 0.0, N, n)
+    T = _reality_preserving(rng, 5, 2)
     back = adjoint(adjoint(T, 0.5), 0.5)
     assert np.max(np.abs(back.matrix - T.matrix)) < 1e-12
     assert (back.dom, back.cod) == (T.dom, T.cod)

@@ -22,7 +22,6 @@ from floerlab.scale_operator import (
     derivative_operator,
     identity_operator,
     op_norm,
-    weighted_matrix,
 )
 from floerlab.scale_space import (
     default_grid_points,
@@ -178,9 +177,7 @@ def _kappa_correction(N, seed, s=0.75):
 
 
 def _svd_top(T):
-    R = _real_form(T, T.dom, T.cod)
-    R = weighted_matrix(T) if R is None else R
-    return np.linalg.svd(R, compute_uv=False)[0]
+    return np.linalg.svd(_real_form(T, T.dom, T.cod), compute_uv=False)[0]
 
 
 def _assert_certified_against_svd(T):

@@ -18,8 +18,8 @@ from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
     _gram_norm,
+    _kato_temple,
     _mode_blocks,
-    _real_form,
     adjoint,
     derivative_operator,
     identity_operator,
@@ -28,6 +28,7 @@ from floerlab.scale_operator import (
     weighted_singular_values,
 )
 from floerlab.scale_space import (
+    REALITY_RTOL,
     default_grid_points,
     grid_times,
     min_grid_points,
@@ -35,16 +36,16 @@ from floerlab.scale_space import (
     multiplication_matrix,
     random_loop,
     to_grid,
+    weights,
 )
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
+from test_scale_operator import _reality_preserving
 
 LEVEL_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (2.0, -1.0), (0.5, 0.5)]
 
 
-def _path(T, a, b):
-    if _mode_blocks(T) is not None:
-        return "block"
-    return "real" if _real_form(T, a, b) is not None else "complex"
+def _path(T):
+    return "block" if _mode_blocks(T) is not None else "real"
 
 
 def _mirror(N, n):
@@ -58,21 +59,22 @@ def _riesz(N, seed):
     return riesz_correction(F, phi, q, 0.75)
 
 
-def _composed(N, seed):
+def _composed_factors(N, seed):
     # the pullback's conjugated term: products round differently at mirrored entries
     F = symplectic_action(driven_hamiltonian(), N)
     phi = SuperpositionMap(shear_chart(), 0.75, N)
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     D = dphi(phi, q)
-    return adjoint(D, 0.0) @ F.hessian(apply(phi, q)) @ D.with_levels(1.0, 1.0)
+    return adjoint(D, 0.0), F.hessian(apply(phi, q)), D.with_levels(1.0, 1.0)
 
 
-def _random_complex(N, n, seed):
-    rng = np.random.default_rng(seed)
-    d = (2 * N + 1) * n
-    return LevelOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), 1.0, 0.0, N, n)
+def _composed(N, seed):
+    left, middle, right = _composed_factors(N, seed)
+    return left @ middle @ right
 
 
+# kinds: block-diagonal, multiplication, and "complex", dense operators with
+# complex entries; the last two are real by construction and take the real path
 CASES = [
     ("block", lambda N: identity_operator(N, 1, 1.0, 0.0)),
     ("block", lambda N: identity_operator(N, 2, 2.0, -1.0)),
@@ -81,18 +83,18 @@ CASES = [
     ("real", lambda N: mult_operator(smooth_factor(N), "(1,1->1)")),
     ("real", lambda N: mult_operator(rough_factor(N), "(-1,1->-1)")),
     ("real", lambda N: _riesz(N, 3)),
-    ("complex", lambda N: _random_complex(N, 1, 4)),
-    ("complex", lambda N: _random_complex(N, 2, 5)),
+    ("complex", lambda N: _reality_preserving(np.random.default_rng(4), N, 1)),
+    ("complex", lambda N: _reality_preserving(np.random.default_rng(5), N, 2)),
     ("complex", lambda N: _composed(N, 6)),
 ]
 
 
 @pytest.mark.parametrize("N", [4, 16, 48])
-@pytest.mark.parametrize("expected, build", CASES)
-def test_structured_paths_match_dense_svd(expected, build, N):
+@pytest.mark.parametrize("kind, build", CASES)
+def test_structured_paths_match_dense_svd(kind, build, N):
     T = build(N)
     for a, b in LEVEL_PAIRS:
-        assert _path(T, a, b) == expected
+        assert _path(T) == ("block" if kind == "block" else "real")
         sv = weighted_singular_values(T, a, b)
         oracle = np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)
         assert sv.shape == oracle.shape
@@ -101,14 +103,28 @@ def test_structured_paths_match_dense_svd(expected, build, N):
 
 
 @pytest.mark.parametrize("N", [4, 16, 48])
-@pytest.mark.parametrize("expected, build", CASES)
-def test_op_norm_matches_dense_svd(expected, build, N):
+@pytest.mark.parametrize("kind, build", CASES)
+def test_op_norm_matches_dense_svd(kind, build, N):
     # (1.75, 1) are the levels of K2 = riesz_correction in the kappa check at s = 0.75
     T = build(N)
     for a, b in LEVEL_PAIRS + [(1.75, 1.0)]:
-        assert _path(T, a, b) == expected
+        assert _path(T) == ("block" if kind == "block" else "real")
         oracle = np.linalg.svd(weighted_matrix(T, a, b), compute_uv=False)[0]
         assert abs(op_norm(T, a, b) - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("N", [4, 16, 48])
+def test_composed_product_keeps_the_raw_singular_values(N):
+    # mirroring the rounded product away moves its singular values at roundoff only
+    left, middle, right = _composed_factors(N, 6)
+    raw = left.matrix @ middle.matrix @ right.matrix
+    rev = _mirror(N, 2)
+    assert not np.array_equal(raw[np.ix_(rev, rev)], raw.conj())  # the raw product is not mirrored
+    T = _composed(N, 6)
+    wa, wb = (np.repeat(np.sqrt(weights(N, s)), 2) for s in (T.dom, T.cod))
+    oracle = np.linalg.svd(wb[:, None] * raw / wa[None, :], compute_uv=False)
+    sv = weighted_singular_values(T)
+    assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
 
 
 @pytest.mark.parametrize("N, n", [(4, 1), (16, 2)])
@@ -152,24 +168,9 @@ def test_second_singular_value_does_not_pass_for_the_first():
     M = (U * sigma) @ V.conj().T
     assert abs(np.vdot(np.ones(d), V[:, 0])) < 1e-12
     mod = np.abs(M)
-    assert mod.sum(axis=1).max() * mod.sum(axis=0).max() > np.vdot(mod, mod) / 2  # not screened out
-    T = LevelOperator(M, 0.0, 0.0, N, n)
-    assert _certified_top_eigenvalue(T, 0.0, 0.0) is None
-    assert op_norm(T) == pytest.approx(10.0, rel=1e-13)
-
-
-class _CountingMatrix(np.ndarray):
-    """A matrix view that counts the products it takes part in."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        _CountingMatrix.products += 1
-        return np.asarray(self) @ other
-
-    def __rmatmul__(self, other):
-        _CountingMatrix.products += 1
-        return other @ np.asarray(self)
+    frob = float(np.vdot(mod, mod).real)
+    assert mod.sum(axis=1).max() * mod.sum(axis=0).max() > frob / 2  # not screened out
+    assert _kato_temple(frob, lambda x: M @ x, lambda y: M.conj().T @ y, d) is None
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -181,13 +182,18 @@ def test_stalled_power_iteration_gives_up_early(monkeypatch, N):
     north, south = atlas.chart("north"), atlas.chart("south")
     q = loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0]
     T = dphi(transition(atlas, "north", "south", N), q)
-    counted = LevelOperator(T.matrix, T.dom, T.cod, T.N, T.n)
-    object.__setattr__(counted, "matrix", T.matrix.view(_CountingMatrix))
+    matvecs = []
+    symbol_pass = scale_operator._symbol_pass
+
+    def counting(T, root_a, root_b):
+        frob, screen, forward, backward = symbol_pass(T, root_a, root_b)
+        return frob, screen, lambda x: matvecs.append(x) or forward(x), lambda y: matvecs.append(y) or backward(y)
+
+    monkeypatch.setattr(scale_operator, "_symbol_pass", counting)
     monkeypatch.setattr(scale_operator, "_CERT_STEPS", 1000)
-    _CountingMatrix.products = 0
-    assert _certified_top_eigenvalue(counted, -1.0, -1.0) is None
-    screen = 3  # one row block of the F and row/column-sum pass
-    assert _CountingMatrix.products <= screen + 2 * 4
+    assert _certified_top_eigenvalue(T, -1.0, -1.0) is None
+    assert 0 < len(matvecs) <= 8  # FFT matvecs, by A and by A^H
+    assert "matrix" not in vars(T)
     assert op_norm(T, -1.0, -1.0) == _gram_norm(T, -1.0, -1.0)
 
 
@@ -207,16 +213,31 @@ def test_real_form_spans_several_row_blocks():
     T = mult_operator(rough_factor(262), "(1,0->0)")
     sv = weighted_singular_values(T, 2.0, -1.0)
     oracle = np.linalg.svd(weighted_matrix(T, 2.0, -1.0), compute_uv=False)
-    assert _path(T, 2.0, -1.0) == "real"
+    assert _path(T) == "real"
     assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
 
 
-def test_one_broken_mirror_entry_leaves_the_real_path():
+def test_broken_mirror_entry_is_mirrored_away_or_rejected():
     T = mult_operator(smooth_factor(8), "(1,0->0)")
+    # a matrix that is mirrored bit for bit comes back with the same bits
+    same = LevelOperator(T.matrix, 0.0, 0.0, 8, 1).matrix
+    assert np.array_equal(same.view(np.uint64), T.matrix.view(np.uint64))
     m = T.matrix.copy()
     m[3, 5] += 1e-15
-    broken = LevelOperator(m, 0.0, 0.0, 8, 1)
-    assert _path(broken, 0.0, 0.0) == "complex"
+    healed = LevelOperator(m, 0.0, 0.0, 8, 1).matrix
+    rev = _mirror(8, 1)
+    assert np.array_equal(healed[np.ix_(rev, rev)], healed.conj())
+    assert np.max(np.abs(healed - T.matrix)) <= 1e-15
+    # just inside the tolerance is mirrored too; beyond it the constructor refuses
+    scale = max(float(np.max(np.abs(T.matrix))), 1.0)
+    for step, accepted in ((0.5, True), (2.0, False)):
+        broken = T.matrix.copy()
+        broken[3, 5] += step * REALITY_RTOL * scale
+        if accepted:
+            LevelOperator(broken, 0.0, 0.0, 8, 1)
+        else:
+            with pytest.raises(ValueError, match="reality structure"):
+                LevelOperator(broken, 0.0, 0.0, 8, 1)
 
 
 @pytest.mark.parametrize("N", [5, 8, 33])
