@@ -31,7 +31,7 @@ from .pullback import certify_pullback, kappa_bound_check
 from .scale_operator import inclusion_singular_values, op_norm, weighted_singular_values
 from .scale_space import random_loop
 from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
-from .suites import LIGHT_HOPM, SUITES, SuiteConfig, run_suite
+from .suites import LIGHT_HOPM, SUITES, TOLERANCES, SuiteConfig, run_suite
 
 DEMOS = ("pullback", "atlas")
 
@@ -74,6 +74,9 @@ class RunConfig:
                 raise ConfigError(f"s values must lie strictly between 1/2 and 1, got {s!r}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be a mapping")
+        unknown = sorted(str(k) for k in self.tolerances if k not in TOLERANCES)
+        if unknown:
+            raise ConfigError(f"unknown tolerances {unknown}; known tolerances are {sorted(TOLERANCES)}")
         bad = sorted(k for k, v in self.tolerances.items() if not _is_number(v))
         if bad:
             raise ConfigError(f"tolerances {bad} must be numbers")
@@ -105,6 +108,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(known)}")
         return cls(**raw)
+
+    def pool_size(self) -> int:
+        """Threads for verify's suites and sweep's cells: workers, else min(4, CPUs)."""
+        return self.workers if self.workers is not None else min(4, os.cpu_count() or 1)
 
     def suite_config(self) -> SuiteConfig:
         return SuiteConfig(
@@ -144,8 +151,7 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     suite_cfg = cfg.suite_config()
     names = sorted(cfg.suites)
     results = {}
-    workers = cfg.workers if cfg.workers is not None else min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
         futures = {name: pool.submit(run_suite, name, suite_cfg) for name in names}
         for name in names:
             results[name] = futures[name].result()
@@ -170,33 +176,45 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
 
 
 def _sweep_rows(cfg: RunConfig) -> list[tuple]:
+    """The sweep's rows, in a fixed order; the independent cells run on the worker pool.
+
+    A cell is one computation that gives rows: the action gap, one norm
+    per level pair, or one s's kappa check.  Operators and random loops
+    are made here, in row order, and each row reads its cell's result in
+    row order, so the rows do not depend on the pool size, and a cell
+    that raises raises here as it would run alone.
+    """
     rng = np.random.default_rng(cfg.seed)
-    rows = []
     shear = shear_chart()
-    for N in cfg.N:
-        # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
-        sigma_min = inclusion_singular_values(N, 2, 1.0, 0.0)[-1]
-        rows.append(("scale_operator", N, "", "inclusion_sigma_min", float(sigma_min)))
+    rows = []  # (suite, N, s, quantity, cell, key of the cell's result or None)
+    with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
+        for N in cfg.N:
+            # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
+            iota = pool.submit(inclusion_singular_values, N, 2, 1.0, 0.0)
+            rows.append(("scale_operator", N, "", "inclusion_sigma_min", iota, -1))
 
-        F = symplectic_action(quadratic_hamiltonian(), N)
-        q = random_loop(rng, 2, N, amplitude=0.4)
-        gap = float(weighted_singular_values(F.hessian(q))[-1])
-        rows.append(("floer_function", N, "", "action_gap", gap))
+            F = symplectic_action(quadratic_hamiltonian(), N)
+            q = random_loop(rng, 2, N, amplitude=0.4)
+            gap = pool.submit(weighted_singular_values, F.hessian(q))
+            rows.append(("floer_function", N, "", "action_gap", gap, -1))
 
-        # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
-        norms = {}
-        for key in sorted(SIGNATURES):
-            sig = SIGNATURES[key]
-            if (sig.dom, sig.cod) not in norms:
-                norms[sig.dom, sig.cod] = op_norm(mult_operator(smooth_factor(N), sig))
-            rows.append(("sobolev_evidence", N, "", f"mult{key}", float(norms[sig.dom, sig.cod])))
+            # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
+            norms = {}
+            for key in sorted(SIGNATURES):
+                sig = SIGNATURES[key]
+                if (sig.dom, sig.cod) not in norms:
+                    norms[sig.dom, sig.cod] = pool.submit(op_norm, mult_operator(smooth_factor(N), sig))
+                rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[sig.dom, sig.cod], None))
 
-        for s in cfg.s:
-            phi = SuperpositionMap(shear, s, N)
-            row = kappa_bound_check(F, phi, q, s, hopm=LIGHT_HOPM)
-            rows.append(("pullback", N, f"{s:g}", "kappa", float(row["kappa"])))
-            rows.append(("pullback", N, f"{s:g}", "correction_norm", float(row["K_norm"])))
-    return rows
+            for s in cfg.s:
+                phi = SuperpositionMap(shear, s, N)
+                check = pool.submit(kappa_bound_check, F, phi, q, s, hopm=LIGHT_HOPM)
+                rows.append(("pullback", N, f"{s:g}", "kappa", check, "kappa"))
+                rows.append(("pullback", N, f"{s:g}", "correction_norm", check, "K_norm"))
+        return [
+            (suite, N, s, quantity, float(cell.result() if key is None else cell.result()[key]))
+            for suite, N, s, quantity, cell, key in rows
+        ]
 
 
 def cmd_sweep(cfg: RunConfig, out: str | None) -> int:

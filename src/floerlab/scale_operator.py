@@ -24,8 +24,13 @@ the reality structure bit for bit.  Which path reads what:
 - the mode-block test (_mode_blocks) reads the symbol and the blocks;
 - op_norm's certified path reads the symbol and applies the factor on
   its grid by FFTs, for an operator that is multiplication alone;
-- everything else reads .matrix: the real form, its SVD and its Gram
-  matrix, apply and @.
+- the real form, and so its SVD and its Gram matrix, reads a few rows
+  at a time through _mode_rows: a structured operator's rows are the
+  strided copy of the symbol's windows that multiplication_matrix makes,
+  with the blocks added on the diagonal by the same +=, so they are
+  the rows of .matrix bit for bit and op_norm and
+  weighted_singular_values never build it;
+- only apply, @, +, - and adjoint read .matrix.
 
 Norms between levels are weighted: op_norm(T, a, b) is the largest
 singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
@@ -98,6 +103,7 @@ from .scale_space import (
     mode_numbers,
     multiplication_matrix,
     multiplication_symbol,
+    toeplitz_rows,
     weights,
 )
 
@@ -107,8 +113,8 @@ KERNEL_RTOL = 1e-8
 # A sweep is stable when its trailing half sits within this of its final value.
 STABLE_RTOL = 0.05
 
-# Rows per step of the real cosine/sine form and of the reality check on
-# construction; bounds their temporaries.
+# Rows per step of the real cosine/sine form (rounded down to whole modes)
+# and of the reality check on construction; bounds their temporaries.
 _ROW_BLOCK = 64
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
@@ -200,13 +206,7 @@ class LevelOperator:
             m = multiplication_matrix(self.factor, self.N)
         else:
             m = np.zeros((M * n, M * n), dtype=complex)
-        if self.blocks is not None:
-            view = m.reshape(M, n, M, n)
-            modes = np.arange(M)
-            if self.factor is None:
-                view[modes, :, modes, :] = self.blocks
-            else:
-                view[modes, :, modes, :] += self.blocks
+        _add_blocks(self, m.reshape(M, n, M, n), 0)
         self.__dict__["matrix"] = m
         return m
 
@@ -245,6 +245,42 @@ class LevelOperator:
         if (self.dom, self.cod, self.N, self.n) != (other.dom, other.cod, other.N, other.n):
             raise ValueError("can only add or subtract operators with identical annotations")
         return LevelOperator(op(self.matrix, other.matrix), self.dom, self.cod, self.N, self.n)
+
+
+def _add_blocks(T: LevelOperator, rows: np.ndarray, start: int) -> None:
+    """Put T's mode blocks, if any, on the diagonal of rows, in place.
+
+    rows, shape (k, n, 2N+1, n), holds T's rows of the modes start..start+k-1
+    (mode indices, 0 is mode -N); the blocks are added to the factor's
+    entries, or written where T has no factor.
+    """
+    if T.blocks is None:
+        return
+    modes = np.arange(start, start + rows.shape[0])
+    if T.factor is None:
+        rows[modes - start, :, modes, :] = T.blocks[modes]
+    else:
+        rows[modes - start, :, modes, :] += T.blocks[modes]
+
+
+def _mode_rows(T: LevelOperator, start: int, stop: int) -> np.ndarray:
+    """Rows of the modes start..stop-1 (mode indices, 0 is mode -N) of T.matrix, flat.
+
+    A built matrix is sliced.  Otherwise the rows come from the
+    structure the way .matrix is built: the factor's are the strided copy
+    of the symbol's windows that multiplication_matrix makes, and the
+    blocks are added on the diagonal with the same +=, so they are the
+    same numbers bit for bit and the matrix is never built.
+    """
+    M, n = 2 * T.N + 1, T.n
+    if "matrix" in T.__dict__:
+        return T.matrix[start * n : stop * n]
+    if T.symbol is not None:
+        rows = toeplitz_rows(T.symbol, T.N, start, stop)
+    else:
+        rows = np.zeros((stop - start, n, M, n), dtype=complex)
+    _add_blocks(T, rows, start)
+    return rows.reshape((stop - start) * n, M * n)
 
 
 def _flat_weights(N: int, n: int, s: float) -> np.ndarray:
@@ -331,12 +367,13 @@ def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
     X[k, -l] and D = X[k, l] - X[k, -l] the cosine row of mode k > 0 is
     [sqrt(2) Re X[k, 0], Re S, -Im D] and its sine row [sqrt(2) Im X[k, 0],
     Im S, Re D]; the mode-0 row is the cosine formula over sqrt(2).  Only
-    the rows of modes k >= 0 are read, a fixed number at a time, so no
-    full-size temporary is made; the rows of modes k < 0 are their
-    mirrors, as for every LevelOperator.
+    the rows of modes k >= 0 are read, a fixed number at a time through
+    _mode_rows, so no full-size complex temporary is made and a
+    structured operator's matrix is never built; the rows of modes k < 0
+    are their mirrors, as for every LevelOperator.
     """
-    N, n, X = T.N, T.n, T.matrix
-    d = X.shape[0]
+    N, n = T.N, T.n
+    d = (2 * N + 1) * n
     h = N * n  # flat start of mode 0; modes 1..N follow from h + n
     rev = np.arange(d).reshape(2 * N + 1, n)[::-1].ravel()
     neg = rev[h + n :]  # modes -1..-N, aligned with the columns of modes 1..N
@@ -344,15 +381,17 @@ def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
     root_a = np.repeat(np.sqrt(weights(N, a))[N:], n)
     col = np.concatenate([root_a, root_a[n:]])
     R = np.empty((d, d))
-    for r0 in range(h, d, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, d)
-        A = X[r0:r1]
+    step = max(1, _ROW_BLOCK // n)
+    for k0 in range(N, 2 * N + 1, step):
+        k1 = min(k0 + step, 2 * N + 1)
+        r0, r1 = k0 * n, k1 * n
+        A = _mode_rows(T, k0, k1)
         S = A[:, h + n :] + A[:, neg]
         D = A[:, h + n :] - A[:, neg]
         row = root_b[r0 - h : r1 - h, None]
         cos = np.concatenate([_SQRT2 * A[:, h : h + n].real, S.real, -D.imag], axis=1)
         R[r0 - h : r1 - h] = row * cos / col
-        z = min(max(h + n - r0, 0), r1 - r0)  # mode-0 rows in this block; they have no sine row
+        z = n if k0 == N else 0  # the mode-0 rows, which have no sine row
         R[r0 - h : r0 - h + z] /= _SQRT2
         sin = np.concatenate([_SQRT2 * A[z:, h : h + n].imag, S[z:].imag, D[z:].real], axis=1)
         R[r0 + z : r1] = row[z:] * sin / col  # sines start at (N+1)n = h + n

@@ -292,19 +292,31 @@ def multiplication_matrix(factor_values: np.ndarray, N: int) -> np.ndarray:
     constant factor: block (k, l) is symbol[2N + k - l].  Windows of the
     reversed symbol, taken in reverse order, hold exactly these entries
     (row a is the window starting at 2N - a), so the matrix is one
-    strided copy with no index array.
+    strided copy with no index array (toeplitz_rows).
     """
     symbol = multiplication_symbol(factor_values, N)
+    d = (2 * N + 1) * (1 if symbol.ndim == 1 else symbol.shape[1])
+    return toeplitz_rows(symbol, N, 0, 2 * N + 1).reshape(d, d)
+
+
+def toeplitz_rows(symbol: np.ndarray, N: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 (mode indices, 0 is mode -N) of the Toeplitz matrix of a symbol.
+
+    symbol is a multiplication_symbol, shape (4N+1,) or (4N+1, n, n); the
+    result has shape (stop - start, 2N+1) or (stop - start, n, 2N+1, n),
+    a strided copy of the symbol's windows, so any rows of
+    multiplication_matrix come out with its bits and without the rest.
+    """
     M = 2 * N + 1
-    windows = np.lib.stride_tricks.sliding_window_view(symbol[::-1], M, axis=0)[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(symbol[::-1], M, axis=0)[::-1][start:stop]
     if symbol.ndim == 1:
-        out = np.empty((M, M), dtype=complex)
+        out = np.empty((stop - start, M), dtype=complex)
         np.copyto(out, windows)
         return out
     n = symbol.shape[1]
-    out = np.empty((M, n, M, n), dtype=complex)
+    out = np.empty((stop - start, n, M, n), dtype=complex)
     np.copyto(out, windows.transpose(0, 1, 3, 2))
-    return out.reshape(M * n, M * n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,24 @@ ACTION_GAP = 0.8303937666738019
 
 LIGHT_HOPM = {"restarts": 1, "iters": 80}
 
+# Every tolerance a suite reads, with its default; a run config may
+# override these keys and no others.
+TOLERANCES = {
+    "chain_rule_tol": 1e-12,
+    "invert_tol": 1e-10,
+    "leibniz_slope_tol": 0.2,
+    "pairing_tol": 1e-10,
+    "functoriality_tol": 1e-9,
+    "gradient_functoriality_tol": 1e-10,
+    "interpolation_samples": 50,
+    "interpolation_tol": 1e-10,
+    "cocycle_tol": 1e-10,
+}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Shared knobs for every suite; tolerances override per-key defaults."""
+    """Shared knobs for every suite; tolerances override the defaults in TOLERANCES."""
 
     N_sweep: tuple[int, ...] = (16, 32, 64, 128, 256)
     s_values: tuple[float, ...] = (0.6, 0.75, 0.9)
@@ -75,8 +89,8 @@ class SuiteConfig:
     negative_controls: bool = False
     tolerances: dict = field(default_factory=dict)
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
+    def tol(self, key: str) -> float:
+        return float(self.tolerances.get(key, TOLERANCES[key]))
 
     @property
     def mid_s(self) -> float:
@@ -136,7 +150,7 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     two_step = dphi(rotation, apply(shear, q)).matrix @ dphi(shear, q).matrix
     rows = band_indices(top, 2, top // 2)
     residual = float(np.max(np.abs((direct - two_step)[np.ix_(rows, rows)])))
-    tol = cfg.tol("chain_rule_tol", 1e-12)
+    tol = cfg.tol("chain_rule_tol")
     checks.append(
         {
             "name": "derivative chain rule on the inner half band",
@@ -151,7 +165,7 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     checks.append(
         {
             "name": "inverse map round trip",
-            "passed": round_trip <= cfg.tol("invert_tol", 1e-10),
+            "passed": round_trip <= cfg.tol("invert_tol"),
             "residual": float(round_trip),
         }
     )
@@ -159,7 +173,7 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     xi = random_loop(rng, 2, top, amplitude=0.3)
     eta = random_loop(rng, 2, top, amplitude=0.3)
     leib = leibniz_check(rotation, shear, q, xi, eta)
-    slope_ok = abs(leib["slope"] - 2.0) <= cfg.tol("leibniz_slope_tol", 0.2)
+    slope_ok = abs(leib["slope"] - 2.0) <= cfg.tol("leibniz_slope_tol")
     checks.append(
         {
             "name": "second-order remainder slope for the composite",
@@ -284,7 +298,7 @@ def suite_pullback(cfg: SuiteConfig) -> dict:
         lhs = inner(K.apply(xi), eta, 0.0)
         rhs = B.trilinear(xi, eta, grad_at_image)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    tol = cfg.tol("pairing_tol", 1e-10)
+    tol = cfg.tol("pairing_tol")
     checks.append(
         {
             "name": "correction operator represents the gradient-weighted second derivative",
@@ -320,11 +334,11 @@ def suite_pullback(cfg: SuiteConfig) -> dict:
     h_one = direct.hessian(q32).matrix
     h_res = float(np.max(np.abs((h_two - h_one)[np.ix_(rows, rows)])))
     g_res = float(np.max(np.abs(staged.gradient(q32).coeffs - direct.gradient(q32).coeffs)))
-    tol = cfg.tol("functoriality_tol", 1e-9)
+    tol = cfg.tol("functoriality_tol")
     checks.append(
         {
             "name": "pulling back in two stages matches the composite chart",
-            "passed": h_res <= tol and g_res <= cfg.tol("gradient_functoriality_tol", 1e-10),
+            "passed": h_res <= tol and g_res <= cfg.tol("gradient_functoriality_tol"),
             "hessian_residual_half_band": h_res,
             "gradient_residual": g_res,
         }
@@ -372,11 +386,11 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
     )
 
     worst = {0.25: 0.0, 0.5: 0.0, 0.75: 0.0}
-    count = int(cfg.tolerances.get("interpolation_samples", 50))
+    count = int(cfg.tol("interpolation_samples"))
     for _ in range(count):
         g = random_loop(rng, 1, top64, top_mode=5, amplitude=0.8)
         T = mult_operator(g, "(1,1->1)")
-        for rep in check_interpolation(T, tuple(worst), tol=cfg.tol("interpolation_tol", 1e-10)):
+        for rep in check_interpolation(T, tuple(worst), tol=cfg.tol("interpolation_tol")):
             sv = rep["s"]
             slack = rep["norm_s"] - rep["bound"]
             worst[sv] = max(worst[sv], slack)
@@ -385,7 +399,7 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
     checks.append(
         {
             "name": "multiplication norms interpolate between the end levels",
-            "passed": all(v <= cfg.tol("interpolation_tol", 1e-10) for v in worst.values()),
+            "passed": all(v <= cfg.tol("interpolation_tol") for v in worst.values()),
             "worst_slack": {str(k): float(v) for k, v in worst.items()},
             "samples": count,
         }
@@ -472,7 +486,7 @@ def suite_loop_atlas(cfg: SuiteConfig) -> dict:
     checks.append(
         {
             "name": "reverse transition inverts the forward one",
-            "passed": res_inv <= cfg.tol("cocycle_tol", 1e-10),
+            "passed": res_inv <= cfg.tol("cocycle_tol"),
             "residual": float(res_inv),
         }
     )

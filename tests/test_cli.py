@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from floerlab import cli
 from floerlab.cli import ConfigError, RunConfig, main
+from floerlab.suites import TOLERANCES
 
 
 def _config(tmp_path, name="cfg.json", **overrides):
@@ -33,6 +35,7 @@ ONCE_ACCEPTED = [
     {"tolerances": {"pairing_tol": "tight"}},
     {"suites": "floer_map"},
     {"N": [32, 32]},
+    {"tolerances": {"pairng_tol": 1}},
 ]
 
 
@@ -80,6 +83,18 @@ def test_load_rejects_malformed_and_unknown(tmp_path):
     listy.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError):
         RunConfig.load(str(listy))
+
+
+def test_tolerances_are_the_suites_keys_and_no_others(tmp_path, capsys):
+    assert RunConfig(tolerances=dict(TOLERANCES)).suite_config().tol("pairing_tol") == 1e-10
+    assert RunConfig(tolerances={"pairing_tol": 1e-6}).suite_config().tol("pairing_tol") == 1e-6
+    assert RunConfig().suite_config().tol("interpolation_samples") == 50
+    # a misspelt key once left the gate it meant to move at its default
+    code = main(["verify", "--config", _config(tmp_path, tolerances={"pairng_tol": 1}), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pairng_tol" in err and "pairing_tol" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -144,6 +159,41 @@ def test_sweep_rows_and_monotone_inclusion(tmp_path):
     again = tmp_path / "sweep2.csv"
     assert main(["sweep", "--config", cfg, "--out", str(again)]) == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_sweep_csv_does_not_depend_on_workers(tmp_path, seed):
+    outs = []
+    for workers in (1, 2):
+        cfg = _config(tmp_path, f"w{workers}.json", N=[16, 32, 64], s=[0.6, 0.9], seed=seed, workers=workers)
+        outs.append(tmp_path / f"sweep-w{workers}.csv")
+        assert main(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 1 + 3 * (1 + 1 + 4 + 2 * 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_path, workers):
+    # two cells raise; the one first in row order is the error, as in a run one cell at a time
+    kappa, norm = cli.kappa_bound_check, cli.op_norm
+
+    def failing_kappa(F, phi, q, s, **kw):
+        if phi.N == 32:
+            raise FloatingPointError(f"kappa failed at N={phi.N}")
+        return kappa(F, phi, q, s, **kw)
+
+    def failing_norm(T):
+        if T.N == 64:
+            raise LookupError(f"norm failed at N={T.N}")
+        return norm(T)
+
+    monkeypatch.setattr(cli, "kappa_bound_check", failing_kappa)
+    monkeypatch.setattr(cli, "op_norm", failing_norm)
+    cfg = _config(tmp_path, N=[16, 32, 64], s=[0.6, 0.9], workers=workers)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(FloatingPointError, match="kappa failed at N=32"):
+        main(["sweep", "--config", cfg, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_demo_pullback_prints_sections(capsys):

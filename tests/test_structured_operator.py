@@ -22,6 +22,7 @@ from floerlab.scale_operator import (
     derivative_operator,
     identity_operator,
     op_norm,
+    weighted_singular_values,
 )
 from floerlab.scale_space import (
     default_grid_points,
@@ -29,8 +30,10 @@ from floerlab.scale_space import (
     half_spectrum,
     mode_numbers,
     multiplication_matrix,
+    multiplication_symbol,
     random_loop,
     to_grid,
+    toeplitz_rows,
 )
 from floerlab.sobolev_evidence import mult_operator, smooth_factor
 
@@ -164,9 +167,53 @@ def test_one_point_sweep_builds_neither_the_action_hessian_nor_the_correction(mo
 
     monkeypatch.setattr(LevelOperator, "__getattr__", recording)
     rows = cli._sweep_rows(cli.RunConfig(N=[512], s=[0.75]))
-    assert {r[3] for r in rows} >= {"action_gap", "correction_norm"}
-    # only the scalar multiplication operators of the clustered level-0 and level-1 norms go dense
-    assert built and all(entry == (1, False) for entry in built)
+    assert {r[3] for r in rows} >= {"action_gap", "correction_norm", "mult(1,0->0)", "mult(1,1->1)"}
+    # not even the clustered level-0 and level-1 norms, whose dense Gram
+    # reads the real form's rows from the symbol
+    assert built == []
+
+
+@pytest.mark.parametrize("N", [3, 16])
+@pytest.mark.parametrize("shape", [(), (2, 2), (3, 3)], ids=["scalar", "n2", "n3"])
+def test_toeplitz_rows_are_the_rows_of_the_matrix(shape, N):
+    factor = np.random.default_rng(N).normal(size=(default_grid_points(N), *shape))
+    full = multiplication_matrix(factor, N)
+    symbol = multiplication_symbol(factor, N)
+    n = shape[0] if shape else 1
+    for start, stop in [(0, 2 * N + 1), (N, N + 1), (1, N), (N, 2 * N + 1)]:
+        rows = toeplitz_rows(symbol, N, start, stop).reshape((stop - start) * n, -1)
+        assert np.array_equal(_bits(rows), _bits(full[start * n : stop * n]))
+
+
+def _random_structured(kind, N, n, seed):
+    """A factor-only, blocks-only or factor+blocks operator with random entries, annotated 1 -> 0."""
+    rng = np.random.default_rng(seed)
+    factor = rng.normal(size=(default_grid_points(N), n, n)) if "factor" in kind else None
+    blocks = None
+    if "blocks" in kind:
+        b = rng.normal(size=(2 * N + 1, n, n)) + 1j * rng.normal(size=(2 * N + 1, n, n))
+        blocks = 0.5 * (b + np.conj(b[::-1]))  # mirrored bit for bit: block -k is conj(block k)
+    return LevelOperator(None, 1.0, 0.0, N, n, factor=factor, blocks=blocks)
+
+
+REAL_FORM_LEVELS = [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, 0.0), (0.75, 0.25)]
+
+
+@pytest.mark.parametrize("kind", ["factor", "blocks", "factor+blocks"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [16, 64])
+def test_real_form_from_the_structure_is_the_matrix_rows_bit_for_bit(kind, n, N):
+    T = _random_structured(kind, N, n, seed=10 * N + n)
+    built = T.with_levels(T.dom, T.cod)
+    built.matrix  # built on this copy only, so its real form reads the rows of .matrix
+    for a, b in REAL_FORM_LEVELS:
+        assert np.array_equal(_bits(_real_form(T, a, b)), _bits(_real_form(built, a, b))), (a, b)
+    assert "matrix" not in vars(T)
+    for a, b in REAL_FORM_LEVELS:
+        assert op_norm(T, a, b) == op_norm(built, a, b), (a, b)
+        sv = weighted_singular_values(T, a, b)
+        assert np.array_equal(_bits(sv), _bits(weighted_singular_values(built, a, b))), (a, b)
+    assert "matrix" not in vars(T)  # neither op_norm nor weighted_singular_values built it
 
 
 def _kappa_correction(N, seed, s=0.75):
