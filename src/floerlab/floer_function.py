@@ -64,14 +64,13 @@ class HamiltonianData:
     """Time-periodic Hamiltonian with derivatives, vectorized over samples.
 
     Evaluators take times t of shape (G,) and positions x of shape
-    (G, dim) and return (G,), (G, dim), (G, dim, dim), (G, dim).
+    (G, dim) and return (G,), (G, dim), (G, dim, dim).
     """
 
     dim: int
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     hess_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dt_grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
 
 
@@ -82,7 +81,6 @@ def quadratic_hamiltonian(dim: int = 2, c: float = 1.0) -> HamiltonianData:
         value=lambda t, x: 0.5 * c * np.sum(x**2, axis=1),
         grad_x=lambda t, x: c * x,
         hess_x=lambda t, x: np.broadcast_to(c * np.eye(dim), (x.shape[0], dim, dim)).copy(),
-        dt_grad_x=lambda t, x: np.zeros_like(x),
         name=f"quadratic[{c}]",
     )
 
@@ -96,17 +94,11 @@ def driven_hamiltonian(dim: int = 2, c: float = 1.0, eps: float = 0.3, mode: int
         g[:, 0] += eps * np.cos(om * t)
         return g
 
-    def dt_grad_x(t, x):
-        g = np.zeros_like(x)
-        g[:, 0] = -eps * om * np.sin(om * t)
-        return g
-
     return HamiltonianData(
         dim=dim,
         value=lambda t, x: 0.5 * c * np.sum(x**2, axis=1) + eps * np.cos(om * t) * x[:, 0],
         grad_x=grad_x,
         hess_x=lambda t, x: np.broadcast_to(c * np.eye(dim), (x.shape[0], dim, dim)).copy(),
-        dt_grad_x=dt_grad_x,
         name=f"driven[{c},{eps}]",
     )
 

@@ -1,36 +1,30 @@
 """Level-annotated operators on the truncated coefficient space.
 
-An operator acts on mode-major coefficient vectors.
-Every operator commutes with the reality structure c_k -> conj(c_{-k}),
-which the LevelOperator constructor enforces, so the matrix is the
-complexification of a real operator on real loops: in the cosine/sine
-basis it is a real matrix.
-Singular values, operator norms and kernel dimensions of the complex
-matrix therefore coincide with those of the underlying real
-operator, which is what all diagnostics report.
+An operator acts on mode-major coefficient vectors and commutes with
+the reality structure c_k -> conj(c_{-k}), which the LevelOperator
+constructor enforces: its matrix is the complexification of a real
+operator on real loops, real in the cosine/sine basis, so its singular
+values, norms and kernel dimensions are those of that real operator,
+which is what all diagnostics report.
 
-A LevelOperator keeps the structure its producer knows.  Multiplication
-operators (sobolev_evidence.mult_operator, floer_map.dphi, the Riesz
-correction of pullback) hold the real grid samples of their factor,
-shape (G, n, n), and its symbol g(m), m = -2N..2N, the entries their
-Toeplitz matrix reads.  Mode-block operators (identity_operator,
-derivative_operator) hold their (2N+1, n, n) diagonal blocks, and the
-action Hessian holds both: the factor -hess_x H and the blocks
-2 pi i k J0.  The dense complex matrix, .matrix, is built from these the
-first time it is read and kept; products, sums, differences and
-adjoint give dense operators, which the constructor makes commute with
-the reality structure bit for bit.  Which path reads what:
+A LevelOperator keeps the structure its producer knows, and all operator
+arithmetic on it is here.  Multiplication operators
+(sobolev_evidence.mult_operator, floer_map.dphi, the Riesz correction of
+pullback) hold the real grid samples of their factor, shape (G, n, n),
+and its symbol g(m), m = -2N..2N; mode-block operators (identity_operator,
+derivative_operator) hold (2N+1, n, n) diagonal blocks; the action
+Hessian holds both.  Which path reads what:
 
-- the mode-block test (_mode_blocks) reads the symbol and the blocks;
-- op_norm's certified path reads the symbol and applies the factor on
-  its grid by FFTs, for an operator that is multiplication alone;
-- the real form, and so its SVD and its Gram matrix, reads a few rows
-  at a time through _mode_rows: a structured operator's rows are the
-  strided copy of the symbol's windows that multiplication_matrix makes,
-  with the blocks added on the diagonal by the same +=, so they are
-  the rows of .matrix bit for bit and op_norm and
-  weighted_singular_values never build it;
-- only apply, @, +, - and adjoint read .matrix.
+- apply and the certified op_norm's matvecs: _matvec, the factor's
+  samples on its own grid through the real grid bridge, plus the blocks;
+- + and - of structured operators whose factors share a grid, and
+  adjoint at level 0: the factors and blocks, into a structured result;
+- the mode-block test and the certified path's screen: symbol and blocks;
+- the real form, so every SVD and Gram: rows from _mode_rows, the rows
+  of .matrix bit for bit without building it;
+- .matrix, the dense complex matrix built on first read and kept: @,
+  + and - with a dense operand or factors on two grids, adjoint at other
+  levels.  Their results are dense, mirrored by the constructor.
 
 Norms between levels are weighted: op_norm(T, a, b) is the largest
 singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
@@ -56,9 +50,8 @@ op_norm needs only sigma_max, and takes the first of three paths that
 applies.  Mode-block-diagonal operators take the block path.  For a
 pure multiplication operator whose top singular value is isolated, a
 certified matrix-free path applies the weighted matrix A and its
-adjoint as exact circular convolutions on the factor's G-point grid: a
-power iteration on A^H A whose Rayleigh quotient theta and residual r
-give the Kato-Temple bracket
+adjoint by _matvec: a power iteration on A^H A whose Rayleigh quotient
+theta and residual r give the Kato-Temple bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (2 theta - F),  F = |A|_F^2,
 
@@ -67,21 +60,19 @@ is then at most F - theta < theta (Parlett, The Symmetric Eigenvalue
 Problem, section 10.5).  The path accepts a bracket a few ulps wide and
 returns the square root of its upper end, so a check such as
 ||K|| <= kappa stays evidence; the matvecs that compute theta and r
-round at the O(eps) relative level of the dense path.  Where
-2 sigma_max^2 <= F, as for a clustered top (multiplication operators
-at level 0, whose singular values crowd near sup |g|), 2 theta > F can
-never hold; a screen with sigma_max^2 <= ||A||_1 ||A||_inf, F and the
-screen both read from the symbol, sends most such operators to the
-dense path at once, and the rest fall through once theta stalls below
-F/2 (or at a fixed number of steps).  The dense path, the fallback for
-every other operator and the reference the other two are tested
-against, takes the top eigenvalue of the Gram matrix R^T R of the real
-form instead of an SVD.  A symmetric eigensolver returns that
-eigenvalue with absolute error O(eps sigma_max^2), which is relative
-error O(eps) in sigma_max, so the norm is as exact as the SVD's.  The
-same absolute error swamps any sigma^2 below about eps sigma_max^2, so
-sigma_min, gaps and kernel counts would lose half their digits that
-way; weighted_singular_values therefore keeps its SVDs.
+round at the O(eps) relative level of the dense path.  A clustered top
+(2 sigma_max^2 <= F, as for multiplication operators at level 0, whose
+singular values crowd near sup |g|) never reaches 2 theta > F: the
+screen sigma_max^2 <= ||A||_1 ||A||_inf, read from the symbol like F,
+sends most such operators to the dense path at once, and the rest fall
+through once theta stalls below F/2 (or at a fixed number of steps).
+The dense path, the fallback for every other operator and the reference
+the other two are tested against, takes the top eigenvalue of the Gram
+matrix R^T R of the real form: absolute error O(eps sigma_max^2), so
+relative error O(eps) in sigma_max, as exact as the SVD's.  The same
+error swamps any sigma^2 below about eps sigma_max^2, so sigma_min, gaps
+and kernel counts would lose half their digits; weighted_singular_values
+keeps its SVDs.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -100,6 +91,8 @@ from .scale_space import (
     REALITY_RTOL,
     FourierLoop,
     check_level,
+    grid_samples,
+    half_spectrum,
     mode_numbers,
     multiplication_matrix,
     multiplication_symbol,
@@ -130,23 +123,19 @@ _CERT_STALL = 1e-3
 class LevelOperator:
     """Operator between levels dom -> cod of the scale, on (2N+1)n coefficients.
 
-    LevelOperator(matrix, dom, cod, N, n) is a dense operator.  Every
-    operator commutes with the reality structure c_k -> conj(c_{-k}), as
-    every FourierLoop is real: the constructor compares a dense matrix X
-    with its mirror conj(X[rev][:, rev]), rev the flat mode reversal,
-    raises ValueError where they differ by more than REALITY_RTOL times
-    max(max |X|, 1), and otherwise stores 0.5 (X + mirror), which is
-    mirrored bit for bit; a matrix that already was (sums, adjoint) keeps
-    its values.  A structured operator passes None for the matrix and
-    keeps what its producer knows: factor, the real grid samples
-    (G, n, n) of a multiplication operator (G >= 2N+1), and blocks,
-    complex (2N+1, n, n) mode blocks added on the diagonal, which the
-    producers give mirrored (block -k is the conjugate of block k); either
-    may be absent.  Its symbol, the multiplication_symbol of the real
-    factor, is mirrored (g(-m) = conj g(m) bit for bit) and computed once
-    on construction; .matrix, the multiplication_matrix of the factor with
-    the blocks added, is built when it is first read and kept.  Operators
-    are immutable.
+    LevelOperator(matrix, dom, cod, N, n) is dense.  Every operator
+    commutes with the reality structure c_k -> conj(c_{-k}): the
+    constructor raises ValueError where a dense X and its mirror
+    conj(X[rev][:, rev]), rev the flat mode reversal, differ by more than
+    REALITY_RTOL max(max |X|, 1), and stores 0.5 (X + mirror), mirrored
+    bit for bit (a mirrored X keeps its values).  A structured operator
+    passes None for the matrix and keeps factor, the real grid samples
+    (G, n, n), G >= 2N+1, of a multiplication operator, and/or blocks,
+    complex (2N+1, n, n) mode blocks on the diagonal, which the producers
+    give mirrored (block -k is conj(block k)).  Its symbol, mirrored bit
+    for bit, is computed once; .matrix, the factor's multiplication_matrix
+    plus the blocks, is built when first read and kept, and apply, + and -
+    on one grid and the level-0 adjoint never read it.  Immutable.
     """
 
     def __init__(
@@ -224,7 +213,7 @@ class LevelOperator:
         return op
 
     def apply(self, u: FourierLoop) -> FourierLoop:
-        return FourierLoop((self.matrix @ u.flat_coeffs()).reshape(2 * self.N + 1, self.n))
+        return FourierLoop(_matvec(self, u.flat_coeffs()).reshape(2 * self.N + 1, self.n))
 
     def __matmul__(self, other: "LevelOperator") -> "LevelOperator":
         if (self.N, self.n) != (other.N, other.n):
@@ -244,7 +233,37 @@ class LevelOperator:
     def _combine(self, other: "LevelOperator", op) -> "LevelOperator":
         if (self.dom, self.cod, self.N, self.n) != (other.dom, other.cod, other.N, other.n):
             raise ValueError("can only add or subtract operators with identical annotations")
-        return LevelOperator(op(self.matrix, other.matrix), self.dom, self.cod, self.N, self.n)
+        f, g = self.factor, other.factor
+        if _dense(self) or _dense(other) or not (f is None or g is None or f.shape == g.shape):
+            return LevelOperator(op(self.matrix, other.matrix), self.dom, self.cod, self.N, self.n)
+        parts = {}  # both structured, factors on one grid: combine the factors and the blocks
+        for key in ("factor", "blocks"):
+            a, b = getattr(self, key), getattr(other, key)
+            parts[key] = a if b is None else op(np.zeros_like(b) if a is None else a, b)
+        return LevelOperator(None, self.dom, self.cod, self.N, self.n, **parts)
+
+
+def _dense(T: LevelOperator) -> bool:
+    return T.factor is None and T.blocks is None
+
+
+def _matvec(T: LevelOperator, x: np.ndarray) -> np.ndarray:
+    """T x for a flat x; a structured T needs x mirrored, and so is T x.
+
+    A dense T multiplies by its matrix.  A structured one reads the modes
+    0..N of x, multiplies by the factor on its own grid through the real
+    bridge (the circular convolution .matrix holds) and applies the blocks.
+    """
+    if _dense(T):
+        return T.matrix @ x
+    N, n = T.N, T.n
+    half = x.reshape(2 * N + 1, n)[N:]
+    y = np.zeros((N + 1, n), dtype=complex)
+    if T.factor is not None:
+        y += half_spectrum(np.einsum("gij,gj->gi", T.factor, grid_samples(half, T.factor.shape[0])), N)
+    if T.blocks is not None:
+        y += np.einsum("kij,kj->ki", T.blocks[N:], half)
+    return np.concatenate([np.conj(y[:0:-1]), y]).ravel()
 
 
 def _add_blocks(T: LevelOperator, rows: np.ndarray, start: int) -> None:
@@ -428,12 +447,11 @@ def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
     root_b(k) |g_ij(k - l)| / root_a(l), so F is sum_m ||g(m)||_F^2 S(m)
     with S(m) = sum_{k - l = m} w_b(k) / w_a(l), and the row and column
     sums of |A| are convolutions of |g| with the reciprocal and the plain
-    square roots of the weights.  The matvecs are exact circular
-    convolutions on the factor's own G-point grid: T x is
-    fft(g(t) ifft(x)) read back at the modes k mod G, and T^H multiplies
-    by g(t)^H instead.
+    square roots of the weights.  The matvecs are _matvec with T and its
+    level-0 adjoint; they need mirrored input, which the power iteration
+    keeps: it starts from a real constant vector.
     """
-    N, n, sym, g = T.N, T.n, T.symbol, T.factor
+    n, sym = T.n, T.symbol
     rb, ra = root_b[::n], root_a[::n]  # one weight per mode
     mod = np.abs(sym)
     frob = float(np.sum((mod * mod).sum(axis=(1, 2)) * np.correlate(rb * rb, 1.0 / (ra * ra), "full")))
@@ -441,33 +459,22 @@ def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
     cols = mod.sum(axis=1)[::-1]  # column j, summed over i, at -m
     row_max = max(float((rb * np.convolve(rows[:, i], 1.0 / ra, "valid")).max()) for i in range(n))
     col_max = max(float((np.convolve(cols[:, j], rb, "valid") / ra).max()) for j in range(n))
-    G = g.shape[0]
-    modes = np.arange(-N, N + 1) % G
-    gh = g.transpose(0, 2, 1)  # g(t)^H; the factor is real
-
-    def multiply(factor, x):
-        spec = np.zeros((G, n), dtype=complex)
-        spec[modes] = x.reshape(2 * N + 1, n)
-        values = np.einsum("gij,gj->gi", factor, np.fft.ifft(spec, axis=0))
-        return np.fft.fft(values, axis=0)[modes].ravel()
-
+    TH = adjoint(T, 0.0)  # multiplication by g(t)^T
     return (
         frob,
         row_max * col_max,
-        lambda x: root_b * multiply(g, x / root_a),
-        lambda y: multiply(gh, root_b * y) / root_a,
+        lambda x: root_b * _matvec(T, x / root_a),
+        lambda y: _matvec(TH, root_b * y) / root_a,
     )
 
 
 def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
     """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
 
-    Only a pure multiplication operator (a factor, no blocks) is tried:
-    _symbol_pass reads F = ||A||_F^2 and the product ||A||_1 ||A||_inf of
-    the largest row and column sums of |A| from its symbol, and applies A
-    and A^H by FFTs on its grid.  sigma_max^2 <= ||A||_1 ||A||_inf, so
-    when that product is at most F/2 the condition 2 theta > F can never
-    hold and None is returned at once; otherwise _kato_temple runs.
+    Only a pure multiplication operator (a factor, no blocks) is tried.
+    _symbol_pass gives F = ||A||_F^2, the screen ||A||_1 ||A||_inf >=
+    sigma_max^2 and A, A^H as matvecs; a screen at most F/2 rules out
+    2 theta > F and None is returned at once, else _kato_temple runs.
     """
     if T.factor is None or T.blocks is not None:
         return None
@@ -525,11 +532,9 @@ def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) ->
     """Operator norm of T : H_a -> H_b (largest weighted singular value).
 
     Takes the block, certified or dense Gram path of the module
-    docstring, in that order.  The certified path returns the upper end
-    of a Kato-Temple bracket at most a few ulps wide; the dense path
-    returns the Gram matrix's top eigenvalue, with O(eps) relative error
-    in sigma_max as from an SVD.  Neither is a Krylov lower bound, so a
-    check such as ||K|| <= kappa stays evidence.
+    docstring, in that order.  Neither the certified bracket's upper end
+    nor the Gram eigenvalue is a Krylov lower bound, so a check such as
+    ||K|| <= kappa stays evidence.
     """
     a = T.dom if a is None else check_level(a)
     b = T.cod if b is None else check_level(b)
@@ -543,8 +548,12 @@ def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) ->
 
 
 def adjoint(T: LevelOperator, s: float) -> LevelOperator:
-    """Adjoint with respect to the level-s inner product on both sides."""
+    """Adjoint for the level-s inner product on both sides; structured at level 0 if T is."""
     s = check_level(s)
+    if s == 0.0 and not _dense(T):
+        factor = None if T.factor is None else T.factor.transpose(0, 2, 1)
+        blocks = None if T.blocks is None else np.conj(T.blocks.transpose(0, 2, 1))
+        return LevelOperator(None, T.cod, T.dom, T.N, T.n, factor=factor, blocks=blocks)
     w = _flat_weights(T.N, T.n, s)
     m = (T.matrix.conj().T * w[None, :]) / w[:, None]
     return LevelOperator(m, T.cod, T.dom, T.N, T.n)

@@ -17,9 +17,9 @@ superposition machinery downstream relies on.  Loops are real, so the
 bridge is the real FFT on the half spectrum of modes 0..N: grid_samples
 (irfft, synthesis) and half_spectrum (rfft, analysis) act on raw arrays
 along a given axis, and to_grid, from_grid, multiplication_symbol
-(the symbol behind multiplication_matrix and the structured
-multiplication operators of scale_operator) and the trilinear ascent of
-floer_map all go through these two helpers.
+(the symbol behind multiplication_matrix), the structured matvec of
+scale_operator and the trilinear ascent of floer_map all go through
+these two helpers.
 """
 
 from __future__ import annotations

@@ -203,6 +203,14 @@ def test_demo_pullback_prints_sections(capsys):
         assert token in text
 
 
+def test_demo_atlas_prints_sections(capsys):
+    assert main(["demo", "atlas"]) == 0
+    text = capsys.readouterr().out
+    for token in ("Compatibility", "Cocycle residuals", "two-step residual", "pieces agree with union"):
+        assert token in text
+    assert "fail" not in text
+
+
 def test_unknown_demo_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["demo", "nonsense"])

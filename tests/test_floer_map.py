@@ -29,7 +29,7 @@ from floerlab.scale_space import (
     random_loop,
     to_grid,
 )
-from floerlab.scale_operator import STABLE_RTOL, LevelOperator, band_indices, op_norm, sweep_verdict
+from floerlab.scale_operator import STABLE_RTOL, band_indices, op_norm, sweep_verdict
 from floerlab.suites import SuiteConfig, suite_floer_map
 
 HOPM = {"restarts": 1, "iters": 80}
@@ -204,8 +204,7 @@ def _per_sample_reports(phi, samples, Ns, hopm, modulus_step=1e-3):
         norms = [max(axiom_norm(phi.rebuild(N), axiom, q.resize(N)) for q in samples) for N in Ns]
         if axiom in ("(i)1", "(i)2"):
             lvl = 0.0 if axiom == "(i)1" else -1.0
-            diff = dphi(top, base + bump).matrix - dphi(top, base).matrix
-            modulus = op_norm(LevelOperator(diff, 0.0, 0.0, top.N, top.n), lvl, lvl)
+            modulus = op_norm(dphi(top, base + bump) - dphi(top, base), lvl, lvl)
         else:
             levels = (phi.s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + phi.s, -1.0, -1.0)
             modulus = (d2phi(top, base + bump) - d2phi(top, base)).norm(*levels, **hopm)

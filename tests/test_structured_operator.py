@@ -1,24 +1,26 @@
-"""Structured level operators: the Toeplitz build, the producers, and the FFT-certified op_norm."""
+"""Structured level operators: the Toeplitz build, the producers, their arithmetic, and the FFT-certified op_norm."""
 
 import numpy as np
 import pytest
 
 from floerlab import cli, scale_operator
-from floerlab.charts import shear_chart
+from floerlab.charts import rotation_field_chart, shear_chart
 from floerlab.floer_function import (
     driven_hamiltonian,
     quadratic_hamiltonian,
     standard_symplectic_matrix,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, dphi
-from floerlab.pullback import riesz_correction
+from floerlab.floer_map import SuperpositionMap, apply, dphi, leibniz_check, verify_floer_axioms
+from floerlab.pullback import pull_back_gradient, riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
+    _flat_weights,
     _gram_norm,
     _mode_blocks,
     _real_form,
+    adjoint,
     derivative_operator,
     identity_operator,
     op_norm,
@@ -185,10 +187,10 @@ def test_toeplitz_rows_are_the_rows_of_the_matrix(shape, N):
         assert np.array_equal(_bits(rows), _bits(full[start * n : stop * n]))
 
 
-def _random_structured(kind, N, n, seed):
+def _random_structured(kind, N, n, seed, grid=default_grid_points):
     """A factor-only, blocks-only or factor+blocks operator with random entries, annotated 1 -> 0."""
     rng = np.random.default_rng(seed)
-    factor = rng.normal(size=(default_grid_points(N), n, n)) if "factor" in kind else None
+    factor = rng.normal(size=(grid(N), n, n)) if "factor" in kind else None
     blocks = None
     if "blocks" in kind:
         b = rng.normal(size=(2 * N + 1, n, n)) + 1j * rng.normal(size=(2 * N + 1, n, n))
@@ -214,6 +216,78 @@ def test_real_form_from_the_structure_is_the_matrix_rows_bit_for_bit(kind, n, N)
         sv = weighted_singular_values(T, a, b)
         assert np.array_equal(_bits(sv), _bits(weighted_singular_values(built, a, b))), (a, b)
     assert "matrix" not in vars(T)  # neither op_norm nor weighted_singular_values built it
+
+
+def _assert_structured(*ops):
+    for T in ops:
+        assert T.factor is not None or T.blocks is not None, T
+        assert "matrix" not in vars(T), T
+
+
+@pytest.mark.parametrize("kind", ["factor", "blocks", "factor+blocks"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("grid", GRIDS, ids=["default", "odd", "minimum"])
+@pytest.mark.parametrize("N", [4, 16, 64])
+def test_apply_sums_and_level_zero_adjoint_keep_the_structure(kind, n, grid, N):
+    T = _random_structured(kind, N, n, seed=10 * N + n, grid=grid)
+    S = _random_structured(kind, N, n, seed=10 * N + n + 5, grid=grid)
+    c = random_loop(np.random.default_rng(N), n, N, top_mode=N)
+    y = T.apply(c).flat_coeffs()
+    total, diff, adj = T + S, T - S, adjoint(T, 0.0)
+    _assert_structured(T, S, total, diff, adj)  # none of them built .matrix
+    assert (adj.dom, adj.cod) == (T.cod, T.dom)
+
+    m, ms = T.matrix, S.matrix
+    scale = max(float(np.max(np.abs(m))), float(np.max(np.abs(ms))))
+    assert np.max(np.abs(y - m @ c.flat_coeffs())) <= 1e-14 * float(np.max(np.abs(m)))
+    assert np.max(np.abs(total.matrix - (m + ms))) <= 4 * np.finfo(float).eps * scale
+    assert np.max(np.abs(diff.matrix - (m - ms))) <= 4 * np.finfo(float).eps * scale
+    # the dense level-0 adjoint; equal, but not bit for bit: the conjugation flips signs of zeros
+    dense = adjoint(LevelOperator(m, T.dom, T.cod, N, n), 0.0)
+    assert np.array_equal(adj.matrix, dense.matrix)
+
+
+def test_dense_operands_other_grids_products_and_other_levels_stay_dense():
+    N, n = 16, 2
+    T = _random_structured("factor+blocks", N, n, seed=1)
+    odd = _random_structured("factor", N, n, seed=2, grid=GRIDS[1])
+    dense = LevelOperator(_random_structured("factor", N, n, seed=3).matrix, 1.0, 0.0, N, n)
+    inclusion = identity_operator(N, n, 1.0, 1.0)
+    w = _flat_weights(N, n, 1.0)
+    cases = [
+        (T + dense, lambda: T.matrix + dense.matrix),
+        (T - odd, lambda: T.matrix - odd.matrix),
+        (T @ inclusion, lambda: T.matrix @ inclusion.matrix),
+        (adjoint(T, 1.0), lambda: (T.matrix.conj().T * w[None, :]) / w[:, None]),
+    ]
+    for op, parent in cases:
+        assert op.factor is None and op.blocks is None
+        ref = LevelOperator(parent(), op.dom, op.cod, N, n)
+        assert np.array_equal(_bits(op.matrix), _bits(ref.matrix))
+
+
+def test_axioms_leibniz_and_pulled_back_gradient_build_no_matrix(monkeypatch):
+    built = []
+    materialize = LevelOperator.__getattr__
+
+    def recording(self, name):
+        if name == "matrix":
+            built.append(repr(self))
+        return materialize(self, name)
+
+    monkeypatch.setattr(LevelOperator, "__getattr__", recording)
+    rng = np.random.default_rng(5)
+    shear = SuperpositionMap(shear_chart(), 0.75, 32)
+    rotation = SuperpositionMap(rotation_field_chart(0.5), 0.75, 32)
+    q, xi, eta = (random_loop(rng, 2, 32, amplitude=0.4) for _ in range(3))
+    reports = verify_floer_axioms(shear, [q, xi], (16, 32), hopm={"restarts": 1, "iters": 20})
+    assert [r.axiom for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
+    rep = leibniz_check(rotation, shear, q, xi, eta)
+    assert all(np.isfinite(rep["residuals"]))
+    F = symplectic_action(quadratic_hamiltonian(), 32)
+    grad = pull_back_gradient(F, shear, q)
+    assert grad.N == 32
+    assert built == []
 
 
 def _kappa_correction(N, seed, s=0.75):
