@@ -75,6 +75,7 @@ from .scale_operator import (
     identity_operator,
     inclusion_singular_values,
     op_norm,
+    op_norms,
     sweep_verdict,
     weighted_singular_values,
 )

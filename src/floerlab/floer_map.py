@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .charts import DEFAULT_MARGIN, DiffeoChart, compose_charts
-from .scale_operator import STABLE_RTOL, LevelOperator, op_norm, sweep_verdict
+from .scale_operator import STABLE_RTOL, LevelOperator, op_norms, sweep_verdict
 from .scale_space import (
     FourierLoop,
     default_grid_points,
@@ -402,7 +402,7 @@ def verify_floer_axioms(
             step = bump.norm(1.0)
             moved = qs[0] + bump
             diff = dphi(phN, moved) - first
-            moduli = [op_norm(diff, 0.0, 0.0) / step, op_norm(diff, -1.0, -1.0) / step]
+            moduli = [v / step for v in _first_norms(diff)]
             batch += [d2phi(phN, moved) - maps[0]] * 2
             levels += second
         values = trilinear_norms(batch, levels, **hopm).values
@@ -438,8 +438,8 @@ def axiom_reports(
 
 
 def _first_norms(D: LevelOperator) -> tuple[float, float]:
-    """dphi read at the (i)1 and the (i)2 level pairs."""
-    return op_norm(D, 0.0, 0.0), op_norm(D, -1.0, -1.0)
+    """dphi read at the (i)1 and the (i)2 level pairs, from one real form."""
+    return tuple(op_norms(D, [(0.0, 0.0), (-1.0, -1.0)]))
 
 
 def _unit_direction(q: FourierLoop) -> FourierLoop:

@@ -46,33 +46,44 @@ singular values of the dense weighted matrix:
    basis keeps the singular values, so a real SVD, at about half the
    cost of a complex one, gives them.
 
-op_norm needs only sigma_max, and takes the first of three paths that
-applies.  Mode-block-diagonal operators take the block path.  For a
-pure multiplication operator whose top singular value is isolated, a
+op_norms(T, pairs) reads one operator at several level pairs, and
+op_norm(T, a, b) is its one-pair call.  It needs only sigma_max, and
+takes for each pair the first of three paths that applies.
+Mode-block-diagonal operators take the block path.  For a pure
+multiplication operator whose top singular value is isolated, a
 certified matrix-free path applies the weighted matrix A and its
 adjoint by _matvec: a power iteration on A^H A whose Rayleigh quotient
 theta and residual r give the Kato-Temple bracket
 
-    theta <= sigma_max^2 <= theta + |r|^2 / (2 theta - F),  F = |A|_F^2,
+    theta <= sigma_max^2 <= theta + |r|^2 / (theta - alpha),
 
-valid as soon as 2 theta > F, because every other eigenvalue of A^H A
-is then at most F - theta < theta (Parlett, The Symmetric Eigenvalue
-Problem, section 10.5).  The path accepts a bracket a few ulps wide and
-returns the square root of its upper end, so a check such as
-||K|| <= kappa stays evidence; the matvecs that compute theta and r
-round at the O(eps) relative level of the dense path.  A clustered top
-(2 sigma_max^2 <= F, as for multiplication operators at level 0, whose
-singular values crowd near sup |g|) never reaches 2 theta > F: the
-screen sigma_max^2 <= ||A||_1 ||A||_inf, read from the symbol like F,
-sends most such operators to the dense path at once, and the rest fall
-through once theta stalls below F/2 (or at a fixed number of steps).
-The dense path, the fallback for every other operator and the reference
-the other two are tested against, takes the top eigenvalue of the Gram
-matrix R^T R of the real form: absolute error O(eps sigma_max^2), so
-relative error O(eps) in sigma_max, as exact as the SVD's.  The same
-error swamps any sigma^2 below about eps sigma_max^2, so sigma_min, gaps
-and kernel counts would lose half their digits; weighted_singular_values
-keeps its SVDs.
+valid as soon as theta > alpha, where alpha bounds every other
+eigenvalue of A^H A (Parlett, The Symmetric Eigenvalue Problem, section
+10.5).  Here alpha = F - theta, F = ||A||_F^2, which needs 2 theta > F.
+The path accepts a bracket a few ulps wide and returns the square root
+of its upper end, so a check such as ||K|| <= kappa stays evidence; the
+matvecs that compute theta and r round at the O(eps) relative level of
+the dense path.  A clustered top (2 sigma_max^2 <= F, as for
+multiplication operators at level 0, whose singular values crowd near
+sup |g|) never reaches 2 theta > F: the screen sigma_max^2 <=
+||A||_1 ||A||_inf, read from the symbol like F, sends most such
+operators on at once, and the rest once theta stalls below F/2.
+
+The pairs left over take the dense path, which shares one level-free
+_cos_sin_form of T among them and weighs it per pair into the real form
+R.  A top that 2 theta > F cannot see, isolated above a bulk of many
+singular values, is certified there: deleting the heaviest row or
+column of R leaves a matrix whose ||.||_1 ||.||_inf bounds sigma_2^2,
+and with alpha = min(F - theta, that bound) the same iteration runs on R
+when R's largest row or column norm^2, a lower bound on sigma_max^2,
+exceeds it.  The forms still open, clustered tops and every top the
+bounds cannot separate, take the top eigenvalue of their Gram matrices
+R^T R, stacked into one eigensolve: absolute error O(eps sigma_max^2),
+so relative error O(eps) in sigma_max, as exact as the SVD's, and the
+reference the other paths are tested against.  The same error swamps
+any sigma^2 below about eps sigma_max^2, so sigma_min, gaps and kernel
+counts would lose half their digits; weighted_singular_values keeps its
+SVDs.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -112,10 +123,10 @@ _ROW_BLOCK = 64
 _SQRT2 = np.sqrt(2.0)
 _EPS = np.finfo(float).eps
 
-# Power steps the certified op_norm path may take before it gives up, the
-# relative width of the Kato-Temple bracket it accepts, and the relative
-# gain per step below which theta counts as stalled.
-_CERT_STEPS = 8
+# Power steps a certified op_norm path may take before it gives up (sized
+# in _kato_temple), the relative width of the Kato-Temple bracket it
+# accepts, and the relative gain per step below which theta counts as stalled.
+_CERT_STEPS = 40
 _CERT_RTOL = 4 * _EPS
 _CERT_STALL = 1e-3
 
@@ -377,29 +388,28 @@ def _mode_blocks(T: LevelOperator) -> np.ndarray | None:
     return blocks
 
 
-def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
-    """W_b^{1/2} T W_a^{-1/2} in the cosine/sine basis, a real matrix.
+def _cos_sin_form(T: LevelOperator) -> np.ndarray:
+    """T in the cosine/sine basis before any weight: the level-free part of _real_form.
 
     The basis is e_0 and, for k = 1..N, (e_k + e_{-k})/sqrt(2) and
     i (e_k - e_{-k})/sqrt(2), each times the n components; rows and
     columns are ordered mode 0, cosines, sines.  With S = X[k, l] +
-    X[k, -l] and D = X[k, l] - X[k, -l] the cosine row of mode k > 0 is
-    [sqrt(2) Re X[k, 0], Re S, -Im D] and its sine row [sqrt(2) Im X[k, 0],
-    Im S, Re D]; the mode-0 row is the cosine formula over sqrt(2).  Only
-    the rows of modes k >= 0 are read, a fixed number at a time through
-    _mode_rows, so no full-size complex temporary is made and a
-    structured operator's matrix is never built; the rows of modes k < 0
-    are their mirrors, as for every LevelOperator.
+    X[k, -l] and D = X[k, l] - X[k, -l] the cosine row of mode k >= 0 is
+    [sqrt(2) Re X[k, 0], Re S, -Im D] and the sine row of mode k > 0 is
+    [sqrt(2) Im X[k, 0], Im S, Re D]; the mode-0 rows still lack their
+    division by sqrt(2), which _weigh makes after the weights, as in the
+    order of operations of the one-pair form.  Only the rows of modes
+    k >= 0 are read, a fixed number at a time through _mode_rows, so no
+    full-size complex temporary is made and a structured operator's
+    matrix is never built; the rows of modes k < 0 are their mirrors, as
+    for every LevelOperator.
     """
     N, n = T.N, T.n
     d = (2 * N + 1) * n
     h = N * n  # flat start of mode 0; modes 1..N follow from h + n
     rev = np.arange(d).reshape(2 * N + 1, n)[::-1].ravel()
     neg = rev[h + n :]  # modes -1..-N, aligned with the columns of modes 1..N
-    root_b = np.repeat(np.sqrt(weights(N, b))[N:], n)
-    root_a = np.repeat(np.sqrt(weights(N, a))[N:], n)
-    col = np.concatenate([root_a, root_a[n:]])
-    R = np.empty((d, d))
+    C = np.empty((d, d))
     step = max(1, _ROW_BLOCK // n)
     for k0 in range(N, 2 * N + 1, step):
         k1 = min(k0 + step, 2 * N + 1)
@@ -407,14 +417,36 @@ def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
         A = _mode_rows(T, k0, k1)
         S = A[:, h + n :] + A[:, neg]
         D = A[:, h + n :] - A[:, neg]
-        row = root_b[r0 - h : r1 - h, None]
-        cos = np.concatenate([_SQRT2 * A[:, h : h + n].real, S.real, -D.imag], axis=1)
-        R[r0 - h : r1 - h] = row * cos / col
+        C[r0 - h : r1 - h] = np.concatenate([_SQRT2 * A[:, h : h + n].real, S.real, -D.imag], axis=1)
         z = n if k0 == N else 0  # the mode-0 rows, which have no sine row
-        R[r0 - h : r0 - h + z] /= _SQRT2
-        sin = np.concatenate([_SQRT2 * A[z:, h : h + n].imag, S[z:].imag, D[z:].real], axis=1)
-        R[r0 + z : r1] = row[z:] * sin / col  # sines start at (N+1)n = h + n
+        C[r0 + z : r1] = np.concatenate([_SQRT2 * A[z:, h : h + n].imag, S[z:].imag, D[z:].real], axis=1)
+    return C
+
+
+def _weigh(C: np.ndarray, N: int, n: int, a: float, b: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(root_b x C) / root_a with the mode-0 rows then divided by sqrt(2): _real_form from C.
+
+    Written into out, which may be C itself, or into a new array.
+    """
+    root_b = np.repeat(np.sqrt(weights(N, b))[N:], n)
+    root_a = np.repeat(np.sqrt(weights(N, a))[N:], n)
+    row = np.concatenate([root_b, root_b[n:]])[:, None]
+    R = np.multiply(row, C, out=out)
+    R /= np.concatenate([root_a, root_a[n:]])
+    R[:n] /= _SQRT2
     return R
+
+
+def _real_form(T: LevelOperator, a: float, b: float) -> np.ndarray:
+    """W_b^{1/2} T W_a^{-1/2} in the cosine/sine basis, a real matrix.
+
+    _cos_sin_form's matrix weighted in place by _weigh: the row weight
+    times the entry, over the column weight, and the mode-0 rows over
+    sqrt(2).  op_norms assembles one _cos_sin_form per operator and
+    weighs a copy per level pair, with the same bits.
+    """
+    C = _cos_sin_form(T)
+    return _weigh(C, T.N, T.n, a, b, out=C)
 
 
 def _block_singular_values(blocks: np.ndarray, N: int, a: float, b: float) -> np.ndarray:
@@ -474,7 +506,8 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
     Only a pure multiplication operator (a factor, no blocks) is tried.
     _symbol_pass gives F = ||A||_F^2, the screen ||A||_1 ||A||_inf >=
     sigma_max^2 and A, A^H as matvecs; a screen at most F/2 rules out
-    2 theta > F and None is returned at once, else _kato_temple runs.
+    2 theta > F and None is returned at once, else _kato_temple runs with
+    no bound on the second eigenvalue but F - theta.
     """
     if T.factor is None or T.blocks is not None:
         return None
@@ -483,34 +516,89 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
     frob, screen, forward, backward = _symbol_pass(T, root_a, root_b)
     if screen <= frob / 2:
         return None
-    return _kato_temple(frob, forward, backward, root_a.size)
+    start = np.full(root_a.size, 1.0 / np.sqrt(root_a.size), dtype=complex)
+    return _kato_temple(frob, np.inf, forward, backward, start)
 
 
-def _kato_temple(frob: float, forward, backward, d: int) -> float | None:
-    """Power iteration on A^H A from the constant vector, given F = ||A||_F^2 and A, A^H as matvecs.
+def _deflated_screen(R: np.ndarray) -> tuple[float, float, float]:
+    """F = ||R||_F^2, a lower bound on sigma_max^2 and an upper bound on sigma_2^2 of the real form R.
 
-    Runs at most _CERT_STEPS steps; returns theta + |r|^2 / (2 theta - F)
-    as soon as 2 theta > F and the bracket is at most _CERT_RTOL theta
-    wide, and None if that never happens.  Since theta only grows towards
-    an eigenvalue, a step that leaves 2 theta <= F and gains less than
-    _CERT_STALL theta shows the iteration settling below F/2, and None is
-    returned there and then (a clustered top, where sigma_max^2 <= F/2).
-    F is inflated by its worst-case summation error, a bound for any
-    order of adding d^2 nonnegative terms.
+    The lower bound is the largest squared row or column norm of R.
+    Deleting one row or one column of R leaves a matrix whose norm bounds
+    sigma_2(R) (Horn and Johnson, Topics in Matrix Analysis, section 3.1),
+    and ||X||_1 ||X||_inf bounds ||X||^2; the upper bound is the smaller
+    of these products with the heaviest row (largest absolute sum) or the
+    heaviest column deleted, inflated by 1 + 2 d eps for the two sums of
+    d terms each.
     """
+    d = R.shape[1]
+    mod = np.abs(R)
+    rows, cols = mod.sum(axis=1), mod.sum(axis=0)
+    i, j = int(np.argmax(rows)), int(np.argmax(cols))
+    mod[i] = 0.0  # the column sums without row i, each still a sum of d terms
+    without_row = float(np.max(mod.sum(axis=0))) * float(np.max(np.delete(rows, i)))
+    mod[i] = np.abs(R[i])
+    mod[:, j] = 0.0
+    without_col = float(np.max(np.delete(cols, j))) * float(np.max(mod.sum(axis=1)))
+    del mod
+    row_sq = np.einsum("ij,ij->i", R, R)
+    lower = max(float(row_sq.max()), float(np.einsum("ij,ij->j", R, R).max()))
+    return float(row_sq.sum()), lower, min(without_row, without_col) * (1.0 + 2 * d * _EPS)
+
+
+def _deflated_top(R: np.ndarray) -> float | None:
+    """Upper end of a Kato-Temple bracket on sigma_max^2 of the real form R, or None.
+
+    Every eigenvalue of R^T R below the top is at most alpha = min(F -
+    sigma_max^2, second), second the deflated bound of _deflated_screen.
+    Only when its lower bound on sigma_max^2 exceeds min(F - lower,
+    second) can the top be seen to be isolated, and only then does
+    _kato_temple run, from the constant vector with second as its bound
+    on lambda_2; clustered tops, such as multiplication operators' at
+    level 0, return None at once, with no power step.
+    """
+    frob, lower, second = _deflated_screen(R)
+    if lower <= min(frob - lower, second):
+        return None
+    d = R.shape[1]
+    return _kato_temple(frob, second, lambda x: R @ x, lambda y: R.T @ y, np.full(d, 1.0 / np.sqrt(d)))
+
+
+def _kato_temple(frob: float, second: float, forward, backward, x: np.ndarray) -> float | None:
+    """Power iteration on A^H A from the unit vector x, given F = ||A||_F^2 and A, A^H as matvecs.
+
+    Every eigenvalue of A^H A below the top is at most alpha = min(F -
+    theta, second), second a bound on lambda_2 the caller knows (inf when
+    it knows none), so sigma_max^2 <= theta + |r|^2 / (theta - alpha) once
+    theta > alpha; theta - alpha is computed as max(2 theta - F, theta -
+    second).  Returns that upper end as soon as the bracket is at most
+    _CERT_RTOL theta wide, and None if that does not happen within
+    _CERT_STEPS steps.  Since theta only grows towards an eigenvalue, a
+    step that leaves theta <= alpha and gains less than _CERT_STALL theta
+    shows the iteration settling below the bound, and None is returned
+    there and then (a clustered top).  F is inflated by its worst-case
+    summation error, a bound for any order of adding d^2 nonnegative terms.
+
+    _CERT_STEPS = 40 sits above every count measured: the dense real forms
+    that _deflated_top lets in (every suite at seed 0, sobolev_evidence
+    and floer_map at seeds 1-3, and 337 forms of interpolation, smooth and
+    rough factors at N = 16-512) certified after a median of 11 and at
+    most 30 steps, and the FFT path certified or stalled within 8.
+    """
+    d = x.size
     frob *= 1.0 + 2 * d * d * _EPS
-    x = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     last = 0.0
     for _ in range(_CERT_STEPS):
         y = forward(x)
         theta = float(np.vdot(y, y).real)
-        if 2 * theta <= frob and theta - last <= _CERT_STALL * theta:
+        gap = max(2 * theta - frob, theta - second)
+        if gap <= 0 and theta - last <= _CERT_STALL * theta:
             return None
         last = theta
         z = backward(y)  # A^H A x
-        if 2 * theta > frob:
+        if gap > 0:
             r = z - theta * x
-            width = float(np.vdot(r, r).real) / (2 * theta - frob)
+            width = float(np.vdot(r, r).real) / gap
             if width <= _CERT_RTOL * theta:
                 return theta + width
         norm = np.linalg.norm(z)
@@ -520,31 +608,63 @@ def _kato_temple(frob: float, forward, backward, d: int) -> float | None:
     return None
 
 
+def _gram_tops(forms: np.ndarray) -> np.ndarray:
+    """sigma_max of each stacked real form R, from the top eigenvalue of its Gram R^T R."""
+    gram = np.matmul(forms.transpose(0, 2, 1), forms)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
-    """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form."""
-    R = _real_form(T, a, b)
-    gram = R.T @ R
-    del R
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form.
+
+    The reference for the dense path of op_norms, which gives its bits.
+    """
+    return float(_gram_tops(_real_form(T, a, b)[None])[0])
+
+
+def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
+    """Operator norms of T : H_a -> H_b for each level pair (a, b), in order.
+
+    Takes the block, certified or dense path of the module docstring, in
+    that order, per pair.  The pairs the first two leave share one
+    _cos_sin_form of T, weighted per pair; each weighted form gets the
+    deflated Kato-Temple attempt, and the forms still open take one
+    stacked Gram and eigensolve.  No path returns a Krylov lower bound,
+    so a check such as ||K|| <= kappa stays evidence.
+    """
+    pairs = [(check_level(a), check_level(b)) for a, b in pairs]
+    blocks = _mode_blocks(T)
+    if blocks is not None:
+        return [float(_block_singular_values(blocks, T.N, a, b)[0]) for a, b in pairs]
+    norms = []
+    for a, b in pairs:
+        top = _certified_top_eigenvalue(T, a, b)
+        norms.append(None if top is None else float(np.sqrt(top)))
+    dense = [i for i, v in enumerate(norms) if v is None]
+    if not dense:
+        return norms
+    C = _cos_sin_form(T)
+    forms = C[None] if len(dense) == 1 else np.empty((len(dense), *C.shape))  # one pair: weighed in place
+    gram = []
+    for k, i in enumerate(dense):
+        top = _deflated_top(_weigh(C, T.N, T.n, *pairs[i], out=forms[k]))
+        if top is None:
+            gram.append(k)
+        else:
+            norms[i] = float(np.sqrt(top))
+    del C
+    if gram:
+        tops = _gram_tops(forms if len(gram) == len(dense) else forms[gram])
+        for k, v in zip(gram, tops):
+            norms[dense[k]] = float(v)
+    return norms
 
 
 def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) -> float:
-    """Operator norm of T : H_a -> H_b (largest weighted singular value).
-
-    Takes the block, certified or dense Gram path of the module
-    docstring, in that order.  Neither the certified bracket's upper end
-    nor the Gram eigenvalue is a Krylov lower bound, so a check such as
-    ||K|| <= kappa stays evidence.
-    """
-    a = T.dom if a is None else check_level(a)
-    b = T.cod if b is None else check_level(b)
-    blocks = _mode_blocks(T)
-    if blocks is not None:
-        return float(_block_singular_values(blocks, T.N, a, b)[0])
-    top = _certified_top_eigenvalue(T, a, b)
-    if top is not None:
-        return float(np.sqrt(top))
-    return _gram_norm(T, a, b)
+    """Operator norm of T : H_a -> H_b (largest weighted singular value), op_norms for one pair."""
+    a = T.dom if a is None else a
+    b = T.cod if b is None else b
+    return op_norms(T, [(a, b)])[0]
 
 
 def adjoint(T: LevelOperator, s: float) -> LevelOperator:
@@ -562,16 +682,18 @@ def adjoint(T: LevelOperator, s: float) -> LevelOperator:
 def check_interpolation(T: LevelOperator, levels: tuple[float, ...], tol: float = 1e-10) -> list[dict]:
     """Stein-Weiss bound ||T||_s <= ||T||_0^(1-s) ||T||_1^s at each level s, slack tol.
 
-    The end norms ||T||_0 and ||T||_1 are computed once for all levels;
-    one report per level, in the order given.
+    All the norms come from one op_norms call, so the levels share one
+    real form of T; one report per level, in the order given.  With the
+    geometric weight family the bound holds for every matrix, so a pass
+    is a roundoff identity of the truncated operator, not evidence about
+    the untruncated one: only a failure would say something (about the
+    norm computation).
     """
     if not all(0.0 <= s <= 1.0 for s in levels):
         raise ValueError("interpolation levels must lie in [0, 1]")
-    n0 = op_norm(T, 0.0, 0.0)
-    n1 = op_norm(T, 1.0, 1.0)
+    n0, n1, *inner = op_norms(T, [(0.0, 0.0), (1.0, 1.0)] + [(s, s) for s in levels])
     reports = []
-    for s in levels:
-        ns = op_norm(T, s, s)
+    for s, ns in zip(levels, inner):
         bound = n0 ** (1.0 - s) * n1**s
         reports.append(
             {

@@ -337,7 +337,11 @@ def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])
-def test_level_zero_multiplication_falls_through_to_the_dense_gram(N):
+def test_level_zero_multiplication_falls_through_to_the_dense_gram(monkeypatch, N):
+    # a clustered top: both screens hand it to the Gram without a power step
+    steps = []
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
     T = mult_operator(smooth_factor(N), "(1,0->0)")
     assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
     assert op_norm(T) == _gram_norm(T, T.dom, T.cod)
+    assert steps == []

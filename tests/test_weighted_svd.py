@@ -17,7 +17,9 @@ from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
+    _deflated_top,
     _gram_norm,
+    _gram_tops,
     _kato_temple,
     _mode_blocks,
     adjoint,
@@ -153,7 +155,7 @@ def test_correction_is_certified_and_multiplication_is_not(N):
     assert op_norm(T) == _gram_norm(T, T.dom, T.cod)
 
 
-def test_second_singular_value_does_not_pass_for_the_first():
+def test_second_singular_value_does_not_pass_for_the_first(monkeypatch):
     # sigma = (10, 9, small...) with the top right singular vector orthogonal
     # to the constant start: the iteration settles on 9, where 2 theta < F
     N, n = 8, 2
@@ -170,7 +172,23 @@ def test_second_singular_value_does_not_pass_for_the_first():
     mod = np.abs(M)
     frob = float(np.vdot(mod, mod).real)
     assert mod.sum(axis=1).max() * mod.sum(axis=0).max() > frob / 2  # not screened out
-    assert _kato_temple(frob, lambda x: M @ x, lambda y: M.conj().T @ y, d) is None
+    start = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+    assert _kato_temple(frob, np.inf, lambda x: M @ x, lambda y: M.conj().T @ y, start) is None
+
+    # the dense path: the real form R = 10 e_0 v^T + 9 e_1 e_2^T, with
+    # v = (e_0 - e_1)/sqrt(2) orthogonal to the constant start.  Deleting
+    # row 0 or column 2 leaves sigma = 9, so the deflated bound on lambda_2
+    # stays at 81 and the iteration, which settles on 81, certifies nothing;
+    # deleting both would leave 0 and pass 9 off as the top
+    R = np.zeros((d, d))
+    R[0, :2] = 10.0 / np.sqrt(2.0), -10.0 / np.sqrt(2.0)
+    R[1, 2] = 9.0
+    runs = []
+    kato_temple = scale_operator._kato_temple
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: runs.append(args[1]) or kato_temple(*args))
+    assert _deflated_top(R) is None
+    assert runs == [pytest.approx(81.0, rel=1e-13)]  # screened in, with the deflated bound
+    assert float(_gram_tops(R[None])[0]) == pytest.approx(10.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("N", [16, 32])
