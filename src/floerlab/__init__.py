@@ -110,6 +110,6 @@ from .sobolev_evidence import (
     signature_ordering_check,
     smooth_factor,
 )
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

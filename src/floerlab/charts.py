@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-# Default domain slack, in chart coordinates, demanded of every sample.
+# Domain slack, in chart coordinates, demanded of every sample.
 DEFAULT_MARGIN = 0.05
 
 
@@ -34,15 +34,15 @@ class DiffeoChart:
     jacobian: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray] | None = None
-    # Signed distance proxy to the domain boundary; samples must clear the
-    # margin.  None means the chart is defined on all of R^n.
+    # Signed distance proxy to the domain boundary; samples must clear
+    # DEFAULT_MARGIN.  None means the chart is defined on all of R^n.
     boundary_clearance: Callable[[np.ndarray], np.ndarray] | None = None
     inverse: "DiffeoChart | None" = field(default=None, repr=False)
 
-    def contains(self, points: np.ndarray, margin: float = DEFAULT_MARGIN) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         if self.boundary_clearance is None:
             return True
-        return bool(np.all(self.boundary_clearance(points) >= margin))
+        return bool(np.all(self.boundary_clearance(points) >= DEFAULT_MARGIN))
 
 
 def pair_inverses(a: DiffeoChart, b: DiffeoChart) -> DiffeoChart:

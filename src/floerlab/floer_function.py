@@ -124,15 +124,11 @@ class FloerFunctionNumeric:
     name: str = ""
 
 
-def symplectic_action(
-    H: HamiltonianData,
-    N: int,
-    grid_points: int | None = None,
-) -> FloerFunctionNumeric:
+def symplectic_action(H: HamiltonianData, N: int) -> FloerFunctionNumeric:
     """The perturbed action as a FloerFunctionNumeric at truncation N."""
     dim = H.dim
     J0 = standard_symplectic_matrix(dim)
-    G = default_grid_points(N) if grid_points is None else int(grid_points)
+    G = default_grid_points(N)
     t = grid_times(G)
     k = mode_numbers(N).astype(float)
 
@@ -230,7 +226,6 @@ def gradient_axiom_check(
     samples: list[FourierLoop],
     directions: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    h: float = 1e-3,
 ) -> dict:
     """Check the three gradient axioms; JSON-ready report keyed by axiom name."""
     pair_err = 0.0
@@ -239,10 +234,10 @@ def gradient_axiom_check(
         g = F.gradient(q)
         A = F.hessian(q)
         for xi in directions:
-            fd = richardson_directional(F.value, q, xi, h)
+            fd = richardson_directional(F.value, q, xi)
             val = inner(g, xi, 0.0)
             pair_err = max(pair_err, _rel(abs(fd - val), max(abs(val), g.norm(0.0) * xi.norm(0.0))))
-            fd_grad = richardson_directional(F.gradient, q, xi, h)
+            fd_grad = richardson_directional(F.gradient, q, xi)
             ref = A.apply(xi)
             c1_err = max(c1_err, _rel((fd_grad - ref).norm(0.0), max(ref.norm(0.0), g.norm(0.0))))
     grad_ok = pair_err <= GRAD_FD_RTOL
@@ -276,7 +271,6 @@ def hessian_axiom_check(
     samples: list[FourierLoop],
     pairs: list[tuple[FourierLoop, FourierLoop]],
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    h: float = 1e-3,
 ) -> dict:
     """Check the four Hessian axioms; the Fredholm entry carries both level pairs."""
     sym_err = 0.0
@@ -289,7 +283,7 @@ def hessian_axiom_check(
             right = inner(xi, Aeta, 0.0)
             scale = max(Axi.norm(0.0) * eta.norm(0.0), Aeta.norm(0.0) * xi.norm(0.0))
             sym_err = max(sym_err, _rel(abs(left - right), scale))
-            fd = richardson_second(F.value, q, xi, eta, h)
+            fd = richardson_second(F.value, q, xi, eta)
             fd_err = max(fd_err, _rel(abs(fd - left), max(abs(left), scale)))
 
     # one rebuilt Hessian per (N, sample), read at both level pairs

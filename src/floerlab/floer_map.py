@@ -48,6 +48,9 @@ from .scale_space import (
 
 AXIOMS = ("(i)1", "(i)2", "(ii)1", "(ii)2")
 
+# H_1 length of the bump behind the continuity moduli of verify_floer_axioms.
+MODULUS_STEP = 1e-3
+
 
 class ChartDomainError(ValueError):
     """A loop's grid samples left the chart domain (margin included)."""
@@ -280,27 +283,27 @@ class SuperpositionMap:
     chart: DiffeoChart
     s: float
     N: int
-    grid_points: int | None = None
-    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("level parameter s must lie in (0, 1)")
-        if self.grid_points is None:
-            self.grid_points = default_grid_points(self.N)
 
     @property
     def n(self) -> int:
         return self.chart.n
 
+    @property
+    def grid_points(self) -> int:
+        return default_grid_points(self.N)
+
     def rebuild(self, N: int) -> "SuperpositionMap":
-        return SuperpositionMap(self.chart, self.s, N, margin=self.margin)
+        return SuperpositionMap(self.chart, self.s, N)
 
     def sample_values(self, u: FourierLoop) -> np.ndarray:
         vals = to_grid(u, self.grid_points)
-        if not self.chart.contains(vals, self.margin):
+        if not self.chart.contains(vals):
             raise ChartDomainError(
-                f"loop leaves the domain of chart {self.chart.name!r} (margin {self.margin})"
+                f"loop leaves the domain of chart {self.chart.name!r} (margin {DEFAULT_MARGIN})"
             )
         return vals
 
@@ -328,21 +331,13 @@ def compose(psi: SuperpositionMap, phi: SuperpositionMap) -> SuperpositionMap:
         raise ValueError("maps must share dimension and truncation")
     if psi.s != phi.s:
         raise ValueError("maps must share the level parameter s")
-    return SuperpositionMap(
-        compose_charts(psi.chart, phi.chart),
-        phi.s,
-        phi.N,
-        grid_points=max(psi.grid_points, phi.grid_points),
-        margin=phi.margin,
-    )
+    return SuperpositionMap(compose_charts(psi.chart, phi.chart), phi.s, phi.N)
 
 
 def invert(phi: SuperpositionMap) -> SuperpositionMap:
     if phi.chart.inverse is None:
         raise ValueError(f"chart {phi.chart.name!r} carries no inverse")
-    return SuperpositionMap(
-        phi.chart.inverse, phi.s, phi.N, grid_points=phi.grid_points, margin=phi.margin
-    )
+    return SuperpositionMap(phi.chart.inverse, phi.s, phi.N)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +360,6 @@ def verify_floer_axioms(
     phi: SuperpositionMap,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    modulus_step: float = 1e-3,
     hopm: dict | None = None,
 ) -> list[AxiomReport]:
     """Run the four extension-axiom checks over an N-sweep.
@@ -374,7 +368,8 @@ def verify_floer_axioms(
     divided-difference continuity modulus at the largest N, and the
     verdict of axiom_reports.  The modulus of (i)1/(i)2 reads the
     difference of dphi, that of (ii)1/(ii)2 the difference of d2phi,
-    between the first sample q and q + bump, over |bump|_1.
+    between the first sample q and q + bump, over |bump|_1; the bump is
+    MODULUS_STEP along q's unit direction.
 
     Per N the map is rebuilt once, dphi and d2phi are built once per
     sample, and one trilinear_norms call holds every sample at both the
@@ -398,7 +393,7 @@ def verify_floer_axioms(
         batch = maps + maps
         levels = [second[0]] * len(maps) + [second[1]] * len(maps)
         if N == Ns[-1]:
-            bump = modulus_step * _unit_direction(qs[0])
+            bump = MODULUS_STEP * _unit_direction(qs[0])
             step = bump.norm(1.0)
             moved = qs[0] + bump
             diff = dphi(phN, moved) - first

@@ -85,8 +85,8 @@ class SphereChart:
         """Height below the cap rim, per sample; positive means inside."""
         return (1.0 - self.cap) - points @ self.Q.T[:, 2]
 
-    def covers(self, points: np.ndarray, margin: float = DEFAULT_MARGIN) -> bool:
-        return bool(np.all(self.clearance(points) >= margin))
+    def covers(self, points: np.ndarray) -> bool:
+        return bool(np.all(self.clearance(points) >= DEFAULT_MARGIN))
 
     def to_coords(self, points: np.ndarray) -> np.ndarray:
         v = points @ self.Q.T
@@ -162,8 +162,8 @@ class PlanarChart:
     def point_dim(self) -> int:
         return self.rho.n
 
-    def covers(self, points: np.ndarray, margin: float = DEFAULT_MARGIN) -> bool:
-        return self.rho.contains(points, margin)
+    def covers(self, points: np.ndarray) -> bool:
+        return self.rho.contains(points)
 
     def to_coords(self, points: np.ndarray) -> np.ndarray:
         return self.rho.value(points)
@@ -235,59 +235,47 @@ def _abstract_points(u: FourierLoop, chart, grid_points: int) -> np.ndarray:
     return vals
 
 
-def loops_in_chart(
-    corpus: list[FourierLoop],
-    chart,
-    N: int,
-    margin: float = DEFAULT_MARGIN,
-    also_in=(),
-) -> list[FourierLoop]:
+def loops_in_chart(corpus: list[FourierLoop], chart, N: int, also_in=()) -> list[FourierLoop]:
     """Corpus members covered by the chart (and every chart in also_in),
     expressed in its coordinates at truncation N."""
     G = default_grid_points(N)
     found = []
     for u in corpus:
         pts = _abstract_points(u, chart, G)
-        if not chart.covers(pts, margin):
+        if not chart.covers(pts):
             continue
-        if any(not other.covers(pts, margin) for other in also_in):
+        if any(not other.covers(pts) for other in also_in):
             continue
         found.append(from_grid(chart.to_coords(pts), N))
     return found
 
 
-def coverage_report(atlas: LoopAtlas, margin: float = DEFAULT_MARGIN) -> dict:
+def coverage_report(atlas: LoopAtlas) -> dict:
     """How many charts cover each corpus loop; the atlas needs all counts >= 1."""
     counts = []
     for u in atlas.corpus:
         G = default_grid_points(max(u.N, 16))
         hits = 0
         for c in atlas.charts:
-            if c.covers(_abstract_points(u, c, G), margin):
+            if c.covers(_abstract_points(u, c, G)):
                 hits += 1
         counts.append(hits)
     return {"counts": counts, "covered": bool(all(h >= 1 for h in counts))}
 
 
-def transition(
-    atlas: LoopAtlas,
-    alpha,
-    beta,
-    N: int = 32,
-    margin: float = DEFAULT_MARGIN,
-) -> SuperpositionMap:
+def transition(atlas: LoopAtlas, alpha, beta, N: int = 32) -> SuperpositionMap:
     """The loop-space transition map between two charts of one atlas."""
     a, b = atlas.chart(alpha), atlas.chart(beta)
     if a is b:
-        return SuperpositionMap(identity_chart(2), atlas.s, N, margin=margin)
-    if not loops_in_chart(atlas.corpus, a, N, margin, also_in=(b,)):
+        return SuperpositionMap(identity_chart(2), atlas.s, N)
+    if not loops_in_chart(atlas.corpus, a, N, also_in=(b,)):
         raise EmptyOverlapError(f"charts {a.name!r} and {b.name!r} share no corpus loop")
-    return SuperpositionMap(a.transition_to(b), atlas.s, N, margin=margin)
+    return SuperpositionMap(a.transition_to(b), atlas.s, N)
 
 
-def _pair_map(a, b, s: float, N: int, margin: float) -> SuperpositionMap:
+def _pair_map(a, b, s: float, N: int) -> SuperpositionMap:
     chart = identity_chart(2) if a is b else a.transition_to(b, build_inverse=False)
-    return SuperpositionMap(chart, s, N, margin=margin)
+    return SuperpositionMap(chart, s, N)
 
 
 def _default_corpus(*atlases: LoopAtlas) -> list[FourierLoop]:
@@ -304,7 +292,6 @@ def check_compatibility(
     B: LoopAtlas,
     corpus: list[FourierLoop] | None = None,
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    margin: float = DEFAULT_MARGIN,
     hopm: dict | None = None,
     max_samples: int = 5,
 ) -> dict:
@@ -322,14 +309,14 @@ def check_compatibility(
     pairs = []
     for a in A.charts:
         for b in B.charts:
-            samples = loops_in_chart(corpus, a, top, margin, also_in=(b,))
+            samples = loops_in_chart(corpus, a, top, also_in=(b,))
             if not samples:
                 pairs.append({"from": a.name, "to": b.name, "overlap": 0, "verdict": "empty"})
                 continue
             if len(samples) > max_samples:
                 stride = np.linspace(0, len(samples) - 1, max_samples).astype(int)
                 samples = [samples[i] for i in stride]
-            phi = _pair_map(a, b, A.s, top, margin)
+            phi = _pair_map(a, b, A.s, top)
             reports = verify_floer_axioms(phi, samples, N_sweep, hopm=hopm)
             ok = all(r.verdict == "pass" for r in reports)
             pairs.append(
@@ -368,7 +355,6 @@ def check_transitivity(
     C: LoopAtlas,
     corpus: list[FourierLoop] | None = None,
     N: int = 32,
-    margin: float = DEFAULT_MARGIN,
     N_sweep: tuple[int, ...] = (16, 32),
     hopm: dict | None = None,
     max_samples: int = 2,
@@ -387,8 +373,8 @@ def check_transitivity(
         raise ValueError("atlases must share the level parameter")
     corpus = list(corpus) if corpus is not None else _default_corpus(A, B, C)
     hopm = hopm if hopm is not None else {"restarts": 0, "iters": 60}
-    maps_ab = {(a.name, b.name): _pair_map(a, b, A.s, N, margin) for a in A.charts for b in B.charts}
-    maps_bc = {(b.name, c.name): _pair_map(b, c, A.s, N, margin) for b in B.charts for c in C.charts}
+    maps_ab = {(a.name, b.name): _pair_map(a, b, A.s, N) for a in A.charts for b in B.charts}
+    maps_bc = {(b.name, c.name): _pair_map(b, c, A.s, N) for b in B.charts for c in C.charts}
     triples = []
     worst_apply = 0.0
     worst_two_step = 0.0
@@ -396,10 +382,10 @@ def check_transitivity(
     pieces_agree = True
     for a in A.charts:
         for c in C.charts:
-            direct = _pair_map(a, c, A.s, N, margin)
+            direct = _pair_map(a, c, A.s, N)
             pieces = []
             for b in B.charts:
-                samples = loops_in_chart(corpus, a, N, margin, also_in=(b, c))[:max_samples]
+                samples = loops_in_chart(corpus, a, N, also_in=(b, c))[:max_samples]
                 if not samples:
                     continue
                 phi_ab = maps_ab[(a.name, b.name)]

@@ -105,7 +105,6 @@ from .scale_space import (
     grid_samples,
     half_spectrum,
     mode_numbers,
-    multiplication_matrix,
     multiplication_symbol,
     toeplitz_rows,
     weights,
@@ -144,9 +143,11 @@ class LevelOperator:
     (G, n, n), G >= 2N+1, of a multiplication operator, and/or blocks,
     complex (2N+1, n, n) mode blocks on the diagonal, which the producers
     give mirrored (block -k is conj(block k)).  Its symbol, mirrored bit
-    for bit, is computed once; .matrix, the factor's multiplication_matrix
-    plus the blocks, is built when first read and kept, and apply, + and -
-    on one grid and the level-0 adjoint never read it.  Immutable.
+    for bit, is computed once; .matrix, the Toeplitz matrix of the symbol
+    (the factor's multiplication_matrix, bit for bit) plus the blocks, is
+    built from the stored symbol by _mode_rows when first read and kept,
+    and apply, + and - on one grid and the level-0 adjoint never read it.
+    Immutable.
     """
 
     def __init__(
@@ -201,12 +202,7 @@ class LevelOperator:
         # which for .matrix means it is not built yet
         if name != "matrix":
             raise AttributeError(name)
-        M, n = 2 * self.N + 1, self.n
-        if self.factor is not None:
-            m = multiplication_matrix(self.factor, self.N)
-        else:
-            m = np.zeros((M * n, M * n), dtype=complex)
-        _add_blocks(self, m.reshape(M, n, M, n), 0)
+        m = _mode_rows(self, 0, 2 * self.N + 1)
         self.__dict__["matrix"] = m
         return m
 
@@ -472,16 +468,14 @@ def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float 
     return np.linalg.svd(_real_form(T, a, b), compute_uv=False)
 
 
-def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
-    """F = ||A||_F^2, the screen's ||A||_1 ||A||_inf, and A, A^H as matvecs, from the symbol.
+def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray) -> tuple[float, float]:
+    """F = ||A||_F^2 and the screen's ||A||_1 ||A||_inf, from the symbol.
 
     T is a pure multiplication operator.  Entry (k, i; l, j) of |A| is
     root_b(k) |g_ij(k - l)| / root_a(l), so F is sum_m ||g(m)||_F^2 S(m)
     with S(m) = sum_{k - l = m} w_b(k) / w_a(l), and the row and column
     sums of |A| are convolutions of |g| with the reciprocal and the plain
-    square roots of the weights.  The matvecs are _matvec with T and its
-    level-0 adjoint; they need mirrored input, which the power iteration
-    keeps: it starts from a real constant vector.
+    square roots of the weights.
     """
     n, sym = T.n, T.symbol
     rb, ra = root_b[::n], root_a[::n]  # one weight per mode
@@ -491,32 +485,30 @@ def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray):
     cols = mod.sum(axis=1)[::-1]  # column j, summed over i, at -m
     row_max = max(float((rb * np.convolve(rows[:, i], 1.0 / ra, "valid")).max()) for i in range(n))
     col_max = max(float((np.convolve(cols[:, j], rb, "valid") / ra).max()) for j in range(n))
-    TH = adjoint(T, 0.0)  # multiplication by g(t)^T
-    return (
-        frob,
-        row_max * col_max,
-        lambda x: root_b * _matvec(T, x / root_a),
-        lambda y: _matvec(TH, root_b * y) / root_a,
-    )
+    return frob, row_max * col_max
 
 
 def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
     """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
 
     Only a pure multiplication operator (a factor, no blocks) is tried.
-    _symbol_pass gives F = ||A||_F^2, the screen ||A||_1 ||A||_inf >=
-    sigma_max^2 and A, A^H as matvecs; a screen at most F/2 rules out
-    2 theta > F and None is returned at once, else _kato_temple runs with
-    no bound on the second eigenvalue but F - theta.
+    _symbol_pass gives F = ||A||_F^2 and the screen ||A||_1 ||A||_inf >=
+    sigma_max^2; a screen at most F/2 rules out 2 theta > F and None is
+    returned at once.  Else _kato_temple runs, with no bound on the second
+    eigenvalue but F - theta, on A and A^H as matvecs: _matvec with T and
+    its level-0 adjoint, which need mirrored input, as the power iteration
+    keeps it (it starts from a real constant vector).
     """
     if T.factor is None or T.blocks is not None:
         return None
     root_a = np.sqrt(_flat_weights(T.N, T.n, a))
     root_b = np.sqrt(_flat_weights(T.N, T.n, b))
-    frob, screen, forward, backward = _symbol_pass(T, root_a, root_b)
+    frob, screen = _symbol_pass(T, root_a, root_b)
     if screen <= frob / 2:
         return None
+    TH = adjoint(T, 0.0)  # multiplication by g(t)^T
     start = np.full(root_a.size, 1.0 / np.sqrt(root_a.size), dtype=complex)
+    forward, backward = lambda x: root_b * _matvec(T, x / root_a), lambda y: _matvec(TH, root_b * y) / root_a
     return _kato_temple(frob, np.inf, forward, backward, start)
 
 

@@ -341,7 +341,6 @@ def random_loop(
     top_mode: int = 3,
     amplitude: float = 1.0,
     decay: float = 0.5,
-    normalize_level: float | None = None,
 ) -> FourierLoop:
     """Random loop with modes up to top_mode and geometric coefficient decay."""
     top = min(top_mode, N)
@@ -351,10 +350,4 @@ def random_loop(
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c[N + k] = 0.5 * amplitude * decay**k * z
         c[N - k] = np.conj(c[N + k])
-    u = FourierLoop(c)
-    if normalize_level is not None:
-        nrm = u.norm(normalize_level)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero loop")
-        u = (1.0 / nrm) * u
-    return u
+    return FourierLoop(c)

@@ -145,8 +145,8 @@ def dual_pairing_check(fstar: FourierLoop, g: FourierLoop, h: FourierLoop) -> di
     }
 
 
-def sup_norm(g: FourierLoop, fine_grid: int = FINE_GRID) -> float:
-    return float(np.max(np.abs(to_grid(g, max(fine_grid, 2 * g.N + 1)))))
+def sup_norm(g: FourierLoop) -> float:
+    return float(np.max(np.abs(to_grid(g, max(FINE_GRID, 2 * g.N + 1)))))
 
 
 def c0_embedding_constant(N: int) -> float:
@@ -219,15 +219,13 @@ def extremal_profile(N: int, s: float) -> FourierLoop:
     return FourierLoop(c)
 
 
-def holder_seminorm(u: FourierLoop, alpha: float, fine_grid: int = FINE_GRID) -> float:
-    """sup over dyadic offsets y of |u(t+y) - u(t)| / y^alpha on a fine grid."""
-    vals = to_grid(u, fine_grid)
+def holder_seminorm(u: FourierLoop, alpha: float) -> float:
+    """sup over dyadic offsets y of |u(t+y) - u(t)| / y^alpha on FINE_GRID points."""
+    vals = to_grid(u, FINE_GRID)
     best = 0.0
     for j in DYADIC_OFFSETS:
-        shift = fine_grid >> j
-        if shift == 0:
-            break
-        y = shift / fine_grid
+        shift = FINE_GRID >> j
+        y = shift / FINE_GRID
         diff = float(np.max(np.abs(np.roll(vals, -shift, axis=0) - vals)))
         best = max(best, diff / y**alpha)
     return best

@@ -2,13 +2,17 @@
 
 Each suite bundles one module's checks into a deterministic report:
 a list of named checks with a passed flag and enough numbers to audit
-the verdict.  All randomness flows from the config seed, so reruns
-with one seed serialize to identical bytes.
+the verdict.  A suite reads the run config (cli.RunConfig) for what to
+run: its N (clipped per check by capped), its s values (mid_s where one
+is used), the seed and the negative controls.  The gates are the
+constants below, the same in every run, so a verdict needs no config to
+read.  All randomness flows from the config seed, so reruns with one
+seed serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,46 +63,24 @@ from .sobolev_evidence import (
     smooth_factor,
 )
 
+if TYPE_CHECKING:
+    from .cli import RunConfig
+
 # closed-form spectral gap of the action Hessian for H = |x|^2/2, any N
 ACTION_GAP = 0.8303937666738019
 
 LIGHT_HOPM = {"restarts": 1, "iters": 80}
 
-# Every tolerance a suite reads, with its default; a run config may
-# override these keys and no others.
-TOLERANCES = {
-    "chain_rule_tol": 1e-12,
-    "invert_tol": 1e-10,
-    "leibniz_slope_tol": 0.2,
-    "pairing_tol": 1e-10,
-    "functoriality_tol": 1e-9,
-    "gradient_functoriality_tol": 1e-10,
-    "interpolation_samples": 50,
-    "interpolation_tol": 1e-10,
-    "cocycle_tol": 1e-10,
-}
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Shared knobs for every suite; tolerances override the defaults in TOLERANCES."""
-
-    N_sweep: tuple[int, ...] = (16, 32, 64, 128, 256)
-    s_values: tuple[float, ...] = (0.6, 0.75, 0.9)
-    seed: int = 0
-    negative_controls: bool = False
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, TOLERANCES[key]))
-
-    @property
-    def mid_s(self) -> float:
-        return self.s_values[len(self.s_values) // 2]
-
-    def capped(self, top: int) -> tuple[int, ...]:
-        kept = tuple(N for N in self.N_sweep if N <= top)
-        return kept if kept else (min(self.N_sweep),)
+# The suites' gates and the interpolation check's sample count; no config moves them.
+CHAIN_RULE_TOL = 1e-12
+INVERT_TOL = 1e-10
+LEIBNIZ_SLOPE_TOL = 0.2
+PAIRING_TOL = 1e-10
+FUNCTORIALITY_TOL = 1e-9
+GRADIENT_FUNCTORIALITY_TOL = 1e-10
+INTERPOLATION_SAMPLES = 50
+INTERPOLATION_TOL = 1e-10
+COCYCLE_TOL = 1e-10
 
 
 def _verdict(checks: list[dict]) -> str:
@@ -124,7 +106,7 @@ def _zero_mean_x(u: FourierLoop) -> FourierLoop:
     return FourierLoop(c)
 
 
-def suite_floer_map(cfg: SuiteConfig) -> dict:
+def suite_floer_map(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     s = cfg.mid_s
     Ns = cfg.capped(64)
@@ -150,13 +132,12 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     two_step = dphi(rotation, apply(shear, q)).matrix @ dphi(shear, q).matrix
     rows = band_indices(top, 2, top // 2)
     residual = float(np.max(np.abs((direct - two_step)[np.ix_(rows, rows)])))
-    tol = cfg.tol("chain_rule_tol")
     checks.append(
         {
             "name": "derivative chain rule on the inner half band",
-            "passed": residual <= tol,
+            "passed": residual <= CHAIN_RULE_TOL,
             "residual": residual,
-            "tolerance": tol,
+            "tolerance": CHAIN_RULE_TOL,
         }
     )
 
@@ -165,7 +146,7 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     checks.append(
         {
             "name": "inverse map round trip",
-            "passed": round_trip <= cfg.tol("invert_tol"),
+            "passed": round_trip <= INVERT_TOL,
             "residual": float(round_trip),
         }
     )
@@ -173,7 +154,7 @@ def suite_floer_map(cfg: SuiteConfig) -> dict:
     xi = random_loop(rng, 2, top, amplitude=0.3)
     eta = random_loop(rng, 2, top, amplitude=0.3)
     leib = leibniz_check(rotation, shear, q, xi, eta)
-    slope_ok = abs(leib["slope"] - 2.0) <= cfg.tol("leibniz_slope_tol")
+    slope_ok = abs(leib["slope"] - 2.0) <= LEIBNIZ_SLOPE_TOL
     checks.append(
         {
             "name": "second-order remainder slope for the composite",
@@ -218,7 +199,7 @@ def _inclusion_control(sweep: tuple[int, ...]) -> dict:
     }
 
 
-def suite_floer_function(cfg: SuiteConfig) -> dict:
+def suite_floer_function(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed + 1)
     Ns = cfg.capped(64)
     top = max(Ns)
@@ -267,7 +248,7 @@ def suite_floer_function(cfg: SuiteConfig) -> dict:
     }
 
 
-def suite_pullback(cfg: SuiteConfig) -> dict:
+def suite_pullback(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed + 2)
     s = cfg.mid_s
     Ns = cfg.capped(64)
@@ -298,18 +279,17 @@ def suite_pullback(cfg: SuiteConfig) -> dict:
         lhs = inner(K.apply(xi), eta, 0.0)
         rhs = B.trilinear(xi, eta, grad_at_image)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    tol = cfg.tol("pairing_tol")
     checks.append(
         {
             "name": "correction operator represents the gradient-weighted second derivative",
-            "passed": worst <= tol,
+            "passed": worst <= PAIRING_TOL,
             "residual": float(worst),
-            "tolerance": tol,
+            "tolerance": PAIRING_TOL,
         }
     )
 
     kappa_rows = []
-    for sv in cfg.s_values:
+    for sv in cfg.s:
         for N in cfg.capped(128):
             FN = F.rebuild(N)
             phN = phi.rebuild(N)
@@ -334,11 +314,10 @@ def suite_pullback(cfg: SuiteConfig) -> dict:
     h_one = direct.hessian(q32).matrix
     h_res = float(np.max(np.abs((h_two - h_one)[np.ix_(rows, rows)])))
     g_res = float(np.max(np.abs(staged.gradient(q32).coeffs - direct.gradient(q32).coeffs)))
-    tol = cfg.tol("functoriality_tol")
     checks.append(
         {
             "name": "pulling back in two stages matches the composite chart",
-            "passed": h_res <= tol and g_res <= cfg.tol("gradient_functoriality_tol"),
+            "passed": h_res <= FUNCTORIALITY_TOL and g_res <= GRADIENT_FUNCTORIALITY_TOL,
             "hessian_residual_half_band": h_res,
             "gradient_residual": g_res,
         }
@@ -347,7 +326,7 @@ def suite_pullback(cfg: SuiteConfig) -> dict:
     return {"suite": "pullback", "seed": cfg.seed, "checks": checks, "verdict": _verdict(checks)}
 
 
-def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
+def suite_sobolev_evidence(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed + 3)
     sweep = cfg.capped(256)
     top64 = 64
@@ -385,23 +364,20 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
         | {"expected": "growth"}
     )
 
-    worst = {0.25: 0.0, 0.5: 0.0, 0.75: 0.0}
-    count = int(cfg.tol("interpolation_samples"))
-    for _ in range(count):
+    # per level, the largest norm_s - bound over the samples; inf once a level report fails
+    slacks = {0.25: [], 0.5: [], 0.75: []}
+    for _ in range(INTERPOLATION_SAMPLES):
         g = random_loop(rng, 1, top64, top_mode=5, amplitude=0.8)
         T = mult_operator(g, "(1,1->1)")
-        for rep in check_interpolation(T, tuple(worst), tol=cfg.tol("interpolation_tol")):
-            sv = rep["s"]
-            slack = rep["norm_s"] - rep["bound"]
-            worst[sv] = max(worst[sv], slack)
-            if not rep["passed"]:
-                worst[sv] = float("inf")
+        for rep in check_interpolation(T, tuple(slacks), tol=INTERPOLATION_TOL):
+            slacks[rep["s"]].append(rep["norm_s"] - rep["bound"] if rep["passed"] else float("inf"))
+    worst = {sv: max(v) for sv, v in slacks.items()}
     checks.append(
         {
             "name": "multiplication norms interpolate between the end levels",
-            "passed": all(v <= cfg.tol("interpolation_tol") for v in worst.values()),
+            "passed": all(v <= INTERPOLATION_TOL for v in worst.values()),
             "worst_slack": {str(k): float(v) for k, v in worst.items()},
-            "samples": count,
+            "samples": INTERPOLATION_SAMPLES,
         }
     )
 
@@ -426,7 +402,7 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
         }
     )
 
-    for sv in cfg.s_values:
+    for sv in cfg.s:
         rep = holder_embedding_check(sv, N_sweep=sweep)
         checks.append(
             {
@@ -457,9 +433,9 @@ def suite_sobolev_evidence(cfg: SuiteConfig) -> dict:
     }
 
 
-def suite_loop_atlas(cfg: SuiteConfig) -> dict:
+def suite_loop_atlas(cfg: RunConfig) -> dict:
     checks = []
-    for sv in cfg.s_values:
+    for sv in cfg.s:
         atlas = sphere_small_loop_atlas(s=sv)
         rep = check_compatibility(atlas, atlas, N_sweep=cfg.capped(64))
         checks.append(
@@ -486,7 +462,7 @@ def suite_loop_atlas(cfg: SuiteConfig) -> dict:
     checks.append(
         {
             "name": "reverse transition inverts the forward one",
-            "passed": res_inv <= cfg.tol("cocycle_tol"),
+            "passed": res_inv <= COCYCLE_TOL,
             "residual": float(res_inv),
         }
     )
@@ -532,7 +508,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> dict:
+def run_suite(name: str, cfg: RunConfig) -> dict:
     try:
         runner = SUITES[name]
     except KeyError:

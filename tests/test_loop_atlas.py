@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from floerlab.charts import DEFAULT_MARGIN, c1_only_chart, inversion_chart, shear_chart
-from floerlab.floer_map import apply, invert, verify_floer_axioms
+from floerlab.charts import c1_only_chart, inversion_chart, rotation_field_chart, shear_chart
+from floerlab.floer_map import SuperpositionMap, apply, dphi, invert, verify_floer_axioms
 from floerlab.loop_atlas import (
     EmptyOverlapError,
     _pair_map,
@@ -21,7 +21,8 @@ from floerlab.loop_atlas import (
     sphere_small_loop_atlas,
     transition,
 )
-from floerlab.scale_space import FourierLoop, to_grid
+from floerlab.scale_operator import weighted_singular_values
+from floerlab.scale_space import FourierLoop, random_loop, to_grid
 
 LIGHT = {"restarts": 1, "iters": 80}
 
@@ -178,7 +179,7 @@ def test_union_reports_equal_a_verify_on_the_union_of_the_pieces():
     B = rotated_sphere_atlas(0.3)
     a, c = A.chart("north"), A.chart("south")
     N, Ns, hopm = 32, (16, 32), {"restarts": 0, "iters": 60}
-    direct = _pair_map(a, c, A.s, N, DEFAULT_MARGIN)
+    direct = _pair_map(a, c, A.s, N)
     pieces, union = [], []
     for b in B.charts:
         samples = loops_in_chart(A.corpus + B.corpus, a, N, also_in=(b, c))[:2]
@@ -187,3 +188,30 @@ def test_union_reports_equal_a_verify_on_the_union_of_the_pieces():
     assert len(pieces) == 2 and len(union) == 4
     expected = verify_floer_axioms(direct, union, Ns, hopm=hopm)
     assert [r.to_json() for r in _union_reports(pieces, A.s)] == [r.to_json() for r in expected]
+
+
+def _pair_gap(T, level):
+    # largest |sigma_2i - sigma_2i+1| relative to sigma_1, T read at (level, level)
+    sv = weighted_singular_values(T, level, level)
+    return float(np.max(np.abs(sv[0::2] - sv[1::2])) / sv[0])
+
+
+def test_sphere_transition_jacobians_have_paired_singular_values():
+    # Moebius and anti-Moebius Jacobians are conformal, r R(theta) or r R(theta) diag(1, -1),
+    # so each commutes or anticommutes with J0, the rotation by a right angle; then A^H A
+    # commutes with J0 acting pointwise on real loops, and J0^2 = -1 makes its eigenspaces
+    # even-dimensional.  The top is double, which no one-vector Kato-Temple bracket separates.
+    N = 16
+    sphere, rotated = sphere_small_loop_atlas(s=0.75), rotated_sphere_atlas(0.3, s=0.75)
+    north, south = sphere.chart("north"), sphere.chart("south")
+    for a, b in ((north, south), (south, north), (north, rotated.chart("north@0.3")), (north, rotated.chart("south@0.3"))):
+        q = loops_in_chart(sphere.corpus + rotated.corpus, a, N, also_in=(b,))[0]
+        T = dphi(SuperpositionMap(a.transition_to(b), 0.75, N), q)
+        for level in (0.0, -1.0):
+            assert _pair_gap(T, level) <= 1e-12, (a.name, b.name, level)
+    # control: non-conformal Jacobians have simple singular values (shear: 1.5475, 1.5194, ...)
+    q = random_loop(np.random.default_rng(0), 2, N, amplitude=0.4)
+    for chart in (shear_chart(), rotation_field_chart(0.5)):
+        T = dphi(SuperpositionMap(chart, 0.75, N), q)
+        for level in (0.0, -1.0):
+            assert _pair_gap(T, level) > 1e-2, (chart.name, level)

@@ -138,6 +138,27 @@ def _count_traffic(monkeypatch):
     return counts
 
 
+def _count_symbol_passes(monkeypatch):
+    # symbol passes, those whose screen admits the power iteration, and the
+    # level-0 adjoints built on scale_operator's certified path
+    counts = {"passes": 0, "admitted": 0, "adjoints": 0}
+    symbol_pass, adjoint = scale_operator._symbol_pass, scale_operator.adjoint
+
+    def passes(T, root_a, root_b):
+        frob, screen = symbol_pass(T, root_a, root_b)
+        counts["passes"] += 1
+        counts["admitted"] += screen > frob / 2
+        return frob, screen
+
+    def adjoints(T, s):
+        counts["adjoints"] += 1
+        return adjoint(T, s)
+
+    monkeypatch.setattr(scale_operator, "_symbol_pass", passes)
+    monkeypatch.setattr(scale_operator, "adjoint", adjoints)
+    return counts
+
+
 def test_one_point_sweep_runs_one_gram_eigensolve(monkeypatch):
     # at N = 512: mult(1,0->0) takes the Gram, mult(1,1->1) the deflated
     # certificate, mult(-1,1->-1) and the correction the FFT path
@@ -150,6 +171,9 @@ def test_one_point_sweep_runs_one_gram_eigensolve(monkeypatch):
 def test_sobolev_evidence_traffic(monkeypatch):
     # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on
     counts = _count_traffic(monkeypatch)
-    report = suites.run_suite("sobolev_evidence", suites.SuiteConfig(seed=0, negative_controls=True))
+    symbol = _count_symbol_passes(monkeypatch)
+    report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))
     assert report["verdict"] == "pass"
     assert counts["forms"] <= 63 and counts["eigensolves"] <= 169
+    # the screen runs before the adjoint is built: 38 of 274 passes admitted here
+    assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol

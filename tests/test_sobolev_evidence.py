@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from floerlab.cli import RunConfig
+from floerlab.scale_operator import check_interpolation
 from floerlab.scale_space import FourierLoop, LevelError, random_loop
+from floerlab.suites import INTERPOLATION_SAMPLES, run_suite
 from floerlab.sobolev_evidence import (
     SIGNATURES,
     c0_embedding_constant,
@@ -156,3 +159,18 @@ def test_samples_respect_the_sharp_constant():
 
 def test_signature_table_is_the_documented_set():
     assert set(SIGNATURES) == {"(1,1->1)", "(C0,0->0)", "(1,0->0)", "(-1,1->-1)"}
+
+
+def test_suite_worst_slack_is_the_largest_slack_over_the_samples():
+    # the field once started at 0.0 and every slack is negative, so it read 0.0
+    report = run_suite("sobolev_evidence", RunConfig(seed=0))
+    check = next(c for c in report["checks"] if c["name"] == "multiplication norms interpolate between the end levels")
+    rng = np.random.default_rng(3)  # the suite's rng, seed + 3; the interpolation samples are its first draws
+    worst = {}
+    for _ in range(INTERPOLATION_SAMPLES):
+        T = mult_operator(random_loop(rng, 1, 64, top_mode=5, amplitude=0.8), "(1,1->1)")
+        for rep in check_interpolation(T, (0.25, 0.5, 0.75)):
+            worst[str(rep["s"])] = max(worst.get(str(rep["s"]), -np.inf), rep["norm_s"] - rep["bound"])
+    assert check["passed"]
+    assert check["worst_slack"] == worst
+    assert all(v < 0.0 for v in worst.values())

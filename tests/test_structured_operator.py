@@ -134,8 +134,10 @@ def test_producers_build_the_parent_matrix_bit_for_bit(N):
 
 def test_matrix_is_built_once_and_shared_by_with_levels(monkeypatch):
     built = []
-    real = scale_operator.multiplication_matrix
-    monkeypatch.setattr(scale_operator, "multiplication_matrix", lambda f, N: built.append(N) or real(f, N))
+    real = scale_operator.toeplitz_rows
+    monkeypatch.setattr(
+        scale_operator, "toeplitz_rows", lambda sym, N, start, stop: built.append(N) or real(sym, N, start, stop)
+    )
     for name, T, _ in _producers(8, 1):
         before = len(built)
         lazy = T.with_levels(2.0, 1.0)  # taken before the matrix exists: keeps the structure only
@@ -144,7 +146,7 @@ def test_matrix_is_built_once_and_shared_by_with_levels(monkeypatch):
         assert lazy.factor is T.factor and lazy.blocks is T.blocks, name
         if T.factor is not None:
             assert len(built) == before + 1, name
-    # blocks-only operators never call the multiplication build
+    # blocks-only operators never read a symbol
     assert built == [8] * 5
 
 

@@ -201,13 +201,14 @@ def test_stalled_power_iteration_gives_up_early(monkeypatch, N):
     q = loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0]
     T = dphi(transition(atlas, "north", "south", N), q)
     matvecs = []
-    symbol_pass = scale_operator._symbol_pass
+    kato_temple = scale_operator._kato_temple
 
-    def counting(T, root_a, root_b):
-        frob, screen, forward, backward = symbol_pass(T, root_a, root_b)
-        return frob, screen, lambda x: matvecs.append(x) or forward(x), lambda y: matvecs.append(y) or backward(y)
+    def counting(frob, second, forward, backward, x):
+        return kato_temple(
+            frob, second, lambda x: matvecs.append(x) or forward(x), lambda y: matvecs.append(y) or backward(y), x
+        )
 
-    monkeypatch.setattr(scale_operator, "_symbol_pass", counting)
+    monkeypatch.setattr(scale_operator, "_kato_temple", counting)
     monkeypatch.setattr(scale_operator, "_CERT_STEPS", 1000)
     assert _certified_top_eigenvalue(T, -1.0, -1.0) is None
     assert 0 < len(matvecs) <= 8  # FFT matvecs, by A and by A^H
