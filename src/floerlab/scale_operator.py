@@ -48,7 +48,7 @@ singular values of the dense weighted matrix:
 
 op_norms(T, pairs) reads one operator at several level pairs, and
 op_norm(T, a, b) is its one-pair call.  It needs only sigma_max, and
-takes for each pair the first of three paths that applies.
+takes for each pair the first of four paths that applies.
 Mode-block-diagonal operators take the block path.  For a pure
 multiplication operator whose top singular value is isolated, a
 certified matrix-free path applies the weighted matrix A and its
@@ -69,21 +69,38 @@ sup |g|) never reaches 2 theta > F: the screen sigma_max^2 <=
 ||A||_1 ||A||_inf, read from the symbol like F, sends most such
 operators on at once, and the rest once theta stalls below F/2.
 
-The pairs left over take the dense path, which shares one level-free
-_cos_sin_form of T among them and weighs it per pair into the real form
-R.  A top that 2 theta > F cannot see, isolated above a bulk of many
-singular values, is certified there: deleting the heaviest row or
-column of R leaves a matrix whose ||.||_1 ||.||_inf bounds sigma_2^2,
-and with alpha = min(F - theta, that bound) the same iteration runs on R
-when R's largest row or column norm^2, a lower bound on sigma_max^2,
-exceeds it.  The forms still open, clustered tops and every top the
-bounds cannot separate, take the top eigenvalue of their Gram matrices
-R^T R, stacked into one eigensolve: absolute error O(eps sigma_max^2),
-so relative error O(eps) in sigma_max, as exact as the SVD's, and the
-reference the other paths are tested against.  The same error swamps
-any sigma^2 below about eps sigma_max^2, so sigma_min, gaps and kernel
-counts would lose half their digits; weighted_singular_values keeps its
-SVDs.
+The pairs left over share one level-free _cos_sin_form of T and weigh
+it per pair into the real form R.  A top that 2 theta > F cannot see,
+isolated above a bulk of many singular values, is certified there, on
+the deflated path: deleting the heaviest row or column of R leaves a
+matrix whose ||.||_1 ||.||_inf bounds sigma_2^2, and with alpha =
+min(F - theta, that bound) the same iteration runs on R when R's
+largest row or column norm^2, a lower bound on sigma_max^2, exceeds it.
+The forms still open, clustered tops and every top the bounds cannot
+separate, take one of two eigensolves, each with absolute error
+O(eps sigma_max^2) in sigma_max^2 or better, so relative error O(eps)
+in sigma_max, as exact as the SVD's:
+
+- a self-adjoint operator read at (0, 0), structured with symmetric
+  factor samples and Hermitian mode blocks, has a symmetric R, and
+  sigma_max = max(-lambda_min, lambda_max) of one eigvalsh of R, with
+  no Gram matrix and no d^3 matrix product;
+- every other form takes the top eigenvalue of its Gram matrix R^T R,
+  stacked into one eigensolve, the reference the other paths are
+  tested against.
+
+The Gram's error swamps any sigma^2 below about eps sigma_max^2, so
+sigma_min, gaps and kernel counts would lose half their digits;
+weighted_singular_values keeps its SVDs.
+
+The d x d arrays each dense path holds at its peak, d = (2N+1)n: the
+level-free form, weighed in place when only one pair is left, else kept
+next to a stack of one weighed form per pair until every pair is
+weighed.  The deflated path adds nothing of size d x d: its screen
+reads |R| one block of _ROW_BLOCK rows at a time.  The symmetric path
+adds eigvalsh's working copy of R.  The Gram path holds the open forms
+and their Gram matrices while it forms them, drops the forms, and then
+adds eigvalsh's working copy of the Gram matrices.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -521,21 +538,43 @@ def _deflated_screen(R: np.ndarray) -> tuple[float, float, float]:
     and ||X||_1 ||X||_inf bounds ||X||^2; the upper bound is the smaller
     of these products with the heaviest row (largest absolute sum) or the
     heaviest column deleted, inflated by 1 + 2 d eps for the two sums of
-    d terms each.
+    d terms each.  The sums come from _abs_sums, two passes over R.
     """
     d = R.shape[1]
-    mod = np.abs(R)
-    rows, cols = mod.sum(axis=1), mod.sum(axis=0)
+    rows, cols = _abs_sums(R)
     i, j = int(np.argmax(rows)), int(np.argmax(cols))
-    mod[i] = 0.0  # the column sums without row i, each still a sum of d terms
-    without_row = float(np.max(mod.sum(axis=0))) * float(np.max(np.delete(rows, i)))
-    mod[i] = np.abs(R[i])
-    mod[:, j] = 0.0
-    without_col = float(np.max(np.delete(cols, j))) * float(np.max(mod.sum(axis=1)))
-    del mod
+    rows_without_col, cols_without_row = _abs_sums(R, i, j)
+    without_row = float(np.max(cols_without_row)) * float(np.max(np.delete(rows, i)))
+    without_col = float(np.max(np.delete(cols, j))) * float(np.max(rows_without_col))
     row_sq = np.einsum("ij,ij->i", R, R)
     lower = max(float(row_sq.max()), float(np.einsum("ij,ij->j", R, R).max()))
     return float(row_sq.sum()), lower, min(without_row, without_col) * (1.0 + 2 * d * _EPS)
+
+
+def _abs_sums(R: np.ndarray, i: int | None = None, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of |R| with column j set to 0, and column sums with row i set to 0.
+
+    Each sum keeps all its terms, a deleted one as 0.  |R| is made one
+    block of _ROW_BLOCK rows at a time, below the running column sums in
+    one buffer: np.abs(R).sum(axis=0) adds the rows in order, one at a
+    time, and so does the sum down each block's buffer, so both come out
+    with the bits of the sums of the whole np.abs(R).
+    """
+    buf = np.zeros((_ROW_BLOCK + 1, R.shape[1]))
+    rows = []
+    for r0 in range(0, R.shape[0], _ROW_BLOCK):
+        k = min(_ROW_BLOCK, R.shape[0] - r0)
+        mod = np.abs(R[r0 : r0 + k], out=buf[1 : k + 1])
+        if j is not None:
+            kept = mod[:, j].copy()
+            mod[:, j] = 0.0
+        rows.append(mod.sum(axis=1))
+        if j is not None:
+            mod[:, j] = kept
+        if i is not None and r0 <= i < r0 + k:
+            mod[i - r0] = 0.0
+        buf[0] = buf[: k + 1].sum(axis=0)
+    return np.concatenate(rows), buf[0].copy()
 
 
 def _deflated_top(R: np.ndarray) -> float | None:
@@ -600,18 +639,56 @@ def _kato_temple(frob: float, second: float, forward, backward, x: np.ndarray) -
     return None
 
 
-def _gram_tops(forms: np.ndarray) -> np.ndarray:
+def _gram(forms: np.ndarray) -> np.ndarray:
+    """The Gram matrices R^T R of stacked real forms R."""
+    return np.matmul(forms.transpose(0, 2, 1), forms)
+
+
+def _gram_tops(gram: np.ndarray) -> np.ndarray:
     """sigma_max of each stacked real form R, from the top eigenvalue of its Gram R^T R."""
-    gram = np.matmul(forms.transpose(0, 2, 1), forms)
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
     """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form.
 
-    The reference for the dense path of op_norms, which gives its bits.
+    The reference for the Gram fallback of op_norms, which gives its bits.
     """
-    return float(_gram_tops(_real_form(T, a, b)[None])[0])
+    return float(_gram_tops(_gram(_real_form(T, a, b)[None]))[0])
+
+
+def _self_adjoint(T: LevelOperator) -> bool:
+    """Whether T is self-adjoint at level 0, read from its structure.
+
+    A structured T whose factor samples are all symmetric and whose mode
+    blocks, if any, are Hermitian has a Hermitian matrix, so its real form
+    at (0, 0), an orthogonal change of basis with unit weights, is
+    symmetric up to the rounding of its mode-0 rows.  A dense T is not read.
+    """
+    if _dense(T):
+        return False
+    if T.factor is not None and not np.array_equal(T.factor, T.factor.transpose(0, 2, 1)):
+        return False
+    return T.blocks is None or np.array_equal(T.blocks, np.conj(T.blocks.transpose(0, 2, 1)))
+
+
+def _symmetric_top(R: np.ndarray) -> float:
+    """sigma_max of a symmetric real form R: its largest |eigenvalue|, from one eigvalsh.
+
+    For a symmetric R, ||R|| = max(-lambda_min, lambda_max) (Parlett, The
+    Symmetric Eigenvalue Problem, chapter 1), with no Gram matrix and no
+    d^3 matrix product; eigvalsh reads R's lower triangle.
+    """
+    w = np.linalg.eigvalsh(R)
+    return float(max(-w[0], w[-1]))
+
+
+def _symmetric_norm(T: LevelOperator, a: float, b: float) -> float:
+    """sigma_max of the real form from one symmetric eigensolve.
+
+    The reference for the self-adjoint pairs of op_norms, which gives their bits.
+    """
+    return _symmetric_top(_real_form(T, a, b))
 
 
 def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
@@ -620,9 +697,11 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     Takes the block, certified or dense path of the module docstring, in
     that order, per pair.  The pairs the first two leave share one
     _cos_sin_form of T, weighted per pair; each weighted form gets the
-    deflated Kato-Temple attempt, and the forms still open take one
-    stacked Gram and eigensolve.  No path returns a Krylov lower bound,
-    so a check such as ||K|| <= kappa stays evidence.
+    deflated Kato-Temple attempt, and of the forms still open, a
+    self-adjoint T's (0, 0) form takes one symmetric eigensolve and the
+    rest one stacked Gram and eigensolve.  A form that needs no Gram
+    frees its slot of the stack for the next pair.  No path returns a
+    Krylov lower bound, so a check such as ||K|| <= kappa stays evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
     blocks = _mode_blocks(T)
@@ -637,18 +716,22 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
         return norms
     C = _cos_sin_form(T)
     forms = C[None] if len(dense) == 1 else np.empty((len(dense), *C.shape))  # one pair: weighed in place
-    gram = []
-    for k, i in enumerate(dense):
-        top = _deflated_top(_weigh(C, T.N, T.n, *pairs[i], out=forms[k]))
-        if top is None:
-            gram.append(k)
-        else:
+    gram = []  # the pairs whose forms stay open, in the first slots of forms
+    for i in dense:
+        R = _weigh(C, T.N, T.n, *pairs[i], out=forms[len(gram)])
+        top = _deflated_top(R)
+        if top is not None:
             norms[i] = float(np.sqrt(top))
+        elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
+            norms[i] = _symmetric_top(R)
+        else:
+            gram.append(i)
     del C
     if gram:
-        tops = _gram_tops(forms if len(gram) == len(dense) else forms[gram])
-        for k, v in zip(gram, tops):
-            norms[dense[k]] = float(v)
+        products = _gram(forms[: len(gram)])
+        del R, forms  # the forms go before the eigensolve
+        for i, v in zip(gram, _gram_tops(products)):
+            norms[i] = float(v)
     return norms
 
 

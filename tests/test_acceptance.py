@@ -152,7 +152,7 @@ def test_criterion_04_fredholm_index_zero(criterion):
 
 def test_criterion_05_stein_weiss(criterion):
     rng = np.random.default_rng(2030)
-    worst_slack = 0.0
+    worst_slack = -np.inf  # the largest norm_s - bound seen; a pass reads it below 0
     ok = True
     for _ in range(50):
         g = random_loop(rng, 1, 64, top_mode=5, amplitude=1.0)

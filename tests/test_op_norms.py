@@ -1,4 +1,7 @@
-"""op_norms: one cosine/sine form per operator, the deflated Kato-Temple certificate, and the stacked Gram."""
+"""op_norms: one cosine/sine form per operator, the deflated Kato-Temple certificate, the symmetric eigensolve and the stacked Gram."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,16 +10,20 @@ from floerlab import cli, scale_operator, suites
 from floerlab.charts import shear_chart
 from floerlab.floer_map import SuperpositionMap, dphi
 from floerlab.scale_operator import (
+    _ROW_BLOCK,
+    LevelOperator,
     _cos_sin_form,
     _deflated_screen,
     _deflated_top,
     _gram_norm,
     _real_form,
+    _self_adjoint,
+    _symmetric_norm,
     _weigh,
     op_norm,
     op_norms,
 )
-from floerlab.scale_space import random_loop
+from floerlab.scale_space import default_grid_points, mode_numbers, random_loop
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
 from test_scale_operator import _reality_preserving
 from test_structured_operator import _bits, _random_structured
@@ -59,7 +66,8 @@ def test_op_norms_is_op_norm_per_pair_bit_for_bit(name, N):
 
 
 def test_one_call_mixes_the_certified_deflated_and_gram_pairs(monkeypatch):
-    # smooth (1,1->1) at N = 64: (1, -1) on the FFT path, (1, 1) deflated, (0, 0) and (0.25, 0.25) by the Gram
+    # smooth (1,1->1) at N = 64: (1, -1) on the FFT path, (1, 1) deflated, (0, 0),
+    # self-adjoint, by the symmetric eigensolve and (0.25, 0.25) by the Gram
     T = mult_operator(smooth_factor(64), "(1,1->1)")
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
     forms, stacked = [], []
@@ -67,12 +75,12 @@ def test_one_call_mixes_the_certified_deflated_and_gram_pairs(monkeypatch):
     monkeypatch.setattr(scale_operator, "_cos_sin_form", lambda T: forms.append(1) or cos_sin(T))
     monkeypatch.setattr(scale_operator, "_gram_tops", lambda R: stacked.append(R.shape[0]) or gram_tops(R))
     many = op_norms(T, pairs)
-    assert forms == [1] and stacked == [2]
+    assert forms == [1] and stacked == [1]
     assert scale_operator._certified_top_eigenvalue(T, 1.0, -1.0) is not None
     assert _deflated_top(_real_form(T, 1.0, 1.0)) is not None
     for (a, b), value in zip(pairs, many):
         assert value == op_norm(T, a, b)
-    assert many[0] == _gram_norm(T, 0.0, 0.0) and many[3] == _gram_norm(T, 0.25, 0.25)
+    assert many[0] == _symmetric_norm(T, 0.0, 0.0) and many[3] == _gram_norm(T, 0.25, 0.25)
 
 
 def test_deflated_bound_is_above_the_second_singular_value():
@@ -90,6 +98,120 @@ def test_deflated_bound_is_above_the_second_singular_value():
         assert second >= sv[1] ** 2, (T, a, b)
         assert lower <= sv[0] ** 2 * (1.0 + 1e-14), (T, a, b)
         assert frob == pytest.approx(float(np.sum(sv**2)), rel=1e-13)
+
+
+def _one_shot_screen(R):
+    # the deflated screen from one full np.abs(R), the sums the row-blocked screen keeps
+    d = R.shape[1]
+    mod = np.abs(R)
+    rows, cols = mod.sum(axis=1), mod.sum(axis=0)
+    i, j = int(np.argmax(rows)), int(np.argmax(cols))
+    mod[i] = 0.0
+    without_row = float(np.max(mod.sum(axis=0))) * float(np.max(np.delete(rows, i)))
+    mod[i] = np.abs(R[i])
+    mod[:, j] = 0.0
+    without_col = float(np.max(np.delete(cols, j))) * float(np.max(mod.sum(axis=1)))
+    row_sq = np.einsum("ij,ij->i", R, R)
+    lower = max(float(row_sq.max()), float(np.einsum("ij,ij->j", R, R).max()))
+    return float(row_sq.sum()), lower, min(without_row, without_col) * (1.0 + 2 * d * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_row_blocked_screen_is_the_one_shot_screen_bit_for_bit(N):
+    forms = [_real_form(mult_operator(smooth_factor(N), "(1,1->1)"), s, s) for s in (1.0, 0.25, -1.0)]
+    forms.append(_real_form(mult_operator(rough_factor(N), "(1,1->1)"), 0.75, 0.75))
+    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
+    forms.append(_real_form(dphi(SuperpositionMap(shear_chart(), 0.75, N), q), 0.0, 0.0))  # d = 2(2N+1)
+    # the heaviest row and the heaviest column moved inside a later row block
+    heavy = forms[0].copy()
+    r, c = heavy.shape[0] - 5, _ROW_BLOCK + 7
+    heavy[r] *= 50.0
+    heavy[:, c] *= 50.0
+    mod = np.abs(heavy)
+    assert int(np.argmax(mod.sum(axis=1))) == r and int(np.argmax(mod.sum(axis=0))) == c
+    forms.append(heavy)
+    for R in forms:
+        assert R.shape[0] > _ROW_BLOCK and R.shape[0] % _ROW_BLOCK
+        assert np.array_equal(_bits(np.array(_deflated_screen(R))), _bits(np.array(_one_shot_screen(R))))
+
+
+def _hermitian_blocks_operator(N, seed):
+    # a symmetric factor plus the Hermitian blocks 2 pi i k J0 of the action Hessian
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(default_grid_points(N), 2, 2))
+    J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    blocks = (2j * np.pi * mode_numbers(N))[:, None, None] * J0
+    return LevelOperator(None, 0.0, 0.0, N, 2, factor=f + f.transpose(0, 2, 1), blocks=blocks)
+
+
+def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
+    # smooth (1,0->0) is checked the same way in test_structured_operator
+    operators = _interpolation_factors(2) + [_hermitian_blocks_operator(64, 5)]
+    steps, grams = [], []
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
+    monkeypatch.setattr(scale_operator, "_gram_tops", lambda gram: grams.append(gram))
+    for T in operators:
+        assert _self_adjoint(T)
+        norm = op_norm(T, 0.0, 0.0)
+        assert norm == _symmetric_norm(T, 0.0, 0.0)
+        oracle = np.linalg.svd(_real_form(T, 0.0, 0.0), compute_uv=False)[0]
+        assert abs(norm - oracle) <= 1e-13 * oracle, T
+    assert steps == [] and grams == []  # no power step and no Gram
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(N):
+    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
+    D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)  # the shear Jacobian is not symmetric
+    skew = _hermitian_blocks_operator(N, 6)
+    skew = LevelOperator(None, 0.0, 0.0, N, 2, factor=skew.factor, blocks=1j * skew.blocks)  # anti-Hermitian
+    dense = _reality_preserving(np.random.default_rng(N), N, 1)
+    for T in (D, skew, dense):
+        assert not _self_adjoint(T)
+        assert _deflated_top(_real_form(T, 0.0, 0.0)) is None  # clustered: left for the Gram
+        assert op_norm(T, 0.0, 0.0) == _gram_norm(T, 0.0, 0.0), T
+    # a self-adjoint operator off level 0 keeps the Gram too
+    T = mult_operator(smooth_factor(N), "(1,0->0)")
+    assert op_norm(T, 0.25, 0.25) == _gram_norm(T, 0.25, 0.25)
+
+
+def test_gram_fallback_drops_its_forms_before_the_eigensolve(monkeypatch):
+    # one open pair, and two open of three: the Gram products read a slice
+    # of the weighed forms, not a copy, and the forms are gone by the eigensolve
+    T = mult_operator(smooth_factor(64), "(1,1->1)")
+    refs, alive = [], []
+    gram, gram_tops = scale_operator._gram, scale_operator._gram_tops
+
+    def products(forms):
+        assert forms.base is not None  # a view
+        refs.append(weakref.ref(forms.base))
+        return gram(forms)
+
+    def tops(g):
+        alive.append(refs[-1]() is not None)
+        return gram_tops(g)
+
+    monkeypatch.setattr(scale_operator, "_gram", products)
+    monkeypatch.setattr(scale_operator, "_gram_tops", tops)
+    one = op_norms(T, [(0.25, 0.25)])
+    three = op_norms(T, [(1.0, 1.0), (0.25, 0.25), (0.5, 0.5)])
+    assert alive == [False, False]
+    assert one[0] == three[1] == _gram_norm(T, 0.25, 0.25) and three[2] == _gram_norm(T, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("sig", ["(1,0->0)", "(1,1->1)"])
+def test_dense_cells_at_512_hold_one_form_and_its_build(sig):
+    # the sweep's two dense cells: one real form (d^2 doubles) and the
+    # temporaries of its blocked build, no Gram and no full |R|
+    T = mult_operator(smooth_factor(512), sig)
+    d = 2 * T.N + 1
+    tracemalloc.start()
+    try:
+        op_norm(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * d * d, peak / (8 * d * d)
 
 
 def _assert_deflated_certified_against_svd(T, a, b):
@@ -122,19 +244,28 @@ def test_deflated_certified_interpolation_norms_match_the_svd(level):
 
 
 def _count_traffic(monkeypatch):
-    counts = {"forms": 0, "eigensolves": 0}
-    cos_sin, gram_tops = scale_operator._cos_sin_form, scale_operator._gram_tops
+    counts = {"forms": 0, "eigensolves": 0, "symmetric": 0}
+    cos_sin, gram_tops, symmetric_top = (
+        scale_operator._cos_sin_form,
+        scale_operator._gram_tops,
+        scale_operator._symmetric_top,
+    )
 
     def forms(T):
         counts["forms"] += 1
         return cos_sin(T)
 
-    def grams(R):
-        counts["eigensolves"] += R.shape[0]
-        return gram_tops(R)
+    def grams(gram):
+        counts["eigensolves"] += gram.shape[0]
+        return gram_tops(gram)
+
+    def symmetric(R):
+        counts["symmetric"] += 1
+        return symmetric_top(R)
 
     monkeypatch.setattr(scale_operator, "_cos_sin_form", forms)
     monkeypatch.setattr(scale_operator, "_gram_tops", grams)
+    monkeypatch.setattr(scale_operator, "_symmetric_top", symmetric)
     return counts
 
 
@@ -159,21 +290,23 @@ def _count_symbol_passes(monkeypatch):
     return counts
 
 
-def test_one_point_sweep_runs_one_gram_eigensolve(monkeypatch):
-    # at N = 512: mult(1,0->0) takes the Gram, mult(1,1->1) the deflated
-    # certificate, mult(-1,1->-1) and the correction the FFT path
+def test_one_point_sweep_runs_one_symmetric_eigensolve(monkeypatch):
+    # at N = 512: mult(1,0->0), self-adjoint at level 0, takes the symmetric
+    # eigensolve, mult(1,1->1) the deflated certificate, mult(-1,1->-1) and
+    # the correction the FFT path; no Gram is left
     counts = _count_traffic(monkeypatch)
     rows = cli._sweep_rows(cli.RunConfig(N=[512], s=[0.75], seed=0, workers=1))
     assert len(rows) == 8
-    assert counts == {"forms": 2, "eigensolves": 1}
+    assert counts == {"forms": 2, "eigensolves": 0, "symmetric": 1}
 
 
 def test_sobolev_evidence_traffic(monkeypatch):
-    # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on
+    # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on;
+    # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs
     counts = _count_traffic(monkeypatch)
     symbol = _count_symbol_passes(monkeypatch)
     report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))
     assert report["verdict"] == "pass"
-    assert counts["forms"] <= 63 and counts["eigensolves"] <= 169
+    assert counts["forms"] <= 62 and counts["eigensolves"] <= 113 and counts["symmetric"] <= 56
     # the screen runs before the adjoint is built: 38 of 274 passes admitted here
     assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol

@@ -17,9 +17,9 @@ from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
     _flat_weights,
-    _gram_norm,
     _mode_blocks,
     _real_form,
+    _symmetric_norm,
     adjoint,
     derivative_operator,
     identity_operator,
@@ -339,11 +339,16 @@ def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])
-def test_level_zero_multiplication_falls_through_to_the_dense_gram(monkeypatch, N):
-    # a clustered top: both screens hand it to the Gram without a power step
-    steps = []
+def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N):
+    # a clustered top: both screens hand it on without a power step, and the
+    # self-adjoint level-0 form takes one symmetric eigensolve, not the Gram
+    steps, grams = [], []
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
+    monkeypatch.setattr(scale_operator, "_gram_tops", lambda gram: grams.append(gram))
     T = mult_operator(smooth_factor(N), "(1,0->0)")
     assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
-    assert op_norm(T) == _gram_norm(T, T.dom, T.cod)
-    assert steps == []
+    norm = op_norm(T)
+    assert norm == _symmetric_norm(T, T.dom, T.cod)
+    assert steps == [] and grams == []
+    oracle = np.linalg.svd(_real_form(T, T.dom, T.cod), compute_uv=False)[0]
+    assert abs(norm - oracle) <= 1e-13 * oracle

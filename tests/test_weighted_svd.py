@@ -18,10 +18,12 @@ from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
     _deflated_top,
+    _gram,
     _gram_norm,
     _gram_tops,
     _kato_temple,
     _mode_blocks,
+    _symmetric_norm,
     adjoint,
     derivative_operator,
     identity_operator,
@@ -149,10 +151,11 @@ def _kappa_correction(N, seed, s=0.75):
 def test_correction_is_certified_and_multiplication_is_not(N):
     K2 = _kappa_correction(N, 1)
     assert _certified_top_eigenvalue(K2, K2.dom, K2.cod) is not None
-    # the top of a multiplication operator's spectrum is a cluster near sup |g|
+    # the top of a multiplication operator's spectrum is a cluster near sup |g|;
+    # at level 0 the operator is self-adjoint and takes the symmetric eigensolve
     T = mult_operator(smooth_factor(N), "(1,0->0)")
     assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
-    assert op_norm(T) == _gram_norm(T, T.dom, T.cod)
+    assert op_norm(T) == _symmetric_norm(T, T.dom, T.cod)
 
 
 def test_second_singular_value_does_not_pass_for_the_first(monkeypatch):
@@ -188,7 +191,7 @@ def test_second_singular_value_does_not_pass_for_the_first(monkeypatch):
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: runs.append(args[1]) or kato_temple(*args))
     assert _deflated_top(R) is None
     assert runs == [pytest.approx(81.0, rel=1e-13)]  # screened in, with the deflated bound
-    assert float(_gram_tops(R[None])[0]) == pytest.approx(10.0, rel=1e-15)
+    assert float(_gram_tops(_gram(R[None]))[0]) == pytest.approx(10.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("N", [16, 32])
