@@ -48,9 +48,7 @@ from .loop_atlas import (
     SphereChart,
     check_compatibility,
     check_transitivity,
-    coverage_report,
     planar_atlas,
-    polar_loop,
     rotated_sphere_atlas,
     sphere_small_loop_atlas,
     transition,
@@ -80,21 +78,17 @@ from .scale_operator import (
     weighted_singular_values,
 )
 from .scale_space import (
-    DualFunctional,
     FourierLoop,
     LevelError,
     constant_loop,
     default_grid_points,
-    dual_norm,
     dual_pair,
-    flat,
     from_grid,
     inner,
     multiplication_matrix,
     random_loop,
     to_grid,
     weights,
-    zero_loop,
 )
 from .sobolev_evidence import (
     MultSignature,

@@ -1,12 +1,12 @@
-"""Finite-dimensional chart maps with analytic derivatives through order 3.
+"""Finite-dimensional chart maps with analytic derivatives through order 2.
 
 A chart is a smooth map Phi : U subset R^n -> R^n given by vectorized
-evaluators for the value and its first three derivative tensors.  Index
-conventions, with g the grid-sample axis:
+evaluators for the value and its first two derivative tensors, all that
+the axioms and the pulled-back Hessian read.  Index conventions, with g
+the grid-sample axis:
 
     jacobian[g, i, j]    = d Phi_i / d x_j
     hessian[g, i, j, k]  = d^2 Phi_i / (d x_j d x_k)
-    third[g, i, j, k, l] = d^3 Phi_i / (d x_j d x_k d x_l)
 
 Nonlinear built-ins are planar maps f(z, conj z) of one complex
 variable, with closed-form Wirtinger derivatives d^a dbar^b f; the real
@@ -33,7 +33,6 @@ class DiffeoChart:
     value: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    third: Callable[[np.ndarray], np.ndarray] | None = None
     # Signed distance proxy to the domain boundary; samples must clear
     # DEFAULT_MARGIN.  None means the chart is defined on all of R^n.
     boundary_clearance: Callable[[np.ndarray], np.ndarray] | None = None
@@ -91,22 +90,8 @@ def chart_from_sympy(exprs, symbols, name: str, boundary_clearance=None) -> Diff
         for k in range(n)
     ]
     hes = _entry_evaluator([lam(e) for e in d2], n, (n, n, n))
-    d3 = [
-        sp.diff(exprs[i], symbols[j], symbols[k], symbols[l])
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        for l in range(n)
-    ]
-    third = _entry_evaluator([lam(e) for e in d3], n, (n, n, n, n))
     return DiffeoChart(
-        n=n,
-        name=name,
-        value=val,
-        jacobian=jac,
-        hessian=hes,
-        third=third,
-        boundary_clearance=boundary_clearance,
+        n=n, name=name, value=val, jacobian=jac, hessian=hes, boundary_clearance=boundary_clearance
     )
 
 
@@ -123,7 +108,7 @@ def _wirtinger_rows(m: int) -> np.ndarray:
     return np.array(rows)
 
 
-_WIRTINGER = [_wirtinger_rows(m) for m in range(4)]
+_WIRTINGER = [_wirtinger_rows(m) for m in range(3)]
 
 
 def _real_tensor(derivs, m: int):
@@ -145,15 +130,9 @@ def _real_tensor(derivs, m: int):
 
 
 def _wirtinger_chart(name: str, derivs, boundary_clearance=None) -> DiffeoChart:
-    value, jac, hes, third = (_real_tensor(derivs, m) for m in range(4))
+    value, jac, hes = (_real_tensor(derivs, m) for m in range(3))
     return DiffeoChart(
-        n=2,
-        name=name,
-        value=value,
-        jacobian=jac,
-        hessian=hes,
-        third=third,
-        boundary_clearance=boundary_clearance,
+        n=2, name=name, value=value, jacobian=jac, hessian=hes, boundary_clearance=boundary_clearance
     )
 
 
@@ -193,7 +172,6 @@ def identity_chart(n: int = 2) -> DiffeoChart:
         value=lambda x: np.array(x, dtype=float, copy=True),
         jacobian=lambda x: np.broadcast_to(np.eye(n), (x.shape[0], n, n)).copy(),
         hessian=lambda x: np.zeros((x.shape[0], n, n, n)),
-        third=lambda x: np.zeros((x.shape[0], n, n, n, n)),
     )
     chart.inverse = chart
     return chart
@@ -212,7 +190,6 @@ def linear_chart(A: np.ndarray, name: str = "linear") -> DiffeoChart:
             value=lambda x: x @ M.T,
             jacobian=lambda x: np.broadcast_to(M, (x.shape[0], n, n)).copy(),
             hessian=lambda x: np.zeros((x.shape[0], n, n, n)),
-            third=lambda x: np.zeros((x.shape[0], n, n, n, n)),
         )
 
     return pair_inverses(make(A, name), make(np.linalg.inv(A), name + "_inv"))
@@ -238,14 +215,7 @@ def shear_chart() -> DiffeoChart:
             out[:, 1, 0, 0] = 2.0 * sign
             return out
 
-        return DiffeoChart(
-            n=2,
-            name=nm,
-            value=value,
-            jacobian=jac,
-            hessian=hes,
-            third=lambda p: np.zeros((p.shape[0], 2, 2, 2, 2)),
-        )
+        return DiffeoChart(n=2, name=nm, value=value, jacobian=jac, hessian=hes)
 
     return pair_inverses(make(1.0, "shear"), make(-1.0, "shear_inv"))
 
@@ -300,7 +270,7 @@ def c1_only_chart() -> DiffeoChart:
 
     The map is C^1 with Lipschitz first derivative, but the supplied
     second derivative sign(x) is discontinuous, so the second-order
-    extension checks must flag divergence.  No third derivative exists.
+    extension checks must flag divergence.
     """
 
     def value(p):
@@ -319,11 +289,11 @@ def c1_only_chart() -> DiffeoChart:
         out[:, 1, 0, 0] = np.sign(p[:, 0])
         return out
 
-    return DiffeoChart(n=2, name="c1_only", value=value, jacobian=jac, hessian=hes, third=None)
+    return DiffeoChart(n=2, name="c1_only", value=value, jacobian=jac, hessian=hes)
 
 
 def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool = True) -> DiffeoChart:
-    """Chart of the composite outer(inner(.)), chain-ruled through order 3."""
+    """Chart of the composite outer(inner(.)), chain-ruled through order 2."""
     if outer.n != inner.n:
         raise ValueError("chart dimensions do not match")
     n = outer.n
@@ -343,19 +313,6 @@ def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool =
         lin = np.einsum("gia,gajk->gijk", Do, Hi)
         return quad + lin
 
-    third = None
-    if outer.third is not None and inner.third is not None:
-        def third(p):
-            y = inner.value(p)
-            Do, Ho, To = outer.jacobian(y), outer.hessian(y), outer.third(y)
-            Di, Hi, Ti = inner.jacobian(p), inner.hessian(p), inner.third(p)
-            out = np.einsum("giabc,gaj,gbk,gcl->gijkl", To, Di, Di, Di)
-            out += np.einsum("giab,gajl,gbk->gijkl", Ho, Hi, Di)
-            out += np.einsum("giab,gaj,gbkl->gijkl", Ho, Di, Hi)
-            out += np.einsum("giab,gajk,gbl->gijkl", Ho, Hi, Di)
-            out += np.einsum("gia,gajkl->gijkl", Do, Ti)
-            return out
-
     clearance = None
     if inner.boundary_clearance is not None or outer.boundary_clearance is not None:
         def clearance(p):
@@ -372,7 +329,6 @@ def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool =
         value=value,
         jacobian=jac,
         hessian=hes,
-        third=third,
         boundary_clearance=clearance,
     )
     if _wire_inverse and outer.inverse is not None and inner.inverse is not None:

@@ -166,7 +166,7 @@ def quadratic_spectral(
 ) -> FloerFunctionNumeric:
     """f(u) = 1/2 <L u, u>_0 for a level-0 symmetric operator family L(N)."""
     L = op_builder(N)
-    if np.max(np.abs(L.matrix - adjoint(L, 0.0).matrix)) > 1e-10 * max(
+    if np.max(np.abs(L.matrix - adjoint(L).matrix)) > 1e-10 * max(
         1.0, float(np.max(np.abs(L.matrix)))
     ):
         raise ValueError("quadratic_spectral needs a level-0 symmetric operator")

@@ -326,7 +326,7 @@ def d2phi(phi: SuperpositionMap, u: FourierLoop) -> BilinearLevelMap:
 
 
 def compose(psi: SuperpositionMap, phi: SuperpositionMap) -> SuperpositionMap:
-    """Composite map with chain-ruled chart derivatives through order 3."""
+    """Composite map with chain-ruled chart derivatives through order 2."""
     if psi.n != phi.n or psi.N != phi.N:
         raise ValueError("maps must share dimension and truncation")
     if psi.s != phi.s:

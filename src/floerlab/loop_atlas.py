@@ -203,26 +203,6 @@ class LoopAtlas:
                 return c
         raise KeyError(f"no chart named {key!r}")
 
-    def to_json(self, include_corpus: bool = True) -> dict:
-        charts = []
-        for c in self.charts:
-            entry = {"name": c.name, "kind": type(c).__name__}
-            if isinstance(c, SphereChart):
-                entry["frame"] = [[float(v) for v in row] for row in c.Q]
-                entry["cap"] = c.cap
-            charts.append(entry)
-        out = {"name": self.name, "s": self.s, "charts": charts, "corpus_size": len(self.corpus)}
-        if include_corpus:
-            out["corpus"] = [
-                {
-                    "N": u.N,
-                    "n": u.n,
-                    "coeffs": [[[float(z.real), float(z.imag)] for z in row] for row in u.coeffs],
-                }
-                for u in self.corpus
-            ]
-        return out
-
 
 def _abstract_points(u: FourierLoop, chart, grid_points: int) -> np.ndarray:
     """Sample an abstract corpus loop where the chart expects its points."""
@@ -248,19 +228,6 @@ def loops_in_chart(corpus: list[FourierLoop], chart, N: int, also_in=()) -> list
             continue
         found.append(from_grid(chart.to_coords(pts), N))
     return found
-
-
-def coverage_report(atlas: LoopAtlas) -> dict:
-    """How many charts cover each corpus loop; the atlas needs all counts >= 1."""
-    counts = []
-    for u in atlas.corpus:
-        G = default_grid_points(max(u.N, 16))
-        hits = 0
-        for c in atlas.charts:
-            if c.covers(_abstract_points(u, c, G)):
-                hits += 1
-        counts.append(hits)
-    return {"counts": counts, "covered": bool(all(h >= 1 for h in counts))}
 
 
 def transition(atlas: LoopAtlas, alpha, beta, N: int = 32) -> SuperpositionMap:
@@ -465,15 +432,6 @@ def equatorial_corpus(
         pert = random_loop(rng, 3, N, top_mode=3, amplitude=amplitude, decay=0.6)
         corpus.append(FourierLoop(base + pert.coeffs))
     return corpus
-
-
-def polar_loop(N: int = 16) -> FourierLoop:
-    """Great circle through both poles; excluded from every polar chart."""
-    c = np.zeros((2 * N + 1, 3), dtype=complex)
-    c[N + 1, 0] = c[N - 1, 0] = 0.5
-    c[N + 1, 2] = -0.5j
-    c[N - 1, 2] = 0.5j
-    return FourierLoop(c)
 
 
 def sphere_small_loop_atlas(

@@ -45,7 +45,7 @@ def pull_back_gradient(F: FloerFunctionNumeric, phi: SuperpositionMap, q: Fourie
     """Level-0 gradient of f o phi at q."""
     _check_match(F, phi)
     D = dphi(phi, q)
-    return adjoint(D, 0.0).apply(F.gradient(apply(phi, q)))
+    return adjoint(D).apply(F.gradient(apply(phi, q)))
 
 
 def riesz_correction(
@@ -80,7 +80,7 @@ def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierL
     _check_match(F, phi)
     D = dphi(phi, q)
     A = F.hessian(apply(phi, q))
-    return adjoint(D, 0.0) @ A @ D.with_levels(1.0, 1.0)
+    return adjoint(D) @ A @ D.with_levels(1.0, 1.0)
 
 
 def kappa_bound_check(

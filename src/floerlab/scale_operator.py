@@ -17,14 +17,15 @@ Hessian holds both.  Which path reads what:
 
 - apply and the certified op_norm's matvecs: _matvec, the factor's
   samples on its own grid through the real grid bridge, plus the blocks;
-- + and - of structured operators whose factors share a grid, and
-  adjoint at level 0: the factors and blocks, into a structured result;
+- + and - of structured operators whose factors share a grid, and the
+  level-0 adjoint: the factors and blocks, into a structured result;
 - the mode-block test and the certified path's screen: symbol and blocks;
 - the real form, so every SVD and Gram: rows from _mode_rows, the rows
   of .matrix bit for bit without building it;
 - .matrix, the dense complex matrix built on first read and kept: @,
-  + and - with a dense operand or factors on two grids, adjoint at other
-  levels.  Their results are dense, mirrored by the constructor.
+  + and - with a dense operand or factors on two grids, and the adjoint
+  of a dense operator.  Their results are dense, mirrored by the
+  constructor.
 
 Norms between levels are weighted: op_norm(T, a, b) is the largest
 singular value of W_b^{1/2} T W_a^{-1/2} with W_s the diagonal spectral
@@ -86,21 +87,19 @@ in sigma_max, as exact as the SVD's:
   sigma_max = max(-lambda_min, lambda_max) of one eigvalsh of R, with
   no Gram matrix and no d^3 matrix product;
 - every other form takes the top eigenvalue of its Gram matrix R^T R,
-  stacked into one eigensolve, the reference the other paths are
-  tested against.
+  the reference the other paths are tested against.
 
 The Gram's error swamps any sigma^2 below about eps sigma_max^2, so
 sigma_min, gaps and kernel counts would lose half their digits;
 weighted_singular_values keeps its SVDs.
 
 The d x d arrays each dense path holds at its peak, d = (2N+1)n: the
-level-free form, weighed in place when only one pair is left, else kept
-next to a stack of one weighed form per pair until every pair is
+level-free form, weighed in place for the last pair, and for the pairs
+before it one weighed form, whose top is read before the next pair is
 weighed.  The deflated path adds nothing of size d x d: its screen
 reads |R| one block of _ROW_BLOCK rows at a time.  The symmetric path
-adds eigvalsh's working copy of R.  The Gram path holds the open forms
-and their Gram matrices while it forms them, drops the forms, and then
-adds eigvalsh's working copy of the Gram matrices.
+adds eigvalsh's working copy of R, the Gram path R^T R and eigvalsh's
+working copy of it.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -163,7 +162,7 @@ class LevelOperator:
     for bit, is computed once; .matrix, the Toeplitz matrix of the symbol
     (the factor's multiplication_matrix, bit for bit) plus the blocks, is
     built from the stored symbol by _mode_rows when first read and kept,
-    and apply, + and - on one grid and the level-0 adjoint never read it.
+    and apply, + and - on one grid and the adjoint never read it.
     Immutable.
     """
 
@@ -369,15 +368,6 @@ def band_indices(N: int, n: int, max_mode: int) -> np.ndarray:
     return np.flatnonzero(np.repeat(mask, n))
 
 
-def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
-    """The dense complex W_b^{1/2} T W_a^{-1/2}, the reference every path is tested against."""
-    a = T.dom if a is None else check_level(a)
-    b = T.cod if b is None else check_level(b)
-    wa = _flat_weights(T.N, T.n, a)
-    wb = _flat_weights(T.N, T.n, b)
-    return np.sqrt(wb)[:, None] * T.matrix / np.sqrt(wa)[None, :]
-
-
 def _mode_blocks(T: LevelOperator) -> np.ndarray | None:
     """The (2N+1, n, n) diagonal mode blocks, or None if any other entry is nonzero.
 
@@ -523,7 +513,7 @@ def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | N
     frob, screen = _symbol_pass(T, root_a, root_b)
     if screen <= frob / 2:
         return None
-    TH = adjoint(T, 0.0)  # multiplication by g(t)^T
+    TH = adjoint(T)  # multiplication by g(t)^T
     start = np.full(root_a.size, 1.0 / np.sqrt(root_a.size), dtype=complex)
     forward, backward = lambda x: root_b * _matvec(T, x / root_a), lambda y: _matvec(TH, root_b * y) / root_a
     return _kato_temple(frob, np.inf, forward, backward, start)
@@ -639,22 +629,9 @@ def _kato_temple(frob: float, second: float, forward, backward, x: np.ndarray) -
     return None
 
 
-def _gram(forms: np.ndarray) -> np.ndarray:
-    """The Gram matrices R^T R of stacked real forms R."""
-    return np.matmul(forms.transpose(0, 2, 1), forms)
-
-
-def _gram_tops(gram: np.ndarray) -> np.ndarray:
-    """sigma_max of each stacked real form R, from the top eigenvalue of its Gram R^T R."""
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-
-
-def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
-    """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form.
-
-    The reference for the Gram fallback of op_norms, which gives its bits.
-    """
-    return float(_gram_tops(_gram(_real_form(T, a, b)[None]))[0])
+def _gram_top(R: np.ndarray) -> float:
+    """sigma_max of the real form R, from the top eigenvalue of its Gram matrix R^T R."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(R.T @ R)[-1], 0.0)))
 
 
 def _self_adjoint(T: LevelOperator) -> bool:
@@ -683,24 +660,15 @@ def _symmetric_top(R: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
-def _symmetric_norm(T: LevelOperator, a: float, b: float) -> float:
-    """sigma_max of the real form from one symmetric eigensolve.
-
-    The reference for the self-adjoint pairs of op_norms, which gives their bits.
-    """
-    return _symmetric_top(_real_form(T, a, b))
-
-
 def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     """Operator norms of T : H_a -> H_b for each level pair (a, b), in order.
 
     Takes the block, certified or dense path of the module docstring, in
     that order, per pair.  The pairs the first two leave share one
-    _cos_sin_form of T, weighted per pair; each weighted form gets the
-    deflated Kato-Temple attempt, and of the forms still open, a
-    self-adjoint T's (0, 0) form takes one symmetric eigensolve and the
-    rest one stacked Gram and eigensolve.  A form that needs no Gram
-    frees its slot of the stack for the next pair.  No path returns a
+    _cos_sin_form of T, weighted per pair into one buffer, the last pair
+    in place; each weighted form gets the deflated Kato-Temple attempt,
+    and a form still open takes one symmetric eigensolve if it is a
+    self-adjoint T's (0, 0) form, else its Gram's.  No path returns a
     Krylov lower bound, so a check such as ||K|| <= kappa stays evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
@@ -715,23 +683,16 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     if not dense:
         return norms
     C = _cos_sin_form(T)
-    forms = C[None] if len(dense) == 1 else np.empty((len(dense), *C.shape))  # one pair: weighed in place
-    gram = []  # the pairs whose forms stay open, in the first slots of forms
+    buf = np.empty_like(C) if len(dense) > 1 else None
     for i in dense:
-        R = _weigh(C, T.N, T.n, *pairs[i], out=forms[len(gram)])
+        R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == dense[-1] else buf)
         top = _deflated_top(R)
         if top is not None:
             norms[i] = float(np.sqrt(top))
         elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
             norms[i] = _symmetric_top(R)
         else:
-            gram.append(i)
-    del C
-    if gram:
-        products = _gram(forms[: len(gram)])
-        del R, forms  # the forms go before the eigensolve
-        for i, v in zip(gram, _gram_tops(products)):
-            norms[i] = float(v)
+            norms[i] = _gram_top(R)
     return norms
 
 
@@ -742,16 +703,17 @@ def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) ->
     return op_norms(T, [(a, b)])[0]
 
 
-def adjoint(T: LevelOperator, s: float) -> LevelOperator:
-    """Adjoint for the level-s inner product on both sides; structured at level 0 if T is."""
-    s = check_level(s)
-    if s == 0.0 and not _dense(T):
-        factor = None if T.factor is None else T.factor.transpose(0, 2, 1)
-        blocks = None if T.blocks is None else np.conj(T.blocks.transpose(0, 2, 1))
-        return LevelOperator(None, T.cod, T.dom, T.N, T.n, factor=factor, blocks=blocks)
-    w = _flat_weights(T.N, T.n, s)
-    m = (T.matrix.conj().T * w[None, :]) / w[:, None]
-    return LevelOperator(m, T.cod, T.dom, T.N, T.n)
+def adjoint(T: LevelOperator) -> LevelOperator:
+    """Adjoint for the level-0 inner product on both sides; structured if T is.
+
+    A structured T gives the transposed factor and the conjugate-transposed
+    blocks, a dense one the conjugate transpose of its matrix.
+    """
+    if _dense(T):
+        return LevelOperator(T.matrix.conj().T, T.cod, T.dom, T.N, T.n)
+    factor = None if T.factor is None else T.factor.transpose(0, 2, 1)
+    blocks = None if T.blocks is None else np.conj(T.blocks.transpose(0, 2, 1))
+    return LevelOperator(None, T.cod, T.dom, T.N, T.n, factor=factor, blocks=blocks)
 
 
 def check_interpolation(T: LevelOperator, levels: tuple[float, ...], tol: float = 1e-10) -> list[dict]:

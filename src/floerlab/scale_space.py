@@ -127,30 +127,6 @@ class FourierLoop:
         return FourierLoop(-self.coeffs)
 
 
-@dataclass(frozen=True)
-class DualFunctional:
-    """Functional on the scale, paired via the L^2 form, measured at level -1."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        # Reuse the loop validation; a functional has the same layout.
-        loop = FourierLoop(self.coeffs)
-        object.__setattr__(self, "coeffs", loop.coeffs)
-
-    @property
-    def N(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[1]
-
-    def norm(self) -> float:
-        w = weights(self.N, -1.0)
-        return float(np.sqrt(np.sum(w[:, None] * np.abs(self.coeffs) ** 2)))
-
-
 def sobolev_norm(u: FourierLoop, s: float) -> float:
     w = weights(u.N, s)
     return float(np.sqrt(np.sum(w[:, None] * np.abs(u.coeffs) ** 2)))
@@ -162,28 +138,13 @@ def inner(u: FourierLoop, v: FourierLoop, s: float) -> float:
     return float(np.real(np.sum(w[:, None] * u.coeffs * np.conj(v.coeffs))))
 
 
-def dual_pair(f: DualFunctional | FourierLoop, h: FourierLoop) -> float:
-    """L^2 pairing of a functional with a loop.
+def dual_pair(f: FourierLoop, h: FourierLoop) -> float:
+    """L^2 pairing of a functional f, a loop read at level -1, with a loop h.
 
     Satisfies |dual_pair(f, h)| <= ||f||_{-1} ||h||_1 because the level
     weights at -1 and 1 are exact reciprocals.
     """
     return float(np.real(np.sum(f.coeffs * np.conj(h.coeffs))))
-
-
-def flat(v: FourierLoop) -> DualFunctional:
-    """Insertion H_1 -> (H_{-1})^*; coefficients are untouched.
-
-    The level-(-1) dual norm of the result equals ||v||_1, so the map is
-    an isometry onto its image.
-    """
-    return DualFunctional(v.coeffs)
-
-
-def dual_norm(f: DualFunctional) -> float:
-    """Operator norm of f over the unit H_{-1} ball (equals the level-1 norm)."""
-    w = weights(f.N, 1.0)
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(f.coeffs) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +154,6 @@ def dual_norm(f: DualFunctional) -> float:
 def default_grid_points(N: int) -> int:
     """Grid size 2M with M = 2N+1; alias-free for triple products."""
     return 2 * (2 * N + 1)
-
-
-def min_grid_points(N: int) -> int:
-    """3/2-rule minimum 2M with M = ceil(3N/2)."""
-    return 2 * ((3 * N + 1) // 2)
 
 
 def grid_times(grid_points: int) -> np.ndarray:
@@ -321,10 +277,6 @@ def toeplitz_rows(symbol: np.ndarray, N: int, start: int, stop: int) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # sample loops
-
-
-def zero_loop(n: int, N: int) -> FourierLoop:
-    return FourierLoop(np.zeros((2 * N + 1, n), dtype=complex))
 
 
 def constant_loop(x: np.ndarray, N: int) -> FourierLoop:

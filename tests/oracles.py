@@ -1,0 +1,43 @@
+"""Reference computations and sizes that tests read and the program does not.
+
+The norm and SVD paths of scale_operator are tested against the dense
+weighted matrix and the two eigensolve references; min_grid_points is the
+smallest grid the 3/2-rule admits, which the grid bridge must handle.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from floerlab.scale_operator import LevelOperator, _flat_weights, _gram_top, _real_form, _symmetric_top
+from floerlab.scale_space import check_level
+
+
+def min_grid_points(N: int) -> int:
+    """3/2-rule minimum 2M with M = ceil(3N/2)."""
+    return 2 * ((3 * N + 1) // 2)
+
+
+def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
+    """The dense complex W_b^{1/2} T W_a^{-1/2}, the reference every path is tested against."""
+    a = T.dom if a is None else check_level(a)
+    b = T.cod if b is None else check_level(b)
+    wa = _flat_weights(T.N, T.n, a)
+    wb = _flat_weights(T.N, T.n, b)
+    return np.sqrt(wb)[:, None] * T.matrix / np.sqrt(wa)[None, :]
+
+
+def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
+    """sigma_max from the top eigenvalue of the dense Gram matrix R^T R of the real form.
+
+    The reference for the Gram fallback of op_norms, which gives its bits.
+    """
+    return _gram_top(_real_form(T, a, b))
+
+
+def _symmetric_norm(T: LevelOperator, a: float, b: float) -> float:
+    """sigma_max of the real form from one symmetric eigensolve.
+
+    The reference for the self-adjoint pairs of op_norms, which gives their bits.
+    """
+    return _symmetric_top(_real_form(T, a, b))

@@ -1,10 +1,13 @@
 """Pointwise chart maps: derivative consistency and inverses."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from floerlab.charts import (
+    DiffeoChart,
     chart_from_sympy,
     compose_charts,
     c1_only_chart,
@@ -65,19 +68,6 @@ def test_hessian_matches_finite_differences(name):
     assert np.max(np.abs(chart.hessian(p) - _fd_hessian(chart, p))) < 5e-7
 
 
-@pytest.mark.parametrize("name", ["shear", "rotation", "inversion", "linear"])
-def test_third_derivative_matches_finite_differences(name):
-    chart = CHARTS[name]
-    p = _points(3, G=15)
-    h = 1e-4
-    fd = np.zeros(chart.third(p).shape)
-    for l in range(2):
-        dp = np.zeros_like(p)
-        dp[:, l] = h
-        fd[:, :, :, :, l] = (chart.hessian(p + dp) - chart.hessian(p - dp)) / (2 * h)
-    assert np.max(np.abs(chart.third(p) - fd)) < 5e-5
-
-
 @pytest.mark.parametrize("name", ["identity", "shear", "rotation", "inversion", "linear"])
 def test_inverse_round_trip(name):
     chart = CHARTS[name]
@@ -87,6 +77,24 @@ def test_inverse_round_trip(name):
     # chain rule: D(inv)(chart(p)) D(chart)(p) = Id
     prod = np.einsum("gij,gjk->gik", chart.inverse.jacobian(q), chart.jacobian(p))
     assert np.max(np.abs(prod - np.eye(2))) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["shear", "rotation", "inversion", "linear"])
+def test_inverse_after_chart_is_the_identity_through_second_order(name):
+    # the order-2 chain rule of compose_charts ties each inverse's hessian to
+    # its chart's: inverse o chart has value p, jacobian Id and hessian 0
+    chart = CHARTS[name]
+    loop = compose_charts(chart.inverse, chart, _wire_inverse=False)
+    p = _points(3, G=15)
+    assert np.max(np.abs(loop.value(p) - p)) < 1e-10
+    assert np.max(np.abs(loop.jacobian(p) - np.eye(2))) < 1e-10
+    assert np.max(np.abs(loop.hessian(p))) < 1e-9
+
+
+def test_charts_carry_derivatives_through_second_order_only():
+    assert [f.name for f in fields(DiffeoChart)] == [
+        "n", "name", "value", "jacobian", "hessian", "boundary_clearance", "inverse",
+    ]
 
 
 def test_inversion_chart_is_an_involution():
@@ -103,7 +111,6 @@ def test_c1_chart_has_discontinuous_second_derivative():
     left = chart.hessian(np.array([[-1e-6, 0.0]]))
     right = chart.hessian(np.array([[1e-6, 0.0]]))
     assert abs(left[0, 1, 0, 0] - right[0, 1, 0, 0]) > 0.5
-    assert chart.third is None
     assert chart.inverse is None
 
 

@@ -1,7 +1,6 @@
-"""op_norms: one cosine/sine form per operator, the deflated Kato-Temple certificate, the symmetric eigensolve and the stacked Gram."""
+"""op_norms: one cosine/sine form per operator, the deflated Kato-Temple certificate, the symmetric eigensolve and the Gram."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -15,16 +14,15 @@ from floerlab.scale_operator import (
     _cos_sin_form,
     _deflated_screen,
     _deflated_top,
-    _gram_norm,
     _real_form,
     _self_adjoint,
-    _symmetric_norm,
     _weigh,
     op_norm,
     op_norms,
 )
 from floerlab.scale_space import default_grid_points, mode_numbers, random_loop
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
+from oracles import _gram_norm, _symmetric_norm
 from test_scale_operator import _reality_preserving
 from test_structured_operator import _bits, _random_structured
 from test_weighted_svd import _composed
@@ -70,12 +68,12 @@ def test_one_call_mixes_the_certified_deflated_and_gram_pairs(monkeypatch):
     # self-adjoint, by the symmetric eigensolve and (0.25, 0.25) by the Gram
     T = mult_operator(smooth_factor(64), "(1,1->1)")
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
-    forms, stacked = [], []
-    cos_sin, gram_tops = scale_operator._cos_sin_form, scale_operator._gram_tops
+    forms, grams = [], []
+    cos_sin, gram_top = scale_operator._cos_sin_form, scale_operator._gram_top
     monkeypatch.setattr(scale_operator, "_cos_sin_form", lambda T: forms.append(1) or cos_sin(T))
-    monkeypatch.setattr(scale_operator, "_gram_tops", lambda R: stacked.append(R.shape[0]) or gram_tops(R))
+    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(1) or gram_top(R))
     many = op_norms(T, pairs)
-    assert forms == [1] and stacked == [1]
+    assert forms == [1] and grams == [1]
     assert scale_operator._certified_top_eigenvalue(T, 1.0, -1.0) is not None
     assert _deflated_top(_real_form(T, 1.0, 1.0)) is not None
     for (a, b), value in zip(pairs, many):
@@ -149,7 +147,7 @@ def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
     operators = _interpolation_factors(2) + [_hermitian_blocks_operator(64, 5)]
     steps, grams = [], []
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
-    monkeypatch.setattr(scale_operator, "_gram_tops", lambda gram: grams.append(gram))
+    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
     for T in operators:
         assert _self_adjoint(T)
         norm = op_norm(T, 0.0, 0.0)
@@ -175,27 +173,18 @@ def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(N):
     assert op_norm(T, 0.25, 0.25) == _gram_norm(T, 0.25, 0.25)
 
 
-def test_gram_fallback_drops_its_forms_before_the_eigensolve(monkeypatch):
-    # one open pair, and two open of three: the Gram products read a slice
-    # of the weighed forms, not a copy, and the forms are gone by the eigensolve
+def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
+    # one open pair, and two open of three: each Gram top reads its pair's
+    # form before the next pair is weighed, the one-pair real form bit for bit
     T = mult_operator(smooth_factor(64), "(1,1->1)")
-    refs, alive = [], []
-    gram, gram_tops = scale_operator._gram, scale_operator._gram_tops
-
-    def products(forms):
-        assert forms.base is not None  # a view
-        refs.append(weakref.ref(forms.base))
-        return gram(forms)
-
-    def tops(g):
-        alive.append(refs[-1]() is not None)
-        return gram_tops(g)
-
-    monkeypatch.setattr(scale_operator, "_gram", products)
-    monkeypatch.setattr(scale_operator, "_gram_tops", tops)
+    read = []
+    gram_top = scale_operator._gram_top
+    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: read.append(_bits(R).copy()) or gram_top(R))
     one = op_norms(T, [(0.25, 0.25)])
     three = op_norms(T, [(1.0, 1.0), (0.25, 0.25), (0.5, 0.5)])
-    assert alive == [False, False]
+    assert len(read) == 3
+    for R, pair in zip(read, [(0.25, 0.25), (0.25, 0.25), (0.5, 0.5)]):
+        assert np.array_equal(R, _bits(_real_form(T, *pair))), pair
     assert one[0] == three[1] == _gram_norm(T, 0.25, 0.25) and three[2] == _gram_norm(T, 0.5, 0.5)
 
 
@@ -245,9 +234,9 @@ def test_deflated_certified_interpolation_norms_match_the_svd(level):
 
 def _count_traffic(monkeypatch):
     counts = {"forms": 0, "eigensolves": 0, "symmetric": 0}
-    cos_sin, gram_tops, symmetric_top = (
+    cos_sin, gram_top, symmetric_top = (
         scale_operator._cos_sin_form,
-        scale_operator._gram_tops,
+        scale_operator._gram_top,
         scale_operator._symmetric_top,
     )
 
@@ -255,16 +244,16 @@ def _count_traffic(monkeypatch):
         counts["forms"] += 1
         return cos_sin(T)
 
-    def grams(gram):
-        counts["eigensolves"] += gram.shape[0]
-        return gram_tops(gram)
+    def grams(R):
+        counts["eigensolves"] += 1
+        return gram_top(R)
 
     def symmetric(R):
         counts["symmetric"] += 1
         return symmetric_top(R)
 
     monkeypatch.setattr(scale_operator, "_cos_sin_form", forms)
-    monkeypatch.setattr(scale_operator, "_gram_tops", grams)
+    monkeypatch.setattr(scale_operator, "_gram_top", grams)
     monkeypatch.setattr(scale_operator, "_symmetric_top", symmetric)
     return counts
 
@@ -281,9 +270,9 @@ def _count_symbol_passes(monkeypatch):
         counts["admitted"] += screen > frob / 2
         return frob, screen
 
-    def adjoints(T, s):
+    def adjoints(T):
         counts["adjoints"] += 1
-        return adjoint(T, s)
+        return adjoint(T)
 
     monkeypatch.setattr(scale_operator, "_symbol_pass", passes)
     monkeypatch.setattr(scale_operator, "adjoint", adjoints)

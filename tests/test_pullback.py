@@ -150,7 +150,7 @@ def test_correction_terms_equal_the_products_with_the_inclusion(chart):
     # the one Hessian read at H_2 -> H_1 has the coefficients of the explicit level-2 product
     D = dphi(phi, q)
     A2 = F.hessian(apply(phi, q)).with_levels(2.0, 1.0)
-    conj2 = adjoint(D, 0.0).with_levels(1.0, 1.0) @ A2 @ D.with_levels(2.0, 2.0)
+    conj2 = adjoint(D).with_levels(1.0, 1.0) @ A2 @ D.with_levels(2.0, 2.0)
     old2 = conj2 + K.with_levels(1.0 + s, 1.0) @ identity_operator(N, 2, 2.0, 1.0 + s)
     assert (old2.dom, old2.cod) == (2.0, 1.0)
     assert np.all(pull_back(F, phi, s).hessian(q).matrix == old2.matrix)

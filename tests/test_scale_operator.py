@@ -53,22 +53,22 @@ def _reality_preserving(rng, N, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31), s=st.sampled_from([0.0, 0.5, 1.0]))
-def test_adjoint_pairing_identity(seed, s):
+@given(seed=st.integers(0, 2**31))
+def test_adjoint_pairing_identity(seed):
     rng = np.random.default_rng(seed)
     N, n = 6, 2
     T = _reality_preserving(rng, N, n)
     u = random_loop(rng, n, N)
     v = random_loop(rng, n, N)
-    lhs = inner(T.apply(u), v, s)
-    rhs = inner(u, adjoint(T, s).apply(v), s)
+    lhs = inner(T.apply(u), v, 0.0)
+    rhs = inner(u, adjoint(T).apply(v), 0.0)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 def test_adjoint_involution():
     rng = np.random.default_rng(5)
     T = _reality_preserving(rng, 5, 2)
-    back = adjoint(adjoint(T, 0.5), 0.5)
+    back = adjoint(adjoint(T))
     assert np.max(np.abs(back.matrix - T.matrix)) < 1e-12
     assert (back.dom, back.cod) == (T.dom, T.cod)
 

@@ -150,13 +150,6 @@ def test_embedding_level_range_enforced(bad):
         holder_embedding_check(bad)
 
 
-def test_samples_respect_the_sharp_constant():
-    rng = np.random.default_rng(1)
-    samples = [random_loop(rng, 1, 64, amplitude=1.0) for _ in range(3)]
-    rep = holder_embedding_check(0.75, samples=samples, N_sweep=(16, 32, 64))
-    assert all(row["within_constant"] for row in rep["samples"])
-
-
 def test_signature_table_is_the_documented_set():
     assert set(SIGNATURES) == {"(1,1->1)", "(C0,0->0)", "(1,0->0)", "(-1,1->-1)"}
 

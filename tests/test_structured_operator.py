@@ -16,10 +16,8 @@ from floerlab.pullback import pull_back_gradient, riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
     _certified_top_eigenvalue,
-    _flat_weights,
     _mode_blocks,
     _real_form,
-    _symmetric_norm,
     adjoint,
     derivative_operator,
     identity_operator,
@@ -38,6 +36,7 @@ from floerlab.scale_space import (
     toeplitz_rows,
 )
 from floerlab.sobolev_evidence import mult_operator, smooth_factor
+from oracles import _symmetric_norm
 
 
 def _bits(x):
@@ -235,7 +234,7 @@ def test_apply_sums_and_level_zero_adjoint_keep_the_structure(kind, n, grid, N):
     S = _random_structured(kind, N, n, seed=10 * N + n + 5, grid=grid)
     c = random_loop(np.random.default_rng(N), n, N, top_mode=N)
     y = T.apply(c).flat_coeffs()
-    total, diff, adj = T + S, T - S, adjoint(T, 0.0)
+    total, diff, adj = T + S, T - S, adjoint(T)
     _assert_structured(T, S, total, diff, adj)  # none of them built .matrix
     assert (adj.dom, adj.cod) == (T.cod, T.dom)
 
@@ -245,22 +244,21 @@ def test_apply_sums_and_level_zero_adjoint_keep_the_structure(kind, n, grid, N):
     assert np.max(np.abs(total.matrix - (m + ms))) <= 4 * np.finfo(float).eps * scale
     assert np.max(np.abs(diff.matrix - (m - ms))) <= 4 * np.finfo(float).eps * scale
     # the dense level-0 adjoint; equal, but not bit for bit: the conjugation flips signs of zeros
-    dense = adjoint(LevelOperator(m, T.dom, T.cod, N, n), 0.0)
+    dense = adjoint(LevelOperator(m, T.dom, T.cod, N, n))
     assert np.array_equal(adj.matrix, dense.matrix)
 
 
-def test_dense_operands_other_grids_products_and_other_levels_stay_dense():
+def test_dense_operands_other_grids_and_products_stay_dense():
     N, n = 16, 2
     T = _random_structured("factor+blocks", N, n, seed=1)
     odd = _random_structured("factor", N, n, seed=2, grid=GRIDS[1])
     dense = LevelOperator(_random_structured("factor", N, n, seed=3).matrix, 1.0, 0.0, N, n)
     inclusion = identity_operator(N, n, 1.0, 1.0)
-    w = _flat_weights(N, n, 1.0)
     cases = [
         (T + dense, lambda: T.matrix + dense.matrix),
         (T - odd, lambda: T.matrix - odd.matrix),
         (T @ inclusion, lambda: T.matrix @ inclusion.matrix),
-        (adjoint(T, 1.0), lambda: (T.matrix.conj().T * w[None, :]) / w[:, None]),
+        (adjoint(dense), lambda: dense.matrix.conj().T),
     ]
     for op, parent in cases:
         assert op.factor is None and op.blocks is None
@@ -344,7 +342,7 @@ def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N
     # self-adjoint level-0 form takes one symmetric eigensolve, not the Gram
     steps, grams = [], []
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
-    monkeypatch.setattr(scale_operator, "_gram_tops", lambda gram: grams.append(gram))
+    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
     T = mult_operator(smooth_factor(N), "(1,0->0)")
     assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
     norm = op_norm(T)
