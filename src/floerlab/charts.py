@@ -65,8 +65,8 @@ def _entry_evaluator(fns: list, n_in: int, shape: tuple[int, ...]):
     return run
 
 
-def chart_from_sympy(exprs, symbols, name: str, boundary_clearance=None) -> DiffeoChart:
-    """Build a chart from sympy expressions, differentiating symbolically.
+def chart_from_sympy(exprs, symbols, name: str) -> DiffeoChart:
+    """Build a chart on all of R^n from sympy expressions, differentiating symbolically.
 
     sympy is imported here, not with the package: no built-in chart needs it.
     """
@@ -90,9 +90,7 @@ def chart_from_sympy(exprs, symbols, name: str, boundary_clearance=None) -> Diff
         for k in range(n)
     ]
     hes = _entry_evaluator([lam(e) for e in d2], n, (n, n, n))
-    return DiffeoChart(
-        n=n, name=name, value=val, jacobian=jac, hessian=hes, boundary_clearance=boundary_clearance
-    )
+    return DiffeoChart(n=n, name=name, value=val, jacobian=jac, hessian=hes)
 
 
 def _wirtinger_rows(m: int) -> np.ndarray:
@@ -177,7 +175,11 @@ def identity_chart(n: int = 2) -> DiffeoChart:
     return chart
 
 
-def linear_chart(A: np.ndarray, name: str = "linear") -> DiffeoChart:
+LINEAR_CHART_NAME = "linear"
+
+
+def linear_chart(A: np.ndarray) -> DiffeoChart:
+    """x -> A x, named LINEAR_CHART_NAME, paired with its inverse."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or abs(np.linalg.det(A)) < 1e-12:
@@ -192,7 +194,7 @@ def linear_chart(A: np.ndarray, name: str = "linear") -> DiffeoChart:
             hessian=lambda x: np.zeros((x.shape[0], n, n, n)),
         )
 
-    return pair_inverses(make(A, name), make(np.linalg.inv(A), name + "_inv"))
+    return pair_inverses(make(A, LINEAR_CHART_NAME), make(np.linalg.inv(A), LINEAR_CHART_NAME + "_inv"))
 
 
 def shear_chart() -> DiffeoChart:

@@ -74,13 +74,17 @@ class RunConfig:
         for s in self.s:
             if not _is_number(s) or not 0.5 < s < 1.0:
                 raise ConfigError(f"s values must lie strictly between 1/2 and 1, got {s!r}")
-        if not _is_int(self.seed):
-            raise ConfigError("seed must be an integer")
+        if len(set(self.s)) != len(self.s):
+            raise ConfigError(f"s values must be distinct, got {self.s}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.suites, list) or not self.suites:
             raise ConfigError(f"suites must be a non-empty list; choose from {sorted(SUITES)}")
         unknown = [name for name in self.suites if not isinstance(name, str) or name not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites {unknown}; choose from {sorted(SUITES)}")
+        if len(set(self.suites)) != len(self.suites):
+            raise ConfigError(f"suites must be distinct, got {self.suites}")
         if not isinstance(self.negative_controls, bool):
             raise ConfigError("negative_controls must be true or false")
         if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):

@@ -74,32 +74,40 @@ class HamiltonianData:
     name: str = ""
 
 
-def quadratic_hamiltonian(dim: int = 2, c: float = 1.0) -> HamiltonianData:
-    """H(t, x) = c/2 |x|^2, the autonomous reference perturbation."""
+# The reference Hamiltonians on R^2: the well WELL/2 |x|^2, alone or driven
+# by DRIVE cos(2 pi DRIVE_MODE t) x_1.
+HAMILTONIAN_DIM = 2
+WELL = 1.0
+DRIVE = 0.3
+DRIVE_MODE = 1
+
+
+def quadratic_hamiltonian() -> HamiltonianData:
+    """H(t, x) = WELL/2 |x|^2, the autonomous reference perturbation."""
     return HamiltonianData(
-        dim=dim,
-        value=lambda t, x: 0.5 * c * np.sum(x**2, axis=1),
-        grad_x=lambda t, x: c * x,
-        hess_x=lambda t, x: np.broadcast_to(c * np.eye(dim), (x.shape[0], dim, dim)).copy(),
-        name=f"quadratic[{c}]",
+        dim=HAMILTONIAN_DIM,
+        value=lambda t, x: 0.5 * WELL * np.sum(x**2, axis=1),
+        grad_x=lambda t, x: WELL * x,
+        hess_x=lambda t, x: np.tile(WELL * np.eye(HAMILTONIAN_DIM), (x.shape[0], 1, 1)),
+        name=f"quadratic[{WELL}]",
     )
 
 
-def driven_hamiltonian(dim: int = 2, c: float = 1.0, eps: float = 0.3, mode: int = 1) -> HamiltonianData:
-    """Quadratic well with a time-periodic linear drive on the first coordinate."""
-    om = 2.0 * np.pi * mode
+def driven_hamiltonian() -> HamiltonianData:
+    """The quadratic well with a time-periodic linear drive on the first coordinate."""
+    om = 2.0 * np.pi * DRIVE_MODE
 
     def grad_x(t, x):
-        g = c * x.copy()
-        g[:, 0] += eps * np.cos(om * t)
+        g = WELL * x.copy()
+        g[:, 0] += DRIVE * np.cos(om * t)
         return g
 
     return HamiltonianData(
-        dim=dim,
-        value=lambda t, x: 0.5 * c * np.sum(x**2, axis=1) + eps * np.cos(om * t) * x[:, 0],
+        dim=HAMILTONIAN_DIM,
+        value=lambda t, x: 0.5 * WELL * np.sum(x**2, axis=1) + DRIVE * np.cos(om * t) * x[:, 0],
         grad_x=grad_x,
-        hess_x=lambda t, x: np.broadcast_to(c * np.eye(dim), (x.shape[0], dim, dim)).copy(),
-        name=f"driven[{c},{eps}]",
+        hess_x=lambda t, x: np.tile(WELL * np.eye(HAMILTONIAN_DIM), (x.shape[0], 1, 1)),
+        name=f"driven[{WELL},{DRIVE}]",
     )
 
 
@@ -159,11 +167,7 @@ def symplectic_action(H: HamiltonianData, N: int) -> FloerFunctionNumeric:
     )
 
 
-def quadratic_spectral(
-    op_builder: Callable[[int], LevelOperator],
-    N: int,
-    name: str = "quadratic_spectral",
-) -> FloerFunctionNumeric:
+def quadratic_spectral(op_builder: Callable[[int], LevelOperator], N: int) -> FloerFunctionNumeric:
     """f(u) = 1/2 <L u, u>_0 for a level-0 symmetric operator family L(N)."""
     L = op_builder(N)
     if np.max(np.abs(L.matrix - adjoint(L).matrix)) > 1e-10 * max(
@@ -183,24 +187,29 @@ def quadratic_spectral(
         value=value,
         gradient=gradient,
         hessian=lambda u: L.with_levels(1.0, 0.0),
-        rebuild=lambda M: quadratic_spectral(op_builder, M, name=name),
-        name=name,
+        rebuild=lambda M: quadratic_spectral(op_builder, M),
+        name="quadratic_spectral",
     )
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracles
 
+# Step h of both Richardson stencils, which also take h/2.
+RICHARDSON_STEP = 1e-3
 
-def richardson_directional(fn, q: FourierLoop, xi: FourierLoop, h: float = 1e-3):
+
+def richardson_directional(fn, q: FourierLoop, xi: FourierLoop):
     """Central difference of fn along xi, Richardson-extrapolated to O(h^4)."""
+    h = RICHARDSON_STEP
     coarse = (fn(q + h * xi) - fn(q - h * xi)) * (1.0 / (2.0 * h))
     fine = (fn(q + (h / 2.0) * xi) - fn(q - (h / 2.0) * xi)) * (1.0 / h)
     return (1.0 / 3.0) * (4.0 * fine - coarse)
 
 
-def richardson_second(fn, q: FourierLoop, xi: FourierLoop, eta: FourierLoop, h: float = 1e-3) -> float:
+def richardson_second(fn, q: FourierLoop, xi: FourierLoop, eta: FourierLoop) -> float:
     """Mixed second difference by the symmetric four-point stencil, extrapolated."""
+    h = RICHARDSON_STEP
 
     def stencil(step: float) -> float:
         return (

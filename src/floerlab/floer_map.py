@@ -76,12 +76,16 @@ def _slot_gradient(t: np.ndarray, slot: int, u: np.ndarray, v: np.ndarray) -> np
     return np.einsum(_SLOTS[slot], t, u[:, :, None, :] * v[:, None, :, :])
 
 
-def _start_spectra(N: int, n: int, restarts: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+# Seed of the ascent's random starting triples, the same for every call.
+ASCENT_SEED = 0
+
+
+def _start_spectra(N: int, n: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
     """Half spectra (trial, n, N+1) of the xi and eta starts, not yet normalised.
 
-    Two fixed triples, then restarts random real loops from default_rng(seed).
+    Two fixed triples, then restarts random real loops from default_rng(ASCENT_SEED).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ASCENT_SEED)
     starts = []
     for trial in range(restarts + 2):
         if trial == 0:
@@ -137,18 +141,9 @@ class BilinearLevelMap:
         vz = to_grid(zeta, self.grid_points)
         return float(np.einsum("gijk,gi,gj,gk->", self.tensor, vz, vx, ve) / self.grid_points)
 
-    def norm(
-        self,
-        a: float,
-        b: float,
-        out: float,
-        restarts: int = 4,
-        iters: int = 150,
-        seed: int = 0,
-        rtol: float = 1e-11,
-    ) -> float:
+    def norm(self, a: float, b: float, out: float, restarts: int = 4, iters: int = 150) -> float:
         """sup ||B(xi, eta)||_out / (||xi||_a ||eta||_b): trilinear_norms for this map alone."""
-        return float(trilinear_norms([self], [(a, b, out)], restarts, iters, seed, rtol).values[0])
+        return float(trilinear_norms([self], [(a, b, out)], restarts, iters).values[0])
 
     def __sub__(self, other: "BilinearLevelMap") -> "BilinearLevelMap":
         if self.tensor.shape != other.tensor.shape or self.N != other.N:
@@ -157,8 +152,9 @@ class BilinearLevelMap:
 
 
 # How a trial leaves the ascent: its output gradient vanished, its value
-# moved by at most rtol, or it reached the iteration cap.
+# moved by at most ASCENT_RTOL, or it reached the iteration cap.
 EXITS = ("null", "rtol", "cap")
+ASCENT_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,6 @@ def trilinear_norms(
     levels: list[tuple[float, float, float]],
     restarts: int = 4,
     iters: int = 150,
-    seed: int = 0,
-    rtol: float = 1e-11,
 ) -> Ascent:
     """sup ||B(xi, eta)||_out / (||xi||_a ||eta||_b) for each B in maps, by one ascent.
 
@@ -189,16 +183,17 @@ def trilinear_norms(
     the grid.  The output slot is handled through the dual pairing, so
     each slot update is a closed-form Riesz step.  Every map gets the same
     restarts + 2 starting triples (two fixed, then random ones from
-    default_rng(seed)), and all trials of all maps advance together, held
-    as grid samples of shape (trial, n, G).  Each trial carries its own
-    map's tensor, as (n, n, n, G), and its own weight rows, so a slot
-    gradient is an outer product and one two-operand contraction.  The
-    Riesz step reads the gradient's half spectrum U (modes 0..N) and takes
-    U / w, whose squared norm is sum_k m_k |U_k|^2 / w_k with m_0 = 1 and
-    m_k = 2 counting the mode -k.  A trial leaves the batch when the output
-    gradient vanishes, when its value changes by at most rtol, or at the
-    iters cap; the returned Ascent records which, and after how many
-    sweeps, next to the values.
+    default_rng(ASCENT_SEED)), and all trials of all maps advance
+    together, held as grid samples of shape (trial, n, G).  Each trial
+    carries its own map's tensor, as (n, n, n, G), and its own weight
+    rows, so a slot gradient is an outer product and one two-operand
+    contraction.  The Riesz step reads the gradient's half spectrum U
+    (modes 0..N) and takes U / w, whose squared norm is
+    sum_k m_k |U_k|^2 / w_k with m_0 = 1 and m_k = 2 counting the mode -k.
+    A trial leaves the batch when the output gradient vanishes, when its
+    value changes by at most ASCENT_RTOL (relative, or absolute below 1),
+    or at the iters cap; the returned Ascent records which, and after how
+    many sweeps, next to the values.
 
     Every step acts on each trial alone, on C-ordered arrays, so a map's
     value, exits and iteration counts are those of the same map run
@@ -232,7 +227,7 @@ def trilinear_norms(
     )[:, :, None, :]
     m = np.r_[1.0, np.full(N, 2.0)] * w[:, :, 0]  # mode k > 0 stands for k and -k
 
-    cx, ce = (np.tile(c, (len(maps), 1, 1)) for c in _start_spectra(N, n, restarts, seed))
+    cx, ce = (np.tile(c, (len(maps), 1, 1)) for c in _start_spectra(N, n, restarts))
     vx = _unit_samples(cx, m[1], G)
     ve = _unit_samples(ce, m[2], G)
 
@@ -257,7 +252,7 @@ def trilinear_norms(
         ge = _slot_gradient(t, 2, vz, vx)
         ve = _unit_samples(half_spectrum(ge, N, axis=-1) / w[2], m[2], G)
         new = np.einsum("tig,tig->t", ge, ve) / G
-        done = ~(np.abs(new - vals[live]) > rtol * np.maximum(np.abs(new), 1.0))
+        done = ~(np.abs(new - vals[live]) > ASCENT_RTOL * np.maximum(np.abs(new), 1.0))
         vals[live] = new
         if done.any():
             exits[live[done]], steps[live[done]] = "rtol", step + 1

@@ -195,13 +195,11 @@ class LoopAtlas:
     corpus: list[FourierLoop] = field(default_factory=list)
     name: str = ""
 
-    def chart(self, key) -> object:
-        if isinstance(key, int):
-            return self.charts[key]
+    def chart(self, name: str) -> object:
         for c in self.charts:
-            if c.name == key:
+            if c.name == name:
                 return c
-        raise KeyError(f"no chart named {key!r}")
+        raise KeyError(f"no chart named {name!r}")
 
 
 def _abstract_points(u: FourierLoop, chart, grid_points: int) -> np.ndarray:
@@ -245,7 +243,7 @@ def _pair_map(a, b, s: float, N: int) -> SuperpositionMap:
     return SuperpositionMap(chart, s, N)
 
 
-def _default_corpus(*atlases: LoopAtlas) -> list[FourierLoop]:
+def _corpus_of(*atlases: LoopAtlas) -> list[FourierLoop]:
     corpus, seen = [], set()
     for atlas in atlases:
         if id(atlas) not in seen:
@@ -257,20 +255,20 @@ def _default_corpus(*atlases: LoopAtlas) -> list[FourierLoop]:
 def check_compatibility(
     A: LoopAtlas,
     B: LoopAtlas,
-    corpus: list[FourierLoop] | None = None,
     N_sweep: tuple[int, ...] = (16, 32, 64),
     hopm: dict | None = None,
     max_samples: int = 5,
 ) -> dict:
     """Axiom reports for every cross transition, one chart from each atlas.
 
-    Pairs whose overlap carries no corpus loop are reported and skipped;
-    the verdict is the conjunction over the populated pairs.  The ascent
-    settings default to a light budget; pass hopm for a heavier one.
+    The samples come from the corpora of A and B.  Pairs whose overlap
+    carries no corpus loop are reported and skipped; the verdict is the
+    conjunction over the populated pairs.  The ascent settings default to
+    a light budget; pass hopm for a heavier one.
     """
     if A.s != B.s:
         raise ValueError("atlases must share the level parameter")
-    corpus = list(corpus) if corpus is not None else _default_corpus(A, B)
+    corpus = _corpus_of(A, B)
     hopm = hopm if hopm is not None else {"restarts": 1, "iters": 100}
     top = max(N_sweep)
     pairs = []
@@ -316,30 +314,38 @@ def _union_reports(pieces: list[list[AxiomReport]], s: float) -> list[AxiomRepor
     return axiom_reports(s, Ns, norms, [r.continuity_modulus for r in pieces[0]])
 
 
+# The truncation of check_transitivity's residuals, the N-sweep and the
+# ascent budget of its axiom checks.
+TRANSITIVITY_N = 32
+TRANSITIVITY_N_SWEEP = (16, 32)
+TRANSITIVITY_HOPM = {"restarts": 0, "iters": 60}
+
+
 def check_transitivity(
     A: LoopAtlas,
     B: LoopAtlas,
     C: LoopAtlas,
     corpus: list[FourierLoop] | None = None,
-    N: int = 32,
-    N_sweep: tuple[int, ...] = (16, 32),
-    hopm: dict | None = None,
     max_samples: int = 2,
 ) -> dict:
     """Composites through B against direct A-to-C transitions on triple overlaps.
 
-    The cocycle residuals compare the direct map with the composite map
-    evaluated both sides on each sample; that identity holds pointwise,
-    so the gate is tight.  Routing a sample through a materialized
-    intermediate loop truncates twice and only converges with N, so that
-    residual is reported (two_step_residual) but not gated.  The axiom
-    verdicts on each B-piece of the overlap must match the union's, which
-    are read off the pieces' own reports (_union_reports).
+    Each overlap is sampled by the first max_samples loops of corpus (by
+    default the corpora of A, B and C) in all three charts, at
+    TRANSITIVITY_N.  The cocycle residuals compare the direct map with
+    the composite map evaluated both sides on each sample; that identity
+    holds pointwise, so the gate is tight.  Routing a sample through a
+    materialized intermediate loop truncates twice and only converges
+    with N, so that residual is reported (two_step_residual) but not
+    gated.  The axiom verdicts on each B-piece of the overlap, over
+    TRANSITIVITY_N_SWEEP with the ascent budget TRANSITIVITY_HOPM, must
+    match the union's, which are read off the pieces' own reports
+    (_union_reports).
     """
     if not (A.s == B.s == C.s):
         raise ValueError("atlases must share the level parameter")
-    corpus = list(corpus) if corpus is not None else _default_corpus(A, B, C)
-    hopm = hopm if hopm is not None else {"restarts": 0, "iters": 60}
+    corpus = list(corpus) if corpus is not None else _corpus_of(A, B, C)
+    N = TRANSITIVITY_N
     maps_ab = {(a.name, b.name): _pair_map(a, b, A.s, N) for a in A.charts for b in B.charts}
     maps_bc = {(b.name, c.name): _pair_map(b, c, A.s, N) for b in B.charts for c in C.charts}
     triples = []
@@ -370,7 +376,7 @@ def check_transitivity(
                 worst_apply = max(worst_apply, r_apply)
                 worst_two_step = max(worst_two_step, r_two)
                 worst_dphi = max(worst_dphi, r_dphi)
-                pieces.append(verify_floer_axioms(direct, samples, N_sweep, hopm=hopm))
+                pieces.append(verify_floer_axioms(direct, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM))
                 triples.append(
                     {
                         "from": a.name,
@@ -414,82 +420,57 @@ def _rotation(axis: int, angle: float) -> np.ndarray:
 
 _SOUTH_FLIP = np.diag([1.0, 1.0, -1.0])
 
+# Every atlas corpus is held at truncation CORPUS_N.  A sphere corpus
+# holds EQUATORIAL_CORPUS_SIZE loops: the equator, then copies moved by
+# random loops of amplitude EQUATORIAL_AMPLITUDE.  A planar corpus holds
+# PLANAR_CORPUS_SIZE random loops.
+CORPUS_N = 16
+EQUATORIAL_CORPUS_SIZE = 5
+EQUATORIAL_AMPLITUDE = 0.1
+PLANAR_CORPUS_SIZE = 4
+# Corpus seed of sphere_small_loop_atlas.
+SPHERE_CORPUS_SEED = 7
 
-def equatorial_corpus(
-    size: int = 5,
-    N: int = 16,
-    seed: int = 7,
-    amplitude: float = 0.1,
-) -> list[FourierLoop]:
+
+def equatorial_corpus(seed: int) -> list[FourierLoop]:
     """Great-circle equator plus mildly perturbed copies, as R^3 loops."""
+    N = CORPUS_N
     rng = np.random.default_rng(seed)
     base = np.zeros((2 * N + 1, 3), dtype=complex)
     base[N + 1, 0] = base[N - 1, 0] = 0.5
     base[N + 1, 1] = -0.5j
     base[N - 1, 1] = 0.5j
     corpus = [FourierLoop(base)]
-    for _ in range(max(size - 1, 0)):
-        pert = random_loop(rng, 3, N, top_mode=3, amplitude=amplitude, decay=0.6)
+    for _ in range(EQUATORIAL_CORPUS_SIZE - 1):
+        pert = random_loop(rng, 3, N, top_mode=3, amplitude=EQUATORIAL_AMPLITUDE, decay=0.6)
         corpus.append(FourierLoop(base + pert.coeffs))
     return corpus
 
 
-def sphere_small_loop_atlas(
-    s: float = 0.75,
-    cap: float = SPHERE_CAP,
-    corpus_size: int = 5,
-    seed: int = 7,
-) -> LoopAtlas:
-    """North and south stereographic charts with an equatorial corpus."""
-    charts = [
-        SphereChart("north", np.eye(3), cap),
-        SphereChart("south", _SOUTH_FLIP, cap),
-    ]
-    return LoopAtlas(
-        charts=charts,
-        s=s,
-        corpus=equatorial_corpus(corpus_size, seed=seed),
-        name="sphere",
-    )
+def sphere_small_loop_atlas(s: float = 0.75) -> LoopAtlas:
+    """North and south stereographic charts, without the polar caps of
+    height SPHERE_CAP, with the equatorial corpus of SPHERE_CORPUS_SEED."""
+    charts = [SphereChart("north", np.eye(3)), SphereChart("south", _SOUTH_FLIP)]
+    return LoopAtlas(charts=charts, s=s, corpus=equatorial_corpus(SPHERE_CORPUS_SEED), name="sphere")
 
 
-def rotated_sphere_atlas(
-    angle: float,
-    s: float = 0.75,
-    cap: float = SPHERE_CAP,
-    axis: int = 0,
-    corpus_size: int = 5,
-    seed: int = 11,
-) -> LoopAtlas:
-    """The same two-chart atlas in a frame rotated about a horizontal axis."""
+def rotated_sphere_atlas(angle: float, s: float = 0.75, axis: int = 0, seed: int = 11) -> LoopAtlas:
+    """The same two-chart atlas in a frame rotated by angle about the
+    horizontal axis (0 for x, 1 for y), with the equatorial corpus of seed."""
     R = _rotation(axis, angle)
-    charts = [
-        SphereChart(f"north@{angle:g}", R, cap),
-        SphereChart(f"south@{angle:g}", _SOUTH_FLIP @ R, cap),
-    ]
-    return LoopAtlas(
-        charts=charts,
-        s=s,
-        corpus=equatorial_corpus(corpus_size, seed=seed),
-        name=f"sphere@{angle:g}",
-    )
+    charts = [SphereChart(f"north@{angle:g}", R), SphereChart(f"south@{angle:g}", _SOUTH_FLIP @ R)]
+    return LoopAtlas(charts=charts, s=s, corpus=equatorial_corpus(seed), name=f"sphere@{angle:g}")
 
 
 def planar_atlas(
     charts: list[DiffeoChart],
     s: float = 0.75,
-    corpus_size: int = 4,
     seed: int = 3,
     amplitude: float = 0.3,
-    N: int = 16,
     name: str = "planar",
 ) -> LoopAtlas:
-    """Flat R^2 atlas over the given chart maps, with a small-loop corpus."""
+    """Flat R^2 atlas over the given chart maps, with a corpus of
+    PLANAR_CORPUS_SIZE random loops of the given amplitude from seed."""
     rng = np.random.default_rng(seed)
-    corpus = [random_loop(rng, 2, N, amplitude=amplitude) for _ in range(corpus_size)]
-    return LoopAtlas(
-        charts=[PlanarChart(c.name, c) for c in charts],
-        s=s,
-        corpus=corpus,
-        name=name,
-    )
+    corpus = [random_loop(rng, 2, CORPUS_N, amplitude=amplitude) for _ in range(PLANAR_CORPUS_SIZE)]
+    return LoopAtlas(charts=[PlanarChart(c.name, c) for c in charts], s=s, corpus=corpus, name=name)

@@ -111,11 +111,14 @@ def smooth_factor(N: int) -> FourierLoop:
     return FourierLoop(c)
 
 
-def rough_factor(N: int, exponent: float = 0.6) -> FourierLoop:
-    """Full-band factor with |k|^(-exponent) coefficients; just outside H_1."""
+ROUGH_EXPONENT = 0.6
+
+
+def rough_factor(N: int) -> FourierLoop:
+    """Full-band factor with |k|^(-ROUGH_EXPONENT) coefficients; just outside H_1."""
     k = mode_numbers(N)
     c = np.zeros((2 * N + 1, 1), dtype=complex)
-    c[:, 0] = 1.0 / np.maximum(np.abs(k), 1) ** exponent
+    c[:, 0] = 1.0 / np.maximum(np.abs(k), 1) ** ROUGH_EXPONENT
     return FourierLoop(c)
 
 

@@ -42,6 +42,17 @@ ONCE_ACCEPTED = [
     {"N": [32, 32]},
 ]
 
+# each of these once exited 0 or with a traceback: a negative seed reached
+# default_rng, and a suite or an s given twice ran twice; each now exits 2
+# with one error line
+REPEATED_OR_NEGATIVE = {
+    "seed must be a non-negative integer, got -1": {"seed": -1},
+    "suites must be distinct, got ['floer_function', 'floer_function']": {
+        "suites": ["floer_function", "floer_function"]
+    },
+    "s values must be distinct, got [0.75, 0.75]": {"s": [0.75, 0.75]},
+}
+
 # keys that once moved a suite gate or named the output file: the gates are
 # constants now and --out names the file, so a config naming them is rejected
 REMOVED_KEYS = [
@@ -66,6 +77,7 @@ REMOVED_KEYS = [
         {"suites": ["floer_function", "nope"]},
         {"workers": 0},
         *ONCE_ACCEPTED,
+        *REPEATED_OR_NEGATIVE.values(),
     ],
 )
 def test_invalid_settings_rejected(bad):
@@ -82,6 +94,11 @@ def test_bad_settings_exit_2_before_any_report(tmp_path, capsys, command):
         assert "error:" in err
         if bad in REMOVED_KEYS:
             assert f"unknown config keys [{next(iter(bad))!r}]" in err
+        assert not out.exists()
+    for i, (message, bad) in enumerate(REPEATED_OR_NEGATIVE.items()):
+        out = tmp_path / f"repeated{i}.json"
+        assert main([command, "--config", _config(tmp_path, **bad), "--out", str(out)]) == 2, bad
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

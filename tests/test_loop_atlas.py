@@ -6,13 +6,15 @@ import pytest
 from floerlab.charts import c1_only_chart, inversion_chart, rotation_field_chart, shear_chart
 from floerlab.floer_map import SuperpositionMap, apply, dphi, invert, verify_floer_axioms
 from floerlab.loop_atlas import (
+    TRANSITIVITY_HOPM,
+    TRANSITIVITY_N,
+    TRANSITIVITY_N_SWEEP,
     EmptyOverlapError,
     _pair_map,
     _union_reports,
     SphereChart,
     check_compatibility,
     check_transitivity,
-    equatorial_corpus,
     loops_in_chart,
     planar_atlas,
     rotated_sphere_atlas,
@@ -166,7 +168,7 @@ def test_union_reports_equal_a_verify_on_the_union_of_the_pieces():
     A = sphere_small_loop_atlas()
     B = rotated_sphere_atlas(0.3)
     a, c = A.chart("north"), A.chart("south")
-    N, Ns, hopm = 32, (16, 32), {"restarts": 0, "iters": 60}
+    N, Ns, hopm = TRANSITIVITY_N, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM
     direct = _pair_map(a, c, A.s, N)
     pieces, union = [], []
     for b in B.charts:
