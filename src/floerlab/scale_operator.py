@@ -15,11 +15,12 @@ and its symbol g(m), m = -2N..2N; mode-block operators (identity_operator,
 derivative_operator) hold (2N+1, n, n) diagonal blocks; the action
 Hessian holds both.  Which path reads what:
 
-- apply and the certified op_norm's matvecs: _matvec, the factor's
+- apply and the matrix-free op_norm's matvecs: _matvec, the factor's
   samples on its own grid through the real grid bridge, plus the blocks;
 - + and - of structured operators whose factors share a grid, and the
   level-0 adjoint: the factors and blocks, into a structured result;
-- the mode-block test and the certified path's screen: symbol and blocks;
+- the mode-block test and a multiplication operator's op_norm bounds:
+  symbol and blocks;
 - the real form, so every SVD and Gram: rows from _mode_rows, the rows
   of .matrix bit for bit without building it;
 - .matrix, the dense complex matrix built on first read and kept: @,
@@ -48,39 +49,41 @@ singular values of the dense weighted matrix:
    cost of a complex one, gives them.
 
 op_norms(T, pairs) reads one operator at several level pairs, and
-op_norm(T, a, b) is its one-pair call.  It needs only sigma_max, and
-takes for each pair the first of four paths that applies.
-Mode-block-diagonal operators take the block path.  For a pure
-multiplication operator whose top singular value is isolated, a
-certified matrix-free path applies the weighted matrix A and its
-adjoint by _matvec: a power iteration on A^H A whose Rayleigh quotient
-theta and residual r give the Kato-Temple bracket
+op_norm(T, a, b) is its one-pair call.  It needs only sigma_max.
+Mode-block-diagonal operators take the block path.  Every other pair
+may be certified by a power iteration on A^H A, A the weighted matrix,
+whose Rayleigh quotient theta and residual r give the Kato-Temple
+bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (theta - alpha),
 
 valid as soon as theta > alpha, where alpha bounds every other
 eigenvalue of A^H A (Parlett, The Symmetric Eigenvalue Problem, section
-10.5).  Here alpha = F - theta, F = ||A||_F^2, which needs 2 theta > F.
-The path accepts a bracket a few ulps wide and returns the square root
-of its upper end, so a check such as ||K|| <= kappa stays evidence; the
-matvecs that compute theta and r round at the O(eps) relative level of
-the dense path.  A clustered top (2 sigma_max^2 <= F, as for
-multiplication operators at level 0, whose singular values crowd near
-sup |g|) never reaches 2 theta > F: the screen sigma_max^2 <=
-||A||_1 ||A||_inf, read from the symbol like F, sends most such
-operators on at once, and the rest once theta stalls below F/2.
+10.5): alpha = min(F - theta, second), F = ||A||_F^2 and second an upper
+bound on sigma_2^2.  The path accepts a bracket a few ulps wide and
+returns the square root of its upper end, so a check such as ||K|| <=
+kappa stays evidence; the matvecs that compute theta and r round at the
+O(eps) relative level of the dense path.
 
-The pairs left over share one level-free _cos_sin_form of T and weigh
-it per pair into the real form R.  A top that 2 theta > F cannot see,
-isolated above a bulk of many singular values, is certified there, on
-the deflated path: deleting the heaviest row or column of R leaves a
-matrix whose ||.||_1 ||.||_inf bounds sigma_2^2, and with alpha =
-min(F - theta, that bound) the same iteration runs on R when R's
-largest row or column norm^2, a lower bound on sigma_max^2, exceeds it.
-The forms still open, clustered tops and every top the bounds cannot
-separate, take one of two eigensolves, each with absolute error
-O(eps sigma_max^2) in sigma_max^2 or better, so relative error O(eps)
-in sigma_max, as exact as the SVD's:
+For a pure multiplication operator (a factor, no blocks) every bound
+comes from the symbol, with no d x d array (_symbol_pass): F, the
+screen ||A||_1 ||A||_inf >= sigma_max^2, a lower bound on sigma_max^2
+(the largest squared row or column norm) and second, the ||.||_1
+||.||_inf bound of A with its heaviest row or column deleted.  A pair
+whose screen is at most F/2 and whose lower bound is at most min(F -
+lower, second) is a clustered top (multiplication operators at level 0,
+whose singular values crowd near sup |g|) and skips the iteration.  If
+every pair of the call is admitted, the iterations apply A and A^H by
+_matvec, matrix-free, and no real form is built unless one stalls.
+Otherwise, and from a stalled pair on, the pairs share one level-free
+_cos_sin_form of T, weighed per pair into the real form R, and an
+admitted pair iterates on R with dense matvecs.  Any other operator
+(dense, or a factor with blocks) reads its bounds from R
+(_deflated_screen) and iterates there.  The forms still open, clustered
+tops and every top the bounds cannot separate, take one of two
+eigensolves, each with absolute error O(eps sigma_max^2) in
+sigma_max^2 or better, so relative error O(eps) in sigma_max, as exact
+as the SVD's:
 
 - a self-adjoint operator read at (0, 0), structured with symmetric
   factor samples and Hermitian mode blocks, has a symmetric R, and
@@ -93,13 +96,14 @@ The Gram's error swamps any sigma^2 below about eps sigma_max^2, so
 sigma_min, gaps and kernel counts would lose half their digits;
 weighted_singular_values keeps its SVDs.
 
-The d x d arrays each dense path holds at its peak, d = (2N+1)n: the
-level-free form, weighed in place for the last pair, and for the pairs
-before it one weighed form, whose top is read before the next pair is
-weighed.  The deflated path adds nothing of size d x d: its screen
-reads |R| one block of _ROW_BLOCK rows at a time.  The symmetric path
-adds eigvalsh's working copy of R, the Gram path R^T R and eigvalsh's
-working copy of it.
+The matrix-free path holds no d x d array, d = (2N+1)n.  The paths on
+the form hold at their peak the level-free form, weighed in place for
+the last pair, and for the pairs before it one weighed form, whose top
+is read before the next pair is weighed.  The iterations on R and the
+deflated screen add nothing of size d x d: the screen reads |R| one
+block of _ROW_BLOCK rows at a time.  The symmetric path adds eigvalsh's
+working copy of R, the Gram path R^T R and eigvalsh's working copy of
+it.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -475,48 +479,103 @@ def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float 
     return np.linalg.svd(_real_form(T, a, b), compute_uv=False)
 
 
-def _symbol_pass(T: LevelOperator, root_a: np.ndarray, root_b: np.ndarray) -> tuple[float, float]:
-    """F = ||A||_F^2 and the screen's ||A||_1 ||A||_inf, from the symbol.
+def _multiplication(T: LevelOperator) -> bool:
+    return T.factor is not None and T.blocks is None
+
+
+def _symbol_pass(T: LevelOperator, a: float, b: float) -> tuple[float, float, float, float]:
+    """F, the screen, lower and second of A = W_b^{1/2} T W_a^{-1/2}, from the symbol.
 
     T is a pure multiplication operator.  Entry (k, i; l, j) of |A| is
-    root_b(k) |g_ij(k - l)| / root_a(l), so F is sum_m ||g(m)||_F^2 S(m)
-    with S(m) = sum_{k - l = m} w_b(k) / w_a(l), and the row and column
-    sums of |A| are convolutions of |g| with the reciprocal and the plain
-    square roots of the weights.
+    rb(k) |g_ij(k - l)| / ra(l), rb and ra the square roots of the
+    weights, so every row or column sum of |A| or of |A|^2 is a
+    convolution of |g| or |g|^2, summed over one block index, with the
+    weights, and no d x d array is made.  Returned are F = ||A||_F^2,
+    the sum of the squared row norms; the screen ||A||_1 ||A||_inf >=
+    sigma_max^2; lower, the largest squared row or column norm, a lower
+    bound on sigma_max^2; and second, an upper bound on sigma_2^2.
+    A is unitarily equivalent to the real form R of _real_form, so these
+    bound R's singular values too.
+
+    second is the deflated bound of _deflated_screen read from A:
+    deleting one row or one column leaves a matrix whose norm bounds
+    sigma_2 (Horn and Johnson, Topics in Matrix Analysis, section 3.1),
+    and ||X||^2 <= ||X||_1 ||X||_inf; it is the smaller of these products
+    with the heaviest row (largest absolute sum) or the heaviest column
+    deleted.  The deleted row's entries are one window of the symbol,
+    rb(k*) |g(k* - l)| / ra(l), and the column's likewise, and the sums
+    without them are the full sums minus the window.  Each computed sum
+    is within gamma = (2N + n + 6) eps of the exact one, relative to the
+    sum: the 2N+1 products and additions of the convolution, the n - 1
+    additions over a block index, and the roundings of |g|, of 1 / ra
+    and of the outer weight.  So each difference is raised by 2 gamma
+    times its full sum, which covers both sums' errors and the
+    subtraction's, and the product of the two maxima by 1 + 2 gamma.
     """
-    n, sym = T.n, T.symbol
-    rb, ra = root_b[::n], root_a[::n]  # one weight per mode
-    mod = np.abs(sym)
-    frob = float(np.sum((mod * mod).sum(axis=(1, 2)) * np.correlate(rb * rb, 1.0 / (ra * ra), "full")))
-    rows = mod.sum(axis=2)  # (4N+1, n): row i of the symbol, summed over j
-    cols = mod.sum(axis=1)[::-1]  # column j, summed over i, at -m
-    row_max = max(float((rb * np.convolve(rows[:, i], 1.0 / ra, "valid")).max()) for i in range(n))
-    col_max = max(float((np.convolve(cols[:, j], rb, "valid") / ra).max()) for j in range(n))
-    return frob, row_max * col_max
+    N, n = T.N, T.n
+    rb, ra = np.sqrt(weights(N, b)), np.sqrt(weights(N, a))
+    mod = np.abs(T.symbol)  # (4N+1, n, n): |g_ij(m)|, m = -2N..2N
+    sq = mod * mod
+
+    def row_sums(x, inner, outer):  # (2N+1, n): row (k, i), k = -N..N, of x = |A| or |A|^2
+        return outer[:, None] * np.stack([np.convolve(x[:, i].sum(axis=1), inner, "valid") for i in range(n)], 1)
+
+    def col_sums(x, inner, outer):  # (2N+1, n): column (l, j); x at -m pairs k with l
+        return np.stack([np.convolve(x[::-1, :, j].sum(axis=1), inner, "valid") for j in range(n)], 1) / outer[:, None]
+
+    rows, cols = row_sums(mod, 1.0 / ra, rb), col_sums(mod, rb, ra)
+    row_sq = row_sums(sq, 1.0 / (ra * ra), rb * rb)
+    lower = max(float(row_sq.max()), float(col_sums(sq, rb * rb, ra * ra).max()))
+    r, c = int(np.argmax(rows)), int(np.argmax(cols))  # flat, mode-major: row (k, i) is k n + i
+    (k, i), (l, j), M = divmod(r, n), divmod(c, n), 2 * N + 1
+    row_r = rb[k] * mod[k : k + M][::-1, i] / ra[:, None]  # |A| on row r, at the columns (l', j')
+    col_c = rb[:, None] * mod[2 * N - l : 2 * N - l + M, :, j] / ra[l]  # |A| on column c, at the rows (k', i')
+    gamma = (2 * N + n + 6) * _EPS
+    without_row = float((cols - row_r + 2 * gamma * cols).max()) * float(np.delete(rows, r).max())
+    without_col = float(np.delete(cols, c).max()) * float((rows - col_c + 2 * gamma * rows).max())
+    second = min(without_row, without_col) * (1.0 + 2 * gamma)
+    return float(row_sq.sum()), float(rows.max()) * float(cols.max()), lower, second
+
+
+def _symbol_screen(T: LevelOperator, a: float, b: float) -> tuple[float, float] | None:
+    """F and second of _symbol_pass when they let the power iteration certify sigma_max^2, else None.
+
+    Every eigenvalue of A^H A below the top is at most alpha = min(F -
+    sigma_max^2, second).  None is returned, with no power step, when the
+    screen <= F/2 rules out 2 theta > F and lower <= min(F - lower,
+    second) leaves no room to see the top above alpha: a clustered top,
+    such as a multiplication operator's at level 0.
+    """
+    frob, screen, lower, second = _symbol_pass(T, a, b)
+    if screen <= frob / 2 and lower <= min(frob - lower, second):
+        return None
+    return frob, second
+
+
+def _matrix_free_top(
+    T: LevelOperator, TH: LevelOperator, a: float, b: float, frob: float, second: float
+) -> float | None:
+    """_kato_temple on A^H A with A and A^H applied by _matvec with T and TH = adjoint(T).
+
+    _matvec needs mirrored input, and the power iteration keeps it: it
+    starts from a real constant vector.
+    """
+    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
+    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
+    start = np.full(root_a.size, 1.0 / np.sqrt(root_a.size), dtype=complex)
+    forward, backward = lambda x: root_b * _matvec(T, x / root_a), lambda y: _matvec(TH, root_b * y) / root_a
+    return _kato_temple(frob, second, forward, backward, start)
 
 
 def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
-    """Upper end of a Kato-Temple bracket on sigma_max^2 of A = W_b^{1/2} T W_a^{-1/2}, or None.
+    """Upper end of a Kato-Temple bracket on sigma_max^2 of A from the symbol alone, or None.
 
-    Only a pure multiplication operator (a factor, no blocks) is tried.
-    _symbol_pass gives F = ||A||_F^2 and the screen ||A||_1 ||A||_inf >=
-    sigma_max^2; a screen at most F/2 rules out 2 theta > F and None is
-    returned at once.  Else _kato_temple runs, with no bound on the second
-    eigenvalue but F - theta, on A and A^H as matvecs: _matvec with T and
-    its level-0 adjoint, which need mirrored input, as the power iteration
-    keeps it (it starts from a real constant vector).
+    The one-pair matrix-free path: a pure multiplication operator whose
+    _symbol_screen admits the pair takes _matrix_free_top; every other
+    operator or pair, and an iteration that stalls, gives None.
     """
-    if T.factor is None or T.blocks is not None:
-        return None
-    root_a = np.sqrt(_flat_weights(T.N, T.n, a))
-    root_b = np.sqrt(_flat_weights(T.N, T.n, b))
-    frob, screen = _symbol_pass(T, root_a, root_b)
-    if screen <= frob / 2:
-        return None
-    TH = adjoint(T)  # multiplication by g(t)^T
-    start = np.full(root_a.size, 1.0 / np.sqrt(root_a.size), dtype=complex)
-    forward, backward = lambda x: root_b * _matvec(T, x / root_a), lambda y: _matvec(TH, root_b * y) / root_a
-    return _kato_temple(frob, np.inf, forward, backward, start)
+    screen = _symbol_screen(T, a, b) if _multiplication(T) else None
+    return None if screen is None else _matrix_free_top(T, adjoint(T), a, b, *screen)
 
 
 def _deflated_screen(R: np.ndarray) -> tuple[float, float, float]:
@@ -574,13 +633,18 @@ def _deflated_top(R: np.ndarray) -> float | None:
     sigma_max^2, second), second the deflated bound of _deflated_screen.
     Only when its lower bound on sigma_max^2 exceeds min(F - lower,
     second) can the top be seen to be isolated, and only then does
-    _kato_temple run, from the constant vector with second as its bound
-    on lambda_2; clustered tops, such as multiplication operators' at
-    level 0, return None at once, with no power step.
+    _dense_top run; clustered tops return None at once, with no power
+    step.  For the operators that are not pure multiplications: dense
+    ones and a factor with blocks.
     """
     frob, lower, second = _deflated_screen(R)
     if lower <= min(frob - lower, second):
         return None
+    return _dense_top(R, frob, second)
+
+
+def _dense_top(R: np.ndarray, frob: float, second: float) -> float | None:
+    """_kato_temple on R^T R with dense matvecs, from the real constant vector."""
     d = R.shape[1]
     return _kato_temple(frob, second, lambda x: R @ x, lambda y: R.T @ y, np.full(d, 1.0 / np.sqrt(d)))
 
@@ -600,11 +664,14 @@ def _kato_temple(frob: float, second: float, forward, backward, x: np.ndarray) -
     there and then (a clustered top).  F is inflated by its worst-case
     summation error, a bound for any order of adding d^2 nonnegative terms.
 
-    _CERT_STEPS = 40 sits above every count measured: the dense real forms
-    that _deflated_top lets in (every suite at seed 0, sobolev_evidence
-    and floer_map at seeds 1-3, and 337 forms of interpolation, smooth and
-    rough factors at N = 16-512) certified after a median of 11 and at
-    most 30 steps, and the FFT path certified or stalled within 8.
+    _CERT_STEPS = 40 sits above every count measured, every suite at
+    seed 0 with its controls, sobolev_evidence and floer_map at seeds
+    1-3, and the smooth, rough and interpolation factors at N = 16-512,
+    at the interpolation levels and -1, alone and in one call.  The
+    matrix-free iterations certified after at most 29 steps (median 9 in
+    the factors' 211 runs, 4 in the suites' 85), those on a real form
+    after at most 30 (median 10 in 185, 11 in 464), and every iteration
+    that gave up did so within 6 steps.
     """
     d = x.size
     frob *= 1.0 + 2 * d * d * _EPS
@@ -663,36 +730,50 @@ def _symmetric_top(R: np.ndarray) -> float:
 def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     """Operator norms of T : H_a -> H_b for each level pair (a, b), in order.
 
-    Takes the block, certified or dense path of the module docstring, in
-    that order, per pair.  The pairs the first two leave share one
-    _cos_sin_form of T, weighted per pair into one buffer, the last pair
-    in place; each weighted form gets the deflated Kato-Temple attempt,
-    and a form still open takes one symmetric eigensolve if it is a
-    self-adjoint T's (0, 0) form, else its Gram's.  No path returns a
-    Krylov lower bound, so a check such as ||K|| <= kappa stays evidence.
+    Takes the block path, else the certified and dense paths of the
+    module docstring.  A pure multiplication operator reads
+    _symbol_screen per pair first.  If it admits every pair, each pair's
+    power iteration runs matrix-free (_matrix_free_top), in order, and no
+    real form is built unless one of them stalls.  Otherwise, and from
+    the stalled pair on, the pairs left share one _cos_sin_form of T,
+    weighed per pair into one buffer, the last pair in place; an admitted
+    pair's iteration runs on its weighed form R with dense matvecs
+    (_dense_top), and another operator's form gets the deflated attempt
+    (_deflated_top).  A form still open takes one symmetric eigensolve if
+    it is a self-adjoint T's (0, 0) form, else its Gram's.  No path
+    returns a Krylov lower bound, so a check such as ||K|| <= kappa stays
+    evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
     blocks = _mode_blocks(T)
     if blocks is not None:
         return [float(_block_singular_values(blocks, T.N, a, b)[0]) for a, b in pairs]
+    screens = [_symbol_screen(T, a, b) for a, b in pairs] if _multiplication(T) else None
     norms = []
-    for a, b in pairs:
-        top = _certified_top_eigenvalue(T, a, b)
-        norms.append(None if top is None else float(np.sqrt(top)))
-    dense = [i for i, v in enumerate(norms) if v is None]
-    if not dense:
-        return norms
+    if screens is not None and all(screen is not None for screen in screens):
+        TH = adjoint(T)  # multiplication by g(t)^T
+        for (a, b), screen in zip(pairs, screens):
+            top = _matrix_free_top(T, TH, a, b, *screen)
+            if top is None:  # stalled: the pair takes an eigensolve
+                screens[len(norms)] = None
+                break
+            norms.append(float(np.sqrt(top)))
+        if len(norms) == len(pairs):
+            return norms
     C = _cos_sin_form(T)
-    buf = np.empty_like(C) if len(dense) > 1 else None
-    for i in dense:
-        R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == dense[-1] else buf)
-        top = _deflated_top(R)
-        if top is not None:
-            norms[i] = float(np.sqrt(top))
-        elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
-            norms[i] = _symmetric_top(R)
+    buf = np.empty_like(C) if len(pairs) - len(norms) > 1 else None
+    for i in range(len(norms), len(pairs)):
+        R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == len(pairs) - 1 else buf)
+        if screens is None:
+            top = _deflated_top(R)
         else:
-            norms[i] = _gram_top(R)
+            top = None if screens[i] is None else _dense_top(R, *screens[i])
+        if top is not None:
+            norms.append(float(np.sqrt(top)))
+        elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
+            norms.append(_symmetric_top(R))
+        else:
+            norms.append(_gram_top(R))
     return norms
 
 

@@ -1,4 +1,4 @@
-"""op_norms: one cosine/sine form per operator, the deflated Kato-Temple certificate, the symmetric eigensolve and the Gram."""
+"""op_norms: the symbol's Kato-Temple certificate, one cosine/sine form per operator, the symmetric eigensolve and the Gram."""
 
 import tracemalloc
 
@@ -8,23 +8,29 @@ import pytest
 from floerlab import cli, scale_operator, suites
 from floerlab.charts import shear_chart
 from floerlab.floer_map import SuperpositionMap, dphi
+from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
 from floerlab.scale_operator import (
     _ROW_BLOCK,
     LevelOperator,
+    _certified_top_eigenvalue,
     _cos_sin_form,
     _deflated_screen,
     _deflated_top,
+    _dense_top,
+    _multiplication,
     _real_form,
     _self_adjoint,
+    _symbol_pass,
+    _symbol_screen,
     _weigh,
     op_norm,
     op_norms,
 )
-from floerlab.scale_space import default_grid_points, mode_numbers, random_loop
+from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
 from oracles import _gram_norm, _symmetric_norm
 from test_scale_operator import _reality_preserving
-from test_structured_operator import _bits, _random_structured
+from test_structured_operator import _bits, _kappa_correction, _random_structured
 from test_weighted_svd import _composed
 
 # the interpolation check's five levels, the dual level, and two off-diagonal pairs
@@ -50,12 +56,40 @@ def _interpolation_factors(count, N=64):
     return [mult_operator(random_loop(rng, 1, N, top_mode=5, amplitude=0.8), "(1,1->1)") for _ in range(count)]
 
 
+def _eigensolve(T, a, b):
+    return _symmetric_norm(T, a, b) if (a, b) == (0.0, 0.0) and _self_adjoint(T) else _gram_norm(T, a, b)
+
+
+def _on_the_form(T, a, b):
+    # what a pair of a pure multiplication operator gets once its call has built the real form
+    screen = _symbol_screen(T, a, b)
+    top = None if screen is None else _dense_top(_real_form(T, a, b), *screen)
+    return _eigensolve(T, a, b) if top is None else float(np.sqrt(top))
+
+
+def _expected_norms(T, pairs):
+    # op_norms' rule for a pure multiplication operator: with every pair
+    # admitted, the pairs before the first stall are certified matrix-free
+    # as alone, the stalled pair takes an eigensolve, and the pairs after it
+    # read the form; with a pair not admitted, every pair reads the form
+    if any(_symbol_screen(T, a, b) is None for a, b in pairs):
+        return [_on_the_form(T, a, b) for a, b in pairs]
+    alone = [_certified_top_eigenvalue(T, a, b) for a, b in pairs]
+    k = alone.index(None) if None in alone else len(pairs)
+    return [float(np.sqrt(top)) for top in alone[:k]] + [
+        _eigensolve(T, a, b) if i == k else _on_the_form(T, a, b) for i, (a, b) in enumerate(pairs) if i >= k
+    ]
+
+
 @pytest.mark.parametrize("N", [8, 16])
 @pytest.mark.parametrize("name", sorted(OPERATORS))
-def test_op_norms_is_op_norm_per_pair_bit_for_bit(name, N):
+def test_op_norms_is_each_pairs_path_bit_for_bit(name, N):
+    # a pure multiplication operator's pairs take the path op_norms' rule
+    # gives them; any other operator's pairs take the paths they take alone
     T = OPERATORS[name](N)
     many = op_norms(T, PAIRS)
-    assert np.array_equal(_bits(np.array(many)), _bits(np.array([op_norm(T, a, b) for a, b in PAIRS])))
+    expected = _expected_norms(T, PAIRS) if _multiplication(T) else [op_norm(T, a, b) for a, b in PAIRS]
+    assert np.array_equal(_bits(np.array(many)), _bits(np.array(expected)))
     C = _cos_sin_form(T)
     for a, b in PAIRS:
         assert np.array_equal(_bits(_weigh(C, T.N, T.n, a, b)), _bits(_real_form(T, a, b))), (a, b)
@@ -63,22 +97,48 @@ def test_op_norms_is_op_norm_per_pair_bit_for_bit(name, N):
         assert "matrix" not in vars(T)  # the structured rows were read, not .matrix
 
 
-def test_one_call_mixes_the_certified_deflated_and_gram_pairs(monkeypatch):
-    # smooth (1,1->1) at N = 64: (1, -1) on the FFT path, (1, 1) deflated, (0, 0),
-    # self-adjoint, by the symmetric eigensolve and (0.25, 0.25) by the Gram
+def _record(monkeypatch, events):
+    # each real form built, Gram eigensolve and structured matvec, in order
+    cos_sin, gram_top, matvec = scale_operator._cos_sin_form, scale_operator._gram_top, scale_operator._matvec
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", lambda T: events.append("form") or cos_sin(T))
+    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: events.append("gram") or gram_top(R))
+    monkeypatch.setattr(scale_operator, "_matvec", lambda T, x: events.append("matvec") or matvec(T, x))
+
+
+def test_one_call_mixes_iterations_on_the_form_with_the_symmetric_and_gram_pairs(monkeypatch):
+    # smooth (1,1->1) at N = 64: alone, (1, -1) and (1, 1) are certified
+    # matrix-free; with the clustered (0, 0), self-adjoint, and (0.25, 0.25)
+    # the call builds the form first, and both iterate on it by dense matvecs
     T = mult_operator(smooth_factor(64), "(1,1->1)")
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
-    forms, grams = [], []
-    cos_sin, gram_top = scale_operator._cos_sin_form, scale_operator._gram_top
-    monkeypatch.setattr(scale_operator, "_cos_sin_form", lambda T: forms.append(1) or cos_sin(T))
-    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(1) or gram_top(R))
+    assert all(_certified_top_eigenvalue(T, a, b) is not None for a, b in pairs[1:3])
+    events = []
+    _record(monkeypatch, events)
     many = op_norms(T, pairs)
-    assert forms == [1] and grams == [1]
-    assert scale_operator._certified_top_eigenvalue(T, 1.0, -1.0) is not None
-    assert _deflated_top(_real_form(T, 1.0, 1.0)) is not None
-    for (a, b), value in zip(pairs, many):
-        assert value == op_norm(T, a, b)
+    assert events == ["form", "gram"]
+    assert many == [_on_the_form(T, a, b) for a, b in pairs]
     assert many[0] == _symmetric_norm(T, 0.0, 0.0) and many[3] == _gram_norm(T, 0.25, 0.25)
+    for (a, b), value in zip(pairs[1:3], many[1:3]):
+        oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
+        assert oracle * (1.0 - 1e-15) <= value <= oracle * (1.0 + 1e-13)
+
+
+def test_no_matvec_after_the_form_is_built(monkeypatch):
+    # the interpolation check's pairs build the form at once, for the
+    # clustered level 0, and no pair of the call runs matrix-free; a random
+    # factor with every pair admitted starts matrix-free, stalls at (0, 0)
+    # and builds the form for the pairs left
+    interpolation = [(0.0, 0.0), (1.0, 1.0)] + [(s, s) for s in INTERPOLATION_LEVELS]
+    calls = [(T, interpolation, 0) for T in _interpolation_factors(12)]
+    calls += [(OPERATORS["factor-1"](N), PAIRS, 1) for N in (8, 16)]
+    for T, pairs, matvecs_first in calls:
+        events = []
+        _record(monkeypatch, events)
+        many = op_norms(T, pairs)
+        monkeypatch.undo()
+        assert "form" in events and "matvec" not in events[events.index("form") :], T
+        assert (events.index("form") > 0) == matvecs_first, T
+        assert many == _expected_norms(T, pairs)
 
 
 def test_deflated_bound_is_above_the_second_singular_value():
@@ -96,6 +156,58 @@ def test_deflated_bound_is_above_the_second_singular_value():
         assert second >= sv[1] ** 2, (T, a, b)
         assert lower <= sv[0] ** 2 * (1.0 + 1e-14), (T, a, b)
         assert frob == pytest.approx(float(np.sum(sv**2)), rel=1e-13)
+
+
+def _weighted_matrix(T, a, b):
+    # the complex weighted matrix A whose bounds the symbol gives, dense
+    return np.repeat(np.sqrt(weights(T.N, b)), T.n)[:, None] * T.matrix / np.repeat(np.sqrt(weights(T.N, a)), T.n)
+
+
+def _deletion_bound(A, rows, cols):
+    # ||X||_1 ||X||_inf of |A| with the given rows and columns deleted
+    X = np.delete(np.delete(np.abs(A), rows, axis=0), cols, axis=1)
+    return float(X.sum(axis=0).max()) * float(X.sum(axis=1).max())
+
+
+def _symbol_cases():
+    # the cases of the dense screen's test above, at equal and unequal
+    # pairs, and three operators with n = 2: the shear and sphere-transition
+    # Jacobians and the pullback correction K
+    unequal = [(1.0, -1.0), (1.75, 1.0), (0.75, 0.0)]
+    cases = [(T, (s, s)) for T in _interpolation_factors(10) for s in INTERPOLATION_LEVELS]
+    atlas = sphere_small_loop_atlas(s=0.75)
+    north, south = atlas.chart("north"), atlas.chart("south")
+    for N in (16, 64):
+        for factor in (smooth_factor(N), rough_factor(N)):
+            T = mult_operator(factor, "(1,1->1)")
+            cases += [(T, (s, s)) for s in INTERPOLATION_LEVELS + (-1.0,)] + [(T, p) for p in unequal]
+        q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
+        D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
+        S = dphi(transition(atlas, "north", "south", N), loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0])
+        for T in (D, S, _kappa_correction(N, 1)):
+            cases += [(T, p) for p in [(0.0, 0.0), (-1.0, -1.0)] + unequal]
+    return cases
+
+
+def test_symbol_bounds_bracket_the_svd():
+    # F, lower and second from the symbol against the SVD of A; second is
+    # the one-deletion bound of the dense |A|, raised only by its rounding
+    # allowance.  Deleting the heaviest row and column at once bounds only
+    # sigma_3^2, and the cases show it: it falls below sigma_2^2 on 12 of
+    # the 116, all with n = 2
+    below = []
+    for T, (a, b) in _symbol_cases():
+        frob, screen, lower, second = _symbol_pass(T, a, b)
+        A = _weighted_matrix(T, a, b)
+        sv = np.linalg.svd(A, compute_uv=False)
+        assert lower <= sv[0] ** 2 * (1.0 + 1e-14) <= screen, (T, a, b)
+        assert second >= sv[1] ** 2, (T, a, b)
+        assert frob == pytest.approx(float(np.sum(sv**2)), rel=1e-13)
+        r, c = int(np.abs(A).sum(axis=1).argmax()), int(np.abs(A).sum(axis=0).argmax())
+        exact = min(_deletion_bound(A, [r], []), _deletion_bound(A, [], [c]))
+        assert exact <= second <= exact * (1.0 + 1e-11), (T, a, b)
+        below.append(_deletion_bound(A, [r], [c]) < sv[1] ** 2)
+    assert sum(below) >= 1, sum(below)
 
 
 def _one_shot_screen(R):
@@ -188,11 +300,10 @@ def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
     assert one[0] == three[1] == _gram_norm(T, 0.25, 0.25) and three[2] == _gram_norm(T, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("sig", ["(1,0->0)", "(1,1->1)"])
-def test_dense_cells_at_512_hold_one_form_and_its_build(sig):
-    # the sweep's two dense cells: one real form (d^2 doubles) and the
+def test_level_zero_cell_at_512_holds_one_form_and_its_build():
+    # the sweep's level-0 cell: one real form (d^2 doubles) and the
     # temporaries of its blocked build, no Gram and no full |R|
-    T = mult_operator(smooth_factor(512), sig)
+    T = mult_operator(smooth_factor(512), "(1,0->0)")
     d = 2 * T.N + 1
     tracemalloc.start()
     try:
@@ -203,33 +314,79 @@ def test_dense_cells_at_512_hold_one_form_and_its_build(sig):
     assert peak <= 1.5 * 8 * d * d, peak / (8 * d * d)
 
 
-def _assert_deflated_certified_against_svd(T, a, b):
-    R = _real_form(T, a, b)
-    top = _deflated_top(R)
+def test_isolated_top_at_512_builds_no_form(monkeypatch):
+    # the sweep's (1,1->1) cell is certified from the symbol and FFT matvecs:
+    # no real form, and a peak of about 0.024 x 8 d^2 bytes, measured
+    def no_form(T):
+        raise AssertionError("a real form was built")
+
+    T = mult_operator(smooth_factor(512), "(1,1->1)")
+    d = 2 * T.N + 1
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", no_form)
+    tracemalloc.start()
+    try:
+        norm = op_norm(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == float(np.sqrt(_certified_top_eigenvalue(T, 1.0, 1.0)))
+    assert peak <= 0.05 * 8 * d * d, peak / (8 * d * d)
+    assert "matrix" not in vars(T)
+
+
+def _assert_symbol_certified_against_svd(T, a, b):
+    top = _certified_top_eigenvalue(T, a, b)
     assert top is not None, (T, a, b)
     norm = op_norm(T, a, b)
     assert norm == float(np.sqrt(top))
-    oracle = np.linalg.svd(R, compute_uv=False)[0]
+    assert "matrix" not in vars(T)  # the certificate came from the symbol alone
+    oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
     assert norm >= oracle * (1.0 - 1e-15)
     assert abs(norm - oracle) <= 1e-13 * oracle
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])
-def test_deflated_certified_smooth_norm_and_its_dual_match_the_svd(N):
+def test_symbol_certified_smooth_norm_and_its_dual_match_the_svd(N):
+    # 2 theta > F cannot see this top: only the deflated bound admits it
     T = mult_operator(smooth_factor(N), "(1,1->1)")
-    assert scale_operator._certified_top_eigenvalue(T, 1.0, 1.0) is None  # the FFT screen leaves it
     for level in (1.0, -1.0):
-        _assert_deflated_certified_against_svd(T, level, level)
+        frob, screen, lower, second = _symbol_pass(T, level, level)
+        assert screen <= frob / 2 and lower > second
+        _assert_symbol_certified_against_svd(T, level, level)
 
 
 @pytest.mark.parametrize("level", [0.75, 1.0])
-def test_deflated_certified_interpolation_norms_match_the_svd(level):
+def test_symbol_certified_interpolation_norms_match_the_svd(level):
     certified = 0
     for T in _interpolation_factors(12):
-        if _deflated_top(_real_form(T, level, level)) is not None:
-            _assert_deflated_certified_against_svd(T, level, level)
+        if _certified_top_eigenvalue(T, level, level) is not None:
+            _assert_symbol_certified_against_svd(T, level, level)
             certified += 1
-    assert certified >= 8  # most isolated tops are certified: 41 of the suite's 50 at 0.75, all 50 at 1
+    assert certified >= 8  # most isolated tops are certified
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_certified_values_are_within_1e13_of_the_svd_and_never_below(N):
+    # both matrix-free and on the form: each pair alone, and all pairs in
+    # one call, which the level-0 pair sends to the form; "never below" up
+    # to the SVD's own rounding, 1e-15 relative, as everywhere else here
+    operators = [mult_operator(f, "(1,1->1)") for f in (smooth_factor(N), rough_factor(N))]
+    operators += [_kappa_correction(N, 2), OPERATORS["factor-2"](N)]
+    pairs = PAIRS + [(1.0, -1.0), (0.75, 0.0)]
+    certified = {"alone": 0, "on the form": 0}
+    for T in operators:
+        together = op_norms(T, pairs)
+        for (a, b), value in zip(pairs, together):
+            oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
+            screen = _symbol_screen(T, a, b)
+            alone = _certified_top_eigenvalue(T, a, b)
+            on_the_form = None if screen is None else _dense_top(_real_form(T, a, b), *screen)
+            for route, top in (("alone", alone), ("on the form", on_the_form)):
+                if top is not None:
+                    certified[route] += 1
+                    assert oracle * (1.0 - 1e-15) <= np.sqrt(top) <= oracle * (1.0 + 1e-13), (T, a, b, route)
+            assert oracle * (1.0 - 1e-15) <= value <= oracle * (1.0 + 1e-13), (T, a, b)
+    assert min(certified.values()) >= 10, certified
 
 
 def _count_traffic(monkeypatch):
@@ -259,43 +416,45 @@ def _count_traffic(monkeypatch):
 
 
 def _count_symbol_passes(monkeypatch):
-    # symbol passes, those whose screen admits the power iteration, and the
-    # level-0 adjoints built on scale_operator's certified path
+    # symbol screens, those that admit the power iteration, and the
+    # level-0 adjoints built on scale_operator's matrix-free path
     counts = {"passes": 0, "admitted": 0, "adjoints": 0}
-    symbol_pass, adjoint = scale_operator._symbol_pass, scale_operator.adjoint
+    symbol_screen, adjoint = scale_operator._symbol_screen, scale_operator.adjoint
 
-    def passes(T, root_a, root_b):
-        frob, screen = symbol_pass(T, root_a, root_b)
+    def passes(T, a, b):
+        screen = symbol_screen(T, a, b)
         counts["passes"] += 1
-        counts["admitted"] += screen > frob / 2
-        return frob, screen
+        counts["admitted"] += screen is not None
+        return screen
 
     def adjoints(T):
         counts["adjoints"] += 1
         return adjoint(T)
 
-    monkeypatch.setattr(scale_operator, "_symbol_pass", passes)
+    monkeypatch.setattr(scale_operator, "_symbol_screen", passes)
     monkeypatch.setattr(scale_operator, "adjoint", adjoints)
     return counts
 
 
 def test_one_point_sweep_runs_one_symmetric_eigensolve(monkeypatch):
-    # at N = 512: mult(1,0->0), self-adjoint at level 0, takes the symmetric
-    # eigensolve, mult(1,1->1) the deflated certificate, mult(-1,1->-1) and
-    # the correction the FFT path; no Gram is left
+    # at N = 512: mult(1,0->0), self-adjoint at level 0, builds the one form
+    # and takes the symmetric eigensolve; mult(1,1->1), mult(-1,1->-1) and
+    # the correction are certified matrix-free; no Gram is left
     counts = _count_traffic(monkeypatch)
     rows = cli._sweep_rows(cli.RunConfig(N=[512], s=[0.75], seed=0, workers=1))
     assert len(rows) == 8
-    assert counts == {"forms": 2, "eigensolves": 0, "symmetric": 1}
+    assert counts == {"forms": 1, "eigensolves": 0, "symmetric": 1}
 
 
 def test_sobolev_evidence_traffic(monkeypatch):
     # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on;
-    # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs
+    # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs;
+    # before the symbol's deflated bound, 62 forms and 113 Gram eigensolves
     counts = _count_traffic(monkeypatch)
     symbol = _count_symbol_passes(monkeypatch)
     report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))
     assert report["verdict"] == "pass"
-    assert counts["forms"] <= 62 and counts["eigensolves"] <= 113 and counts["symmetric"] <= 56
-    # the screen runs before the adjoint is built: 38 of 274 passes admitted here
+    assert counts["forms"] <= 56 and counts["eigensolves"] <= 95 and counts["symmetric"] <= 56
+    # the adjoint is built only for a call whose pairs are all admitted:
+    # 17 adjoints, 123 of 274 screens admitted here
     assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol

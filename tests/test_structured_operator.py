@@ -338,7 +338,7 @@ def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
 
 @pytest.mark.parametrize("N", [16, 64, 512])
 def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N):
-    # a clustered top: both screens hand it on without a power step, and the
+    # a clustered top: the symbol screen hands it on without a power step, and the
     # self-adjoint level-0 form takes one symmetric eigensolve, not the Gram
     steps, grams = [], []
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
