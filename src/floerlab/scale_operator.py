@@ -50,10 +50,10 @@ singular values of the dense weighted matrix:
 
 op_norms(T, pairs) reads one operator at several level pairs, and
 op_norm(T, a, b) is its one-pair call.  It needs only sigma_max.
-Mode-block-diagonal operators take the block path.  Every other pair
-may be certified by a power iteration on A^H A, A the weighted matrix,
-whose Rayleigh quotient theta and residual r give the Kato-Temple
-bracket
+Mode-block-diagonal operators take the block path.  A pair of a pure
+multiplication operator may be certified by a power iteration on A^H A,
+A the weighted matrix, whose Rayleigh quotient theta and residual r
+give the Kato-Temple bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (theta - alpha),
 
@@ -78,12 +78,12 @@ _matvec, matrix-free, and no real form is built unless one stalls.
 Otherwise, and from a stalled pair on, the pairs share one level-free
 _cos_sin_form of T, weighed per pair into the real form R, and an
 admitted pair iterates on R with dense matvecs.  Any other operator
-(dense, or a factor with blocks) reads its bounds from R
-(_deflated_screen) and iterates there.  The forms still open, clustered
-tops and every top the bounds cannot separate, take one of two
-eigensolves, each with absolute error O(eps sigma_max^2) in
-sigma_max^2 or better, so relative error O(eps) in sigma_max, as exact
-as the SVD's:
+(dense, or a factor with blocks) has no symbol screen: its pairs share
+one form too and take no power step.  The forms still open, clustered
+tops, every top the bounds cannot separate and every pair of those
+other operators, take one of two eigensolves, each with absolute error
+O(eps sigma_max^2) in sigma_max^2 or better, so relative error O(eps)
+in sigma_max, as exact as the SVD's:
 
 - a self-adjoint operator read at (0, 0), structured with symmetric
   factor samples and Hermitian mode blocks, has a symmetric R, and
@@ -99,11 +99,9 @@ weighted_singular_values keeps its SVDs.
 The matrix-free path holds no d x d array, d = (2N+1)n.  The paths on
 the form hold at their peak the level-free form, weighed in place for
 the last pair, and for the pairs before it one weighed form, whose top
-is read before the next pair is weighed.  The iterations on R and the
-deflated screen add nothing of size d x d: the screen reads |R| one
-block of _ROW_BLOCK rows at a time.  The symmetric path adds eigvalsh's
-working copy of R, the Gram path R^T R and eigvalsh's working copy of
-it.
+is read before the next pair is weighed.  The iterations on R add
+nothing of size d x d.  The symmetric path adds eigvalsh's working copy
+of R, the Gram path R^T R and eigvalsh's working copy of it.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -497,7 +495,7 @@ def _symbol_pass(T: LevelOperator, a: float, b: float) -> tuple[float, float, fl
     A is unitarily equivalent to the real form R of _real_form, so these
     bound R's singular values too.
 
-    second is the deflated bound of _deflated_screen read from A:
+    second is the one-deletion bound on A, read from the symbol:
     deleting one row or one column leaves a matrix whose norm bounds
     sigma_2 (Horn and Johnson, Topics in Matrix Analysis, section 3.1),
     and ||X||^2 <= ||X||_1 ||X||_inf; it is the smaller of these products
@@ -567,82 +565,6 @@ def _matrix_free_top(
     return _kato_temple(frob, second, forward, backward, start)
 
 
-def _certified_top_eigenvalue(T: LevelOperator, a: float, b: float) -> float | None:
-    """Upper end of a Kato-Temple bracket on sigma_max^2 of A from the symbol alone, or None.
-
-    The one-pair matrix-free path: a pure multiplication operator whose
-    _symbol_screen admits the pair takes _matrix_free_top; every other
-    operator or pair, and an iteration that stalls, gives None.
-    """
-    screen = _symbol_screen(T, a, b) if _multiplication(T) else None
-    return None if screen is None else _matrix_free_top(T, adjoint(T), a, b, *screen)
-
-
-def _deflated_screen(R: np.ndarray) -> tuple[float, float, float]:
-    """F = ||R||_F^2, a lower bound on sigma_max^2 and an upper bound on sigma_2^2 of the real form R.
-
-    The lower bound is the largest squared row or column norm of R.
-    Deleting one row or one column of R leaves a matrix whose norm bounds
-    sigma_2(R) (Horn and Johnson, Topics in Matrix Analysis, section 3.1),
-    and ||X||_1 ||X||_inf bounds ||X||^2; the upper bound is the smaller
-    of these products with the heaviest row (largest absolute sum) or the
-    heaviest column deleted, inflated by 1 + 2 d eps for the two sums of
-    d terms each.  The sums come from _abs_sums, two passes over R.
-    """
-    d = R.shape[1]
-    rows, cols = _abs_sums(R)
-    i, j = int(np.argmax(rows)), int(np.argmax(cols))
-    rows_without_col, cols_without_row = _abs_sums(R, i, j)
-    without_row = float(np.max(cols_without_row)) * float(np.max(np.delete(rows, i)))
-    without_col = float(np.max(np.delete(cols, j))) * float(np.max(rows_without_col))
-    row_sq = np.einsum("ij,ij->i", R, R)
-    lower = max(float(row_sq.max()), float(np.einsum("ij,ij->j", R, R).max()))
-    return float(row_sq.sum()), lower, min(without_row, without_col) * (1.0 + 2 * d * _EPS)
-
-
-def _abs_sums(R: np.ndarray, i: int | None = None, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of |R| with column j set to 0, and column sums with row i set to 0.
-
-    Each sum keeps all its terms, a deleted one as 0.  |R| is made one
-    block of _ROW_BLOCK rows at a time, below the running column sums in
-    one buffer: np.abs(R).sum(axis=0) adds the rows in order, one at a
-    time, and so does the sum down each block's buffer, so both come out
-    with the bits of the sums of the whole np.abs(R).
-    """
-    buf = np.zeros((_ROW_BLOCK + 1, R.shape[1]))
-    rows = []
-    for r0 in range(0, R.shape[0], _ROW_BLOCK):
-        k = min(_ROW_BLOCK, R.shape[0] - r0)
-        mod = np.abs(R[r0 : r0 + k], out=buf[1 : k + 1])
-        if j is not None:
-            kept = mod[:, j].copy()
-            mod[:, j] = 0.0
-        rows.append(mod.sum(axis=1))
-        if j is not None:
-            mod[:, j] = kept
-        if i is not None and r0 <= i < r0 + k:
-            mod[i - r0] = 0.0
-        buf[0] = buf[: k + 1].sum(axis=0)
-    return np.concatenate(rows), buf[0].copy()
-
-
-def _deflated_top(R: np.ndarray) -> float | None:
-    """Upper end of a Kato-Temple bracket on sigma_max^2 of the real form R, or None.
-
-    Every eigenvalue of R^T R below the top is at most alpha = min(F -
-    sigma_max^2, second), second the deflated bound of _deflated_screen.
-    Only when its lower bound on sigma_max^2 exceeds min(F - lower,
-    second) can the top be seen to be isolated, and only then does
-    _dense_top run; clustered tops return None at once, with no power
-    step.  For the operators that are not pure multiplications: dense
-    ones and a factor with blocks.
-    """
-    frob, lower, second = _deflated_screen(R)
-    if lower <= min(frob - lower, second):
-        return None
-    return _dense_top(R, frob, second)
-
-
 def _dense_top(R: np.ndarray, frob: float, second: float) -> float | None:
     """_kato_temple on R^T R with dense matvecs, from the real constant vector."""
     d = R.shape[1]
@@ -666,12 +588,12 @@ def _kato_temple(frob: float, second: float, forward, backward, x: np.ndarray) -
 
     _CERT_STEPS = 40 sits above every count measured, every suite at
     seed 0 with its controls, sobolev_evidence and floer_map at seeds
-    1-3, and the smooth, rough and interpolation factors at N = 16-512,
-    at the interpolation levels and -1, alone and in one call.  The
-    matrix-free iterations certified after at most 29 steps (median 9 in
-    the factors' 211 runs, 4 in the suites' 85), those on a real form
-    after at most 30 (median 10 in 185, 11 in 464), and every iteration
-    that gave up did so within 6 steps.
+    1-3, and the smooth, rough and eight interpolation factors at N =
+    16-512, at the interpolation levels and -1, alone and in one call.
+    The matrix-free iterations certified after at most 29 steps (median
+    9 in the factors' 215 runs, 4 in the suites' 85), those on a real
+    form after at most 30 (median 9 in 191, 11 in 460), and every
+    iteration that gave up did so within 6 steps.
     """
     d = x.size
     frob *= 1.0 + 2 * d * d * _EPS
@@ -736,13 +658,13 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     power iteration runs matrix-free (_matrix_free_top), in order, and no
     real form is built unless one of them stalls.  Otherwise, and from
     the stalled pair on, the pairs left share one _cos_sin_form of T,
-    weighed per pair into one buffer, the last pair in place; an admitted
-    pair's iteration runs on its weighed form R with dense matvecs
-    (_dense_top), and another operator's form gets the deflated attempt
-    (_deflated_top).  A form still open takes one symmetric eigensolve if
-    it is a self-adjoint T's (0, 0) form, else its Gram's.  No path
-    returns a Krylov lower bound, so a check such as ||K|| <= kappa stays
-    evidence.
+    weighed per pair into one buffer, the last pair in place, and an
+    admitted pair's iteration runs on its weighed form R with dense
+    matvecs (_dense_top).  Any other operator builds the one form at once
+    and takes no power step.  A form still open takes one symmetric
+    eigensolve if it is a self-adjoint T's (0, 0) form, else its Gram's.
+    No path returns a Krylov lower bound, so a check such as ||K|| <=
+    kappa stays evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
     blocks = _mode_blocks(T)
@@ -764,10 +686,7 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     buf = np.empty_like(C) if len(pairs) - len(norms) > 1 else None
     for i in range(len(norms), len(pairs)):
         R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == len(pairs) - 1 else buf)
-        if screens is None:
-            top = _deflated_top(R)
-        else:
-            top = None if screens[i] is None else _dense_top(R, *screens[i])
+        top = None if screens is None or screens[i] is None else _dense_top(R, *screens[i])
         if top is not None:
             norms.append(float(np.sqrt(top)))
         elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):

@@ -1,15 +1,25 @@
 """Reference computations and sizes that tests read and the program does not.
 
 The norm and SVD paths of scale_operator are tested against the dense
-weighted matrix and the two eigensolve references; min_grid_points is the
-smallest grid the 3/2-rule admits, which the grid bridge must handle.
+weighted matrix and the two eigensolve references, and op_norm's
+matrix-free certificate is read alone; min_grid_points is the smallest
+grid the 3/2-rule admits, which the grid bridge must handle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from floerlab.scale_operator import LevelOperator, _flat_weights, _gram_top, _real_form, _symmetric_top
+from floerlab.scale_operator import (
+    LevelOperator,
+    _flat_weights,
+    _gram_top,
+    _matrix_free_top,
+    _real_form,
+    _symbol_screen,
+    _symmetric_top,
+    adjoint,
+)
 from floerlab.scale_space import check_level
 
 
@@ -41,3 +51,14 @@ def _symmetric_norm(T: LevelOperator, a: float, b: float) -> float:
     The reference for the self-adjoint pairs of op_norms, which gives their bits.
     """
     return _symmetric_top(_real_form(T, a, b))
+
+
+def _matrix_free_alone(T: LevelOperator, a: float, b: float) -> float | None:
+    """The sigma_max^2 a one-pair op_norm certifies matrix-free, or None.
+
+    T is a pure multiplication operator.  None where its symbol screen
+    does not admit the pair or the iteration stalls; otherwise op_norm(T,
+    a, b) is the square root of the value, bit for bit.
+    """
+    screen = _symbol_screen(T, a, b)
+    return None if screen is None else _matrix_free_top(T, adjoint(T), a, b, *screen)

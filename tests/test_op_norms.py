@@ -7,16 +7,15 @@ import pytest
 
 from floerlab import cli, scale_operator, suites
 from floerlab.charts import shear_chart
+from floerlab.floer_function import quadratic_hamiltonian, symplectic_action
 from floerlab.floer_map import SuperpositionMap, dphi
 from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
+from floerlab.pullback import pull_back
 from floerlab.scale_operator import (
-    _ROW_BLOCK,
     LevelOperator,
-    _certified_top_eigenvalue,
     _cos_sin_form,
-    _deflated_screen,
-    _deflated_top,
     _dense_top,
+    _mode_blocks,
     _multiplication,
     _real_form,
     _self_adjoint,
@@ -28,9 +27,9 @@ from floerlab.scale_operator import (
 )
 from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
-from oracles import _gram_norm, _symmetric_norm
+from oracles import _gram_norm, _matrix_free_alone, _symmetric_norm
 from test_scale_operator import _reality_preserving
-from test_structured_operator import _bits, _kappa_correction, _random_structured
+from test_structured_operator import _bits, _kappa_correction, _no_form, _random_structured
 from test_weighted_svd import _composed
 
 # the interpolation check's five levels, the dual level, and two off-diagonal pairs
@@ -74,7 +73,7 @@ def _expected_norms(T, pairs):
     # read the form; with a pair not admitted, every pair reads the form
     if any(_symbol_screen(T, a, b) is None for a, b in pairs):
         return [_on_the_form(T, a, b) for a, b in pairs]
-    alone = [_certified_top_eigenvalue(T, a, b) for a, b in pairs]
+    alone = [_matrix_free_alone(T, a, b) for a, b in pairs]
     k = alone.index(None) if None in alone else len(pairs)
     return [float(np.sqrt(top)) for top in alone[:k]] + [
         _eigensolve(T, a, b) if i == k else _on_the_form(T, a, b) for i, (a, b) in enumerate(pairs) if i >= k
@@ -111,7 +110,7 @@ def test_one_call_mixes_iterations_on_the_form_with_the_symmetric_and_gram_pairs
     # the call builds the form first, and both iterate on it by dense matvecs
     T = mult_operator(smooth_factor(64), "(1,1->1)")
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
-    assert all(_certified_top_eigenvalue(T, a, b) is not None for a, b in pairs[1:3])
+    assert all(_matrix_free_alone(T, a, b) is not None for a, b in pairs[1:3])
     events = []
     _record(monkeypatch, events)
     many = op_norms(T, pairs)
@@ -141,23 +140,6 @@ def test_no_matvec_after_the_form_is_built(monkeypatch):
         assert many == _expected_norms(T, pairs)
 
 
-def test_deflated_bound_is_above_the_second_singular_value():
-    cases = [(T, (s, s)) for T in _interpolation_factors(10) for s in INTERPOLATION_LEVELS]
-    for N in (16, 64):
-        for factor in (smooth_factor(N), rough_factor(N)):
-            cases += [(mult_operator(factor, "(1,1->1)"), (s, s)) for s in INTERPOLATION_LEVELS + (-1.0,)]
-        q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-        D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
-        cases += [(D, (0.0, 0.0)), (D, (-1.0, -1.0))]
-    for T, (a, b) in cases:
-        R = _real_form(T, a, b)
-        frob, lower, second = _deflated_screen(R)
-        sv = np.linalg.svd(R, compute_uv=False)
-        assert second >= sv[1] ** 2, (T, a, b)
-        assert lower <= sv[0] ** 2 * (1.0 + 1e-14), (T, a, b)
-        assert frob == pytest.approx(float(np.sum(sv**2)), rel=1e-13)
-
-
 def _weighted_matrix(T, a, b):
     # the complex weighted matrix A whose bounds the symbol gives, dense
     return np.repeat(np.sqrt(weights(T.N, b)), T.n)[:, None] * T.matrix / np.repeat(np.sqrt(weights(T.N, a)), T.n)
@@ -170,9 +152,10 @@ def _deletion_bound(A, rows, cols):
 
 
 def _symbol_cases():
-    # the cases of the dense screen's test above, at equal and unequal
-    # pairs, and three operators with n = 2: the shear and sphere-transition
-    # Jacobians and the pullback correction K
+    # interpolation factors, and the smooth and rough factors at the
+    # interpolation levels and -1, at equal and unequal pairs, and three
+    # operators with n = 2: the shear and sphere-transition Jacobians and
+    # the pullback correction K
     unequal = [(1.0, -1.0), (1.75, 1.0), (0.75, 0.0)]
     cases = [(T, (s, s)) for T in _interpolation_factors(10) for s in INTERPOLATION_LEVELS]
     atlas = sphere_small_loop_atlas(s=0.75)
@@ -210,41 +193,6 @@ def test_symbol_bounds_bracket_the_svd():
     assert sum(below) >= 1, sum(below)
 
 
-def _one_shot_screen(R):
-    # the deflated screen from one full np.abs(R), the sums the row-blocked screen keeps
-    d = R.shape[1]
-    mod = np.abs(R)
-    rows, cols = mod.sum(axis=1), mod.sum(axis=0)
-    i, j = int(np.argmax(rows)), int(np.argmax(cols))
-    mod[i] = 0.0
-    without_row = float(np.max(mod.sum(axis=0))) * float(np.max(np.delete(rows, i)))
-    mod[i] = np.abs(R[i])
-    mod[:, j] = 0.0
-    without_col = float(np.max(np.delete(cols, j))) * float(np.max(mod.sum(axis=1)))
-    row_sq = np.einsum("ij,ij->i", R, R)
-    lower = max(float(row_sq.max()), float(np.einsum("ij,ij->j", R, R).max()))
-    return float(row_sq.sum()), lower, min(without_row, without_col) * (1.0 + 2 * d * np.finfo(float).eps)
-
-
-@pytest.mark.parametrize("N", [64, 512])
-def test_row_blocked_screen_is_the_one_shot_screen_bit_for_bit(N):
-    forms = [_real_form(mult_operator(smooth_factor(N), "(1,1->1)"), s, s) for s in (1.0, 0.25, -1.0)]
-    forms.append(_real_form(mult_operator(rough_factor(N), "(1,1->1)"), 0.75, 0.75))
-    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-    forms.append(_real_form(dphi(SuperpositionMap(shear_chart(), 0.75, N), q), 0.0, 0.0))  # d = 2(2N+1)
-    # the heaviest row and the heaviest column moved inside a later row block
-    heavy = forms[0].copy()
-    r, c = heavy.shape[0] - 5, _ROW_BLOCK + 7
-    heavy[r] *= 50.0
-    heavy[:, c] *= 50.0
-    mod = np.abs(heavy)
-    assert int(np.argmax(mod.sum(axis=1))) == r and int(np.argmax(mod.sum(axis=0))) == c
-    forms.append(heavy)
-    for R in forms:
-        assert R.shape[0] > _ROW_BLOCK and R.shape[0] % _ROW_BLOCK
-        assert np.array_equal(_bits(np.array(_deflated_screen(R))), _bits(np.array(_one_shot_screen(R))))
-
-
 def _hermitian_blocks_operator(N, seed):
     # a symmetric factor plus the Hermitian blocks 2 pi i k J0 of the action Hessian
     rng = np.random.default_rng(seed)
@@ -270,19 +218,71 @@ def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [16, 64])
-def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(N):
+def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
     D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)  # the shear Jacobian is not symmetric
     skew = _hermitian_blocks_operator(N, 6)
     skew = LevelOperator(None, 0.0, 0.0, N, 2, factor=skew.factor, blocks=1j * skew.blocks)  # anti-Hermitian
     dense = _reality_preserving(np.random.default_rng(N), N, 1)
+    steps = []
+    kato_temple = scale_operator._kato_temple
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args) or kato_temple(*args))
     for T in (D, skew, dense):
         assert not _self_adjoint(T)
-        assert _deflated_top(_real_form(T, 0.0, 0.0)) is None  # clustered: left for the Gram
         assert op_norm(T, 0.0, 0.0) == _gram_norm(T, 0.0, 0.0), T
+    assert steps == []  # D's clustered top is screened out; the others take no power step
     # a self-adjoint operator off level 0 keeps the Gram too
     T = mult_operator(smooth_factor(N), "(1,0->0)")
     assert op_norm(T, 0.25, 0.25) == _gram_norm(T, 0.25, 0.25)
+
+
+def _pulled_back_hessian(N):
+    # the pullback suite's Hessian: the quadratic action pulled back through the shear chart
+    F = symplectic_action(quadratic_hamiltonian(), N)
+    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
+    return pull_back(F, SuperpositionMap(shear_chart(), 0.75, N), 0.75).hessian(q)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_operators_that_are_not_multiplications_build_one_form_and_take_no_power_step(N):
+    # dense and factor + blocks operators have no symbol screen: each call
+    # builds one form, and every pair takes its eigensolve
+    names = ("dense-1", "composed-2", "factor+blocks-1", "factor+blocks-2")
+    operators = [OPERATORS[name](N) for name in names] + [_pulled_back_hessian(N)]
+    cos_sin, kato_temple = scale_operator._cos_sin_form, scale_operator._kato_temple
+    for T in operators:
+        assert not _multiplication(T) and _mode_blocks(T) is None, T
+        events = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scale_operator, "_cos_sin_form", lambda X: events.append("form") or cos_sin(X))
+            mp.setattr(scale_operator, "_kato_temple", lambda *args: events.append("step") or kato_temple(*args))
+            many = op_norms(T, PAIRS)
+        assert events == ["form"], (T, events)
+        assert many == [_eigensolve(T, a, b) for a, b in PAIRS], T
+        for (a, b), value in zip(PAIRS, many):
+            oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
+            assert abs(value - oracle) <= 1e-13 * oracle, (T, a, b)
+
+
+def test_pullback_suite_takes_power_steps_only_on_multiplication_operators(monkeypatch):
+    # seed 0 with the controls: the 7 op_norms calls on dense pulled-back
+    # Hessians take Gram eigensolves, and the 13 power iterations are the
+    # multiplication operators' matrix-free certificates
+    counts = _count_traffic(monkeypatch)
+    steps, certified = [], []
+    kato_temple, matrix_free_top = scale_operator._kato_temple, scale_operator._matrix_free_top
+
+    def matrix_free(T, *args):
+        top = matrix_free_top(T, *args)
+        certified.append(_multiplication(T) and top is not None)
+        return top
+
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args) or kato_temple(*args))
+    monkeypatch.setattr(scale_operator, "_matrix_free_top", matrix_free)
+    report = suites.run_suite("pullback", cli.RunConfig(seed=0, negative_controls=True, workers=1))
+    assert report["verdict"] == "pass"
+    assert len(steps) == len(certified) == 13 and all(certified)
+    assert counts["eigensolves"] == 7 and counts["symmetric"] == 0
 
 
 def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
@@ -302,7 +302,7 @@ def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
 
 def test_level_zero_cell_at_512_holds_one_form_and_its_build():
     # the sweep's level-0 cell: one real form (d^2 doubles) and the
-    # temporaries of its blocked build, no Gram and no full |R|
+    # temporaries of its blocked build, and no Gram
     T = mult_operator(smooth_factor(512), "(1,0->0)")
     d = 2 * T.N + 1
     tracemalloc.start()
@@ -317,27 +317,26 @@ def test_level_zero_cell_at_512_holds_one_form_and_its_build():
 def test_isolated_top_at_512_builds_no_form(monkeypatch):
     # the sweep's (1,1->1) cell is certified from the symbol and FFT matvecs:
     # no real form, and a peak of about 0.024 x 8 d^2 bytes, measured
-    def no_form(T):
-        raise AssertionError("a real form was built")
-
     T = mult_operator(smooth_factor(512), "(1,1->1)")
     d = 2 * T.N + 1
-    monkeypatch.setattr(scale_operator, "_cos_sin_form", no_form)
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", _no_form)
     tracemalloc.start()
     try:
         norm = op_norm(T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert norm == float(np.sqrt(_certified_top_eigenvalue(T, 1.0, 1.0)))
+    assert norm == float(np.sqrt(_matrix_free_alone(T, 1.0, 1.0)))
     assert peak <= 0.05 * 8 * d * d, peak / (8 * d * d)
     assert "matrix" not in vars(T)
 
 
 def _assert_symbol_certified_against_svd(T, a, b):
-    top = _certified_top_eigenvalue(T, a, b)
+    top = _matrix_free_alone(T, a, b)
     assert top is not None, (T, a, b)
-    norm = op_norm(T, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scale_operator, "_cos_sin_form", _no_form)
+        norm = op_norm(T, a, b)
     assert norm == float(np.sqrt(top))
     assert "matrix" not in vars(T)  # the certificate came from the symbol alone
     oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
@@ -347,7 +346,7 @@ def _assert_symbol_certified_against_svd(T, a, b):
 
 @pytest.mark.parametrize("N", [16, 64, 512])
 def test_symbol_certified_smooth_norm_and_its_dual_match_the_svd(N):
-    # 2 theta > F cannot see this top: only the deflated bound admits it
+    # 2 theta > F cannot see this top: only the symbol's one-deletion bound admits it
     T = mult_operator(smooth_factor(N), "(1,1->1)")
     for level in (1.0, -1.0):
         frob, screen, lower, second = _symbol_pass(T, level, level)
@@ -359,7 +358,7 @@ def test_symbol_certified_smooth_norm_and_its_dual_match_the_svd(N):
 def test_symbol_certified_interpolation_norms_match_the_svd(level):
     certified = 0
     for T in _interpolation_factors(12):
-        if _certified_top_eigenvalue(T, level, level) is not None:
+        if _matrix_free_alone(T, level, level) is not None:
             _assert_symbol_certified_against_svd(T, level, level)
             certified += 1
     assert certified >= 8  # most isolated tops are certified
@@ -379,7 +378,7 @@ def test_certified_values_are_within_1e13_of_the_svd_and_never_below(N):
         for (a, b), value in zip(pairs, together):
             oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
             screen = _symbol_screen(T, a, b)
-            alone = _certified_top_eigenvalue(T, a, b)
+            alone = _matrix_free_alone(T, a, b)
             on_the_form = None if screen is None else _dense_top(_real_form(T, a, b), *screen)
             for route, top in (("alone", alone), ("on the form", on_the_form)):
                 if top is not None:
@@ -449,7 +448,7 @@ def test_one_point_sweep_runs_one_symmetric_eigensolve(monkeypatch):
 def test_sobolev_evidence_traffic(monkeypatch):
     # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on;
     # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs;
-    # before the symbol's deflated bound, 62 forms and 113 Gram eigensolves
+    # before the symbol's one-deletion bound, 62 forms and 113 Gram eigensolves
     counts = _count_traffic(monkeypatch)
     symbol = _count_symbol_passes(monkeypatch)
     report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))

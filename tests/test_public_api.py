@@ -1,5 +1,6 @@
-"""Census of the public API: every name floerlab exports has a reader, and
-every defaulted parameter has a call that passes it (see the second half).
+"""Census of the public API: every name floerlab exports has a reader, every
+module-level function is referenced in the package, and every defaulted
+parameter has a call that passes it (see the later sections).
 
 A name exported by floerlab/__init__.py must either be named in README.md,
 which makes it public API, or be reached from a program entry: the
@@ -113,6 +114,56 @@ entry = used() or Holder
     unread = _unread(exported, "see `public`", [source], {"hooked"})
     assert unread == ["dead", "read_by_dead", "Annot", "recursive"]
 
+
+# ---------------------------------------------------------------------------
+# Census of module-level functions: each is referenced in src/floerlab.
+#
+# A function of the package that no code of the package names serves only
+# the tests.  A reference is a name or attribute read anywhere in
+# src/floerlab, as _reads finds them, so a runner held in a dict such as
+# suites.SUITES counts, or a name __init__.py exports.  A function's reads of
+# its own name in its own body are not references.
+
+
+def _unreferenced(sources: list[str], exported: list[str]) -> list[str]:
+    """The module-level functions of the sources that nothing else references, in source order."""
+    functions, references = [], set(exported)
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append(node.name)
+                references |= _reads([node]) - {node.name}
+            else:
+                references |= _reads([node])
+    return [name for name in functions if name not in references]
+
+
+def test_every_module_level_function_is_referenced_in_the_package():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    unreferenced = _unreferenced(sources, _exported())
+    assert not unreferenced, f"functions nothing in src/floerlab references: {unreferenced}"
+
+
+def test_reference_census_rules():
+    source = """
+def called(): return helper()
+def helper(): return 1
+def only_tests(): return 1
+def recursive(n): return recursive(n - 1)
+def annotated(x: only_in_annotation) -> only_in_annotation: return x
+def only_in_annotation(): return 1
+def runner(cfg): return cfg
+def exported(): return 1
+def from_another_file(): return 1
+class Holder:
+    def method(self): return from_method()
+def from_method(): return 1
+def attribute(): return 1
+TABLE = {"run": runner}
+entry = called() or module.attribute
+"""
+    unreferenced = _unreferenced([source, "value = from_another_file()"], ["exported"])
+    assert unreferenced == ["only_tests", "recursive", "annotated", "only_in_annotation"]
 
 
 # ---------------------------------------------------------------------------

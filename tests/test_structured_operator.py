@@ -15,7 +15,6 @@ from floerlab.floer_map import SuperpositionMap, apply, dphi, leibniz_check, ver
 from floerlab.pullback import pull_back_gradient, riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
-    _certified_top_eigenvalue,
     _mode_blocks,
     _real_form,
     adjoint,
@@ -36,7 +35,7 @@ from floerlab.scale_space import (
     toeplitz_rows,
 )
 from floerlab.sobolev_evidence import mult_operator, smooth_factor
-from oracles import _symmetric_norm
+from oracles import _matrix_free_alone, _symmetric_norm
 
 
 def _bits(x):
@@ -301,10 +300,16 @@ def _svd_top(T):
     return np.linalg.svd(_real_form(T, T.dom, T.cod), compute_uv=False)[0]
 
 
+def _no_form(T):
+    raise AssertionError("a real form was built")
+
+
 def _assert_certified_against_svd(T):
-    top = _certified_top_eigenvalue(T, T.dom, T.cod)
+    top = _matrix_free_alone(T, T.dom, T.cod)
     assert top is not None
-    norm = op_norm(T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scale_operator, "_cos_sin_form", _no_form)
+        norm = op_norm(T)
     assert norm == float(np.sqrt(top))
     assert "matrix" not in vars(T)  # the certificate came from the symbol alone
     oracle = _svd_top(T)
@@ -344,7 +349,7 @@ def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
     monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
     T = mult_operator(smooth_factor(N), "(1,0->0)")
-    assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
+    assert _matrix_free_alone(T, T.dom, T.cod) is None
     norm = op_norm(T)
     assert norm == _symmetric_norm(T, T.dom, T.cod)
     assert steps == [] and grams == []

@@ -16,8 +16,7 @@ from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transit
 from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
-    _certified_top_eigenvalue,
-    _deflated_top,
+    _dense_top,
     _gram_top,
     _kato_temple,
     _mode_blocks,
@@ -38,7 +37,7 @@ from floerlab.scale_space import (
     weights,
 )
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
-from oracles import _gram_norm, _symmetric_norm, min_grid_points, weighted_matrix
+from oracles import _gram_norm, _matrix_free_alone, _symmetric_norm, min_grid_points, weighted_matrix
 from test_scale_operator import _reality_preserving
 
 LEVEL_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (2.0, -1.0), (0.5, 0.5)]
@@ -146,15 +145,15 @@ def _kappa_correction(N, seed, s=0.75):
 @pytest.mark.parametrize("N", [16, 64, 128])
 def test_correction_is_certified_and_multiplication_is_not(N):
     K2 = _kappa_correction(N, 1)
-    assert _certified_top_eigenvalue(K2, K2.dom, K2.cod) is not None
+    assert _matrix_free_alone(K2, K2.dom, K2.cod) is not None
     # the top of a multiplication operator's spectrum is a cluster near sup |g|;
     # at level 0 the operator is self-adjoint and takes the symmetric eigensolve
     T = mult_operator(smooth_factor(N), "(1,0->0)")
-    assert _certified_top_eigenvalue(T, T.dom, T.cod) is None
+    assert _matrix_free_alone(T, T.dom, T.cod) is None
     assert op_norm(T) == _symmetric_norm(T, T.dom, T.cod)
 
 
-def test_second_singular_value_does_not_pass_for_the_first(monkeypatch):
+def test_second_singular_value_does_not_pass_for_the_first():
     # sigma = (10, 9, small...) with the top right singular vector orthogonal
     # to the constant start: the iteration settles on 9, where 2 theta < F
     N, n = 8, 2
@@ -174,19 +173,16 @@ def test_second_singular_value_does_not_pass_for_the_first(monkeypatch):
     start = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     assert _kato_temple(frob, np.inf, lambda x: M @ x, lambda y: M.conj().T @ y, start) is None
 
-    # the dense path: the real form R = 10 e_0 v^T + 9 e_1 e_2^T, with
-    # v = (e_0 - e_1)/sqrt(2) orthogonal to the constant start.  Deleting
-    # row 0 or column 2 leaves sigma = 9, so the deflated bound on lambda_2
-    # stays at 81 and the iteration, which settles on 81, certifies nothing;
-    # deleting both would leave 0 and pass 9 off as the top
+    # on a real form: R = 10 e_0 v^T + 9 e_1 e_2^T, with v = (e_0 - e_1)/sqrt(2)
+    # orthogonal to the constant start, and F = 100 + 81.  Deleting row 0 or
+    # column 2 leaves sigma = 9, so the one-deletion bound on lambda_2 is 81,
+    # and the iteration, which settles on 81, certifies nothing; deleting
+    # both would leave 0 and pass 9 off as the top
     R = np.zeros((d, d))
     R[0, :2] = 10.0 / np.sqrt(2.0), -10.0 / np.sqrt(2.0)
     R[1, 2] = 9.0
-    runs = []
-    kato_temple = scale_operator._kato_temple
-    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: runs.append(args[1]) or kato_temple(*args))
-    assert _deflated_top(R) is None
-    assert runs == [pytest.approx(81.0, rel=1e-13)]  # screened in, with the deflated bound
+    assert _dense_top(R, 181.0, 81.0) is None
+    assert _dense_top(R, 181.0, 0.0) == pytest.approx(81.0, rel=1e-13)
     assert _gram_top(R) == pytest.approx(10.0, rel=1e-15)
 
 
@@ -209,7 +205,7 @@ def test_stalled_power_iteration_gives_up_early(monkeypatch, N):
 
     monkeypatch.setattr(scale_operator, "_kato_temple", counting)
     monkeypatch.setattr(scale_operator, "_CERT_STEPS", 1000)
-    assert _certified_top_eigenvalue(T, -1.0, -1.0) is None
+    assert _matrix_free_alone(T, -1.0, -1.0) is None
     assert 0 < len(matvecs) <= 8  # FFT matvecs, by A and by A^H
     assert "matrix" not in vars(T)
     assert op_norm(T, -1.0, -1.0) == _gram_norm(T, -1.0, -1.0)
