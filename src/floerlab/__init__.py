@@ -91,7 +91,6 @@ from .scale_space import (
     weights,
 )
 from .sobolev_evidence import (
-    MultSignature,
     dual_estimate_check,
     dual_pairing_check,
     embedding_constant,

@@ -195,16 +195,15 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
 
             F = symplectic_action(quadratic_hamiltonian(), N)
             q = random_loop(rng, 2, N, amplitude=0.4)
-            gap = pool.submit(weighted_singular_values, F.hessian(q))
+            gap = pool.submit(weighted_singular_values, F.hessian(q), 1.0, 0.0)
             rows.append(("floer_function", N, "", "action_gap", gap, -1))
 
             # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
             norms = {}
-            for key in sorted(SIGNATURES):
-                sig = SIGNATURES[key]
-                if (sig.dom, sig.cod) not in norms:
-                    norms[sig.dom, sig.cod] = pool.submit(op_norm, mult_operator(smooth_factor(N), sig))
-                rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[sig.dom, sig.cod], None))
+            for key, pair in sorted(SIGNATURES.items()):
+                if pair not in norms:
+                    norms[pair] = pool.submit(op_norm, mult_operator(smooth_factor(N)), *pair)
+                rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair], None))
 
             for s in cfg.s:
                 phi = SuperpositionMap(shear, s, N)

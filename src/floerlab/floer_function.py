@@ -113,9 +113,9 @@ def driven_hamiltonian() -> HamiltonianData:
 
 @dataclass
 class FloerFunctionNumeric:
-    """A function on truncated loop space with its level-annotated calculus.
+    """A function on truncated loop space with its calculus: value, gradient, Hessian.
 
-    hessian(q) is the one Hessian, annotated H_1 -> H_0.  Its restriction
+    hessian(q) is the one Hessian, read H_1 -> H_0; its restriction
     H_2 -> H_1 has the same coefficients, so callers choose the level pair
     through the a, b arguments of op_norm, weighted_singular_values and
     fredholm_diagnostic; the gradient's restriction is likewise checked in
@@ -154,7 +154,7 @@ def symplectic_action(H: HamiltonianData, N: int) -> FloerFunctionNumeric:
         # multiplication by -hess_x H along u, plus 2 pi i k J0 on the mode blocks
         well = np.negative(H.hess_x(t, to_grid(u, G)))
         blocks = (2j * np.pi * k)[:, None, None] * J0
-        return LevelOperator(None, 1.0, 0.0, N, dim, factor=well, blocks=blocks)
+        return LevelOperator(None, N, dim, factor=well, blocks=blocks)
 
     return FloerFunctionNumeric(
         n=dim,
@@ -186,7 +186,7 @@ def quadratic_spectral(op_builder: Callable[[int], LevelOperator], N: int) -> Fl
         N=N,
         value=value,
         gradient=gradient,
-        hessian=lambda u: L.with_levels(1.0, 0.0),
+        hessian=lambda u: L,
         rebuild=lambda M: quadratic_spectral(op_builder, M),
         name="quadratic_spectral",
     )

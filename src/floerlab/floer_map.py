@@ -311,7 +311,7 @@ def apply(phi: SuperpositionMap, u: FourierLoop) -> FourierLoop:
 def dphi(phi: SuperpositionMap, u: FourierLoop) -> LevelOperator:
     """Derivative at u: dealiased multiplication by the chart Jacobian along u."""
     jac = phi.chart.jacobian(phi.sample_values(u))
-    return LevelOperator(None, 0.0, 0.0, phi.N, phi.n, factor=jac)
+    return LevelOperator(None, phi.N, phi.n, factor=jac)
 
 
 def d2phi(phi: SuperpositionMap, u: FourierLoop) -> BilinearLevelMap:

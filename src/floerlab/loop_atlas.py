@@ -340,7 +340,9 @@ def check_transitivity(
     gated.  The axiom verdicts on each B-piece of the overlap, over
     TRANSITIVITY_N_SWEEP with the ascent budget TRANSITIVITY_HOPM, must
     match the union's, which are read off the pieces' own reports
-    (_union_reports).
+    (_union_reports).  A piece with the samples of an earlier piece of
+    its (a, c) would repeat that piece's reports, so only its residuals
+    are computed.
     """
     if not (A.s == B.s == C.s):
         raise ValueError("atlases must share the level parameter")
@@ -356,7 +358,7 @@ def check_transitivity(
     for a in A.charts:
         for c in C.charts:
             direct = _pair_map(a, c, A.s, N)
-            pieces = []
+            pieces = {}  # axiom reports by the bytes of the piece's samples
             for b in B.charts:
                 samples = loops_in_chart(corpus, a, N, also_in=(b, c))[:max_samples]
                 if not samples:
@@ -376,7 +378,9 @@ def check_transitivity(
                 worst_apply = max(worst_apply, r_apply)
                 worst_two_step = max(worst_two_step, r_two)
                 worst_dphi = max(worst_dphi, r_dphi)
-                pieces.append(verify_floer_axioms(direct, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM))
+                key = tuple(q.coeffs.tobytes() for q in samples)
+                if key not in pieces:
+                    pieces[key] = verify_floer_axioms(direct, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM)
                 triples.append(
                     {
                         "from": a.name,
@@ -389,9 +393,9 @@ def check_transitivity(
                     }
                 )
             if pieces:
-                union_verdicts = [r.verdict for r in _union_reports(pieces, direct.s)]
+                union_verdicts = [r.verdict for r in _union_reports(list(pieces.values()), direct.s)]
                 pieces_agree = pieces_agree and all(
-                    [r.verdict for r in piece] == union_verdicts for piece in pieces
+                    [r.verdict for r in piece] == union_verdicts for piece in pieces.values()
                 )
     ok = worst_apply <= APPLY_RTOL and worst_dphi <= DPHI_RTOL and pieces_agree and triples
     return {

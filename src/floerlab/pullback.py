@@ -48,39 +48,33 @@ def pull_back_gradient(F: FloerFunctionNumeric, phi: SuperpositionMap, q: Fourie
     return adjoint(D).apply(F.gradient(apply(phi, q)))
 
 
-def riesz_correction(
-    F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop, s: float
-) -> LevelOperator:
-    """The correction operator K(q), annotated H_s -> H_0.
+def riesz_correction(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
+    """The correction operator K(q) of the module docstring.
 
     The form is multiplication by the matrix field V of the module
     docstring, sampled on the map's grid.  The level-0 Riesz map is a
     solve with the Gram matrix of the mode basis, which is the identity
     (the basis is level-0 orthonormal), so K is that multiplication
-    operator, held by its factor V.
+    operator, held by its factor V.  The inclusion iota_s is the identity
+    on coefficients, so the Hessian's K o iota_s is K itself.
     """
     _check_match(F, phi)
     g = to_grid(F.gradient(apply(phi, q)), phi.grid_points)
     hes = phi.chart.hessian(phi.sample_values(q))
     V = np.einsum("gi,gijk->gjk", g, hes)
-    return LevelOperator(None, s, 0.0, phi.N, phi.n, factor=V)
+    return LevelOperator(None, phi.N, phi.n, factor=V)
 
 
-def pull_back_hessian(
-    F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop, s: float
-) -> LevelOperator:
-    """Hessian of f o phi as an operator H_1 -> H_0."""
-    conj = _conjugated_term(F, phi, q)
-    K = riesz_correction(F, phi, q, s)
-    # K o iota_s: the inclusion H_1 -> H_s is the identity on coefficients
-    return conj + K.with_levels(1.0, K.cod)
+def pull_back_hessian(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
+    """Hessian of f o phi, read H_1 -> H_0 and H_2 -> H_1 like any FloerFunctionNumeric's."""
+    return _conjugated_term(F, phi, q) + riesz_correction(F, phi, q)
 
 
 def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
     _check_match(F, phi)
     D = dphi(phi, q)
     A = F.hessian(apply(phi, q))
-    return adjoint(D) @ A @ D.with_levels(1.0, 1.0)
+    return adjoint(D) @ A @ D
 
 
 def kappa_bound_check(
@@ -101,8 +95,7 @@ def kappa_bound_check(
     g = F.gradient(apply(phi, q))
     c = d2phi(phi, q).norm(1.0 + s, -1.0, -1.0, **(hopm or {}))
     kappa = g.norm(1.0) * c
-    K2 = riesz_correction(F, phi, q, s).with_levels(1.0 + s, 1.0)
-    k_norm = op_norm(K2)
+    k_norm = op_norm(riesz_correction(F, phi, q), 1.0 + s, 1.0)
     return {
         "s": s,
         "kappa": float(kappa),
@@ -113,13 +106,13 @@ def kappa_bound_check(
     }
 
 
-def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> FloerFunctionNumeric:
-    """f o phi with its full level-annotated calculus.
+def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap) -> FloerFunctionNumeric:
+    """f o phi with its calculus: value, level-0 gradient and the one Hessian.
 
     The value is F.value(apply(phi, q)) verbatim; the gradient and the
     one Hessian come from the pull-back formulas above.  The Hessian is
-    annotated H_1 -> H_0 and read at H_2 -> H_1 through the level
-    arguments of the diagnostics, as for any FloerFunctionNumeric.
+    read at H_1 -> H_0 and at H_2 -> H_1 through the level arguments of
+    the diagnostics, as for any FloerFunctionNumeric.
     """
     _check_match(F, phi)
     return FloerFunctionNumeric(
@@ -127,8 +120,8 @@ def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap, s: float) -> Floer
         N=phi.N,
         value=lambda q: F.value(apply(phi, q)),
         gradient=lambda q: pull_back_gradient(F, phi, q),
-        hessian=lambda q: pull_back_hessian(F, phi, q, s),
-        rebuild=lambda M: pull_back(F.rebuild(M), phi.rebuild(M), s),
+        hessian=lambda q: pull_back_hessian(F, phi, q),
+        rebuild=lambda M: pull_back(F.rebuild(M), phi.rebuild(M)),
         name=f"pullback[{F.name} via {phi.chart.name}]",
     )
 
@@ -164,7 +157,7 @@ def certify_pullback(
     singular value decay for the correction, with the kappa bound tying
     the correction's size to computable data.
     """
-    Ft = pull_back(F, phi, s)
+    Ft = pull_back(F, phi)
 
     rng = np.random.default_rng(2024)
     directions = [random_loop(rng, phi.n, phi.N) for _ in range(2)]
@@ -177,8 +170,7 @@ def certify_pullback(
     }
     conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0)
 
-    K = riesz_correction(F, phi, base_q, s)
-    tail = weighted_singular_values(K.with_levels(1.0, K.cod), 1.0, 0.0)
+    tail = weighted_singular_values(riesz_correction(F, phi, base_q), 1.0, 0.0)
     slope = _decay_slope(tail)
     decaying = bool(tail[-1] < tail[0] and slope < -0.02)
 

@@ -1,11 +1,14 @@
-"""Level-annotated operators on the truncated coefficient space.
+"""Operators on the truncated coefficient space, read between levels of the scale.
 
-An operator acts on mode-major coefficient vectors and commutes with
-the reality structure c_k -> conj(c_{-k}), which the LevelOperator
-constructor enforces: its matrix is the complexification of a real
-operator on real loops, real in the cosine/sine basis, so its singular
-values, norms and kernel dimensions are those of that real operator,
-which is what all diagnostics report.
+A LevelOperator is one linear map, as an sc-operator is one map that
+restricts to every level (Hofer, Wysocki and Zehnder, Polyfold and
+Fredholm Theory, 2021): every norm or singular value names the level
+pair (a, b) it reads it at.  An operator acts on mode-major coefficient
+vectors and commutes with the reality structure c_k -> conj(c_{-k}),
+which the LevelOperator constructor enforces: its matrix is the
+complexification of a real operator on real loops, real in the
+cosine/sine basis, so its singular values, norms and kernel dimensions
+are those of that real operator, which is what all diagnostics report.
 
 A LevelOperator keeps the structure its producer knows, and all operator
 arithmetic on it is here.  Multiplication operators
@@ -149,9 +152,9 @@ _CERT_STALL = 1e-3
 
 
 class LevelOperator:
-    """Operator between levels dom -> cod of the scale, on (2N+1)n coefficients.
+    """Linear operator on the (2N+1)n coefficients, read at any level pair.
 
-    LevelOperator(matrix, dom, cod, N, n) is dense.  Every operator
+    LevelOperator(matrix, N, n) is dense.  Every operator
     commutes with the reality structure c_k -> conj(c_{-k}): the
     constructor raises ValueError where a dense X and its mirror
     conj(X[rev][:, rev]), rev the flat mode reversal, differ by more than
@@ -171,8 +174,6 @@ class LevelOperator:
     def __init__(
         self,
         matrix: np.ndarray | None,
-        dom: float,
-        cod: float,
         N: int,
         n: int,
         *,
@@ -180,7 +181,7 @@ class LevelOperator:
         blocks: np.ndarray | None = None,
     ):
         M, d = 2 * N + 1, (2 * N + 1) * n
-        fields = dict(dom=check_level(dom), cod=check_level(cod), N=N, n=n, factor=None, symbol=None, blocks=None)
+        fields = dict(N=N, n=n, factor=None, symbol=None, blocks=None)
         if matrix is not None:
             if factor is not None or blocks is not None:
                 raise ValueError("a dense operator carries no factor or blocks")
@@ -226,16 +227,7 @@ class LevelOperator:
 
     def __repr__(self) -> str:
         parts = [p for p in ("factor", "blocks") if self.__dict__[p] is not None] or ["dense"]
-        return f"LevelOperator({'+'.join(parts)}, {self.dom:g} -> {self.cod:g}, N={self.N}, n={self.n})"
-
-    def with_levels(self, dom: float, cod: float) -> "LevelOperator":
-        """Re-annotate the same coefficients at another level pair.
-
-        Keeps the structure and shares the matrix if it is already built.
-        """
-        op = object.__new__(LevelOperator)
-        op.__dict__.update(self.__dict__, dom=check_level(dom), cod=check_level(cod))
-        return op
+        return f"LevelOperator({'+'.join(parts)}, N={self.N}, n={self.n})"
 
     def apply(self, u: FourierLoop) -> FourierLoop:
         return FourierLoop(_matvec(self, u.flat_coeffs()).reshape(2 * self.N + 1, self.n))
@@ -243,11 +235,7 @@ class LevelOperator:
     def __matmul__(self, other: "LevelOperator") -> "LevelOperator":
         if (self.N, self.n) != (other.N, other.n):
             raise ValueError("operator sizes do not match")
-        if self.dom != other.cod:
-            raise ValueError(
-                f"level mismatch in composition: {other.cod} feeds into {self.dom}"
-            )
-        return LevelOperator(self.matrix @ other.matrix, other.dom, self.cod, self.N, self.n)
+        return LevelOperator(self.matrix @ other.matrix, self.N, self.n)
 
     def __add__(self, other: "LevelOperator") -> "LevelOperator":
         return self._combine(other, np.add)
@@ -256,16 +244,16 @@ class LevelOperator:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "LevelOperator", op) -> "LevelOperator":
-        if (self.dom, self.cod, self.N, self.n) != (other.dom, other.cod, other.N, other.n):
-            raise ValueError("can only add or subtract operators with identical annotations")
+        if (self.N, self.n) != (other.N, other.n):
+            raise ValueError("operator sizes do not match")
         f, g = self.factor, other.factor
         if _dense(self) or _dense(other) or not (f is None or g is None or f.shape == g.shape):
-            return LevelOperator(op(self.matrix, other.matrix), self.dom, self.cod, self.N, self.n)
+            return LevelOperator(op(self.matrix, other.matrix), self.N, self.n)
         parts = {}  # both structured, factors on one grid: combine the factors and the blocks
         for key in ("factor", "blocks"):
             a, b = getattr(self, key), getattr(other, key)
             parts[key] = a if b is None else op(np.zeros_like(b) if a is None else a, b)
-        return LevelOperator(None, self.dom, self.cod, self.N, self.n, **parts)
+        return LevelOperator(None, self.N, self.n, **parts)
 
 
 def _dense(T: LevelOperator) -> bool:
@@ -331,13 +319,13 @@ def _flat_weights(N: int, n: int, s: float) -> np.ndarray:
     return np.repeat(weights(N, s), n)
 
 
-def identity_operator(N: int, n: int, dom: float, cod: float) -> LevelOperator:
-    """Identity coefficients annotated dom -> cod (the insertion when dom > cod).
+def identity_operator(N: int, n: int) -> LevelOperator:
+    """The identity on coefficients; read at (a, b), a > b, it is the inclusion H_a -> H_b.
 
     Held as its mode blocks; the block paths never build the matrix.
     """
     blocks = np.broadcast_to(np.eye(n, dtype=complex), (2 * N + 1, n, n))
-    return LevelOperator(None, dom, cod, N, n, blocks=blocks)
+    return LevelOperator(None, N, n, blocks=blocks)
 
 
 def inclusion_singular_values(N: int, n: int, a: float, b: float) -> np.ndarray:
@@ -345,18 +333,18 @@ def inclusion_singular_values(N: int, n: int, a: float, b: float) -> np.ndarray:
 
     The identity scales mode k by sqrt(w_k(b)) / sqrt(w_k(a)), once per
     component; written as this quotient of square roots it equals
-    weighted_singular_values(identity_operator(N, n, a, b)) bit for bit.
+    weighted_singular_values(identity_operator(N, n), a, b) bit for bit.
     """
     ratio = np.sqrt(weights(N, b)) / np.sqrt(weights(N, a))
     return np.sort(np.repeat(ratio, n))[::-1]
 
 
-def derivative_operator(N: int, n: int, dom: float = 1.0, cod: float = 0.0) -> LevelOperator:
+def derivative_operator(N: int, n: int) -> LevelOperator:
     """d/dt, diagonal 2 pi i k per mode, held as its mode blocks."""
     diag = np.repeat(2j * np.pi * mode_numbers(N).astype(float), n).reshape(2 * N + 1, n)
     blocks = np.zeros((2 * N + 1, n, n), dtype=complex)
     blocks[:, np.arange(n), np.arange(n)] = diag
-    return LevelOperator(None, dom, cod, N, n, blocks=blocks)
+    return LevelOperator(None, N, n, blocks=blocks)
 
 
 def band_indices(N: int, n: int, max_mode: int) -> np.ndarray:
@@ -462,15 +450,14 @@ def _block_singular_values(blocks: np.ndarray, N: int, a: float, b: float) -> np
     return np.sort(sv.ravel())[::-1]
 
 
-def weighted_singular_values(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
+def weighted_singular_values(T: LevelOperator, a: float, b: float) -> np.ndarray:
     """Singular values of W_b^{1/2} T W_a^{-1/2} in descending order.
 
     Takes the block or the real path of the module docstring, in that
     order; each returns the dense weighted matrix's values up to
     roundoff.
     """
-    a = T.dom if a is None else check_level(a)
-    b = T.cod if b is None else check_level(b)
+    a, b = check_level(a), check_level(b)
     blocks = _mode_blocks(T)
     if blocks is not None:
         return _block_singular_values(blocks, T.N, a, b)
@@ -696,10 +683,8 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     return norms
 
 
-def op_norm(T: LevelOperator, a: float | None = None, b: float | None = None) -> float:
+def op_norm(T: LevelOperator, a: float, b: float) -> float:
     """Operator norm of T : H_a -> H_b (largest weighted singular value), op_norms for one pair."""
-    a = T.dom if a is None else a
-    b = T.cod if b is None else b
     return op_norms(T, [(a, b)])[0]
 
 
@@ -710,10 +695,10 @@ def adjoint(T: LevelOperator) -> LevelOperator:
     blocks, a dense one the conjugate transpose of its matrix.
     """
     if _dense(T):
-        return LevelOperator(T.matrix.conj().T, T.cod, T.dom, T.N, T.n)
+        return LevelOperator(T.matrix.conj().T, T.N, T.n)
     factor = None if T.factor is None else T.factor.transpose(0, 2, 1)
     blocks = None if T.blocks is None else np.conj(T.blocks.transpose(0, 2, 1))
-    return LevelOperator(None, T.cod, T.dom, T.N, T.n, factor=factor, blocks=blocks)
+    return LevelOperator(None, T.N, T.n, factor=factor, blocks=blocks)
 
 
 def check_interpolation(T: LevelOperator, levels: tuple[float, ...], tol: float = 1e-10) -> list[dict]:
@@ -832,7 +817,7 @@ def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float)
 def fredholm_diagnostic(family: Mapping[int, LevelOperator], a: float, b: float) -> FredholmReport:
     """Fredholm evidence for an operator family {N: T_N}, each read as H_a -> H_b.
 
-    The operators' own level annotations are ignored: the same Hessian
-    is read at (1 -> 0) and at (2 -> 1) by passing those levels.
+    The same Hessian is read at (1 -> 0) and at (2 -> 1) by passing
+    those levels.
     """
     return fredholm_from_spectra({N: weighted_singular_values(T, a, b) for N, T in family.items()}, a, b)

@@ -17,7 +17,6 @@ shows the logarithmic failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,46 +38,27 @@ FINE_GRID = 4096
 DYADIC_OFFSETS = tuple(range(1, 11))
 
 
-@dataclass(frozen=True)
-class MultSignature:
-    """Levels of factor, input, and output; factor None means sup-norm control."""
-
-    factor: float | None
-    dom: float
-    cod: float
-    label: str
-
-
+# The level pair (input, output) at which each signature (factor level,
+# input -> output) reads its norm, by label; C0 is sup-norm control.
 SIGNATURES = {
-    "(1,1->1)": MultSignature(1.0, 1.0, 1.0, "(1,1->1)"),
-    "(C0,0->0)": MultSignature(None, 0.0, 0.0, "(C0,0->0)"),
-    "(1,0->0)": MultSignature(1.0, 0.0, 0.0, "(1,0->0)"),
-    "(-1,1->-1)": MultSignature(-1.0, 1.0, -1.0, "(-1,1->-1)"),
+    "(1,1->1)": (1.0, 1.0),
+    "(C0,0->0)": (0.0, 0.0),
+    "(1,0->0)": (0.0, 0.0),
+    "(-1,1->-1)": (1.0, -1.0),
 }
 
 
-def _resolve(sig: MultSignature | str) -> MultSignature:
-    if isinstance(sig, str):
-        if sig not in SIGNATURES:
-            raise ValueError(f"unknown multiplication signature {sig!r}")
-        return SIGNATURES[sig]
-    if sig.label not in SIGNATURES:
-        raise ValueError(f"unknown multiplication signature {sig.label!r}")
-    return sig
-
-
-def mult_operator(g: FourierLoop, sig: MultSignature | str) -> LevelOperator:
-    """Dealiased multiplication by the scalar loop g, annotated per signature."""
-    sig = _resolve(sig)
+def mult_operator(g: FourierLoop) -> LevelOperator:
+    """Dealiased multiplication by the scalar loop g, read at any signature's levels."""
     if g.n != 1:
         raise ValueError("multiplication factors are scalar loops")
     values = to_grid(g, default_grid_points(g.N))
-    return LevelOperator(None, sig.dom, sig.cod, g.N, 1, factor=values[:, :, None])
+    return LevelOperator(None, g.N, 1, factor=values[:, :, None])
 
 
 def mult_norm_sweep(
     g: FourierLoop | Callable[[int], FourierLoop],
-    sig: MultSignature | str,
+    label: str,
     N_sweep: tuple[int, ...] = (16, 32, 64, 128, 256),
 ) -> dict:
     """Operator norms across truncations with a bounded/unbounded verdict.
@@ -90,16 +70,17 @@ def mult_norm_sweep(
     at each N, which is how factors with full-band coefficient tails
     (the rough controls) enter.
     """
-    sig = _resolve(sig)
+    if label not in SIGNATURES:
+        raise ValueError(f"unknown multiplication signature {label!r}")
     factory = g if callable(g) else (lambda M: g.resize(M))
     sweep = []
     for M in sorted(N_sweep):
-        norm = op_norm(mult_operator(factory(M), sig))
+        norm = op_norm(mult_operator(factory(M)), *SIGNATURES[label])
         sweep.append({"N": int(M), "norm": float(norm)})
     verdict = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL)
     if verdict != "insufficient":
         verdict = "bounded" if verdict == "stable" else "unbounded"
-    return {"signature": sig.label, "sweep": sweep, "verdict": verdict}
+    return {"signature": label, "sweep": sweep, "verdict": verdict}
 
 
 def smooth_factor(N: int) -> FourierLoop:
@@ -132,7 +113,7 @@ def dual_pairing_check(fstar: FourierLoop, g: FourierLoop, h: FourierLoop) -> di
     N = fstar.N
     if g.N != N or h.N != N:
         raise ValueError("triple must share one truncation")
-    T = mult_operator(fstar, "(-1,1->-1)")
+    T = mult_operator(fstar)
     lhs = dual_pair(T.apply(g), h)
     G = default_grid_points(N)
     gh = from_grid(to_grid(g, G) * to_grid(h, G), 2 * N)
@@ -159,7 +140,7 @@ def c0_embedding_constant(N: int) -> float:
 
 def signature_ordering_check(g: FourierLoop) -> dict:
     """Chain op_norm(1,0->0) <= sup|g| <= C(N) ||g||_1 for one factor."""
-    norm = op_norm(mult_operator(g, "(1,0->0)"))
+    norm = op_norm(mult_operator(g), *SIGNATURES["(1,0->0)"])
     sup = sup_norm(g)
     bound = c0_embedding_constant(g.N) * g.norm(1.0)
     return {
@@ -179,7 +160,7 @@ def dual_estimate_check(g: FourierLoop) -> dict:
     every truncation, so rel_gap measures roundoff, not evidence about
     the untruncated operator.
     """
-    T = mult_operator(g, "(1,1->1)")
+    T = mult_operator(g)
     n_plus, n_minus = op_norms(T, [(1.0, 1.0), (-1.0, -1.0)])
     rel = abs(n_plus - n_minus) / max(n_plus, 1e-30)
     return {

@@ -269,7 +269,7 @@ def suite_pullback(cfg: RunConfig) -> dict:
     )
 
     q = samples[0]
-    K = riesz_correction(F, phi, q, s)
+    K = riesz_correction(F, phi, q)
     grad_at_image = F.gradient(apply(phi, q))
     B = d2phi(phi, q)
     worst = 0.0
@@ -307,8 +307,8 @@ def suite_pullback(cfg: RunConfig) -> dict:
     F32 = F.rebuild(32)
     phi32 = phi.rebuild(32)
     q32 = q.resize(32)
-    staged = pull_back(pull_back(F32, psi, s), phi32, s)
-    direct = pull_back(F32, compose(psi, phi32), s)
+    staged = pull_back(pull_back(F32, psi), phi32)
+    direct = pull_back(F32, compose(psi, phi32))
     rows = band_indices(32, 2, 16)
     h_two = staged.hessian(q32).matrix
     h_one = direct.hessian(q32).matrix
@@ -334,11 +334,10 @@ def suite_sobolev_evidence(cfg: RunConfig) -> dict:
 
     # one sweep per level pair: (1,0->0) and (C0,0->0) are the same operator
     sweeps = {}
-    for key in sorted(SIGNATURES):
-        sig = SIGNATURES[key]
-        if (sig.dom, sig.cod) not in sweeps:
-            sweeps[sig.dom, sig.cod] = mult_norm_sweep(smooth_factor(max(sweep)), sig, N_sweep=sweep)
-        rep = sweeps[sig.dom, sig.cod]
+    for key, pair in sorted(SIGNATURES.items()):
+        if pair not in sweeps:
+            sweeps[pair] = mult_norm_sweep(smooth_factor(max(sweep)), key, N_sweep=sweep)
+        rep = sweeps[pair]
         checks.append(
             {
                 "name": f"smooth factor bounded at {key}",
@@ -368,7 +367,7 @@ def suite_sobolev_evidence(cfg: RunConfig) -> dict:
     slacks = {0.25: [], 0.5: [], 0.75: []}
     for _ in range(INTERPOLATION_SAMPLES):
         g = random_loop(rng, 1, top64, top_mode=5, amplitude=0.8)
-        T = mult_operator(g, "(1,1->1)")
+        T = mult_operator(g)
         for rep in check_interpolation(T, tuple(slacks), tol=INTERPOLATION_TOL):
             slacks[rep["s"]].append(rep["norm_s"] - rep["bound"] if rep["passed"] else float("inf"))
     worst = {sv: max(v) for sv, v in slacks.items()}

@@ -28,10 +28,9 @@ def min_grid_points(N: int) -> int:
     return 2 * ((3 * N + 1) // 2)
 
 
-def weighted_matrix(T: LevelOperator, a: float | None = None, b: float | None = None) -> np.ndarray:
+def weighted_matrix(T: LevelOperator, a: float, b: float) -> np.ndarray:
     """The dense complex W_b^{1/2} T W_a^{-1/2}, the reference every path is tested against."""
-    a = T.dom if a is None else check_level(a)
-    b = T.cod if b is None else check_level(b)
+    a, b = check_level(a), check_level(b)
     wa = _flat_weights(T.N, T.n, a)
     wb = _flat_weights(T.N, T.n, b)
     return np.sqrt(wb)[:, None] * T.matrix / np.sqrt(wa)[None, :]

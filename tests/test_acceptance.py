@@ -47,7 +47,7 @@ HOPM = {"restarts": 1, "iters": 80}
 def _quadratic_pullback(N, s=0.75):
     F = symplectic_action(quadratic_hamiltonian(), N)
     phi = SuperpositionMap(shear_chart(), s, N)
-    return F, phi, pull_back(F, phi, s)
+    return F, phi, pull_back(F, phi)
 
 
 def test_criterion_01_pullback_gradient_oracle(criterion):
@@ -94,7 +94,7 @@ def test_criterion_03_riesz_correction(criterion):
     F, phi, _ = _quadratic_pullback(64)
     rng = np.random.default_rng(2028)
     q = random_loop(rng, 2, 64, amplitude=0.4)
-    K = riesz_correction(F, phi, q, 0.75)
+    K = riesz_correction(F, phi, q)
     from floerlab.floer_map import d2phi
 
     g = F.gradient(apply(phi, q))
@@ -138,8 +138,8 @@ def test_criterion_04_fredholm_index_zero(criterion):
         by_N = {e["N"]: e["gap"] for e in rep.sweep}
         gaps_ok = gaps_ok and abs(by_N[256] - by_N[64]) / by_N[64] <= 0.02
 
-    sig32 = weighted_singular_values(identity_operator(32, 2, 1.0, 0.0))[-1]
-    sig256 = weighted_singular_values(identity_operator(256, 2, 1.0, 0.0))[-1]
+    sig32 = weighted_singular_values(identity_operator(32, 2), 1.0, 0.0)[-1]
+    sig256 = weighted_singular_values(identity_operator(256, 2), 1.0, 0.0)[-1]
     control_ok = sig32 >= 4.0 * sig256
     ok = dims_ok and gaps_ok and control_ok
     assert criterion(
@@ -156,7 +156,7 @@ def test_criterion_05_stein_weiss(criterion):
     ok = True
     for _ in range(50):
         g = random_loop(rng, 1, 64, top_mode=5, amplitude=1.0)
-        T = mult_operator(g, "(1,0->0)")
+        T = mult_operator(g)
         for rep in check_interpolation(T, (0.25, 0.5, 0.75), tol=1e-10):
             ok = ok and rep["passed"]
             worst_slack = max(worst_slack, rep["norm_s"] - rep["bound"])

@@ -210,10 +210,10 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
             raise FloatingPointError(f"kappa failed at N={phi.N}")
         return kappa(F, phi, q, s, **kw)
 
-    def failing_norm(T):
+    def failing_norm(T, a, b):
         if T.N == 64:
             raise LookupError(f"norm failed at N={T.N}")
-        return norm(T)
+        return norm(T, a, b)
 
     monkeypatch.setattr(cli, "kappa_bound_check", failing_kappa)
     monkeypatch.setattr(cli, "op_norm", failing_norm)

@@ -111,12 +111,12 @@ def test_quadratic_spectral_requires_symmetry():
 
     def skew(M):
         m = np.kron(np.diag(2j * np.pi * mode_numbers(M).astype(float)), np.eye(2))
-        return LevelOperator(m, 0.0, 0.0, M, 2)
+        return LevelOperator(m, M, 2)
 
     with pytest.raises(ValueError, match="symmetric"):
         quadratic_spectral(skew, N)
 
-    sym = quadratic_spectral(lambda M: identity_operator(M, 2, 0.0, 0.0), N)
+    sym = quadratic_spectral(lambda M: identity_operator(M, 2), N)
     q = _loop(8, N=N)
     assert abs(sym.value(q) - 0.5 * q.norm(0.0) ** 2) < 1e-12
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from floerlab.charts import c1_only_chart, inversion_chart, rotation_field_chart, shear_chart
+from floerlab import loop_atlas
+from floerlab.cli import RunConfig
 from floerlab.floer_map import SuperpositionMap, apply, dphi, invert, verify_floer_axioms
 from floerlab.loop_atlas import (
+    CORPUS_N,
     TRANSITIVITY_HOPM,
     TRANSITIVITY_N,
     TRANSITIVITY_N_SWEEP,
     EmptyOverlapError,
+    LoopAtlas,
     _pair_map,
     _union_reports,
     SphereChart,
@@ -23,6 +27,7 @@ from floerlab.loop_atlas import (
 )
 from floerlab.scale_operator import weighted_singular_values
 from floerlab.scale_space import FourierLoop, random_loop, to_grid
+from floerlab.suites import run_suite
 
 LIGHT = {"restarts": 1, "iters": 80}
 
@@ -205,3 +210,58 @@ def test_sphere_transition_jacobians_have_paired_singular_values():
         T = dphi(SuperpositionMap(chart, 0.75, N), q)
         for level in (0.0, -1.0):
             assert _pair_gap(T, level) > 1e-2, (chart.name, level)
+
+
+def _counting_verify(monkeypatch):
+    # the sample lists of every verify_floer_axioms call of the loop_atlas module
+    calls = []
+    verify = loop_atlas.verify_floer_axioms
+
+    def counting(phi, samples, *args, **kwargs):
+        calls.append(samples)
+        return verify(phi, samples, *args, **kwargs)
+
+    monkeypatch.setattr(loop_atlas, "verify_floer_axioms", counting)
+    return calls
+
+
+def test_loop_atlas_suite_verifies_each_sample_list_once_per_overlap(monkeypatch):
+    # the equatorial corpus lies in every chart, so every via-chart piece of
+    # an (a, c) overlap gets the same samples, and check_transitivity
+    # verifies them once per overlap
+    calls = _counting_verify(monkeypatch)
+    report = run_suite("loop_atlas", RunConfig(seed=0, negative_controls=True, workers=1))
+    assert report["verdict"] == "pass"
+    assert len(calls) == 21
+
+
+def test_transitivity_skips_a_piece_with_an_earlier_pieces_samples(monkeypatch):
+    calls = _counting_verify(monkeypatch)
+    rep = check_transitivity(*[sphere_small_loop_atlas()] * 3, max_samples=1)
+    assert rep["verdict"] == "pass" and rep["pieces_agree"]
+    assert len(rep["triples"]) == 8  # every piece's residuals are still reported
+    assert len(calls) == 4  # one verify per (a, c): both via-charts get the same sample
+
+
+def _polar_circle(sign, r=0.3):
+    # a circle of radius r about the pole sign * e_y, held at CORPUS_N
+    N = CORPUS_N
+    c = np.zeros((2 * N + 1, 3), dtype=complex)
+    c[N + 1, 0] = c[N - 1, 0] = 0.5 * r
+    c[N, 1] = sign * np.sqrt(1.0 - r * r)
+    c[N + 1, 2], c[N - 1, 2] = -0.5j * r, 0.5j * r
+    return FourierLoop(c)
+
+
+def test_transitivity_verifies_each_piece_with_its_own_samples(monkeypatch):
+    # the frames rotated by a right angle about x have their poles at +y and
+    # -y, so a circle about either pole lies in north and south but in only
+    # one rotated chart: the two pieces of (north, south) get different samples
+    calls = _counting_verify(monkeypatch)
+    sphere, rotated = sphere_small_loop_atlas(), rotated_sphere_atlas(np.pi / 2)
+    A, C = (LoopAtlas(charts=[sphere.chart(name)], s=sphere.s) for name in ("north", "south"))
+    rep = check_transitivity(A, rotated, C, corpus=[_polar_circle(1.0), _polar_circle(-1.0)])
+    assert rep["verdict"] == "pass"
+    assert [(t["via"], t["overlap"]) for t in rep["triples"]] == [(b.name, 1) for b in rotated.charts]
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0][0].coeffs, calls[1][0].coeffs)

@@ -43,7 +43,7 @@ OPERATORS = {
     "blocks-2": lambda N: _random_structured("blocks", N, 2, seed=N + 1),
     "factor+blocks-1": lambda N: _random_structured("factor+blocks", N, 1, seed=N + 2),
     "factor+blocks-2": lambda N: _random_structured("factor+blocks", N, 2, seed=N + 2),
-    "smooth-1": lambda N: mult_operator(smooth_factor(N), "(1,1->1)"),
+    "smooth-1": lambda N: mult_operator(smooth_factor(N)),
     "dense-1": lambda N: _reality_preserving(np.random.default_rng(N), N, 1),
     "composed-2": lambda N: _composed(N, 6),
 }
@@ -52,7 +52,7 @@ OPERATORS = {
 def _interpolation_factors(count, N=64):
     # drawn as the sobolev_evidence suite draws its interpolation factors
     rng = np.random.default_rng(0)
-    return [mult_operator(random_loop(rng, 1, N, top_mode=5, amplitude=0.8), "(1,1->1)") for _ in range(count)]
+    return [mult_operator(random_loop(rng, 1, N, top_mode=5, amplitude=0.8)) for _ in range(count)]
 
 
 def _eigensolve(T, a, b):
@@ -108,7 +108,7 @@ def test_one_call_mixes_iterations_on_the_form_with_the_symmetric_and_gram_pairs
     # smooth (1,1->1) at N = 64: alone, (1, -1) and (1, 1) are certified
     # matrix-free; with the clustered (0, 0), self-adjoint, and (0.25, 0.25)
     # the call builds the form first, and both iterate on it by dense matvecs
-    T = mult_operator(smooth_factor(64), "(1,1->1)")
+    T = mult_operator(smooth_factor(64))
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
     assert all(_matrix_free_alone(T, a, b) is not None for a, b in pairs[1:3])
     events = []
@@ -162,7 +162,7 @@ def _symbol_cases():
     north, south = atlas.chart("north"), atlas.chart("south")
     for N in (16, 64):
         for factor in (smooth_factor(N), rough_factor(N)):
-            T = mult_operator(factor, "(1,1->1)")
+            T = mult_operator(factor)
             cases += [(T, (s, s)) for s in INTERPOLATION_LEVELS + (-1.0,)] + [(T, p) for p in unequal]
         q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
         D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
@@ -199,7 +199,7 @@ def _hermitian_blocks_operator(N, seed):
     f = rng.normal(size=(default_grid_points(N), 2, 2))
     J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     blocks = (2j * np.pi * mode_numbers(N))[:, None, None] * J0
-    return LevelOperator(None, 0.0, 0.0, N, 2, factor=f + f.transpose(0, 2, 1), blocks=blocks)
+    return LevelOperator(None, N, 2, factor=f + f.transpose(0, 2, 1), blocks=blocks)
 
 
 def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
@@ -222,7 +222,7 @@ def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
     D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)  # the shear Jacobian is not symmetric
     skew = _hermitian_blocks_operator(N, 6)
-    skew = LevelOperator(None, 0.0, 0.0, N, 2, factor=skew.factor, blocks=1j * skew.blocks)  # anti-Hermitian
+    skew = LevelOperator(None, N, 2, factor=skew.factor, blocks=1j * skew.blocks)  # anti-Hermitian
     dense = _reality_preserving(np.random.default_rng(N), N, 1)
     steps = []
     kato_temple = scale_operator._kato_temple
@@ -232,7 +232,7 @@ def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
         assert op_norm(T, 0.0, 0.0) == _gram_norm(T, 0.0, 0.0), T
     assert steps == []  # D's clustered top is screened out; the others take no power step
     # a self-adjoint operator off level 0 keeps the Gram too
-    T = mult_operator(smooth_factor(N), "(1,0->0)")
+    T = mult_operator(smooth_factor(N))
     assert op_norm(T, 0.25, 0.25) == _gram_norm(T, 0.25, 0.25)
 
 
@@ -240,7 +240,7 @@ def _pulled_back_hessian(N):
     # the pullback suite's Hessian: the quadratic action pulled back through the shear chart
     F = symplectic_action(quadratic_hamiltonian(), N)
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-    return pull_back(F, SuperpositionMap(shear_chart(), 0.75, N), 0.75).hessian(q)
+    return pull_back(F, SuperpositionMap(shear_chart(), 0.75, N)).hessian(q)
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -288,7 +288,7 @@ def test_pullback_suite_takes_power_steps_only_on_multiplication_operators(monke
 def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
     # one open pair, and two open of three: each Gram top reads its pair's
     # form before the next pair is weighed, the one-pair real form bit for bit
-    T = mult_operator(smooth_factor(64), "(1,1->1)")
+    T = mult_operator(smooth_factor(64))
     read = []
     gram_top = scale_operator._gram_top
     monkeypatch.setattr(scale_operator, "_gram_top", lambda R: read.append(_bits(R).copy()) or gram_top(R))
@@ -303,11 +303,11 @@ def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
 def test_level_zero_cell_at_512_holds_one_form_and_its_build():
     # the sweep's level-0 cell: one real form (d^2 doubles) and the
     # temporaries of its blocked build, and no Gram
-    T = mult_operator(smooth_factor(512), "(1,0->0)")
+    T = mult_operator(smooth_factor(512))
     d = 2 * T.N + 1
     tracemalloc.start()
     try:
-        op_norm(T)
+        op_norm(T, 0.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,12 +317,12 @@ def test_level_zero_cell_at_512_holds_one_form_and_its_build():
 def test_isolated_top_at_512_builds_no_form(monkeypatch):
     # the sweep's (1,1->1) cell is certified from the symbol and FFT matvecs:
     # no real form, and a peak of about 0.024 x 8 d^2 bytes, measured
-    T = mult_operator(smooth_factor(512), "(1,1->1)")
+    T = mult_operator(smooth_factor(512))
     d = 2 * T.N + 1
     monkeypatch.setattr(scale_operator, "_cos_sin_form", _no_form)
     tracemalloc.start()
     try:
-        norm = op_norm(T)
+        norm = op_norm(T, 1.0, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -347,7 +347,7 @@ def _assert_symbol_certified_against_svd(T, a, b):
 @pytest.mark.parametrize("N", [16, 64, 512])
 def test_symbol_certified_smooth_norm_and_its_dual_match_the_svd(N):
     # 2 theta > F cannot see this top: only the symbol's one-deletion bound admits it
-    T = mult_operator(smooth_factor(N), "(1,1->1)")
+    T = mult_operator(smooth_factor(N))
     for level in (1.0, -1.0):
         frob, screen, lower, second = _symbol_pass(T, level, level)
         assert screen <= frob / 2 and lower > second
@@ -369,7 +369,7 @@ def test_certified_values_are_within_1e13_of_the_svd_and_never_below(N):
     # both matrix-free and on the form: each pair alone, and all pairs in
     # one call, which the level-0 pair sends to the form; "never below" up
     # to the SVD's own rounding, 1e-15 relative, as everywhere else here
-    operators = [mult_operator(f, "(1,1->1)") for f in (smooth_factor(N), rough_factor(N))]
+    operators = [mult_operator(f) for f in (smooth_factor(N), rough_factor(N))]
     operators += [_kappa_correction(N, 2), OPERATORS["factor-2"](N)]
     pairs = PAIRS + [(1.0, -1.0), (0.75, 0.0)]
     certified = {"alone": 0, "on the form": 0}

@@ -59,10 +59,13 @@ def test_low_signature_norm_approaches_sup():
 
 def test_sup_signature_matches_low_signature_numerically():
     g = smooth_factor(64)
-    a = mult_operator(g, "(1,0->0)")
-    b = mult_operator(g, "(C0,0->0)")
+    a = mult_operator(g)
+    b = mult_operator(g)
     assert np.max(np.abs(a.matrix - b.matrix)) == 0.0
-    assert (b.dom, b.cod) == (0.0, 0.0)
+    # both signatures read the one operator at the same level pair
+    low = mult_norm_sweep(g, "(1,0->0)", N_sweep=(16, 32))
+    sup = mult_norm_sweep(g, "(C0,0->0)", N_sweep=(16, 32))
+    assert low["sweep"] == sup["sweep"] and sup["signature"] == "(C0,0->0)"
 
 
 def test_rough_factor_norms_grow_without_bound():
@@ -81,7 +84,7 @@ def test_one_point_sweeps_are_insufficient():
 
 def test_unknown_signature_rejected():
     with pytest.raises(ValueError, match="signature"):
-        mult_operator(smooth_factor(8), "(0,0->0)")
+        mult_norm_sweep(smooth_factor(8), "(0,0->0)")
 
 
 def test_dual_pairing_associates():
@@ -161,7 +164,7 @@ def test_suite_worst_slack_is_the_largest_slack_over_the_samples():
     rng = np.random.default_rng(3)  # the suite's rng, seed + 3; the interpolation samples are its first draws
     worst = {}
     for _ in range(INTERPOLATION_SAMPLES):
-        T = mult_operator(random_loop(rng, 1, 64, top_mode=5, amplitude=0.8), "(1,1->1)")
+        T = mult_operator(random_loop(rng, 1, 64, top_mode=5, amplitude=0.8))
         for rep in check_interpolation(T, (0.25, 0.5, 0.75)):
             worst[str(rep["s"])] = max(worst.get(str(rep["s"]), -np.inf), rep["norm_s"] - rep["bound"])
     assert check["passed"]

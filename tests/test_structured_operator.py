@@ -106,10 +106,10 @@ def _producers(N, seed):
     V = np.einsum("gi,gijk->gjk", grad, phi.chart.hessian(phi.sample_values(q)))
     d = (2 * N + 1) * 2
     out = [
-        ("mult", mult_operator(g, "(-1,1->-1)"), multiplication_matrix(to_grid(g, G)[:, 0], N)),
+        ("mult", mult_operator(g), multiplication_matrix(to_grid(g, G)[:, 0], N)),
         ("dphi", dphi(phi, q), multiplication_matrix(jac, N)),
-        ("riesz", riesz_correction(F, phi, q, 0.75), multiplication_matrix(V, N) / np.ones(d)[:, None]),
-        ("identity", identity_operator(N, 2, 1.0, 0.0), np.eye(d, dtype=complex)),
+        ("riesz", riesz_correction(F, phi, q), multiplication_matrix(V, N) / np.ones(d)[:, None]),
+        ("identity", identity_operator(N, 2), np.eye(d, dtype=complex)),
         ("derivative", derivative_operator(N, 2), np.diag(np.repeat(2j * np.pi * mode_numbers(N).astype(float), 2))),
     ]
     for H in (quadratic_hamiltonian(), driven_hamiltonian()):
@@ -130,7 +130,7 @@ def test_producers_build_the_parent_matrix_bit_for_bit(N):
             assert np.array_equal(_bits(T.matrix), _bits(old)), name
 
 
-def test_matrix_is_built_once_and_shared_by_with_levels(monkeypatch):
+def test_matrix_is_built_once(monkeypatch):
     built = []
     real = scale_operator.toeplitz_rows
     monkeypatch.setattr(
@@ -138,10 +138,8 @@ def test_matrix_is_built_once_and_shared_by_with_levels(monkeypatch):
     )
     for name, T, _ in _producers(8, 1):
         before = len(built)
-        lazy = T.with_levels(2.0, 1.0)  # taken before the matrix exists: keeps the structure only
         m = T.matrix
-        assert T.matrix is m and T.with_levels(0.0, -1.0).matrix is m, name
-        assert lazy.factor is T.factor and lazy.blocks is T.blocks, name
+        assert T.matrix is m, name
         if T.factor is not None:
             assert len(built) == before + 1, name
     # blocks-only operators never read a symbol
@@ -151,7 +149,7 @@ def test_matrix_is_built_once_and_shared_by_with_levels(monkeypatch):
 def test_structured_mode_blocks_agree_with_the_dense_test():
     N = 16
     for name, T, old in _producers(N, 2):
-        dense = LevelOperator(old, T.dom, T.cod, N, T.n)
+        dense = LevelOperator(old, N, T.n)
         blocks, expected = _mode_blocks(T), _mode_blocks(dense)
         assert (blocks is None) == (expected is None), name
         if blocks is not None:
@@ -188,14 +186,14 @@ def test_toeplitz_rows_are_the_rows_of_the_matrix(shape, N):
 
 
 def _random_structured(kind, N, n, seed, grid=default_grid_points):
-    """A factor-only, blocks-only or factor+blocks operator with random entries, annotated 1 -> 0."""
+    """A factor-only, blocks-only or factor+blocks operator with random entries."""
     rng = np.random.default_rng(seed)
     factor = rng.normal(size=(grid(N), n, n)) if "factor" in kind else None
     blocks = None
     if "blocks" in kind:
         b = rng.normal(size=(2 * N + 1, n, n)) + 1j * rng.normal(size=(2 * N + 1, n, n))
         blocks = 0.5 * (b + np.conj(b[::-1]))  # mirrored bit for bit: block -k is conj(block k)
-    return LevelOperator(None, 1.0, 0.0, N, n, factor=factor, blocks=blocks)
+    return LevelOperator(None, N, n, factor=factor, blocks=blocks)
 
 
 REAL_FORM_LEVELS = [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, 0.0), (0.75, 0.25)]
@@ -206,7 +204,7 @@ REAL_FORM_LEVELS = [(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0), (1.0, 0.0), (0.75, 0.2
 @pytest.mark.parametrize("N", [16, 64])
 def test_real_form_from_the_structure_is_the_matrix_rows_bit_for_bit(kind, n, N):
     T = _random_structured(kind, N, n, seed=10 * N + n)
-    built = T.with_levels(T.dom, T.cod)
+    built = LevelOperator(None, N, n, factor=T.factor, blocks=T.blocks)
     built.matrix  # built on this copy only, so its real form reads the rows of .matrix
     for a, b in REAL_FORM_LEVELS:
         assert np.array_equal(_bits(_real_form(T, a, b)), _bits(_real_form(built, a, b))), (a, b)
@@ -235,7 +233,6 @@ def test_apply_sums_and_level_zero_adjoint_keep_the_structure(kind, n, grid, N):
     y = T.apply(c).flat_coeffs()
     total, diff, adj = T + S, T - S, adjoint(T)
     _assert_structured(T, S, total, diff, adj)  # none of them built .matrix
-    assert (adj.dom, adj.cod) == (T.cod, T.dom)
 
     m, ms = T.matrix, S.matrix
     scale = max(float(np.max(np.abs(m))), float(np.max(np.abs(ms))))
@@ -243,7 +240,7 @@ def test_apply_sums_and_level_zero_adjoint_keep_the_structure(kind, n, grid, N):
     assert np.max(np.abs(total.matrix - (m + ms))) <= 4 * np.finfo(float).eps * scale
     assert np.max(np.abs(diff.matrix - (m - ms))) <= 4 * np.finfo(float).eps * scale
     # the dense level-0 adjoint; equal, but not bit for bit: the conjugation flips signs of zeros
-    dense = adjoint(LevelOperator(m, T.dom, T.cod, N, n))
+    dense = adjoint(LevelOperator(m, N, n))
     assert np.array_equal(adj.matrix, dense.matrix)
 
 
@@ -251,8 +248,8 @@ def test_dense_operands_other_grids_and_products_stay_dense():
     N, n = 16, 2
     T = _random_structured("factor+blocks", N, n, seed=1)
     odd = _random_structured("factor", N, n, seed=2, grid=GRIDS[1])
-    dense = LevelOperator(_random_structured("factor", N, n, seed=3).matrix, 1.0, 0.0, N, n)
-    inclusion = identity_operator(N, n, 1.0, 1.0)
+    dense = LevelOperator(_random_structured("factor", N, n, seed=3).matrix, N, n)
+    inclusion = identity_operator(N, n)
     cases = [
         (T + dense, lambda: T.matrix + dense.matrix),
         (T - odd, lambda: T.matrix - odd.matrix),
@@ -261,7 +258,7 @@ def test_dense_operands_other_grids_and_products_stay_dense():
     ]
     for op, parent in cases:
         assert op.factor is None and op.blocks is None
-        ref = LevelOperator(parent(), op.dom, op.cod, N, n)
+        ref = LevelOperator(parent(), N, n)
         assert np.array_equal(_bits(op.matrix), _bits(ref.matrix))
 
 
@@ -293,26 +290,26 @@ def _kappa_correction(N, seed, s=0.75):
     F = symplectic_action(quadratic_hamiltonian(), N)
     phi = SuperpositionMap(shear_chart(), s, N)
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
-    return riesz_correction(F, phi, q, s).with_levels(1.0 + s, 1.0)
+    return riesz_correction(F, phi, q)
 
 
-def _svd_top(T):
-    return np.linalg.svd(_real_form(T, T.dom, T.cod), compute_uv=False)[0]
+def _svd_top(T, a, b):
+    return np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
 
 
 def _no_form(T):
     raise AssertionError("a real form was built")
 
 
-def _assert_certified_against_svd(T):
-    top = _matrix_free_alone(T, T.dom, T.cod)
+def _assert_certified_against_svd(T, a, b):
+    top = _matrix_free_alone(T, a, b)
     assert top is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scale_operator, "_cos_sin_form", _no_form)
-        norm = op_norm(T)
+        norm = op_norm(T, a, b)
     assert norm == float(np.sqrt(top))
     assert "matrix" not in vars(T)  # the certificate came from the symbol alone
-    oracle = _svd_top(T)
+    oracle = _svd_top(T, a, b)
     assert norm >= oracle * (1.0 - 1e-15)
     assert abs(norm - oracle) <= 1e-13 * oracle
 
@@ -321,14 +318,14 @@ def _assert_certified_against_svd(T):
 @pytest.mark.parametrize("N, seeds", [(16, range(12)), (64, range(12)), (512, (0, 3, 8))])
 def test_fft_certified_correction_norm_matches_the_dense_svd(N, seeds):
     for seed in seeds:
-        K2 = _kappa_correction(N, seed)
-        assert K2.factor is not None and K2.blocks is None
-        _assert_certified_against_svd(K2)
+        K = _kappa_correction(N, seed)
+        assert K.factor is not None and K.blocks is None
+        _assert_certified_against_svd(K, 1.75, 1.0)  # read H_{1+s} -> H_1, s = 0.75
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])
 def test_fft_certified_multiplication_norm_at_the_dual_signature(N):
-    _assert_certified_against_svd(mult_operator(smooth_factor(N), "(-1,1->-1)"))
+    _assert_certified_against_svd(mult_operator(smooth_factor(N)), 1.0, -1.0)
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -338,7 +335,7 @@ def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
     D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
     assert np.max(np.abs(D.factor - D.factor.transpose(0, 2, 1))) > 0.5
-    _assert_certified_against_svd(D.with_levels(*levels))
+    _assert_certified_against_svd(D, *levels)
 
 
 @pytest.mark.parametrize("N", [16, 64, 512])
@@ -348,10 +345,10 @@ def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N
     steps, grams = [], []
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
     monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
-    T = mult_operator(smooth_factor(N), "(1,0->0)")
-    assert _matrix_free_alone(T, T.dom, T.cod) is None
-    norm = op_norm(T)
-    assert norm == _symmetric_norm(T, T.dom, T.cod)
+    T = mult_operator(smooth_factor(N))
+    assert _matrix_free_alone(T, 0.0, 0.0) is None
+    norm = op_norm(T, 0.0, 0.0)
+    assert norm == _symmetric_norm(T, 0.0, 0.0)
     assert steps == [] and grams == []
-    oracle = np.linalg.svd(_real_form(T, T.dom, T.cod), compute_uv=False)[0]
+    oracle = np.linalg.svd(_real_form(T, 0.0, 0.0), compute_uv=False)[0]
     assert abs(norm - oracle) <= 1e-13 * oracle

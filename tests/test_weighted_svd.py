@@ -55,7 +55,7 @@ def _riesz(N, seed):
     F = symplectic_action(driven_hamiltonian(), N)
     phi = SuperpositionMap(shear_chart(), 0.75, N)
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
-    return riesz_correction(F, phi, q, 0.75)
+    return riesz_correction(F, phi, q)
 
 
 def _composed_factors(N, seed):
@@ -64,7 +64,7 @@ def _composed_factors(N, seed):
     phi = SuperpositionMap(shear_chart(), 0.75, N)
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     D = dphi(phi, q)
-    return adjoint(D), F.hessian(apply(phi, q)), D.with_levels(1.0, 1.0)
+    return adjoint(D), F.hessian(apply(phi, q)), D
 
 
 def _composed(N, seed):
@@ -75,12 +75,12 @@ def _composed(N, seed):
 # kinds: block-diagonal, multiplication, and "complex", dense operators with
 # complex entries; the last two are real by construction and take the real path
 CASES = [
-    ("block", lambda N: identity_operator(N, 1, 1.0, 0.0)),
-    ("block", lambda N: identity_operator(N, 2, 2.0, -1.0)),
+    ("block", lambda N: identity_operator(N, 1)),
+    ("block", lambda N: identity_operator(N, 2)),
     ("block", lambda N: derivative_operator(N, 1)),
     ("block", lambda N: derivative_operator(N, 2)),
-    ("real", lambda N: mult_operator(smooth_factor(N), "(1,1->1)")),
-    ("real", lambda N: mult_operator(rough_factor(N), "(-1,1->-1)")),
+    ("real", lambda N: mult_operator(smooth_factor(N))),
+    ("real", lambda N: mult_operator(rough_factor(N))),
     ("real", lambda N: _riesz(N, 3)),
     ("complex", lambda N: _reality_preserving(np.random.default_rng(4), N, 1)),
     ("complex", lambda N: _reality_preserving(np.random.default_rng(5), N, 2)),
@@ -104,7 +104,7 @@ def test_structured_paths_match_dense_svd(kind, build, N):
 @pytest.mark.parametrize("N", [4, 16, 48])
 @pytest.mark.parametrize("kind, build", CASES)
 def test_op_norm_matches_dense_svd(kind, build, N):
-    # (1.75, 1) are the levels of K2 = riesz_correction in the kappa check at s = 0.75
+    # (1.75, 1) are the levels the kappa check reads riesz_correction at, s = 0.75
     T = build(N)
     for a, b in LEVEL_PAIRS + [(1.75, 1.0)]:
         assert _path(T) == ("block" if kind == "block" else "real")
@@ -120,37 +120,40 @@ def test_composed_product_keeps_the_raw_singular_values(N):
     rev = _mirror(N, 2)
     assert not np.array_equal(raw[np.ix_(rev, rev)], raw.conj())  # the raw product is not mirrored
     T = _composed(N, 6)
-    wa, wb = (np.repeat(np.sqrt(weights(N, s)), 2) for s in (T.dom, T.cod))
+    wa, wb = (np.repeat(np.sqrt(weights(N, s)), 2) for s in (1.0, 0.0))
     oracle = np.linalg.svd(wb[:, None] * raw / wa[None, :], compute_uv=False)
-    sv = weighted_singular_values(T)
+    sv = weighted_singular_values(T, 1.0, 0.0)
     assert np.max(np.abs(sv - oracle)) <= 1e-13 * oracle[0]
 
 
 @pytest.mark.parametrize("N, n", [(4, 1), (16, 2)])
 def test_op_norm_of_zero_operator_is_exactly_zero(N, n):
     d = (2 * N + 1) * n
-    zero = LevelOperator(np.zeros((d, d)), 1.0, 0.0, N, n)
+    zero = LevelOperator(np.zeros((d, d)), N, n)
     for a, b in LEVEL_PAIRS:
         assert op_norm(zero, a, b) == 0.0
 
 
+# the levels H_{1+s} -> H_1, s = 0.75, at which the kappa check reads the Riesz correction
+KAPPA_LEVELS = (1.75, 1.0)
+
+
 def _kappa_correction(N, seed, s=0.75):
-    # K2 of the kappa check: the Riesz correction read H_{1+s} -> H_1
     F = symplectic_action(quadratic_hamiltonian(), N)
     phi = SuperpositionMap(shear_chart(), s, N)
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
-    return riesz_correction(F, phi, q, s).with_levels(1.0 + s, 1.0)
+    return riesz_correction(F, phi, q)
 
 
 @pytest.mark.parametrize("N", [16, 64, 128])
 def test_correction_is_certified_and_multiplication_is_not(N):
-    K2 = _kappa_correction(N, 1)
-    assert _matrix_free_alone(K2, K2.dom, K2.cod) is not None
+    K = _kappa_correction(N, 1)
+    assert _matrix_free_alone(K, *KAPPA_LEVELS) is not None
     # the top of a multiplication operator's spectrum is a cluster near sup |g|;
     # at level 0 the operator is self-adjoint and takes the symmetric eigensolve
-    T = mult_operator(smooth_factor(N), "(1,0->0)")
-    assert _matrix_free_alone(T, T.dom, T.cod) is None
-    assert op_norm(T) == _symmetric_norm(T, T.dom, T.cod)
+    T = mult_operator(smooth_factor(N))
+    assert _matrix_free_alone(T, 0.0, 0.0) is None
+    assert op_norm(T, 0.0, 0.0) == _symmetric_norm(T, 0.0, 0.0)
 
 
 def test_second_singular_value_does_not_pass_for_the_first():
@@ -214,17 +217,17 @@ def test_stalled_power_iteration_gives_up_early(monkeypatch, N):
 @pytest.mark.parametrize("N", [16, 64, 128])
 def test_certified_norm_is_never_below_the_dense_one(N):
     for seed in range(12):
-        K2 = _kappa_correction(N, seed)
-        norm = op_norm(K2)
-        oracle = np.linalg.svd(weighted_matrix(K2), compute_uv=False)[0]
-        for dense in (oracle, _gram_norm(K2, K2.dom, K2.cod)):
+        K = _kappa_correction(N, seed)
+        norm = op_norm(K, *KAPPA_LEVELS)
+        oracle = np.linalg.svd(weighted_matrix(K, *KAPPA_LEVELS), compute_uv=False)[0]
+        for dense in (oracle, _gram_norm(K, *KAPPA_LEVELS)):
             assert norm >= dense * (1.0 - 1e-15)
             assert abs(norm - dense) <= 1e-13 * dense
 
 
 def test_real_form_spans_several_row_blocks():
     # d = 1050 exceeds the fixed row block, so the blocked assembly is exercised
-    T = mult_operator(rough_factor(262), "(1,0->0)")
+    T = mult_operator(rough_factor(262))
     sv = weighted_singular_values(T, 2.0, -1.0)
     oracle = np.linalg.svd(weighted_matrix(T, 2.0, -1.0), compute_uv=False)
     assert _path(T) == "real"
@@ -232,13 +235,13 @@ def test_real_form_spans_several_row_blocks():
 
 
 def test_broken_mirror_entry_is_mirrored_away_or_rejected():
-    T = mult_operator(smooth_factor(8), "(1,0->0)")
+    T = mult_operator(smooth_factor(8))
     # a matrix that is mirrored bit for bit comes back with the same bits
-    same = LevelOperator(T.matrix, 0.0, 0.0, 8, 1).matrix
+    same = LevelOperator(T.matrix, 8, 1).matrix
     assert np.array_equal(same.view(np.uint64), T.matrix.view(np.uint64))
     m = T.matrix.copy()
     m[3, 5] += 1e-15
-    healed = LevelOperator(m, 0.0, 0.0, 8, 1).matrix
+    healed = LevelOperator(m, 8, 1).matrix
     rev = _mirror(8, 1)
     assert np.array_equal(healed[np.ix_(rev, rev)], healed.conj())
     assert np.max(np.abs(healed - T.matrix)) <= 1e-15
@@ -248,10 +251,10 @@ def test_broken_mirror_entry_is_mirrored_away_or_rejected():
         broken = T.matrix.copy()
         broken[3, 5] += step * REALITY_RTOL * scale
         if accepted:
-            LevelOperator(broken, 0.0, 0.0, 8, 1)
+            LevelOperator(broken, 8, 1)
         else:
             with pytest.raises(ValueError, match="reality structure"):
-                LevelOperator(broken, 0.0, 0.0, 8, 1)
+                LevelOperator(broken, 8, 1)
 
 
 @pytest.mark.parametrize("N", [5, 8, 33])
