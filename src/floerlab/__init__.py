@@ -32,9 +32,7 @@ from .floer_function import (
 from .floer_map import (
     BilinearLevelMap,
     ChartDomainError,
-    SuperpositionMap,
     apply,
-    compose,
     d2phi,
     dphi,
     invert,

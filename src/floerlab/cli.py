@@ -24,7 +24,6 @@ import numpy as np
 
 from .charts import shear_chart
 from .floer_function import quadratic_hamiltonian, symplectic_action
-from .floer_map import SuperpositionMap, apply
 from .loop_atlas import (
     check_compatibility,
     check_transitivity,
@@ -97,6 +96,8 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -185,6 +186,7 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     that raises raises here as it would run alone.
     """
     rng = np.random.default_rng(cfg.seed)
+    F = symplectic_action(quadratic_hamiltonian())
     shear = shear_chart()
     rows = []  # (suite, N, s, quantity, cell, key of the cell's result or None)
     with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
@@ -193,7 +195,6 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
             iota = pool.submit(inclusion_singular_values, N, 2, 1.0, 0.0)
             rows.append(("scale_operator", N, "", "inclusion_sigma_min", iota, -1))
 
-            F = symplectic_action(quadratic_hamiltonian(), N)
             q = random_loop(rng, 2, N, amplitude=0.4)
             gap = pool.submit(weighted_singular_values, F.hessian(q), 1.0, 0.0)
             rows.append(("floer_function", N, "", "action_gap", gap, -1))
@@ -206,8 +207,7 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
                 rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair], None))
 
             for s in cfg.s:
-                phi = SuperpositionMap(shear, s, N)
-                check = pool.submit(kappa_bound_check, F, phi, q, s, hopm=LIGHT_HOPM)
+                check = pool.submit(kappa_bound_check, F, shear, q, s, hopm=LIGHT_HOPM)
                 rows.append(("pullback", N, f"{s:g}", "kappa", check, "kappa"))
                 rows.append(("pullback", N, f"{s:g}", "correction_norm", check, "K_norm"))
         return [
@@ -238,12 +238,12 @@ def cmd_demo(name: str) -> int:
 def _demo_pullback() -> int:
     rng = np.random.default_rng(0)
     s, N = 0.75, 64
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     samples = [random_loop(rng, 2, N, amplitude=0.4) for _ in range(2)]
     cert = certify_pullback(F, phi, s, samples, N_sweep=(16, 32, 64), hopm=LIGHT_HOPM)
 
-    print(f"Pulling {F.name} back through {phi.chart.name} at s={s}, N={N}")
+    print(f"Pulling {F.name} back through {phi.name} at s={s}, N={N}")
     print()
     print("Gradient")
     grad = cert["gradient"]

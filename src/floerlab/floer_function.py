@@ -115,61 +115,66 @@ def driven_hamiltonian() -> HamiltonianData:
 class FloerFunctionNumeric:
     """A function on truncated loop space with its calculus: value, gradient, Hessian.
 
-    hessian(q) is the one Hessian, read H_1 -> H_0; its restriction
-    H_2 -> H_1 has the same coefficients, so callers choose the level pair
-    through the a, b arguments of op_norm, weighted_singular_values and
-    fredholm_diagnostic; the gradient's restriction is likewise checked in
-    the level-1 norm.  rebuild re-instantiates the same function at
-    another truncation for N-sweeps.
+    One object serves every truncation: value, gradient and hessian read
+    N from the loop they are given, so an N-sweep resizes the loops and
+    keeps the function.  hessian(q) is the one Hessian, read H_1 -> H_0;
+    its restriction H_2 -> H_1 has the same coefficients, so callers
+    choose the level pair through the a, b arguments of op_norm,
+    weighted_singular_values and fredholm_diagnostic; the gradient's
+    restriction is likewise checked in the level-1 norm.
     """
 
     n: int
-    N: int
     value: Callable[[FourierLoop], float]
     gradient: Callable[[FourierLoop], FourierLoop]
     hessian: Callable[[FourierLoop], LevelOperator]
-    rebuild: Callable[[int], "FloerFunctionNumeric"]
     name: str = ""
 
 
-def symplectic_action(H: HamiltonianData, N: int) -> FloerFunctionNumeric:
-    """The perturbed action as a FloerFunctionNumeric at truncation N."""
+def symplectic_action(H: HamiltonianData) -> FloerFunctionNumeric:
+    """The perturbed action as a FloerFunctionNumeric, at the truncation u.N of each loop u.
+
+    The Hamiltonian term is sampled on the default grid of u.N.
+    """
     dim = H.dim
     J0 = standard_symplectic_matrix(dim)
-    G = default_grid_points(N)
-    t = grid_times(G)
-    k = mode_numbers(N).astype(float)
+
+    def times_and_modes(u: FourierLoop) -> tuple[np.ndarray, np.ndarray]:
+        return grid_times(default_grid_points(u.N)), mode_numbers(u.N).astype(float)
 
     def value(u: FourierLoop) -> float:
+        t, k = times_and_modes(u)
         du = 2j * np.pi * k[:, None] * u.coeffs
         sympl = 0.5 * float(np.real(np.sum((du @ J0.T) * np.conj(u.coeffs))))
-        return sympl - float(np.mean(H.value(t, to_grid(u, G))))
+        return sympl - float(np.mean(H.value(t, to_grid(u))))
 
     def gradient(u: FourierLoop) -> FourierLoop:
+        t, k = times_and_modes(u)
         du = 2j * np.pi * k[:, None] * u.coeffs
-        force = from_grid(H.grad_x(t, to_grid(u, G)), N)
+        force = from_grid(H.grad_x(t, to_grid(u)), u.N)
         return FourierLoop(du @ J0.T - force.coeffs)
 
     def hessian(u: FourierLoop) -> LevelOperator:
         # multiplication by -hess_x H along u, plus 2 pi i k J0 on the mode blocks
-        well = np.negative(H.hess_x(t, to_grid(u, G)))
+        t, k = times_and_modes(u)
+        well = np.negative(H.hess_x(t, to_grid(u)))
         blocks = (2j * np.pi * k)[:, None, None] * J0
-        return LevelOperator(None, N, dim, factor=well, blocks=blocks)
+        return LevelOperator(None, u.N, dim, factor=well, blocks=blocks)
 
     return FloerFunctionNumeric(
         n=dim,
-        N=N,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        rebuild=lambda M: symplectic_action(H, M),
         name=f"action[{H.name}]",
     )
 
 
-def quadratic_spectral(op_builder: Callable[[int], LevelOperator], N: int) -> FloerFunctionNumeric:
-    """f(u) = 1/2 <L u, u>_0 for a level-0 symmetric operator family L(N)."""
-    L = op_builder(N)
+def quadratic_spectral(L: LevelOperator) -> FloerFunctionNumeric:
+    """f(u) = 1/2 <L u, u>_0 for one level-0 symmetric operator L, on loops of L's truncation.
+
+    Raises ValueError when L is not level-0 symmetric.
+    """
     if np.max(np.abs(L.matrix - adjoint(L).matrix)) > 1e-10 * max(
         1.0, float(np.max(np.abs(L.matrix)))
     ):
@@ -183,11 +188,9 @@ def quadratic_spectral(op_builder: Callable[[int], LevelOperator], N: int) -> Fl
 
     return FloerFunctionNumeric(
         n=L.n,
-        N=N,
         value=value,
         gradient=gradient,
         hessian=lambda u: L,
-        rebuild=lambda M: quadratic_spectral(op_builder, M),
         name="quadratic_spectral",
     )
 
@@ -254,8 +257,7 @@ def gradient_axiom_check(
 
     sweep = []
     for M in sorted(N_sweep):
-        FM = F.rebuild(M)
-        worst = max(FM.gradient(q.resize(M)).norm(1.0) for q in samples)
+        worst = max(F.gradient(q.resize(M)).norm(1.0) for q in samples)
         sweep.append({"N": int(M), "norm": float(worst)})
     restr_ok = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL) == "stable"
     base = samples[0]
@@ -295,12 +297,11 @@ def hessian_axiom_check(
             fd = richardson_second(F.value, q, xi, eta)
             fd_err = max(fd_err, _rel(abs(fd - left), max(abs(left), scale)))
 
-    # one rebuilt Hessian per (N, sample), read at both level pairs
+    # one Hessian per (N, sample), read at both level pairs
     sweep2 = []
     family = {}
     for M in sorted(N_sweep):
-        FM = F.rebuild(M)
-        hessians = [FM.hessian(q.resize(M)) for q in samples]
+        hessians = [F.hessian(q.resize(M)) for q in samples]
         family[M] = hessians[0]
         worst = max(op_norm(A, 2.0, 1.0) for A in hessians)
         sweep2.append({"N": int(M), "norm": float(worst)})

@@ -1,13 +1,17 @@
 """Superposition maps between loop spaces and their scale-calculus checks.
 
-A chart Phi : U -> R^n induces the map phi(u) = Phi o u on loops.  On the
-truncated model, apply/dphi/d2phi are the exact value, derivative and
-second derivative of the discretized map (grid evaluation followed by
-mode truncation), so every chain-rule identity holds to roundoff for
-band-limited data, while the scale-theoretic content sits in which level
-pairs the derivative objects stay bounded on as the truncation grows.
+A chart Phi : U -> R^n induces the map phi(u) = Phi o u on loops, and
+the chart is all that represents it: apply/dphi/d2phi take the chart and
+read the truncation N, and with it the grid, from the loop they are
+given, so one chart serves every truncation.  On the truncated model
+they are the exact value, derivative and second derivative of the
+discretized map (grid evaluation followed by mode truncation), so every
+chain-rule identity holds to roundoff for band-limited data, while the
+scale-theoretic content sits in which level pairs the derivative objects
+stay bounded on as the truncation grows.
 
-The four extension axioms checked here, with s the map's level parameter:
+The four extension axioms checked here, with s the level that
+verify_floer_axioms is asked to read:
 
     (i)1   dphi(q) bounded on H_0, C^1 in q
     (i)2   dphi(q) bounded on H_{-1} (more regular base points), C^1 in q
@@ -38,7 +42,6 @@ from .charts import DEFAULT_MARGIN, DiffeoChart, compose_charts
 from .scale_operator import STABLE_RTOL, LevelOperator, op_norms, sweep_verdict
 from .scale_space import (
     FourierLoop,
-    default_grid_points,
     from_grid,
     grid_samples,
     half_spectrum,
@@ -267,72 +270,38 @@ def trilinear_norms(
     )
 
 
-@dataclass
-class SuperpositionMap:
-    """Loop-space map u -> Phi o u at truncation N with level parameter s.
-
-    s is meant to lie in (1/2, 1); values down to the failing range are
-    accepted so the negative controls can be run through the same checks.
-    """
-
-    chart: DiffeoChart
-    s: float
-    N: int
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("level parameter s must lie in (0, 1)")
-
-    @property
-    def n(self) -> int:
-        return self.chart.n
-
-    @property
-    def grid_points(self) -> int:
-        return default_grid_points(self.N)
-
-    def rebuild(self, N: int) -> "SuperpositionMap":
-        return SuperpositionMap(self.chart, self.s, N)
-
-    def sample_values(self, u: FourierLoop) -> np.ndarray:
-        vals = to_grid(u, self.grid_points)
-        if not self.chart.contains(vals):
-            raise ChartDomainError(
-                f"loop leaves the domain of chart {self.chart.name!r} (margin {DEFAULT_MARGIN})"
-            )
-        return vals
+def _samples(chart: DiffeoChart, u: FourierLoop) -> np.ndarray:
+    """u on the default grid of its truncation; raises ChartDomainError off the chart domain."""
+    vals = to_grid(u)
+    if not chart.contains(vals):
+        raise ChartDomainError(
+            f"loop leaves the domain of chart {chart.name!r} (margin {DEFAULT_MARGIN})"
+        )
+    return vals
 
 
-def apply(phi: SuperpositionMap, u: FourierLoop) -> FourierLoop:
-    """phi(u) = truncate(Phi o u); exact when Phi o u is band-limited."""
-    return from_grid(phi.chart.value(phi.sample_values(u)), phi.N)
+def apply(chart: DiffeoChart, u: FourierLoop) -> FourierLoop:
+    """phi(u) = truncate(Phi o u) at u's truncation; exact when Phi o u is band-limited."""
+    return from_grid(chart.value(_samples(chart, u)), u.N)
 
 
-def dphi(phi: SuperpositionMap, u: FourierLoop) -> LevelOperator:
+def dphi(chart: DiffeoChart, u: FourierLoop) -> LevelOperator:
     """Derivative at u: dealiased multiplication by the chart Jacobian along u."""
-    jac = phi.chart.jacobian(phi.sample_values(u))
-    return LevelOperator(None, phi.N, phi.n, factor=jac)
+    jac = chart.jacobian(_samples(chart, u))
+    return LevelOperator(None, u.N, chart.n, factor=jac)
 
 
-def d2phi(phi: SuperpositionMap, u: FourierLoop) -> BilinearLevelMap:
+def d2phi(chart: DiffeoChart, u: FourierLoop) -> BilinearLevelMap:
     """Second derivative at u as a bilinear map on loop pairs."""
-    hes = phi.chart.hessian(phi.sample_values(u))
-    return BilinearLevelMap(hes, phi.N)
+    hes = chart.hessian(_samples(chart, u))
+    return BilinearLevelMap(hes, u.N)
 
 
-def compose(psi: SuperpositionMap, phi: SuperpositionMap) -> SuperpositionMap:
-    """Composite map with chain-ruled chart derivatives through order 2."""
-    if psi.n != phi.n or psi.N != phi.N:
-        raise ValueError("maps must share dimension and truncation")
-    if psi.s != phi.s:
-        raise ValueError("maps must share the level parameter s")
-    return SuperpositionMap(compose_charts(psi.chart, phi.chart), phi.s, phi.N)
-
-
-def invert(phi: SuperpositionMap) -> SuperpositionMap:
-    if phi.chart.inverse is None:
-        raise ValueError(f"chart {phi.chart.name!r} carries no inverse")
-    return SuperpositionMap(phi.chart.inverse, phi.s, phi.N)
+def invert(chart: DiffeoChart) -> DiffeoChart:
+    """The inverse chart, whose map inverts chart's; ValueError when chart carries none."""
+    if chart.inverse is None:
+        raise ValueError(f"chart {chart.name!r} carries no inverse")
+    return chart.inverse
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +321,17 @@ class AxiomReport:
 
 
 def verify_floer_axioms(
-    phi: SuperpositionMap,
+    chart: DiffeoChart,
+    s: float,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
     hopm: dict | None = None,
 ) -> list[AxiomReport]:
-    """Run the four extension-axiom checks over an N-sweep.
+    """Run the four extension-axiom checks of chart's map at level s over an N-sweep.
+
+    s is meant to lie in (1/2, 1); values down to the failing range are
+    accepted so the negative controls can be run through the same checks,
+    and a value outside (0, 1) raises ValueError.
 
     Per axiom the report carries the worst sample norm at every N, the
     divided-difference continuity modulus at the largest N, and the
@@ -366,41 +340,42 @@ def verify_floer_axioms(
     between the first sample q and q + bump, over |bump|_1; the bump is
     MODULUS_STEP along q's unit direction.
 
-    Per N the map is rebuilt once, dphi and d2phi are built once per
-    sample, and one trilinear_norms call holds every sample at both the
-    (ii)1 and the (ii)2 levels, plus, at the largest N, the modulus
-    difference at both.
+    Per N the samples are resized once, dphi and d2phi are built once per
+    sample at that N, and one trilinear_norms call holds every sample at
+    both the (ii)1 and the (ii)2 levels, plus, at the largest N, the
+    modulus difference at both.
     """
+    if not 0.0 < s < 1.0:
+        raise ValueError("level parameter s must lie in (0, 1)")
     hopm = dict(hopm or {})
     Ns = sorted(N_sweep)
-    second = [(phi.s, 0.0, 0.0), (1.0 + phi.s, -1.0, -1.0)]  # (ii)1, (ii)2
+    second = [(s, 0.0, 0.0), (1.0 + s, -1.0, -1.0)]  # (ii)1, (ii)2
     norms = {axiom: [] for axiom in AXIOMS}
     for N in Ns:
-        phN = phi.rebuild(N)
         qs = [q.resize(N) for q in samples]
-        first = dphi(phN, qs[0])  # kept: the modulus at the largest N differences it
+        first = dphi(chart, qs[0])  # kept: the modulus at the largest N differences it
         worst_first = np.max(
-            [_first_norms(first)] + [_first_norms(dphi(phN, q)) for q in qs[1:]], axis=0
+            [_first_norms(first)] + [_first_norms(dphi(chart, q)) for q in qs[1:]], axis=0
         )
         norms["(i)1"].append(worst_first[0])
         norms["(i)2"].append(worst_first[1])
-        maps = [d2phi(phN, q) for q in qs]
+        maps = [d2phi(chart, q) for q in qs]
         batch = maps + maps
         levels = [second[0]] * len(maps) + [second[1]] * len(maps)
         if N == Ns[-1]:
             bump = MODULUS_STEP * _unit_direction(qs[0])
             step = bump.norm(1.0)
             moved = qs[0] + bump
-            diff = dphi(phN, moved) - first
+            diff = dphi(chart, moved) - first
             moduli = [v / step for v in _first_norms(diff)]
-            batch += [d2phi(phN, moved) - maps[0]] * 2
+            batch += [d2phi(chart, moved) - maps[0]] * 2
             levels += second
         values = trilinear_norms(batch, levels, **hopm).values
         worst = values[: 2 * len(maps)].reshape(2, len(maps)).max(axis=1)
         norms["(ii)1"].append(worst[0])
         norms["(ii)2"].append(worst[1])
     moduli += [float(v) / step for v in values[-2:]]  # the largest N's batch ends with them
-    return axiom_reports(phi.s, Ns, norms, moduli)
+    return axiom_reports(s, Ns, norms, moduli)
 
 
 def axiom_reports(
@@ -444,14 +419,14 @@ def _unit_direction(q: FourierLoop) -> FourierLoop:
 
 
 def leibniz_check(
-    psi: SuperpositionMap,
-    phi: SuperpositionMap,
+    psi: DiffeoChart,
+    phi: DiffeoChart,
     q: FourierLoop,
     xi: FourierLoop,
     eta: FourierLoop,
     steps: tuple[float, ...] = (1e-2, 3e-3, 1e-3),
 ) -> dict:
-    """Product-rule residual for the derivative of a composition.
+    """Product-rule residual for the derivative of the composition psi o phi of two charts' maps.
 
     All three directional derivatives of the operator families are taken
     by central differences in the base point, so the exact identity
@@ -460,7 +435,7 @@ def leibniz_check(
     term well above cancellation roundoff, which by h = 1e-5 is as large
     as the remainder itself and bends the slope.
     """
-    chi = compose(psi, phi)
+    chi = compose_charts(psi, phi)
     scale = xi.norm(1.0) * eta.norm(0.0)
     residuals = []
     p = apply(phi, q)
@@ -479,6 +454,6 @@ def leibniz_check(
     return {"steps": list(steps), "residuals": residuals, "slope": slope}
 
 
-def _operator_fd(phi: SuperpositionMap, q: FourierLoop, xi: FourierLoop, h: float, v: FourierLoop):
+def _operator_fd(phi: DiffeoChart, q: FourierLoop, xi: FourierLoop, h: float, v: FourierLoop):
     """Central difference of dphi at q along xi, applied to v."""
     return (1.0 / (2.0 * h)) * (dphi(phi, q + h * xi) - dphi(phi, q - h * xi)).apply(v)

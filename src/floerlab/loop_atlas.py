@@ -2,8 +2,9 @@
 
 A chart here is a pointwise diffeomorphism onto chart coordinates plus a
 sampled domain predicate; the induced loop chart acts coordinatewise on
-grid samples.  Transitions between charts are superposition maps, so the
-whole axiom battery from floer_map applies to them unchanged.
+grid samples.  A transition between two charts is one DiffeoChart, whose
+superposition map floer_map evaluates at any truncation, so the whole
+axiom battery from floer_map applies to it unchanged.
 
 Sphere charts are stereographic projections in a rotated (possibly
 reflected) orthonormal frame.  Their pairwise transitions are Moebius
@@ -29,15 +30,7 @@ from .charts import (
     identity_chart,
     pair_inverses,
 )
-from .floer_map import (
-    AxiomReport,
-    SuperpositionMap,
-    apply,
-    axiom_reports,
-    compose,
-    dphi,
-    verify_floer_axioms,
-)
+from .floer_map import AxiomReport, apply, axiom_reports, dphi, verify_floer_axioms
 from .scale_space import FourierLoop, default_grid_points, from_grid, random_loop, to_grid
 
 SPHERE_CAP = 0.1
@@ -228,19 +221,23 @@ def loops_in_chart(corpus: list[FourierLoop], chart, N: int, also_in=()) -> list
     return found
 
 
-def transition(atlas: LoopAtlas, alpha, beta, N: int = 32) -> SuperpositionMap:
-    """The loop-space transition map between two charts of one atlas."""
+def transition(atlas: LoopAtlas, alpha, beta, N: int = 32) -> DiffeoChart:
+    """The transition chart between two charts of one atlas, with its inverse.
+
+    Its superposition map is the loop-space transition at every
+    truncation.  N is only the truncation at which the overlap must hold
+    a corpus loop; EmptyOverlapError when it holds none.
+    """
     a, b = atlas.chart(alpha), atlas.chart(beta)
     if a is b:
-        return SuperpositionMap(identity_chart(2), atlas.s, N)
+        return identity_chart(2)
     if not loops_in_chart(atlas.corpus, a, N, also_in=(b,)):
         raise EmptyOverlapError(f"charts {a.name!r} and {b.name!r} share no corpus loop")
-    return SuperpositionMap(a.transition_to(b), atlas.s, N)
+    return a.transition_to(b)
 
 
-def _pair_map(a, b, s: float, N: int) -> SuperpositionMap:
-    chart = identity_chart(2) if a is b else a.transition_to(b, build_inverse=False)
-    return SuperpositionMap(chart, s, N)
+def _pair_map(a, b) -> DiffeoChart:
+    return identity_chart(2) if a is b else a.transition_to(b, build_inverse=False)
 
 
 def _corpus_of(*atlases: LoopAtlas) -> list[FourierLoop]:
@@ -281,8 +278,7 @@ def check_compatibility(
             if len(samples) > max_samples:
                 stride = np.linspace(0, len(samples) - 1, max_samples).astype(int)
                 samples = [samples[i] for i in stride]
-            phi = _pair_map(a, b, A.s, top)
-            reports = verify_floer_axioms(phi, samples, N_sweep, hopm=hopm)
+            reports = verify_floer_axioms(_pair_map(a, b), A.s, samples, N_sweep, hopm=hopm)
             ok = all(r.verdict == "pass" for r in reports)
             pairs.append(
                 {
@@ -348,8 +344,8 @@ def check_transitivity(
         raise ValueError("atlases must share the level parameter")
     corpus = list(corpus) if corpus is not None else _corpus_of(A, B, C)
     N = TRANSITIVITY_N
-    maps_ab = {(a.name, b.name): _pair_map(a, b, A.s, N) for a in A.charts for b in B.charts}
-    maps_bc = {(b.name, c.name): _pair_map(b, c, A.s, N) for b in B.charts for c in C.charts}
+    maps_ab = {(a.name, b.name): _pair_map(a, b) for a in A.charts for b in B.charts}
+    maps_bc = {(b.name, c.name): _pair_map(b, c) for b in B.charts for c in C.charts}
     triples = []
     worst_apply = 0.0
     worst_two_step = 0.0
@@ -357,7 +353,7 @@ def check_transitivity(
     pieces_agree = True
     for a in A.charts:
         for c in C.charts:
-            direct = _pair_map(a, c, A.s, N)
+            direct = _pair_map(a, c)
             pieces = {}  # axiom reports by the bytes of the piece's samples
             for b in B.charts:
                 samples = loops_in_chart(corpus, a, N, also_in=(b, c))[:max_samples]
@@ -365,7 +361,7 @@ def check_transitivity(
                     continue
                 phi_ab = maps_ab[(a.name, b.name)]
                 phi_bc = maps_bc[(b.name, c.name)]
-                composite = compose(phi_bc, phi_ab)
+                composite = compose_charts(phi_bc, phi_ab)
                 r_apply = r_two = r_dphi = 0.0
                 for q in samples:
                     direct_q = apply(direct, q)
@@ -380,7 +376,9 @@ def check_transitivity(
                 worst_dphi = max(worst_dphi, r_dphi)
                 key = tuple(q.coeffs.tobytes() for q in samples)
                 if key not in pieces:
-                    pieces[key] = verify_floer_axioms(direct, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM)
+                    pieces[key] = verify_floer_axioms(
+                        direct, A.s, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM
+                    )
                 triples.append(
                     {
                         "from": a.name,
@@ -393,7 +391,7 @@ def check_transitivity(
                     }
                 )
             if pieces:
-                union_verdicts = [r.verdict for r in _union_reports(list(pieces.values()), direct.s)]
+                union_verdicts = [r.verdict for r in _union_reports(list(pieces.values()), A.s)]
                 pieces_agree = pieces_agree and all(
                     [r.verdict for r in piece] == union_verdicts for piece in pieces.values()
                 )

@@ -9,7 +9,10 @@ composite f o phi has
 where K(q) is the level-0 Riesz representative of the bilinear form
 (xi, eta) -> <grad f|_phi(q), d2phi(q)[xi, eta]>_0.  In the truncated
 model both formulas are the exact calculus of q -> f(phi(q)), so they
-are checkable against plain finite differences.
+are checkable against plain finite differences.  Every function here
+takes the chart itself and reads the truncation from the loop q, as the
+maps of floer_map and the functions of floer_function do, so one
+pull-back serves every N.
 
 K(q) is itself a multiplication operator: its symbol is the matrix
 field V_jk(t) = sum_i g_i(t) d_j d_k Phi_i(u(t)) with g the gradient
@@ -22,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .floer_function import FloerFunctionNumeric, full_report
-from .floer_map import SuperpositionMap, apply, d2phi, dphi
+from .charts import DiffeoChart
+from .floer_map import apply, d2phi, dphi
 from .scale_operator import (
     KERNEL_RTOL,
     LevelOperator,
@@ -36,41 +40,42 @@ from .scale_space import FourierLoop, random_loop, to_grid
 KAPPA_SLACK = 1e-8
 
 
-def _check_match(F: FloerFunctionNumeric, phi: SuperpositionMap) -> None:
-    if F.n != phi.n or F.N != phi.N:
-        raise ValueError("function and map must share dimension and truncation")
+def _check_match(F: FloerFunctionNumeric, phi: DiffeoChart) -> None:
+    if F.n != phi.n:
+        raise ValueError("function and chart must share dimension")
 
 
-def pull_back_gradient(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> FourierLoop:
+def pull_back_gradient(F: FloerFunctionNumeric, phi: DiffeoChart, q: FourierLoop) -> FourierLoop:
     """Level-0 gradient of f o phi at q."""
     _check_match(F, phi)
     D = dphi(phi, q)
     return adjoint(D).apply(F.gradient(apply(phi, q)))
 
 
-def riesz_correction(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
-    """The correction operator K(q) of the module docstring.
+def riesz_correction(F: FloerFunctionNumeric, phi: DiffeoChart, q: FourierLoop) -> LevelOperator:
+    """The correction operator K(q) of the module docstring, at q's truncation.
 
     The form is multiplication by the matrix field V of the module
-    docstring, sampled on the map's grid.  The level-0 Riesz map is a
-    solve with the Gram matrix of the mode basis, which is the identity
-    (the basis is level-0 orthonormal), so K is that multiplication
-    operator, held by its factor V.  The inclusion iota_s is the identity
-    on coefficients, so the Hessian's K o iota_s is K itself.
+    docstring, sampled on the grid of d2phi(phi, q).  The level-0 Riesz
+    map is a solve with the Gram matrix of the mode basis, which is the
+    identity (the basis is level-0 orthonormal), so K is that
+    multiplication operator, held by its factor V.  The inclusion iota_s
+    is the identity on coefficients, so the Hessian's K o iota_s is K
+    itself.
     """
     _check_match(F, phi)
-    g = to_grid(F.gradient(apply(phi, q)), phi.grid_points)
-    hes = phi.chart.hessian(phi.sample_values(q))
-    V = np.einsum("gi,gijk->gjk", g, hes)
-    return LevelOperator(None, phi.N, phi.n, factor=V)
+    g = F.gradient(apply(phi, q))
+    B = d2phi(phi, q)
+    V = np.einsum("gi,gijk->gjk", to_grid(g, B.grid_points), B.tensor)
+    return LevelOperator(None, q.N, phi.n, factor=V)
 
 
-def pull_back_hessian(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
+def pull_back_hessian(F: FloerFunctionNumeric, phi: DiffeoChart, q: FourierLoop) -> LevelOperator:
     """Hessian of f o phi, read H_1 -> H_0 and H_2 -> H_1 like any FloerFunctionNumeric's."""
     return _conjugated_term(F, phi, q) + riesz_correction(F, phi, q)
 
 
-def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierLoop) -> LevelOperator:
+def _conjugated_term(F: FloerFunctionNumeric, phi: DiffeoChart, q: FourierLoop) -> LevelOperator:
     _check_match(F, phi)
     D = dphi(phi, q)
     A = F.hessian(apply(phi, q))
@@ -79,7 +84,7 @@ def _conjugated_term(F: FloerFunctionNumeric, phi: SuperpositionMap, q: FourierL
 
 def kappa_bound_check(
     F: FloerFunctionNumeric,
-    phi: SuperpositionMap,
+    phi: DiffeoChart,
     q: FourierLoop,
     s: float,
     hopm: dict | None = None,
@@ -106,23 +111,22 @@ def kappa_bound_check(
     }
 
 
-def pull_back(F: FloerFunctionNumeric, phi: SuperpositionMap) -> FloerFunctionNumeric:
+def pull_back(F: FloerFunctionNumeric, phi: DiffeoChart) -> FloerFunctionNumeric:
     """f o phi with its calculus: value, level-0 gradient and the one Hessian.
 
     The value is F.value(apply(phi, q)) verbatim; the gradient and the
-    one Hessian come from the pull-back formulas above.  The Hessian is
-    read at H_1 -> H_0 and at H_2 -> H_1 through the level arguments of
-    the diagnostics, as for any FloerFunctionNumeric.
+    one Hessian come from the pull-back formulas above, each at the
+    truncation of its q, so the one pull-back serves every N.  The
+    Hessian is read at H_1 -> H_0 and at H_2 -> H_1 through the level
+    arguments of the diagnostics, as for any FloerFunctionNumeric.
     """
     _check_match(F, phi)
     return FloerFunctionNumeric(
         n=phi.n,
-        N=phi.N,
         value=lambda q: F.value(apply(phi, q)),
         gradient=lambda q: pull_back_gradient(F, phi, q),
         hessian=lambda q: pull_back_hessian(F, phi, q),
-        rebuild=lambda M: pull_back(F.rebuild(M), phi.rebuild(M)),
-        name=f"pullback[{F.name} via {phi.chart.name}]",
+        name=f"pullback[{F.name} via {phi.name}]",
     )
 
 
@@ -144,7 +148,7 @@ def _decay_slope(profile: np.ndarray) -> float:
 
 def certify_pullback(
     F: FloerFunctionNumeric,
-    phi: SuperpositionMap,
+    phi: DiffeoChart,
     s: float,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
@@ -152,22 +156,24 @@ def certify_pullback(
 ) -> dict:
     """Run the full function-axiom battery on f o phi plus the split evidence.
 
+    The samples fix the truncation of the random directions and of the
+    correction's singular values (samples[0].N); s is the level the kappa
+    bound reads.
+
     On top of the gradient/Hessian reports the certificate checks the two
     summands separately: index-zero evidence for the conjugated term and
     singular value decay for the correction, with the kappa bound tying
     the correction's size to computable data.
     """
     Ft = pull_back(F, phi)
+    base_q = samples[0]
 
     rng = np.random.default_rng(2024)
-    directions = [random_loop(rng, phi.n, phi.N) for _ in range(2)]
+    directions = [random_loop(rng, phi.n, base_q.N) for _ in range(2)]
     pairs = [(directions[0], directions[1])]
     report = full_report(Ft, samples, directions, pairs, N_sweep)
 
-    base_q = samples[0]
-    conj_family = {
-        M: _conjugated_term(F.rebuild(M), phi.rebuild(M), base_q.resize(M)) for M in N_sweep
-    }
+    conj_family = {M: _conjugated_term(F, phi, base_q.resize(M)) for M in N_sweep}
     conj_fred = fredholm_diagnostic(conj_family, 1.0, 0.0)
 
     tail = weighted_singular_values(riesz_correction(F, phi, base_q), 1.0, 0.0)

@@ -39,7 +39,10 @@ DYADIC_OFFSETS = tuple(range(1, 11))
 
 
 # The level pair (input, output) at which each signature (factor level,
-# input -> output) reads its norm, by label; C0 is sup-norm control.
+# input -> output) reads its norm, by label; C0 is sup-norm control.  No
+# code reads the factor level: (C0,0->0) reads the same pair as (1,0->0),
+# so its check and sweep row repeat that one's numbers and C0 control is
+# not measured.
 SIGNATURES = {
     "(1,1->1)": (1.0, 1.0),
     "(C0,0->0)": (0.0, 0.0),

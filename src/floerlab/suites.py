@@ -16,23 +16,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charts import c1_only_chart, identity_chart, rotation_field_chart, shear_chart
+from .charts import c1_only_chart, compose_charts, identity_chart, rotation_field_chart, shear_chart
 from .floer_function import (
     driven_hamiltonian,
     full_report,
     quadratic_hamiltonian,
     symplectic_action,
 )
-from .floer_map import (
-    SuperpositionMap,
-    apply,
-    compose,
-    d2phi,
-    dphi,
-    invert,
-    leibniz_check,
-    verify_floer_axioms,
-)
+from .floer_map import apply, d2phi, dphi, invert, leibniz_check, verify_floer_axioms
 from .loop_atlas import (
     check_compatibility,
     check_transitivity,
@@ -113,11 +104,11 @@ def suite_floer_map(cfg: RunConfig) -> dict:
     top = max(Ns)
     checks = []
 
-    shear = SuperpositionMap(shear_chart(), s, top)
-    rotation = SuperpositionMap(rotation_field_chart(0.5), s, top)
+    shear = shear_chart()
+    rotation = rotation_field_chart(0.5)
     samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(3)]
 
-    reports = verify_floer_axioms(shear, samples, Ns, hopm=LIGHT_HOPM)
+    reports = verify_floer_axioms(shear, s, samples, Ns, hopm=LIGHT_HOPM)
     checks.append(
         {
             "name": "shear chart satisfies the four extension axioms",
@@ -127,7 +118,7 @@ def suite_floer_map(cfg: RunConfig) -> dict:
     )
 
     q = samples[0]
-    composite = compose(rotation, shear)
+    composite = compose_charts(rotation, shear)
     direct = dphi(composite, q).matrix
     two_step = dphi(rotation, apply(shear, q)).matrix @ dphi(shear, q).matrix
     rows = band_indices(top, 2, top // 2)
@@ -164,9 +155,8 @@ def suite_floer_map(cfg: RunConfig) -> dict:
     )
 
     if cfg.negative_controls:
-        rough = SuperpositionMap(c1_only_chart(), s, top)
         rough_samples = [_zero_mean_x(random_loop(rng, 2, top, amplitude=0.25)) for _ in range(2)]
-        rep = verify_floer_axioms(rough, rough_samples, Ns, hopm=LIGHT_HOPM)
+        rep = verify_floer_axioms(c1_only_chart(), s, rough_samples, Ns, hopm=LIGHT_HOPM)
         ii2 = next(r for r in rep if r.axiom == "(ii)2")
         checks.append(
             _expected_fail(
@@ -205,7 +195,7 @@ def suite_floer_function(cfg: RunConfig) -> dict:
     top = max(Ns)
     checks = []
 
-    F = symplectic_action(driven_hamiltonian(), top)
+    F = symplectic_action(driven_hamiltonian())
     samples = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
     directions = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
     pairs = [(directions[0], directions[1])]
@@ -220,10 +210,8 @@ def suite_floer_function(cfg: RunConfig) -> dict:
 
     sweep = cfg.capped(256)
     # one Hessian per N, read at both level pairs
-    hessians = {
-        N: symplectic_action(quadratic_hamiltonian(), N).hessian(random_loop(rng, 2, N, amplitude=0.5))
-        for N in sweep
-    }
+    well = symplectic_action(quadratic_hamiltonian())
+    hessians = {N: well.hessian(random_loop(rng, 2, N, amplitude=0.5)) for N in sweep}
     for a, b in ((1.0, 0.0), (2.0, 1.0)):
         rep = fredholm_diagnostic(hessians, a, b)
         final_gap = rep.sweep[-1]["gap"]
@@ -255,8 +243,8 @@ def suite_pullback(cfg: RunConfig) -> dict:
     top = max(Ns)
     checks = []
 
-    F = symplectic_action(quadratic_hamiltonian(), top)
-    phi = SuperpositionMap(shear_chart(), s, top)
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(2)]
 
     certificate = certify_pullback(F, phi, s, samples, N_sweep=Ns, hopm=LIGHT_HOPM)
@@ -291,9 +279,7 @@ def suite_pullback(cfg: RunConfig) -> dict:
     kappa_rows = []
     for sv in cfg.s:
         for N in cfg.capped(128):
-            FN = F.rebuild(N)
-            phN = phi.rebuild(N)
-            row = kappa_bound_check(FN, phN, q.resize(N), sv, hopm=LIGHT_HOPM)
+            row = kappa_bound_check(F, phi, q.resize(N), sv, hopm=LIGHT_HOPM)
             kappa_rows.append({"N": N, **row})
     checks.append(
         {
@@ -303,12 +289,10 @@ def suite_pullback(cfg: RunConfig) -> dict:
         }
     )
 
-    psi = SuperpositionMap(rotation_field_chart(0.5), s, 32)
-    F32 = F.rebuild(32)
-    phi32 = phi.rebuild(32)
+    psi = rotation_field_chart(0.5)
     q32 = q.resize(32)
-    staged = pull_back(pull_back(F32, psi), phi32)
-    direct = pull_back(F32, compose(psi, phi32))
+    staged = pull_back(pull_back(F, psi), phi)
+    direct = pull_back(F, compose_charts(psi, phi))
     rows = band_indices(32, 2, 16)
     h_two = staged.hessian(q32).matrix
     h_one = direct.hessian(q32).matrix

@@ -15,7 +15,7 @@ from floerlab.floer_function import (
     richardson_second,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, compose, invert, leibniz_check
+from floerlab.floer_map import apply, invert, leibniz_check
 from floerlab.loop_atlas import (
     check_compatibility,
     check_transitivity,
@@ -45,8 +45,8 @@ HOPM = {"restarts": 1, "iters": 80}
 
 
 def _quadratic_pullback(N, s=0.75):
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     return F, phi, pull_back(F, phi)
 
 
@@ -110,8 +110,8 @@ def test_criterion_03_riesz_correction(criterion):
     budget_ok = True
     for s in (0.6, 0.75, 0.9):
         for N in (32, 64, 128, 256):
-            FN = symplectic_action(quadratic_hamiltonian(), N)
-            row = kappa_bound_check(FN, phi.rebuild(N), q.resize(N), s, hopm=HOPM)
+            FN = symplectic_action(quadratic_hamiltonian())
+            row = kappa_bound_check(FN, phi, q.resize(N), s, hopm=HOPM)
             budget_ok = budget_ok and row["passed"]
     ok = worst <= 1e-10 and budget_ok
     assert criterion(
@@ -126,7 +126,7 @@ def test_criterion_04_fredholm_index_zero(criterion):
     sweep = (16, 32, 64, 128, 256)
 
     def hessian(M):
-        F = symplectic_action(quadratic_hamiltonian(), M)
+        F = symplectic_action(quadratic_hamiltonian())
         q = random_loop(np.random.default_rng(2029), 2, M, amplitude=0.4)
         return F.hessian(q)
 
@@ -182,8 +182,8 @@ def test_criterion_06_multiplication_signatures(criterion):
 
 
 def test_criterion_07_leibniz_slope(criterion):
-    shear = SuperpositionMap(shear_chart(), 0.75, 16)
-    rot = SuperpositionMap(rotation_field_chart(0.5), 0.75, 16)
+    shear = shear_chart()
+    rot = rotation_field_chart(0.5)
     rng = np.random.default_rng(2031)
     loops = [random_loop(rng, 2, 16, amplitude=0.3) for _ in range(3)]
     slopes = []

@@ -131,6 +131,19 @@ def test_load_rejects_malformed_and_unknown(tmp_path):
         RunConfig.load(str(listy))
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # the bytes \xff\xfe start no UTF-8 character; reading them once raised
+    # UnicodeDecodeError out of main with a traceback and exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "report.out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not UTF-8 text") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["verify", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -206,8 +219,8 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
     kappa, norm = cli.kappa_bound_check, cli.op_norm
 
     def failing_kappa(F, phi, q, s, **kw):
-        if phi.N == 32:
-            raise FloatingPointError(f"kappa failed at N={phi.N}")
+        if q.N == 32:
+            raise FloatingPointError(f"kappa failed at N={q.N}")
         return kappa(F, phi, q, s, **kw)
 
     def failing_norm(T, a, b):

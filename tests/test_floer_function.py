@@ -1,11 +1,13 @@
 """Action-type functions: derivative oracles, spectra, Fredholm structure."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from floerlab.floer_function import (
+    FloerFunctionNumeric,
     driven_hamiltonian,
     full_report,
     quadratic_hamiltonian,
@@ -37,7 +39,7 @@ def _loop(seed, N=16, amplitude=0.5):
 
 
 def test_gradient_matches_richardson_differences():
-    F = symplectic_action(driven_hamiltonian(), 32)
+    F = symplectic_action(driven_hamiltonian())
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
@@ -53,7 +55,7 @@ def test_gradient_coefficients_for_quadratic_well():
     # H = 1/2 |x|^2 makes the action quadratic, so the gradient has the
     # exact coefficient form (2 pi i k J0 - I) c_k
     N = 16
-    F = symplectic_action(quadratic_hamiltonian(), N)
+    F = symplectic_action(quadratic_hamiltonian())
     q = _loop(1, N=N)
     J0 = standard_symplectic_matrix(2)
     k = mode_numbers(N)
@@ -62,7 +64,7 @@ def test_gradient_coefficients_for_quadratic_well():
 
 
 def test_hessian_matches_second_differences_and_is_symmetric():
-    F = symplectic_action(driven_hamiltonian(), 16)
+    F = symplectic_action(driven_hamiltonian())
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = random_loop(rng, 2, 16, amplitude=0.5)
@@ -76,7 +78,7 @@ def test_hessian_matches_second_differences_and_is_symmetric():
 
 
 def test_quadratic_action_gap_is_level_independent():
-    family = {N: symplectic_action(quadratic_hamiltonian(), N).hessian(_loop(4, N=N)) for N in (16, 32, 64)}
+    family = {N: symplectic_action(quadratic_hamiltonian()).hessian(_loop(4, N=N)) for N in (16, 32, 64)}
     rep1 = fredholm_diagnostic(family, 1.0, 0.0)
     rep2 = fredholm_diagnostic(family, 2.0, 1.0)
     for rep in (rep1, rep2):
@@ -90,7 +92,7 @@ def test_quadratic_action_gap_is_level_independent():
 
 def test_hessian2_norm_closed_form():
     N = 16
-    F = symplectic_action(quadratic_hamiltonian(), N)
+    F = symplectic_action(quadratic_hamiltonian())
     A = F.hessian(_loop(5, N=N))
     assert abs(op_norm(A, 2.0, 1.0) - HESS2_NORM) < 1e-9
 
@@ -100,10 +102,21 @@ def test_full_report_passes_for_driven_hamiltonian():
     samples = [random_loop(rng, 2, 64, amplitude=0.5) for _ in range(2)]
     directions = [random_loop(rng, 2, 64, amplitude=0.5) for _ in range(2)]
     pairs = [(samples[0], directions[1]), (samples[1], directions[0])]
-    rep = full_report(symplectic_action(driven_hamiltonian(), 64), samples, directions, pairs)
+    rep = full_report(symplectic_action(driven_hamiltonian()), samples, directions, pairs)
     assert rep["verdict"] == "pass"
     assert rep["gradient"]["verdict"] == "pass"
     assert rep["hessian"]["verdict"] == "pass"
+
+
+def test_a_function_carries_no_truncation():
+    # value, gradient and hessian read N from the loop, so F holds no N and no rebuild
+    assert [f.name for f in dataclasses.fields(FloerFunctionNumeric)] == [
+        "n",
+        "value",
+        "gradient",
+        "hessian",
+        "name",
+    ]
 
 
 def test_quadratic_spectral_requires_symmetry():
@@ -114,9 +127,9 @@ def test_quadratic_spectral_requires_symmetry():
         return LevelOperator(m, M, 2)
 
     with pytest.raises(ValueError, match="symmetric"):
-        quadratic_spectral(skew, N)
+        quadratic_spectral(skew(N))
 
-    sym = quadratic_spectral(lambda M: identity_operator(M, 2), N)
+    sym = quadratic_spectral(identity_operator(N, 2))
     q = _loop(8, N=N)
     assert abs(sym.value(q) - 0.5 * q.norm(0.0) ** 2) < 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 from floerlab import floer_map
 from floerlab.charts import (
     c1_only_chart,
+    compose_charts,
     inversion_chart,
     rotation_field_chart,
     shear_chart,
@@ -13,18 +14,18 @@ from floerlab.charts import (
 from floerlab.floer_map import (
     AXIOMS,
     ChartDomainError,
-    SuperpositionMap,
     apply,
-    compose,
     d2phi,
     dphi,
     invert,
     leibniz_check,
     verify_floer_axioms,
 )
+from floerlab.floer_function import driven_hamiltonian, symplectic_action
 from floerlab.scale_space import (
     FourierLoop,
     constant_loop,
+    default_grid_points,
     from_grid,
     random_loop,
     to_grid,
@@ -41,17 +42,17 @@ def _loop(seed, N=16, amplitude=0.3):
 
 
 def test_apply_matches_pointwise_composition():
-    phi = SuperpositionMap(shear_chart(), 0.75, 16)
+    phi = shear_chart()
     q = _loop(0)
     out = apply(phi, q)
     # shear is quadratic, so the image stays inside the alias-free band and
     # the grid values of the image loop reproduce the chart exactly
-    G = phi.grid_points
-    assert np.max(np.abs(to_grid(out, G) - phi.chart.value(to_grid(q, G)))) < 1e-12
+    G = default_grid_points(16)
+    assert np.max(np.abs(to_grid(out, G) - phi.value(to_grid(q, G)))) < 1e-12
 
 
 def test_apply_rejects_loop_outside_chart_domain():
-    phi = SuperpositionMap(inversion_chart(0.5), 0.75, 16)
+    phi = inversion_chart(0.5)
     q = constant_loop(np.array([0.1, 0.1]), 16)
     with pytest.raises(ChartDomainError, match="inversion"):
         apply(phi, q)
@@ -60,11 +61,31 @@ def test_apply_rejects_loop_outside_chart_domain():
 @pytest.mark.parametrize("bad_s", [0.0, 1.0, 1.3, -0.2])
 def test_level_parameter_outside_open_interval_rejected(bad_s):
     with pytest.raises(ValueError):
-        SuperpositionMap(shear_chart(), bad_s, 16)
+        verify_floer_axioms(shear_chart(), bad_s, [_loop(0)], N_sweep=(16, 32), hopm=HOPM)
+
+
+def test_verify_floer_axioms_requires_the_level():
+    with pytest.raises(TypeError):
+        verify_floer_axioms(shear_chart(), [_loop(0)], (16, 32), hopm=HOPM)
+
+
+def test_one_chart_and_one_action_serve_every_truncation():
+    # the map and the function read N from the loop: no copy per truncation
+    phi = shear_chart()
+    F = symplectic_action(driven_hamiltonian())
+    q16 = _loop(14)
+    q32 = q16.resize(32)
+    for q in (q16, q32):
+        assert dphi(phi, q).N == d2phi(phi, q).N == F.hessian(q).N == q.N
+        assert apply(phi, q).N == F.gradient(q).N == q.N
+    # shear is quadratic: its image of a 16-mode loop has modes up to 32, so
+    # N = 32 holds it whole and its first 16 modes are those at N = 16
+    assert np.max(np.abs(apply(phi, q32).resize(16).coeffs - apply(phi, q16).coeffs)) < 1e-12
+    assert F.value(q32) == pytest.approx(F.value(q16), rel=1e-12)
 
 
 def test_dphi_matches_richardson_difference():
-    phi = SuperpositionMap(rotation_field_chart(0.6), 0.75, 16)
+    phi = rotation_field_chart(0.6)
     q, xi = _loop(1), _loop(2)
 
     def delta(h):
@@ -78,7 +99,7 @@ def test_dphi_matches_richardson_difference():
 
 
 def test_d2phi_symmetric_and_matches_difference_of_dphi():
-    phi = SuperpositionMap(rotation_field_chart(0.6), 0.75, 16)
+    phi = rotation_field_chart(0.6)
     q, xi, eta = _loop(3), _loop(4), _loop(5)
     K = d2phi(phi, q)
     assert np.max(np.abs(K(xi, eta).coeffs - K(eta, xi).coeffs)) < 1e-13
@@ -91,10 +112,10 @@ def test_d2phi_symmetric_and_matches_difference_of_dphi():
 
 def test_chain_rule_away_from_band_edge():
     N = 32
-    psi = SuperpositionMap(shear_chart(), 0.75, N)
-    phi = SuperpositionMap(rotation_field_chart(0.5), 0.75, N)
+    psi = shear_chart()
+    phi = rotation_field_chart(0.5)
     q = _loop(6, N=N)
-    lhs = dphi(compose(psi, phi), q).matrix
+    lhs = dphi(compose_charts(psi, phi), q).matrix
     rhs = dphi(psi, apply(phi, q)).matrix @ dphi(phi, q).matrix
     # truncating the inner image bends the identity at the band edge; the
     # interior modes agree to roundoff
@@ -104,41 +125,30 @@ def test_chain_rule_away_from_band_edge():
 
 def test_compose_evaluates_like_nested_application():
     N = 16
-    psi = SuperpositionMap(shear_chart(), 0.75, N)
-    phi = SuperpositionMap(rotation_field_chart(0.5), 0.75, N)
+    psi = shear_chart()
+    phi = rotation_field_chart(0.5)
     q = _loop(7)
-    chi = compose(psi, phi)
-    G = chi.grid_points
-    direct = psi.chart.value(phi.chart.value(to_grid(q, G)))
+    chi = compose_charts(psi, phi)
+    G = default_grid_points(N)
+    direct = psi.value(phi.value(to_grid(q, G)))
     # same single projection to the mode window, no intermediate truncation
     assert np.max(np.abs(apply(chi, q).coeffs - from_grid(direct, N).coeffs)) < 1e-15
 
 
-def test_compose_requires_matching_level_and_truncation():
-    a = SuperpositionMap(shear_chart(), 0.75, 16)
-    with pytest.raises(ValueError):
-        compose(a, SuperpositionMap(shear_chart(), 0.6, 16))
-    with pytest.raises(ValueError):
-        compose(a, SuperpositionMap(shear_chart(), 0.75, 32))
-
-
 def test_invert_round_trips_and_rejects_inverse_less_chart():
-    phi = SuperpositionMap(shear_chart(), 0.75, 16)
+    phi = shear_chart()
     q = _loop(8)
     back = apply(invert(phi), apply(phi, q))
     assert np.max(np.abs(back.coeffs - q.coeffs)) < 1e-10
     with pytest.raises(ValueError, match="no inverse"):
-        invert(SuperpositionMap(c1_only_chart(), 0.75, 16))
+        invert(c1_only_chart())
 
 
 def test_axioms_pass_for_smooth_charts():
     rng = np.random.default_rng(9)
     samples = [random_loop(rng, 2, 16, amplitude=0.3) for _ in range(2)]
-    phi = SuperpositionMap(compose(  # mix the two builtin smooth charts
-        SuperpositionMap(shear_chart(), 0.75, 16),
-        SuperpositionMap(rotation_field_chart(0.4), 0.75, 16),
-    ).chart, 0.75, 16)
-    reports = verify_floer_axioms(phi, samples, N_sweep=(16, 32), hopm=HOPM)
+    phi = compose_charts(shear_chart(), rotation_field_chart(0.4))  # mix the two builtin smooth charts
+    reports = verify_floer_axioms(phi, 0.75, samples, N_sweep=(16, 32), hopm=HOPM)
     assert [r.axiom for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
     assert all(r.verdict == "pass" for r in reports)
 
@@ -154,8 +164,8 @@ def test_c1_chart_fails_second_axiom_family():
     base = FourierLoop(c)
     pert = random_loop(np.random.default_rng(2), 2, N, amplitude=0.05)
     samples = [base, FourierLoop(base.coeffs + pert.coeffs)]
-    phi = SuperpositionMap(c1_only_chart(), 0.75, N)
-    reports = {r.axiom: r for r in verify_floer_axioms(phi, samples, N_sweep=(16, 32, 64), hopm=HOPM)}
+    phi = c1_only_chart()
+    reports = {r.axiom: r for r in verify_floer_axioms(phi, 0.75, samples, N_sweep=(16, 32, 64), hopm=HOPM)}
     assert reports["(ii)2"].verdict == "fail"
     norms = [e["norm"] for e in reports["(ii)2"].sweep]
     assert norms[-1] > 1.4 * norms[0]
@@ -164,8 +174,8 @@ def test_c1_chart_fails_second_axiom_family():
 
 
 def test_leibniz_residual_is_second_order():
-    psi = SuperpositionMap(shear_chart(), 0.75, 16)
-    phi = SuperpositionMap(rotation_field_chart(0.5), 0.75, 16)
+    psi = shear_chart()
+    phi = rotation_field_chart(0.5)
     # steps stay large enough that the h^2 term dominates cancellation noise
     rep = leibniz_check(psi, phi, _loop(11), _loop(12), _loop(13), steps=(1e-2, 3e-3, 1e-3))
     assert abs(rep["slope"] - 2.0) < 0.2
@@ -187,28 +197,27 @@ def test_suite_c1_negative_control_bites(seed):
     assert report["verdict"] == "pass", [c["name"] for c in report["checks"] if not c["passed"]]
 
 
-def _per_sample_reports(phi, samples, Ns, hopm):
+def _per_sample_reports(phi, s, samples, Ns, hopm):
     # the axiom reports built one norm call at a time: each axiom, N and sample alone
-    def axiom_norm(phN, axiom, q):
+    def axiom_norm(axiom, q):
         if axiom == "(i)1":
-            return op_norm(dphi(phN, q), 0.0, 0.0)
+            return op_norm(dphi(phi, q), 0.0, 0.0)
         if axiom == "(i)2":
-            return op_norm(dphi(phN, q), -1.0, -1.0)
-        levels = (phN.s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + phN.s, -1.0, -1.0)
-        return d2phi(phN, q).norm(*levels, **hopm)
+            return op_norm(dphi(phi, q), -1.0, -1.0)
+        levels = (s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + s, -1.0, -1.0)
+        return d2phi(phi, q).norm(*levels, **hopm)
 
     reports = []
-    top = phi.rebuild(Ns[-1])
     base = samples[0].resize(Ns[-1])
     bump = floer_map.MODULUS_STEP * floer_map._unit_direction(base)
     for axiom in AXIOMS:
-        norms = [max(axiom_norm(phi.rebuild(N), axiom, q.resize(N)) for q in samples) for N in Ns]
+        norms = [max(axiom_norm(axiom, q.resize(N)) for q in samples) for N in Ns]
         if axiom in ("(i)1", "(i)2"):
             lvl = 0.0 if axiom == "(i)1" else -1.0
-            modulus = op_norm(dphi(top, base + bump) - dphi(top, base), lvl, lvl)
+            modulus = op_norm(dphi(phi, base + bump) - dphi(phi, base), lvl, lvl)
         else:
-            levels = (phi.s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + phi.s, -1.0, -1.0)
-            modulus = (d2phi(top, base + bump) - d2phi(top, base)).norm(*levels, **hopm)
+            levels = (s, 0.0, 0.0) if axiom == "(ii)1" else (1.0 + s, -1.0, -1.0)
+            modulus = (d2phi(phi, base + bump) - d2phi(phi, base)).norm(*levels, **hopm)
         modulus /= bump.norm(1.0)
         ok = sweep_verdict(norms, STABLE_RTOL) == "stable" and np.isfinite(modulus)
         reports.append((axiom, norms, modulus, "pass" if ok else "fail"))
@@ -230,9 +239,8 @@ def _c1_samples(N=16):
 )
 def test_axiom_reports_match_per_sample_norms(chart, samples):
     Ns = (16, 32, 64)
-    phi = SuperpositionMap(chart, 0.75, 16)
-    got = verify_floer_axioms(phi, samples, Ns, hopm=HOPM)
-    want = _per_sample_reports(phi, samples, Ns, HOPM)
+    got = verify_floer_axioms(chart, 0.75, samples, Ns, hopm=HOPM)
+    want = _per_sample_reports(chart, 0.75, samples, Ns, HOPM)
     assert [r.verdict for r in got] == [w[3] for w in want]
     for r, (axiom, norms, modulus, _) in zip(got, want):
         assert r.axiom == axiom
@@ -258,6 +266,6 @@ def test_axioms_build_each_derivative_once_and_batch_per_truncation(monkeypatch)
         counted(name)
     samples = [_loop(9), _loop(10), _loop(11)]
     Ns = (16, 32, 64)
-    verify_floer_axioms(SuperpositionMap(rotation_field_chart(0.4), 0.75, 16), samples, Ns, hopm=HOPM)
+    verify_floer_axioms(rotation_field_chart(0.4), 0.75, samples, Ns, hopm=HOPM)
     # one per (N, sample), plus the moved base point of the modulus
     assert calls == {"dphi": 9 + 1, "d2phi": 9 + 1, "trilinear_norms": 3}

@@ -6,7 +6,7 @@ import pytest
 from floerlab.charts import c1_only_chart, inversion_chart, rotation_field_chart, shear_chart
 from floerlab import loop_atlas
 from floerlab.cli import RunConfig
-from floerlab.floer_map import SuperpositionMap, apply, dphi, invert, verify_floer_axioms
+from floerlab.floer_map import apply, dphi, invert, verify_floer_axioms
 from floerlab.loop_atlas import (
     CORPUS_N,
     TRANSITIVITY_HOPM,
@@ -174,14 +174,14 @@ def test_union_reports_equal_a_verify_on_the_union_of_the_pieces():
     B = rotated_sphere_atlas(0.3)
     a, c = A.chart("north"), A.chart("south")
     N, Ns, hopm = TRANSITIVITY_N, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM
-    direct = _pair_map(a, c, A.s, N)
+    direct = _pair_map(a, c)
     pieces, union = [], []
     for b in B.charts:
         samples = loops_in_chart(A.corpus + B.corpus, a, N, also_in=(b, c))[:2]
-        pieces.append(verify_floer_axioms(direct, samples, Ns, hopm=hopm))
+        pieces.append(verify_floer_axioms(direct, A.s, samples, Ns, hopm=hopm))
         union += samples
     assert len(pieces) == 2 and len(union) == 4
-    expected = verify_floer_axioms(direct, union, Ns, hopm=hopm)
+    expected = verify_floer_axioms(direct, A.s, union, Ns, hopm=hopm)
     assert [r.to_json() for r in _union_reports(pieces, A.s)] == [r.to_json() for r in expected]
 
 
@@ -201,13 +201,13 @@ def test_sphere_transition_jacobians_have_paired_singular_values():
     north, south = sphere.chart("north"), sphere.chart("south")
     for a, b in ((north, south), (south, north), (north, rotated.chart("north@0.3")), (north, rotated.chart("south@0.3"))):
         q = loops_in_chart(sphere.corpus + rotated.corpus, a, N, also_in=(b,))[0]
-        T = dphi(SuperpositionMap(a.transition_to(b), 0.75, N), q)
+        T = dphi(a.transition_to(b), q)
         for level in (0.0, -1.0):
             assert _pair_gap(T, level) <= 1e-12, (a.name, b.name, level)
     # control: non-conformal Jacobians have simple singular values (shear: 1.5475, 1.5194, ...)
     q = random_loop(np.random.default_rng(0), 2, N, amplitude=0.4)
     for chart in (shear_chart(), rotation_field_chart(0.5)):
-        T = dphi(SuperpositionMap(chart, 0.75, N), q)
+        T = dphi(chart, q)
         for level in (0.0, -1.0):
             assert _pair_gap(T, level) > 1e-2, (chart.name, level)
 
@@ -217,9 +217,9 @@ def _counting_verify(monkeypatch):
     calls = []
     verify = loop_atlas.verify_floer_axioms
 
-    def counting(phi, samples, *args, **kwargs):
+    def counting(phi, s, samples, *args, **kwargs):
         calls.append(samples)
-        return verify(phi, samples, *args, **kwargs)
+        return verify(phi, s, samples, *args, **kwargs)
 
     monkeypatch.setattr(loop_atlas, "verify_floer_axioms", counting)
     return calls

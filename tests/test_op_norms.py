@@ -8,7 +8,7 @@ import pytest
 from floerlab import cli, scale_operator, suites
 from floerlab.charts import shear_chart
 from floerlab.floer_function import quadratic_hamiltonian, symplectic_action
-from floerlab.floer_map import SuperpositionMap, dphi
+from floerlab.floer_map import dphi
 from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
 from floerlab.pullback import pull_back
 from floerlab.scale_operator import (
@@ -165,7 +165,7 @@ def _symbol_cases():
             T = mult_operator(factor)
             cases += [(T, (s, s)) for s in INTERPOLATION_LEVELS + (-1.0,)] + [(T, p) for p in unequal]
         q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-        D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
+        D = dphi(shear_chart(), q)
         S = dphi(transition(atlas, "north", "south", N), loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0])
         for T in (D, S, _kappa_correction(N, 1)):
             cases += [(T, p) for p in [(0.0, 0.0), (-1.0, -1.0)] + unequal]
@@ -220,7 +220,7 @@ def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
 @pytest.mark.parametrize("N", [16, 64])
 def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-    D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)  # the shear Jacobian is not symmetric
+    D = dphi(shear_chart(), q)  # the shear Jacobian is not symmetric
     skew = _hermitian_blocks_operator(N, 6)
     skew = LevelOperator(None, N, 2, factor=skew.factor, blocks=1j * skew.blocks)  # anti-Hermitian
     dense = _reality_preserving(np.random.default_rng(N), N, 1)
@@ -238,9 +238,9 @@ def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
 
 def _pulled_back_hessian(N):
     # the pullback suite's Hessian: the quadratic action pulled back through the shear chart
-    F = symplectic_action(quadratic_hamiltonian(), N)
+    F = symplectic_action(quadratic_hamiltonian())
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-    return pull_back(F, SuperpositionMap(shear_chart(), 0.75, N)).hessian(q)
+    return pull_back(F, shear_chart()).hessian(q)
 
 
 @pytest.mark.parametrize("N", [16, 64])

@@ -309,3 +309,15 @@ Box.make(3)
     ]
     # the same call in a file with no such dict display passes nothing
     assert "mod.spread(budget)" in _unset_defaults(program, [caller.replace('"budget"', '"other"')])
+
+
+def test_a_map_is_its_chart():
+    # a superposition map is evaluated from its chart, and charts compose
+    # through compose_charts: no map type or map compose is exported
+    import floerlab
+    from floerlab import floer_map
+
+    for name in ("SuperpositionMap", "compose"):
+        assert name not in _exported()
+        assert not hasattr(floerlab, name)
+        assert not hasattr(floer_map, name)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from floerlab.charts import rotation_field_chart, shear_chart
+from floerlab.charts import compose_charts, rotation_field_chart, shear_chart
 from floerlab.floer_function import (
     quadratic_hamiltonian,
     richardson_directional,
     richardson_second,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, compose, d2phi, dphi
+from floerlab.floer_map import apply, d2phi, dphi
 from floerlab.pullback import (
     _conjugated_term,
     _decay_slope,
@@ -27,10 +27,8 @@ from floerlab.scale_space import inner, random_loop
 HOPM = {"restarts": 1, "iters": 80}
 
 
-def _setup(N=16, s=0.75):
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
-    return F, phi
+def _setup():
+    return symplectic_action(quadratic_hamiltonian()), shear_chart()
 
 
 def test_gradient_matches_directional_differences():
@@ -78,16 +76,27 @@ def test_correction_represents_gradient_weighted_second_derivative():
 @pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
 @pytest.mark.parametrize("N", [16, 64])
 def test_kappa_budget_holds(s, N):
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     q = random_loop(np.random.default_rng(5), 2, N, amplitude=0.4)
     row = kappa_bound_check(F, phi, q, s, hopm=HOPM)
     assert row["passed"]
     assert row["K_norm"] <= row["kappa"] + 1e-8
 
 
+def test_one_pull_back_serves_every_truncation():
+    F, phi = _setup()
+    Ft = pull_back(F, phi)
+    q = random_loop(np.random.default_rng(9), 2, 16, amplitude=0.4)
+    for M in (16, 32):
+        qM = q.resize(M)
+        A = Ft.hessian(qM)
+        assert A.N == M
+        assert np.all(A.matrix == pull_back_hessian(F, phi, qM).matrix)
+
+
 def test_certificate_passes_for_shear_pullback():
-    F, phi = _setup(N=32)
+    F, phi = _setup()
     rng = np.random.default_rng(6)
     samples = [random_loop(rng, 2, 32, amplitude=0.4) for _ in range(2)]
     cert = certify_pullback(F, phi, 0.75, samples, N_sweep=(16, 32), hopm=HOPM)
@@ -106,13 +115,13 @@ def test_decay_slope_ignores_the_roundoff_floor(floor):
 
 
 def test_two_stage_pullback_matches_composite_chart():
-    N, s = 32, 0.75
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
-    psi = SuperpositionMap(rotation_field_chart(0.5), s, N)
+    N = 32
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
+    psi = rotation_field_chart(0.5)
     q = random_loop(np.random.default_rng(7), 2, N, amplitude=0.3)
     staged = pull_back(pull_back(F, psi), phi)
-    direct = pull_back(F, compose(psi, phi))
+    direct = pull_back(F, compose_charts(psi, phi))
     g_res = np.max(
         np.abs(staged.gradient(q).coeffs - direct.gradient(q).coeffs)
     )
@@ -133,9 +142,9 @@ def test_gradient_helper_agrees_with_bundle():
 @pytest.mark.parametrize("chart", [shear_chart, lambda: rotation_field_chart(0.5)], ids=["shear", "rotation"])
 def test_correction_terms_equal_the_products_with_the_inclusion(chart):
     # K o iota_s, iota_s the inclusion H_1 -> H_s, has exactly the entries of K @ iota
-    N, s = 16, 0.75
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(chart(), s, N)
+    N = 16
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = chart()
     q = random_loop(np.random.default_rng(4), 2, N, amplitude=0.3)
     K = riesz_correction(F, phi, q)
     conj = _conjugated_term(F, phi, q)

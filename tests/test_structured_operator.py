@@ -11,7 +11,7 @@ from floerlab.floer_function import (
     standard_symplectic_matrix,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, dphi, leibniz_check, verify_floer_axioms
+from floerlab.floer_map import apply, dphi, leibniz_check, verify_floer_axioms
 from floerlab.pullback import pull_back_gradient, riesz_correction
 from floerlab.scale_operator import (
     LevelOperator,
@@ -98,12 +98,12 @@ def _producers(N, seed):
     rng = np.random.default_rng(seed)
     q = random_loop(rng, 2, N, amplitude=0.4)
     g = random_loop(rng, 1, N, top_mode=5, amplitude=0.8)
-    phi = SuperpositionMap(shear_chart(), 0.75, N)
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    G = phi.grid_points
-    jac = phi.chart.jacobian(phi.sample_values(q))
+    phi = shear_chart()
+    F = symplectic_action(quadratic_hamiltonian())
+    G = default_grid_points(N)
+    jac = phi.jacobian(to_grid(q, G))
     grad = to_grid(F.gradient(apply(phi, q)), G)
-    V = np.einsum("gi,gijk->gjk", grad, phi.chart.hessian(phi.sample_values(q)))
+    V = np.einsum("gi,gijk->gjk", grad, phi.hessian(to_grid(q, G)))
     d = (2 * N + 1) * 2
     out = [
         ("mult", mult_operator(g), multiplication_matrix(to_grid(g, G)[:, 0], N)),
@@ -113,7 +113,7 @@ def _producers(N, seed):
         ("derivative", derivative_operator(N, 2), np.diag(np.repeat(2j * np.pi * mode_numbers(N).astype(float), 2))),
     ]
     for H in (quadratic_hamiltonian(), driven_hamiltonian()):
-        out.append((f"hessian[{H.name}]", symplectic_action(H, N).hessian(q), _old_hessian(H, N, q)))
+        out.append((f"hessian[{H.name}]", symplectic_action(H).hessian(q), _old_hessian(H, N, q)))
     return out
 
 
@@ -273,22 +273,22 @@ def test_axioms_leibniz_and_pulled_back_gradient_build_no_matrix(monkeypatch):
 
     monkeypatch.setattr(LevelOperator, "__getattr__", recording)
     rng = np.random.default_rng(5)
-    shear = SuperpositionMap(shear_chart(), 0.75, 32)
-    rotation = SuperpositionMap(rotation_field_chart(0.5), 0.75, 32)
+    shear = shear_chart()
+    rotation = rotation_field_chart(0.5)
     q, xi, eta = (random_loop(rng, 2, 32, amplitude=0.4) for _ in range(3))
-    reports = verify_floer_axioms(shear, [q, xi], (16, 32), hopm={"restarts": 1, "iters": 20})
+    reports = verify_floer_axioms(shear, 0.75, [q, xi], (16, 32), hopm={"restarts": 1, "iters": 20})
     assert [r.axiom for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
     rep = leibniz_check(rotation, shear, q, xi, eta)
     assert all(np.isfinite(rep["residuals"]))
-    F = symplectic_action(quadratic_hamiltonian(), 32)
+    F = symplectic_action(quadratic_hamiltonian())
     grad = pull_back_gradient(F, shear, q)
     assert grad.N == 32
     assert built == []
 
 
-def _kappa_correction(N, seed, s=0.75):
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
+def _kappa_correction(N, seed):
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     return riesz_correction(F, phi, q)
 
@@ -333,7 +333,7 @@ def test_fft_certified_multiplication_norm_at_the_dual_signature(N):
 def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
     # the shear Jacobian is not symmetric, so g(t) in place of g(t)^H breaks A^H
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
-    D = dphi(SuperpositionMap(shear_chart(), 0.75, N), q)
+    D = dphi(shear_chart(), q)
     assert np.max(np.abs(D.factor - D.factor.transpose(0, 2, 1))) > 0.5
     _assert_certified_against_svd(D, *levels)
 

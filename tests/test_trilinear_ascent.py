@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from floerlab.charts import rotation_field_chart, shear_chart
-from floerlab.floer_map import EXITS, BilinearLevelMap, SuperpositionMap, d2phi, trilinear_norms
+from floerlab.floer_map import EXITS, BilinearLevelMap, d2phi, trilinear_norms
 from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
 
 LEVELS = [(0.75, 0.0, 0.0), (1.75, -1.0, -1.0)]
@@ -104,7 +104,7 @@ def test_random_symmetric_tensor_matches_sequential_ascent(N, levels, hopm):
 
 def _chart_hessian(chart, N, seed):
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.3)
-    return d2phi(SuperpositionMap(chart, 0.75, N), q)
+    return d2phi(chart, q)
 
 
 @pytest.mark.parametrize("hopm", BUDGETS)

@@ -11,7 +11,7 @@ from floerlab.floer_function import (
     standard_symplectic_matrix,
     symplectic_action,
 )
-from floerlab.floer_map import SuperpositionMap, apply, dphi
+from floerlab.floer_map import apply, dphi
 from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
 from floerlab.pullback import riesz_correction
 from floerlab.scale_operator import (
@@ -52,16 +52,16 @@ def _mirror(N, n):
 
 
 def _riesz(N, seed):
-    F = symplectic_action(driven_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), 0.75, N)
+    F = symplectic_action(driven_hamiltonian())
+    phi = shear_chart()
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     return riesz_correction(F, phi, q)
 
 
 def _composed_factors(N, seed):
     # the pullback's conjugated term: products round differently at mirrored entries
-    F = symplectic_action(driven_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), 0.75, N)
+    F = symplectic_action(driven_hamiltonian())
+    phi = shear_chart()
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     D = dphi(phi, q)
     return adjoint(D), F.hessian(apply(phi, q)), D
@@ -138,9 +138,9 @@ def test_op_norm_of_zero_operator_is_exactly_zero(N, n):
 KAPPA_LEVELS = (1.75, 1.0)
 
 
-def _kappa_correction(N, seed, s=0.75):
-    F = symplectic_action(quadratic_hamiltonian(), N)
-    phi = SuperpositionMap(shear_chart(), s, N)
+def _kappa_correction(N, seed):
+    F = symplectic_action(quadratic_hamiltonian())
+    phi = shear_chart()
     q = random_loop(np.random.default_rng(seed), 2, N, amplitude=0.4)
     return riesz_correction(F, phi, q)
 
@@ -314,7 +314,7 @@ def _kron_assembly(H, N, q):
 @pytest.mark.parametrize("H", [quadratic_hamiltonian(), driven_hamiltonian()], ids=["quadratic", "driven"])
 def test_action_hessian_is_exactly_block_diagonal(H, N):
     q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.5)
-    A = symplectic_action(H, N).hessian(q)
+    A = symplectic_action(H).hessian(q)
     assert _mode_blocks(A) is not None
     if N == 16:
         old = _kron_assembly(H, N, q)
