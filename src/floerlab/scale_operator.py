@@ -53,10 +53,23 @@ singular values of the dense weighted matrix:
 
 op_norms(T, pairs) reads one operator at several level pairs, and
 op_norm(T, a, b) is its one-pair call.  It needs only sigma_max.
-Mode-block-diagonal operators take the block path.  A pair of a pure
-multiplication operator may be certified by a power iteration on A^H A,
-A the weighted matrix, whose Rayleigh quotient theta and residual r
-give the Kato-Temple bracket
+Mode-block-diagonal operators take the block path.  A (0, 0) pair of a
+pure scalar multiplication operator (a factor, no blocks, n = 1) whose
+symbol g is degree one up to roundoff takes a closed form
+(_tridiagonal_top): the operator is then a Hermitian tridiagonal
+Toeplitz matrix plus a tail E, the entries 2 <= |m| <= 2N, and
+
+    sigma_max = |g(0)| + 2 |g(1)| cos(pi / (2N+2)),
+
+within ||E|| + O(eps) sigma_max by Weyl's inequality, where ||E|| is at
+most the sum of the tail's moduli; the path is taken only when that
+sum is at most (2N+1) eps sigma_max, the error scale of the symmetric
+eigensolve below.  The other pairs of the call take the paths that
+follow.
+
+A pair of a pure multiplication operator may be certified by a power
+iteration on A^H A, A the weighted matrix, whose Rayleigh quotient
+theta and residual r give the Kato-Temple bracket
 
     theta <= sigma_max^2 <= theta + |r|^2 / (theta - alpha),
 
@@ -99,12 +112,14 @@ The Gram's error swamps any sigma^2 below about eps sigma_max^2, so
 sigma_min, gaps and kernel counts would lose half their digits;
 weighted_singular_values keeps its SVDs.
 
-The matrix-free path holds no d x d array, d = (2N+1)n.  The paths on
-the form hold at their peak the level-free form, weighed in place for
-the last pair, and for the pairs before it one weighed form, whose top
-is read before the next pair is weighed.  The iterations on R add
-nothing of size d x d.  The symmetric path adds eigvalsh's working copy
-of R, the Gram path R^T R and eigvalsh's working copy of it.
+The closed form reads only the 4N+1 symbol entries, and the
+matrix-free path holds no d x d array, d = (2N+1)n; a call whose pairs
+all take them builds no real form.  The paths on the form hold at their
+peak the level-free form, weighed in place for the last pair, and for
+the pairs before it one weighed form, whose top is read before the next
+pair is weighed.  The iterations on R add nothing of size d x d.  The
+symmetric path adds eigvalsh's working copy of R, the Gram path R^T R
+and eigvalsh's working copy of it.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -636,16 +651,42 @@ def _symmetric_top(R: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
+def _tridiagonal_top(T: LevelOperator) -> float | None:
+    """sigma_max at (0, 0) of a scalar multiplication operator whose symbol is degree one, else None.
+
+    T, a pure multiplication operator with n = 1, is the Toeplitz matrix
+    of its symbol g, Hermitian since g(-m) = conj(g(m)).  With g(m) = 0
+    for 2 <= |m| <= 2N it is tridiagonal, with eigenvalues g(0) + 2 |g(1)|
+    cos(j pi / (2N+2)), j = 1..2N+1 (Böttcher and Grudsky, Spectral
+    Properties of Banded Toeplitz Matrices, 2005), so sigma_max = |g(0)| +
+    2 |g(1)| cos(pi / (2N+2)).  The rest E of T, the entries 2 <= |m| <=
+    2N, is Hermitian with ||E|| <= tail, the sum of their moduli, so by
+    Weyl's inequality the value is within tail + O(eps) sigma_max of T's.
+    The path is taken when tail is at most (2N+1) eps sigma_max, the error
+    scale of the symmetric eigensolve it replaces: the symbol is degree one
+    up to its FFT roundoff.  The computed tail is raised by 2 (4N) eps, for
+    the rounding of its 4N - 2 moduli and their sums.
+    """
+    if not _multiplication(T) or T.n != 1:
+        return None
+    N, g = T.N, T.symbol[:, 0, 0]
+    c = 2 * N  # the symbol's m = 0 entry
+    top = abs(g[c]) + 2 * abs(g[c + 1]) * np.cos(np.pi / (2 * N + 2))
+    tail = (np.abs(g[: c - 1]).sum() + np.abs(g[c + 2 :]).sum()) * (1.0 + 8 * N * _EPS)
+    return float(top) if tail <= (2 * N + 1) * _EPS * top else None
+
+
 def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     """Operator norms of T : H_a -> H_b for each level pair (a, b), in order.
 
-    Takes the block path, else the certified and dense paths of the
-    module docstring.  A pure multiplication operator reads
-    _symbol_screen per pair first.  If it admits every pair, each pair's
-    power iteration runs matrix-free (_matrix_free_top), in order, and no
-    real form is built unless one of them stalls.  Otherwise, and from
-    the stalled pair on, the pairs left share one _cos_sin_form of T,
-    weighed per pair into one buffer, the last pair in place, and an
+    Takes the block path, else the closed, certified and dense paths of
+    the module docstring.  A (0, 0) pair that _tridiagonal_top answers
+    takes its closed form.  A pure multiplication operator reads
+    _symbol_screen for each pair left.  If it admits every one, each
+    one's power iteration runs matrix-free (_matrix_free_top), in order,
+    and no real form is built unless one of them stalls.  Otherwise, and
+    from the stalled pair on, the pairs left share one _cos_sin_form of
+    T, weighed per pair into one buffer, the last pair in place, and an
     admitted pair's iteration runs on its weighed form R with dense
     matvecs (_dense_top).  Any other operator builds the one form at once
     and takes no power step.  A form still open takes one symmetric
@@ -657,29 +698,33 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     blocks = _mode_blocks(T)
     if blocks is not None:
         return [float(_block_singular_values(blocks, T.N, a, b)[0]) for a, b in pairs]
-    screens = [_symbol_screen(T, a, b) for a, b in pairs] if _multiplication(T) else None
-    norms = []
-    if screens is not None and all(screen is not None for screen in screens):
+    closed = _tridiagonal_top(T) if (0.0, 0.0) in pairs else None
+    norms = [closed if pair == (0.0, 0.0) else None for pair in pairs]
+    todo = [i for i, norm in enumerate(norms) if norm is None]
+    if not todo:
+        return norms
+    screens = {i: _symbol_screen(T, *pairs[i]) for i in todo} if _multiplication(T) else {}
+    if screens and all(screen is not None for screen in screens.values()):
         TH = adjoint(T)  # multiplication by g(t)^T
-        for (a, b), screen in zip(pairs, screens):
-            top = _matrix_free_top(T, TH, a, b, *screen)
+        while todo:
+            top = _matrix_free_top(T, TH, *pairs[todo[0]], *screens[todo[0]])
             if top is None:  # stalled: the pair takes an eigensolve
-                screens[len(norms)] = None
+                screens[todo[0]] = None
                 break
-            norms.append(float(np.sqrt(top)))
-        if len(norms) == len(pairs):
+            norms[todo.pop(0)] = float(np.sqrt(top))
+        if not todo:
             return norms
     C = _cos_sin_form(T)
-    buf = np.empty_like(C) if len(pairs) - len(norms) > 1 else None
-    for i in range(len(norms), len(pairs)):
-        R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == len(pairs) - 1 else buf)
-        top = None if screens is None or screens[i] is None else _dense_top(R, *screens[i])
+    buf = np.empty_like(C) if len(todo) > 1 else None
+    for i in todo:
+        R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == todo[-1] else buf)
+        top = None if screens.get(i) is None else _dense_top(R, *screens[i])
         if top is not None:
-            norms.append(float(np.sqrt(top)))
+            norms[i] = float(np.sqrt(top))
         elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
-            norms.append(_symmetric_top(R))
+            norms[i] = _symmetric_top(R)
         else:
-            norms.append(_gram_top(R))
+            norms[i] = _gram_top(R)
     return norms
 
 

@@ -44,7 +44,7 @@ from floerlab.sobolev_evidence import (
 HOPM = {"restarts": 1, "iters": 80}
 
 
-def _quadratic_pullback(N, s=0.75):
+def _quadratic_pullback():
     F = symplectic_action(quadratic_hamiltonian())
     phi = shear_chart()
     return F, phi, pull_back(F, phi)
@@ -52,7 +52,7 @@ def _quadratic_pullback(N, s=0.75):
 
 def test_criterion_01_pullback_gradient_oracle(criterion):
     N = 128
-    _, _, Ft = _quadratic_pullback(N)
+    _, _, Ft = _quadratic_pullback()
     rng = np.random.default_rng(2026)
     worst = 0.0
     for _ in range(100):
@@ -68,7 +68,7 @@ def test_criterion_01_pullback_gradient_oracle(criterion):
 
 def test_criterion_02_pullback_hessian_oracle(criterion):
     N = 128
-    _, _, Ft = _quadratic_pullback(N)
+    _, _, Ft = _quadratic_pullback()
     rng = np.random.default_rng(2027)
     worst_fd, worst_sym = 0.0, 0.0
     for _ in range(25):
@@ -91,7 +91,7 @@ def test_criterion_02_pullback_hessian_oracle(criterion):
 
 
 def test_criterion_03_riesz_correction(criterion):
-    F, phi, _ = _quadratic_pullback(64)
+    F, phi, _ = _quadratic_pullback()
     rng = np.random.default_rng(2028)
     q = random_loop(rng, 2, 64, amplitude=0.4)
     K = riesz_correction(F, phi, q)
@@ -110,8 +110,7 @@ def test_criterion_03_riesz_correction(criterion):
     budget_ok = True
     for s in (0.6, 0.75, 0.9):
         for N in (32, 64, 128, 256):
-            FN = symplectic_action(quadratic_hamiltonian())
-            row = kappa_bound_check(FN, phi, q.resize(N), s, hopm=HOPM)
+            row = kappa_bound_check(F, phi, q.resize(N), s, hopm=HOPM)
             budget_ok = budget_ok and row["passed"]
     ok = worst <= 1e-10 and budget_ok
     assert criterion(

@@ -1,4 +1,4 @@
-"""op_norms: the symbol's Kato-Temple certificate, one cosine/sine form per operator, the symmetric eigensolve and the Gram."""
+"""op_norms: the closed form of a degree-one symbol, the symbol's Kato-Temple certificate, one cosine/sine form per operator, the symmetric eigensolve and the Gram."""
 
 import tracemalloc
 
@@ -21,6 +21,8 @@ from floerlab.scale_operator import (
     _self_adjoint,
     _symbol_pass,
     _symbol_screen,
+    _symmetric_top,
+    _tridiagonal_top,
     _weigh,
     op_norm,
     op_norms,
@@ -29,12 +31,13 @@ from floerlab.scale_space import default_grid_points, mode_numbers, random_loop,
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
 from oracles import _gram_norm, _matrix_free_alone, _symmetric_norm
 from test_scale_operator import _reality_preserving
-from test_structured_operator import _bits, _kappa_correction, _no_form, _random_structured
+from test_structured_operator import _bits, _bumped_factor, _kappa_correction, _no_form, _random_structured
 from test_weighted_svd import _composed
 
 # the interpolation check's five levels, the dual level, and two off-diagonal pairs
 PAIRS = [(0.0, 0.0), (1.0, 1.0), (0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (-1.0, -1.0), (1.0, 0.0), (1.75, 1.0)]
 INTERPOLATION_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+EPS = np.finfo(float).eps
 
 OPERATORS = {
     "factor-1": lambda N: _random_structured("factor", N, 1, seed=N),
@@ -67,10 +70,16 @@ def _on_the_form(T, a, b):
 
 
 def _expected_norms(T, pairs):
-    # op_norms' rule for a pure multiplication operator: with every pair
-    # admitted, the pairs before the first stall are certified matrix-free
-    # as alone, the stalled pair takes an eigensolve, and the pairs after it
-    # read the form; with a pair not admitted, every pair reads the form
+    # op_norms' rule for a pure multiplication operator: a (0, 0) pair of a
+    # degree-one scalar symbol takes the closed form; of the pairs left, with
+    # every pair admitted, the pairs before the first stall are certified
+    # matrix-free as alone, the stalled pair takes an eigensolve, and the
+    # pairs after it read the form; with a pair not admitted, every pair
+    # reads the form
+    closed = _tridiagonal_top(T)
+    if closed is not None and (0.0, 0.0) in pairs:
+        rest = iter(_expected_norms(T, [p for p in pairs if p != (0.0, 0.0)]))
+        return [closed if p == (0.0, 0.0) else next(rest) for p in pairs]
     if any(_symbol_screen(T, a, b) is None for a, b in pairs):
         return [_on_the_form(T, a, b) for a, b in pairs]
     alone = [_matrix_free_alone(T, a, b) for a, b in pairs]
@@ -105,10 +114,11 @@ def _record(monkeypatch, events):
 
 
 def test_one_call_mixes_iterations_on_the_form_with_the_symmetric_and_gram_pairs(monkeypatch):
-    # smooth (1,1->1) at N = 64: alone, (1, -1) and (1, 1) are certified
-    # matrix-free; with the clustered (0, 0), self-adjoint, and (0.25, 0.25)
-    # the call builds the form first, and both iterate on it by dense matvecs
-    T = mult_operator(smooth_factor(64))
+    # a degree-5 interpolation factor at N = 64: alone, (1, -1) and (1, 1) are
+    # certified matrix-free; with the clustered (0, 0), self-adjoint, and
+    # (0.25, 0.25) the call builds the form first, and both iterate on it by
+    # dense matvecs
+    T = _interpolation_factors(1)[0]
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
     assert all(_matrix_free_alone(T, a, b) is not None for a, b in pairs[1:3])
     events = []
@@ -300,18 +310,24 @@ def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
     assert one[0] == three[1] == _gram_norm(T, 0.25, 0.25) and three[2] == _gram_norm(T, 0.5, 0.5)
 
 
-def test_level_zero_cell_at_512_holds_one_form_and_its_build():
-    # the sweep's level-0 cell: one real form (d^2 doubles) and the
-    # temporaries of its blocked build, and no Gram
-    T = mult_operator(smooth_factor(512))
+@pytest.mark.parametrize("N", [512, 2048])
+def test_level_zero_cell_builds_no_form(monkeypatch, N):
+    # the sweep's level-0 cell, at N = 512 and at four times the sweep's
+    # largest N: the closed form from the symbol, no real form, and a peak
+    # like the matrix-free cells'
+    T = mult_operator(smooth_factor(N))
     d = 2 * T.N + 1
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", _no_form)
     tracemalloc.start()
     try:
-        op_norm(T, 0.0, 0.0)
+        norm = op_norm(T, 0.0, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * d * d, peak / (8 * d * d)
+    exact = 2.0 + np.cos(np.pi / (2 * N + 2))
+    assert abs(norm - exact) <= 4 * EPS * exact
+    assert peak <= 0.05 * 8 * d * d, peak / (8 * d * d)
+    assert "matrix" not in vars(T)
 
 
 def test_isolated_top_at_512_builds_no_form(monkeypatch):
@@ -435,25 +451,80 @@ def _count_symbol_passes(monkeypatch):
     return counts
 
 
-def test_one_point_sweep_runs_one_symmetric_eigensolve(monkeypatch):
-    # at N = 512: mult(1,0->0), self-adjoint at level 0, builds the one form
-    # and takes the symmetric eigensolve; mult(1,1->1), mult(-1,1->-1) and
-    # the correction are certified matrix-free; no Gram is left
+def test_one_point_sweep_builds_no_form(monkeypatch):
+    # at N = 512: mult(1,0->0), of a degree-one symbol, takes the closed form;
+    # mult(1,1->1), mult(-1,1->-1) and the correction are certified
+    # matrix-free; no real form, symmetric eigensolve or Gram is left
     counts = _count_traffic(monkeypatch)
     rows = cli._sweep_rows(cli.RunConfig(N=[512], s=[0.75], seed=0, workers=1))
     assert len(rows) == 8
-    assert counts == {"forms": 1, "eigensolves": 0, "symmetric": 1}
+    assert counts == {"forms": 0, "eigensolves": 0, "symmetric": 0}
 
 
 def test_sobolev_evidence_traffic(monkeypatch):
     # at the parent of op_norms: 263 forms and 263 eigensolves at seed 0 with the controls on;
     # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs;
-    # before the symbol's one-deletion bound, 62 forms and 113 Gram eigensolves
+    # before the symbol's one-deletion bound, 62 forms and 113 Gram eigensolves;
+    # before the closed form of a degree-one symbol, 56 forms and 56 symmetric
+    # eigensolves, 6 of them the smooth factor's level-0 norms
     counts = _count_traffic(monkeypatch)
     symbol = _count_symbol_passes(monkeypatch)
     report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))
     assert report["verdict"] == "pass"
-    assert counts["forms"] <= 56 and counts["eigensolves"] <= 95 and counts["symmetric"] <= 56
+    assert counts["forms"] <= 50 and counts["eigensolves"] <= 95 and counts["symmetric"] <= 50
     # the adjoint is built only for a call whose pairs are all admitted:
-    # 17 adjoints, 123 of 274 screens admitted here
+    # 17 adjoints, 123 of 268 screens admitted here
     assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
+def test_closed_form_agrees_with_the_symmetric_eigensolve(N):
+    # the kept reference, one eigvalsh of the real form, within the closed
+    # form's gate: (2N+1) eps sigma_max
+    T = mult_operator(smooth_factor(N))
+    norm = op_norm(T, 0.0, 0.0)
+    assert norm == _tridiagonal_top(T)
+    reference = _symmetric_top(_real_form(T, 0.0, 0.0))
+    assert abs(norm - reference) <= (2 * N + 1) * EPS * reference, (norm - reference) / reference
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512, 1024, 2048])
+def test_closed_form_is_the_tridiagonal_toeplitz_top(monkeypatch, N):
+    # 2 + sin(2 pi t) is the matrix with diagonal 2 and off-diagonals -+ i/2,
+    # whose top is 2 + cos(pi / (2N + 2)); no real form is built
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", _no_form)
+    exact = 2.0 + np.cos(np.pi / (2 * N + 2))
+    assert abs(op_norm(mult_operator(smooth_factor(N)), 0.0, 0.0) - exact) <= 4 * EPS * exact
+
+
+def _diagonal_pair(N):
+    # the smooth factor on both components of an n = 2 loop: the same norm, but not scalar
+    factor = mult_operator(smooth_factor(N)).factor * np.eye(2)
+    return LevelOperator(None, N, 2, factor=factor)
+
+
+@pytest.mark.parametrize(
+    "make, pair, symmetric",
+    [
+        (lambda N: mult_operator(_bumped_factor(N)), (0.0, 0.0), 1),  # the tail is above the gate
+        (_diagonal_pair, (0.0, 0.0), 1),  # n = 2
+        (lambda N: mult_operator(smooth_factor(N)), (0.25, 0.25), 0),  # not level 0: the Gram
+    ],
+    ids=["degree-two", "n2", "level-quarter"],
+)
+def test_cells_outside_the_gate_keep_the_form(monkeypatch, make, pair, symmetric):
+    T = make(64)
+    counts = _count_traffic(monkeypatch)
+    norm = op_norm(T, *pair)
+    assert counts == {"forms": 1, "eigensolves": 1 - symmetric, "symmetric": symmetric}
+    assert norm == (_symmetric_norm if symmetric else _gram_norm)(T, *pair)
+
+
+def test_one_call_with_the_closed_form_stays_matrix_free(monkeypatch):
+    # (1, 1) and (1, -1) are admitted and certified matrix-free, (0, 0) takes
+    # the closed form: no real form, and each value as its one-pair call
+    T = mult_operator(smooth_factor(512))
+    pairs = [(0.0, 0.0), (1.0, 1.0), (1.0, -1.0)]
+    monkeypatch.setattr(scale_operator, "_cos_sin_form", _no_form)
+    assert op_norms(T, pairs) == [op_norm(T, a, b) for a, b in pairs]
+    assert "matrix" not in vars(T)

@@ -37,7 +37,7 @@ from floerlab.scale_space import (
     weights,
 )
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
-from oracles import _gram_norm, _matrix_free_alone, _symmetric_norm, min_grid_points, weighted_matrix
+from oracles import _gram_norm, _matrix_free_alone, min_grid_points, weighted_matrix
 from test_scale_operator import _reality_preserving
 
 LEVEL_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (2.0, -1.0), (0.5, 0.5)]
@@ -150,10 +150,12 @@ def test_correction_is_certified_and_multiplication_is_not(N):
     K = _kappa_correction(N, 1)
     assert _matrix_free_alone(K, *KAPPA_LEVELS) is not None
     # the top of a multiplication operator's spectrum is a cluster near sup |g|;
-    # at level 0 the operator is self-adjoint and takes the symmetric eigensolve
+    # at level 0 this one's symbol is degree one, and its norm is the closed
+    # form of the tridiagonal Toeplitz matrix, 2 + cos(pi / (2N + 2))
     T = mult_operator(smooth_factor(N))
     assert _matrix_free_alone(T, 0.0, 0.0) is None
-    assert op_norm(T, 0.0, 0.0) == _symmetric_norm(T, 0.0, 0.0)
+    exact = 2.0 + np.cos(np.pi / (2 * N + 2))
+    assert abs(op_norm(T, 0.0, 0.0) - exact) <= 4 * np.finfo(float).eps * exact
 
 
 def test_second_singular_value_does_not_pass_for_the_first():
