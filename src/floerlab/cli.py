@@ -3,7 +3,7 @@
 Reports are plain JSON (verify) or CSV (sweep) and depend only on the
 config, so a fixed seed reproduces them byte for byte.  The config
 chooses what to run (N, s, seed, suites, negative_controls) and the
-thread pool (workers); the suites read it directly, and their gates are
+pool size (workers); the suites read it directly, and their gates are
 constants in suites.py that no config moves.  --out names the output
 file.  Exit codes: 0 all good, 1 a suite failed, 2 the config or
 arguments were bad.
@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +37,7 @@ from .pullback import certify_pullback, kappa_bound_check
 from .scale_operator import inclusion_singular_values, op_norm, weighted_singular_values
 from .scale_space import random_loop
 from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
-from .suites import LIGHT_HOPM, SUITES, run_suite
+from .suites import LIGHT_HOPM, SUITES
 
 DEMOS = ("pullback", "atlas")
 
@@ -109,8 +112,16 @@ class RunConfig:
         return cls(**raw)
 
     def pool_size(self) -> int:
-        """Threads for verify's suites and sweep's cells: workers, else min(4, CPUs)."""
-        return self.workers if self.workers is not None else min(4, os.cpu_count() or 1)
+        """Processes for verify's cells, threads for sweep's: workers, else min(4, usable CPUs).
+
+        The usable CPUs are those this process may run on (its affinity
+        mask where the platform has one), not every CPU of the machine:
+        more processes than CPUs only take turns.
+        """
+        if self.workers is not None:
+            return self.workers
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(4, usable or 1)
 
     @property
     def mid_s(self) -> float:
@@ -150,13 +161,90 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# (set, get) thread-count calls of OpenBLAS builds: numpy's wheels carry the
+# 64-bit-integer scipy-openblas names, a system OpenBLAS the plain ones
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's (set, get) thread-count functions, or None where none is found.
+
+    numpy offers no call for this, so the library is found among the
+    process's mappings and its own functions are called through ctypes.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({f[5].strip() for f in fields if len(f) > 5 and "openblas" in os.path.basename(f[5]).lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block and restore its count after.
+
+    Yields whether it could: False where no OpenBLAS thread setter is found.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    setter, getter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield True
+    finally:
+        setter(before)
+
+
+def _suite_reports(plans: dict, processes: int) -> dict:
+    """Each planned suite's report, its cells run on forked worker processes, else inline.
+
+    Every cell is submitted, in suite-name and then cell order, before
+    any result is read; the results are read, and each suite assembled,
+    in the same order, so a cell that raises raises here as it would
+    inline, and the reports do not depend on the pool size.
+    """
+    if processes < 2:
+        return {name: plan.run() for name, plan in plans.items()}
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {name: [pool.submit(fn, *args) for fn, args in plan.cells] for name, plan in plans.items()}
+        return {name: plan.assemble([f.result() for f in futures[name]]) for name, plan in plans.items()}
+
+
 def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     names = sorted(cfg.suites)
-    results = {}
-    with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
-        futures = {name: pool.submit(run_suite, name, cfg) for name in names}
-        for name in names:
-            results[name] = futures[name].result()
+    plans = {name: SUITES[name](cfg) for name in names}
+    cells = sum(len(plan.cells) for plan in plans.values())
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            print("verify: no OpenBLAS thread setter found; the cells run inline", file=sys.stderr)
+        # a BLAS thread count above one would make the rounding, and so the
+        # report's bytes, depend on it, and would oversubscribe the CPUs the
+        # processes share; fork copies the parent's threads' locks but not
+        # the threads, so it waits until this is the only thread
+        forkable = pinned and hasattr(os, "fork") and threading.active_count() == 1
+        results = _suite_reports(plans, min(cfg.pool_size(), cells) if forkable else 1)
     verdict = "pass" if all(r["verdict"] == "pass" for r in results.values()) else "fail"
     report = {
         "command": "verify",
@@ -183,7 +271,8 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     per level pair, or one s's kappa check.  Operators and random loops
     are made here, in row order, and each row reads its cell's result in
     row order, so the rows do not depend on the pool size, and a cell
-    that raises raises here as it would run alone.
+    that raises raises here as it would run alone.  Each N's kappa cells,
+    the longest, are submitted before its short cells.
     """
     rng = np.random.default_rng(cfg.seed)
     F = symplectic_action(quadratic_hamiltonian())
@@ -191,11 +280,13 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
     rows = []  # (suite, N, s, quantity, cell, key of the cell's result or None)
     with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
         for N in cfg.N:
+            q = random_loop(rng, 2, N, amplitude=0.4)
+            checks = [pool.submit(kappa_bound_check, F, shear, q, s, hopm=LIGHT_HOPM) for s in cfg.s]
+
             # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
             iota = pool.submit(inclusion_singular_values, N, 2, 1.0, 0.0)
             rows.append(("scale_operator", N, "", "inclusion_sigma_min", iota, -1))
 
-            q = random_loop(rng, 2, N, amplitude=0.4)
             gap = pool.submit(weighted_singular_values, F.hessian(q), 1.0, 0.0)
             rows.append(("floer_function", N, "", "action_gap", gap, -1))
 
@@ -206,8 +297,7 @@ def _sweep_rows(cfg: RunConfig) -> list[tuple]:
                     norms[pair] = pool.submit(op_norm, mult_operator(smooth_factor(N)), *pair)
                 rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair], None))
 
-            for s in cfg.s:
-                check = pool.submit(kappa_bound_check, F, shear, q, s, hopm=LIGHT_HOPM)
+            for s, check in zip(cfg.s, checks):
                 rows.append(("pullback", N, f"{s:g}", "kappa", check, "kappa"))
                 rows.append(("pullback", N, f"{s:g}", "correction_norm", check, "K_norm"))
         return [

@@ -8,11 +8,23 @@ is used), the seed and the negative controls.  The gates are the
 constants below, the same in every run, so a verdict needs no config to
 read.  All randomness flows from the config seed, so reruns with one
 seed serialize to identical bytes.
+
+A suite is planned, then run.  Its planner (SUITES) draws every random
+input from the seed, in a fixed order, and returns a Plan: an ordered
+list of cells and the step that assembles the report from their results,
+in cell order.  A cell is a module-level function with plain-data
+arguments (levels, truncations, loops), so it can be sent to a worker
+process; charts, atlases and Floer functions do not pickle and are built
+inside the cells.  A cell reads nothing another cell made, so the
+report does not depend on where or in which order the cells ran.
+run_suite runs a plan's cells inline; `floerlab verify` sends every
+planned cell to its process pool.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -73,9 +85,39 @@ INTERPOLATION_SAMPLES = 50
 INTERPOLATION_TOL = 1e-10
 COCYCLE_TOL = 1e-10
 
+# Interpolation samples per cell: ten cells of about 25 ms each at the
+# default config, short enough to share out over a few processes.
+INTERPOLATION_CHUNK = 5
+INTERPOLATION_LEVELS = (0.25, 0.5, 0.75)
+
+
+class Plan(NamedTuple):
+    """A suite as ordered cells and the step that reads their results.
+
+    Each cell is (function, args), the function module-level and the
+    args picklable; assemble takes the cells' results in cell order and
+    returns the suite report.
+    """
+
+    cells: list[tuple[Callable, tuple]]
+    assemble: Callable[[list], dict]
+
+    def run(self) -> dict:
+        """The report, with every cell run inline, in order."""
+        return self.assemble([fn(*args) for fn, args in self.cells])
+
 
 def _verdict(checks: list[dict]) -> str:
     return "pass" if checks and all(c["passed"] for c in checks) else "fail"
+
+
+def _report(suite: str, seed: int, checks: list[dict]) -> dict:
+    return {"suite": suite, "seed": seed, "checks": checks, "verdict": _verdict(checks)}
+
+
+def _check_lists(suite: str, seed: int) -> Callable[[list], dict]:
+    """The assemble step of a plan whose cells each return a list of checks."""
+    return lambda results: _report(suite, seed, list(chain.from_iterable(results)))
 
 
 def _expected_fail(name: str, failed: bool, detail: dict) -> dict:
@@ -97,16 +139,26 @@ def _zero_mean_x(u: FourierLoop) -> FourierLoop:
     return FourierLoop(c)
 
 
-def suite_floer_map(cfg: RunConfig) -> dict:
+def plan_floer_map(cfg: RunConfig) -> Plan:
     rng = np.random.default_rng(cfg.seed)
-    s = cfg.mid_s
     Ns = cfg.capped(64)
+    top = max(Ns)
+    samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(3)]
+    xi = random_loop(rng, 2, top, amplitude=0.3)
+    eta = random_loop(rng, 2, top, amplitude=0.3)
+    rough_samples = None
+    if cfg.negative_controls:
+        rough_samples = [_zero_mean_x(random_loop(rng, 2, top, amplitude=0.25)) for _ in range(2)]
+    cells = [(_floer_map_checks, (cfg.mid_s, Ns, samples, xi, eta, rough_samples))]
+    return Plan(cells, _check_lists("floer_map", cfg.seed))
+
+
+def _floer_map_checks(s, Ns, samples, xi, eta, rough_samples) -> list[dict]:
     top = max(Ns)
     checks = []
 
     shear = shear_chart()
     rotation = rotation_field_chart(0.5)
-    samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(3)]
 
     reports = verify_floer_axioms(shear, s, samples, Ns, hopm=LIGHT_HOPM)
     checks.append(
@@ -142,8 +194,6 @@ def suite_floer_map(cfg: RunConfig) -> dict:
         }
     )
 
-    xi = random_loop(rng, 2, top, amplitude=0.3)
-    eta = random_loop(rng, 2, top, amplitude=0.3)
     leib = leibniz_check(rotation, shear, q, xi, eta)
     slope_ok = abs(leib["slope"] - 2.0) <= LEIBNIZ_SLOPE_TOL
     checks.append(
@@ -154,8 +204,7 @@ def suite_floer_map(cfg: RunConfig) -> dict:
         }
     )
 
-    if cfg.negative_controls:
-        rough_samples = [_zero_mean_x(random_loop(rng, 2, top, amplitude=0.25)) for _ in range(2)]
+    if rough_samples is not None:
         rep = verify_floer_axioms(c1_only_chart(), s, rough_samples, Ns, hopm=LIGHT_HOPM)
         ii2 = next(r for r in rep if r.axiom == "(ii)2")
         checks.append(
@@ -165,8 +214,7 @@ def suite_floer_map(cfg: RunConfig) -> dict:
                 {"axioms": [r.to_json() for r in rep]},
             )
         )
-
-    return {"suite": "floer_map", "seed": cfg.seed, "checks": checks, "verdict": _verdict(checks)}
+    return checks
 
 
 def _inclusion_control(sweep: tuple[int, ...]) -> dict:
@@ -189,15 +237,22 @@ def _inclusion_control(sweep: tuple[int, ...]) -> dict:
     }
 
 
-def suite_floer_function(cfg: RunConfig) -> dict:
+def plan_floer_function(cfg: RunConfig) -> Plan:
     rng = np.random.default_rng(cfg.seed + 1)
     Ns = cfg.capped(64)
     top = max(Ns)
+    samples = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
+    directions = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
+    # one Hessian per N of the Fredholm sweep, read at both level pairs
+    hessian_loops = {N: random_loop(rng, 2, N, amplitude=0.5) for N in cfg.capped(256)}
+    cells = [(_floer_function_checks, (Ns, samples, directions, hessian_loops))]
+    return Plan(cells, _check_lists("floer_function", cfg.seed))
+
+
+def _floer_function_checks(Ns, samples, directions, hessian_loops) -> list[dict]:
     checks = []
 
     F = symplectic_action(driven_hamiltonian())
-    samples = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
-    directions = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
     pairs = [(directions[0], directions[1])]
     report = full_report(F, samples, directions, pairs, N_sweep=Ns)
     checks.append(
@@ -208,10 +263,8 @@ def suite_floer_function(cfg: RunConfig) -> dict:
         }
     )
 
-    sweep = cfg.capped(256)
-    # one Hessian per N, read at both level pairs
     well = symplectic_action(quadratic_hamiltonian())
-    hessians = {N: well.hessian(random_loop(rng, 2, N, amplitude=0.5)) for N in sweep}
+    hessians = {N: well.hessian(q) for N, q in hessian_loops.items()}
     for a, b in ((1.0, 0.0), (2.0, 1.0)):
         rep = fredholm_diagnostic(hessians, a, b)
         final_gap = rep.sweep[-1]["gap"]
@@ -226,26 +279,27 @@ def suite_floer_function(cfg: RunConfig) -> dict:
             }
         )
 
-    checks.append(_inclusion_control(sweep))
-
-    return {
-        "suite": "floer_function",
-        "seed": cfg.seed,
-        "checks": checks,
-        "verdict": _verdict(checks),
-    }
+    checks.append(_inclusion_control(tuple(hessian_loops)))
+    return checks
 
 
-def suite_pullback(cfg: RunConfig) -> dict:
+def plan_pullback(cfg: RunConfig) -> Plan:
     rng = np.random.default_rng(cfg.seed + 2)
-    s = cfg.mid_s
     Ns = cfg.capped(64)
     top = max(Ns)
+    samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(2)]
+    directions = [
+        (random_loop(rng, 2, top, amplitude=0.5), random_loop(rng, 2, top, amplitude=0.5)) for _ in range(10)
+    ]
+    cells = [(_pullback_checks, (cfg.mid_s, Ns, cfg.s, cfg.capped(128), samples, directions))]
+    return Plan(cells, _check_lists("pullback", cfg.seed))
+
+
+def _pullback_checks(s, Ns, kappa_s, kappa_Ns, samples, directions) -> list[dict]:
     checks = []
 
     F = symplectic_action(quadratic_hamiltonian())
     phi = shear_chart()
-    samples = [random_loop(rng, 2, top, amplitude=0.4) for _ in range(2)]
 
     certificate = certify_pullback(F, phi, s, samples, N_sweep=Ns, hopm=LIGHT_HOPM)
     checks.append(
@@ -261,9 +315,7 @@ def suite_pullback(cfg: RunConfig) -> dict:
     grad_at_image = F.gradient(apply(phi, q))
     B = d2phi(phi, q)
     worst = 0.0
-    for _ in range(10):
-        xi = random_loop(rng, 2, top, amplitude=0.5)
-        eta = random_loop(rng, 2, top, amplitude=0.5)
+    for xi, eta in directions:
         lhs = inner(K.apply(xi), eta, 0.0)
         rhs = B.trilinear(xi, eta, grad_at_image)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
@@ -277,8 +329,8 @@ def suite_pullback(cfg: RunConfig) -> dict:
     )
 
     kappa_rows = []
-    for sv in cfg.s:
-        for N in cfg.capped(128):
+    for sv in kappa_s:
+        for N in kappa_Ns:
             row = kappa_bound_check(F, phi, q.resize(N), sv, hopm=LIGHT_HOPM)
             kappa_rows.append({"N": N, **row})
     checks.append(
@@ -306,18 +358,39 @@ def suite_pullback(cfg: RunConfig) -> dict:
             "gradient_residual": g_res,
         }
     )
+    return checks
 
-    return {"suite": "pullback", "seed": cfg.seed, "checks": checks, "verdict": _verdict(checks)}
 
-
-def suite_sobolev_evidence(cfg: RunConfig) -> dict:
+def plan_sobolev_evidence(cfg: RunConfig) -> Plan:
     rng = np.random.default_rng(cfg.seed + 3)
     sweep = cfg.capped(256)
-    top64 = 64
-    checks = []
+    factors = [random_loop(rng, 1, 64, top_mode=5, amplitude=0.8) for _ in range(INTERPOLATION_SAMPLES)]
+    triple = [random_loop(rng, 1, 64, top_mode=6, amplitude=0.7) for _ in range(3)]
 
+    head = [(_smooth_factor_checks, (sweep,)), (_rough_factor_control, (sweep,))]
+    chunks = [
+        (_interpolation_slacks, (factors[i : i + INTERPOLATION_CHUNK],))
+        for i in range(0, INTERPOLATION_SAMPLES, INTERPOLATION_CHUNK)
+    ]
+    tail = [
+        (_pairing_check, (triple,)),
+        (_ordering_and_dual_check, ()),
+        *[(_holder_check, (sv, sweep)) for sv in cfg.s],
+        (_endpoint_control, ()),
+    ]
+
+    def assemble(results: list) -> dict:
+        first, last = len(head), len(head) + len(chunks)
+        interpolation = _interpolation_check(results[first:last])
+        checks = [*chain.from_iterable(results[:first]), interpolation, *chain.from_iterable(results[last:])]
+        return _report("sobolev_evidence", cfg.seed, checks)
+
+    return Plan(head + chunks + tail, assemble)
+
+
+def _smooth_factor_checks(sweep) -> list[dict]:
     # one sweep per level pair: (1,0->0) and (C0,0->0) are the same operator
-    sweeps = {}
+    checks, sweeps = [], {}
     for key, pair in sorted(SIGNATURES.items()):
         if pair not in sweeps:
             sweeps[pair] = mult_norm_sweep(smooth_factor(max(sweep)), key, N_sweep=sweep)
@@ -329,110 +402,120 @@ def suite_sobolev_evidence(cfg: RunConfig) -> dict:
                 "sweep": rep["sweep"],
             }
         )
+    return checks
 
+
+def _rough_factor_control(sweep) -> list[dict]:
     # growth needs a span to grow across: anchor the control sweep at small
     # N (cheap factors) and scale the required factor to the span covered,
     # so short or high-starting configured sweeps still produce a verdict
     ctrl = tuple(sorted({8, 16, *sweep}))
-    rough = mult_norm_sweep(lambda N: rough_factor(N), "(1,1->1)", N_sweep=ctrl)
+    rough = mult_norm_sweep(rough_factor, "(1,1->1)", N_sweep=ctrl)
     norms = [e["norm"] for e in rough["sweep"]]
     growth = norms[-1] / norms[0]
     span = max(ctrl) / min(ctrl)
-    checks.append(
-        _expected_fail(
-            "rough factor blows up at the borderline signature",
-            rough["verdict"] == "unbounded" and growth >= span**0.25,
-            {"growth": float(growth), "required_factor": float(span**0.25), "sweep": rough["sweep"]},
-        )
-        | {"expected": "growth"}
+    check = _expected_fail(
+        "rough factor blows up at the borderline signature",
+        rough["verdict"] == "unbounded" and growth >= span**0.25,
+        {"growth": float(growth), "required_factor": float(span**0.25), "sweep": rough["sweep"]},
     )
+    return [check | {"expected": "growth"}]
 
-    # per level, the largest norm_s - bound over the samples; inf once a level report fails
-    slacks = {0.25: [], 0.5: [], 0.75: []}
-    for _ in range(INTERPOLATION_SAMPLES):
-        g = random_loop(rng, 1, top64, top_mode=5, amplitude=0.8)
-        T = mult_operator(g)
-        for rep in check_interpolation(T, tuple(slacks), tol=INTERPOLATION_TOL):
+
+def _interpolation_slacks(factors) -> dict:
+    """Per level, norm_s - bound for each factor; inf where a level report fails."""
+    slacks = {sv: [] for sv in INTERPOLATION_LEVELS}
+    for g in factors:
+        for rep in check_interpolation(mult_operator(g), INTERPOLATION_LEVELS, tol=INTERPOLATION_TOL):
             slacks[rep["s"]].append(rep["norm_s"] - rep["bound"] if rep["passed"] else float("inf"))
-    worst = {sv: max(v) for sv, v in slacks.items()}
-    checks.append(
-        {
-            "name": "multiplication norms interpolate between the end levels",
-            "passed": all(v <= INTERPOLATION_TOL for v in worst.values()),
-            "worst_slack": {str(k): float(v) for k, v in worst.items()},
-            "samples": INTERPOLATION_SAMPLES,
-        }
-    )
+    return slacks
 
-    triple = [random_loop(rng, 1, top64, top_mode=6, amplitude=0.7) for _ in range(3)]
+
+def _interpolation_check(chunks: list[dict]) -> dict:
+    worst = {sv: max(v for slacks in chunks for v in slacks[sv]) for sv in INTERPOLATION_LEVELS}
+    return {
+        "name": "multiplication norms interpolate between the end levels",
+        "passed": all(v <= INTERPOLATION_TOL for v in worst.values()),
+        "worst_slack": {str(k): float(v) for k, v in worst.items()},
+        "samples": INTERPOLATION_SAMPLES,
+    }
+
+
+def _pairing_check(triple) -> list[dict]:
     pairing = dual_pairing_check(*triple)
-    checks.append(
+    return [
         {
             "name": "dual-side multiplication is the transpose action",
             "passed": pairing["passed"],
             "residual": pairing["residual"],
         }
-    )
+    ]
 
-    ordering = signature_ordering_check(smooth_factor(top64))
-    dual = dual_estimate_check(smooth_factor(top64))
-    checks.append(
+
+def _ordering_and_dual_check() -> list[dict]:
+    ordering = signature_ordering_check(smooth_factor(64))
+    dual = dual_estimate_check(smooth_factor(64))
+    return [
         {
             "name": "norm ordering and the dual estimate",
             "passed": ordering["passed"] and dual["passed"],
             "ordering": ordering,
             "dual": dual,
         }
-    )
+    ]
 
-    for sv in cfg.s:
-        rep = holder_embedding_check(sv, N_sweep=sweep)
-        checks.append(
-            {
-                "name": f"continuity embedding constant stabilizes at s={sv:g}",
-                "passed": rep["verdict"] == "stable",
-                "constant": rep["constant"],
-                "sweep": rep["sweep"],
-            }
-        )
+
+def _holder_check(sv, sweep) -> list[dict]:
+    rep = holder_embedding_check(sv, N_sweep=sweep)
+    return [
+        {
+            "name": f"continuity embedding constant stabilizes at s={sv:g}",
+            "passed": rep["verdict"] == "stable",
+            "constant": rep["constant"],
+            "sweep": rep["sweep"],
+        }
+    ]
+
+
+def _endpoint_control() -> list[dict]:
     # the endpoint constant climbs only a few percent per octave near the
     # top, inside the stability tolerance of any window that starts high;
     # this control runs on its own fixed sweep rather than the configured one
     endpoint = holder_embedding_check(0.5)
-    checks.append(
-        _expected_fail(
-            "endpoint control keeps growing",
-            endpoint["verdict"] == "growing",
-            {"sweep": endpoint["sweep"]},
-        )
-        | {"expected": "growth"}
+    check = _expected_fail(
+        "endpoint control keeps growing",
+        endpoint["verdict"] == "growing",
+        {"sweep": endpoint["sweep"]},
     )
-
-    return {
-        "suite": "sobolev_evidence",
-        "seed": cfg.seed,
-        "checks": checks,
-        "verdict": _verdict(checks),
-    }
+    return [check | {"expected": "growth"}]
 
 
-def suite_loop_atlas(cfg: RunConfig) -> dict:
-    checks = []
-    for sv in cfg.s:
-        atlas = sphere_small_loop_atlas(s=sv)
-        rep = check_compatibility(atlas, atlas, N_sweep=cfg.capped(64))
-        checks.append(
-            {
-                "name": f"sphere transitions pass all axioms at s={sv:g}",
-                "passed": rep["verdict"] == "pass",
-                "pairs": [
-                    {k: p[k] for k in ("from", "to", "overlap", "verdict") if k in p}
-                    for p in rep["pairs"]
-                ],
-            }
-        )
+def plan_loop_atlas(cfg: RunConfig) -> Plan:
+    # the atlases' corpora come from fixed seeds: this suite draws nothing from cfg.seed
+    s, Ns = cfg.mid_s, cfg.capped(64)
+    cells = [(_compatibility_check, (sv, Ns)) for sv in cfg.s]
+    cells += [(_reverse_transition_check, (s,)), (_cocycle_check, (s, False)), (_cocycle_check, (s, True))]
+    if cfg.negative_controls:
+        cells.append((_c1_atlas_control, (s, Ns)))
+    return Plan(cells, _check_lists("loop_atlas", cfg.seed))
 
-    s = cfg.mid_s
+
+def _compatibility_check(s, Ns) -> list[dict]:
+    atlas = sphere_small_loop_atlas(s=s)
+    rep = check_compatibility(atlas, atlas, N_sweep=Ns)
+    return [
+        {
+            "name": f"sphere transitions pass all axioms at s={s:g}",
+            "passed": rep["verdict"] == "pass",
+            "pairs": [
+                {k: p[k] for k in ("from", "to", "overlap", "verdict") if k in p}
+                for p in rep["pairs"]
+            ],
+        }
+    ]
+
+
+def _reverse_transition_check(s) -> list[dict]:
     atlas = sphere_small_loop_atlas(s=s)
     phi = transition(atlas, "north", "south", N=32)
     back = transition(atlas, "south", "north", N=32)
@@ -442,58 +525,62 @@ def suite_loop_atlas(cfg: RunConfig) -> dict:
         image = apply(phi, q)
         res_inv = max(res_inv, (apply(back, image) - apply(invert(phi), image)).norm(1.0))
         res_inv = max(res_inv, (apply(invert(phi), image) - q).norm(1.0))
-    checks.append(
+    return [
         {
             "name": "reverse transition inverts the forward one",
             "passed": res_inv <= COCYCLE_TOL,
             "residual": float(res_inv),
         }
-    )
+    ]
 
-    trans_self = check_transitivity(atlas, atlas, atlas)
-    A = sphere_small_loop_atlas(s=s)
-    B = rotated_sphere_atlas(0.3, s=s)
-    C = rotated_sphere_atlas(-0.25, s=s, axis=1, seed=13)
-    trans_rot = check_transitivity(A, B, C)
-    for label, rep in (("one atlas", trans_self), ("rotated frames", trans_rot)):
-        checks.append(
-            {
-                "name": f"composite transitions close the cocycle ({label})",
-                "passed": rep["verdict"] == "pass",
-                "apply_residual": rep["apply_residual_max"],
-                "two_step_residual": rep["two_step_residual_max"],
-                "dphi_residual": rep["dphi_residual_max"],
-                "pieces_agree": rep["pieces_agree"],
-            }
+
+def _cocycle_check(s, rotated) -> list[dict]:
+    """The cocycle on one sphere atlas with itself, or across three rotated frames."""
+    if rotated:
+        A = sphere_small_loop_atlas(s=s)
+        B = rotated_sphere_atlas(0.3, s=s)
+        C = rotated_sphere_atlas(-0.25, s=s, axis=1, seed=13)
+        rep, label = check_transitivity(A, B, C), "rotated frames"
+    else:
+        atlas = sphere_small_loop_atlas(s=s)
+        rep, label = check_transitivity(atlas, atlas, atlas), "one atlas"
+    return [
+        {
+            "name": f"composite transitions close the cocycle ({label})",
+            "passed": rep["verdict"] == "pass",
+            "apply_residual": rep["apply_residual_max"],
+            "two_step_residual": rep["two_step_residual_max"],
+            "dphi_residual": rep["dphi_residual_max"],
+            "pieces_agree": rep["pieces_agree"],
+        }
+    ]
+
+
+def _c1_atlas_control(s, Ns) -> list[dict]:
+    good = planar_atlas([identity_chart(2)], s=s, name="flat")
+    bad = planar_atlas([c1_only_chart()], s=s, seed=5, amplitude=0.25, name="c1")
+    rep = check_compatibility(good, bad, N_sweep=Ns)
+    return [
+        _expected_fail(
+            "atlas holding a once-differentiable chart is incompatible",
+            rep["verdict"] == "fail",
+            {"pairs": [{k: p[k] for k in ("from", "to", "verdict") if k in p} for p in rep["pairs"]]},
         )
-
-    if cfg.negative_controls:
-        good = planar_atlas([identity_chart(2)], s=s, name="flat")
-        bad = planar_atlas([c1_only_chart()], s=s, seed=5, amplitude=0.25, name="c1")
-        rep = check_compatibility(good, bad, N_sweep=cfg.capped(64))
-        checks.append(
-            _expected_fail(
-                "atlas holding a once-differentiable chart is incompatible",
-                rep["verdict"] == "fail",
-                {"pairs": [{k: p[k] for k in ("from", "to", "verdict") if k in p} for p in rep["pairs"]]},
-            )
-        )
-
-    return {"suite": "loop_atlas", "seed": cfg.seed, "checks": checks, "verdict": _verdict(checks)}
+    ]
 
 
 SUITES = {
-    "floer_map": suite_floer_map,
-    "floer_function": suite_floer_function,
-    "pullback": suite_pullback,
-    "sobolev_evidence": suite_sobolev_evidence,
-    "loop_atlas": suite_loop_atlas,
+    "floer_map": plan_floer_map,
+    "floer_function": plan_floer_function,
+    "pullback": plan_pullback,
+    "sobolev_evidence": plan_sobolev_evidence,
+    "loop_atlas": plan_loop_atlas,
 }
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict:
     try:
-        runner = SUITES[name]
+        planner = SUITES[name]
     except KeyError:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return runner(cfg)
+    return planner(cfg).run()

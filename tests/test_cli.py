@@ -1,13 +1,17 @@
 """Command-line entry points: config validation, determinism, exit codes."""
 
 import json
+import multiprocessing
+import pickle
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from floerlab import cli
+from floerlab import cli, suites
 from floerlab.cli import ConfigError, RunConfig, main
+from floerlab.suites import SUITES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -235,6 +239,82 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
     with pytest.raises(FloatingPointError, match="kappa failed at N=32"):
         main(["sweep", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+
+
+CORE = {"suites": ["floer_function", "sobolev_evidence"], "negative_controls": True}
+
+
+def test_pool_size_reads_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert RunConfig().pool_size() == 1
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert RunConfig().pool_size() == 4
+    assert RunConfig(workers=3).pool_size() == 3
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_planned_cell_pickles(name):
+    # the pool sends each cell to a worker by pickle: the function by name, the arguments as data
+    plan = SUITES[name](RunConfig(negative_controls=True))
+    assert plan.cells
+    for fn, args in plan.cells:
+        fn_back, args_back = pickle.loads(pickle.dumps((fn, args)))
+        assert fn_back is fn and len(args_back) == len(args)
+
+
+def test_core_report_does_not_depend_on_workers(tmp_path):
+    reports = []
+    for workers in (1, 2, 4):
+        cfg = _config(tmp_path, f"core-w{workers}.json", **CORE, N=[16, 32, 64, 128, 256], workers=workers)
+        reports.append(tmp_path / f"core-w{workers}.json.out")
+        assert main(["verify", "--config", cfg, "--out", str(reports[-1])]) == 0
+        assert multiprocessing.active_children() == []
+    assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_verify_cell_fails_verify_with_its_error(monkeypatch, tmp_path, workers):
+    # two cells raise, the later one in cell order sooner; the one first in
+    # cell order is the error, as inline, and no report is written
+    full_report = suites.full_report
+
+    def slow_failing_report(*args, **kwargs):
+        time.sleep(0.1)
+        full_report(*args, **kwargs)
+        raise FloatingPointError("full report failed")
+
+    def failing_holder(s, **kwargs):
+        raise LookupError(f"holder failed at s={s}")
+
+    monkeypatch.setattr(suites, "full_report", slow_failing_report)
+    monkeypatch.setattr(suites, "holder_embedding_check", failing_holder)
+    cfg = _config(tmp_path, **CORE, workers=workers)
+    out = tmp_path / "report.json"
+    with pytest.raises(FloatingPointError, match="full report failed") as raised:
+        main(["verify", "--config", cfg, "--out", str(out)])
+    assert not out.exists()
+    # a pooled cell's error carries the worker's traceback as its cause
+    assert (type(raised.value.__cause__).__name__ == "_RemoteTraceback") == (workers > 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_holds_blas_at_one_thread_and_restores_it(tmp_path):
+    calls = cli._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy is not linked to an OpenBLAS with a thread setter")
+    setter, getter = calls
+    before = getter()
+    reports = []
+    try:
+        for threads in (2, 1):
+            setter(threads)
+            cfg = _config(tmp_path, f"blas{threads}.json", **CORE, N=[16, 32, 64, 128, 256], workers=1)
+            reports.append(tmp_path / f"blas{threads}.out")
+            assert main(["verify", "--config", cfg, "--out", str(reports[-1])]) == 0
+            assert getter() == threads
+    finally:
+        setter(before)
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_demo_pullback_prints_sections(capsys):

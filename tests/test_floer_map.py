@@ -32,7 +32,7 @@ from floerlab.scale_space import (
 )
 from floerlab.scale_operator import STABLE_RTOL, band_indices, op_norm, sweep_verdict
 from floerlab.cli import RunConfig
-from floerlab.suites import suite_floer_map
+from floerlab.suites import run_suite
 
 HOPM = {"restarts": 1, "iters": 80}
 
@@ -183,7 +183,7 @@ def test_leibniz_residual_is_second_order():
 
 def test_suite_leibniz_slope_is_second_order_at_seed_13():
     # at this seed a step of 1e-5 puts the remainder into roundoff and bends the slope to 1.57
-    report = suite_floer_map(RunConfig(seed=13))
+    report = run_suite("floer_map", RunConfig(seed=13))
     check = next(c for c in report["checks"] if c["name"] == "second-order remainder slope for the composite")
     assert check["passed"]
     assert check["slope"] == pytest.approx(2.0, abs=1e-3)
@@ -193,7 +193,7 @@ def test_suite_leibniz_slope_is_second_order_at_seed_13():
 def test_suite_c1_negative_control_bites(seed):
     # at these seeds neither control sample's x-component used to cross 0,
     # so sign(x) was constant on the loops and the control was smooth there
-    report = suite_floer_map(RunConfig(seed=seed, negative_controls=True))
+    report = run_suite("floer_map", RunConfig(seed=seed, negative_controls=True))
     assert report["verdict"] == "pass", [c["name"] for c in report["checks"] if not c["passed"]]
 
 
