@@ -4,9 +4,11 @@ Reports are plain JSON (verify) or CSV (sweep) and depend only on the
 config, so a fixed seed reproduces them byte for byte.  The config
 chooses what to run (N, s, seed, suites, negative_controls) and the
 pool size (workers); the suites read it directly, and their gates are
-constants in suites.py that no config moves.  --out names the output
-file.  Exit codes: 0 all good, 1 a suite failed, 2 the config or
-arguments were bad.
+constants in suites.py that no config moves.  Both commands plan their
+work as ordered cells (a verify suite's checks, a sweep's truncations)
+and run them through one runner, on forked worker processes or inline,
+with OpenBLAS held at one thread.  --out names the output file.  Exit
+codes: 0 all good, 1 a suite failed, 2 the config or arguments were bad.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ from .pullback import certify_pullback, kappa_bound_check
 from .scale_operator import inclusion_singular_values, op_norm, weighted_singular_values
 from .scale_space import random_loop
 from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
-from .suites import LIGHT_HOPM, SUITES
+from .suites import LIGHT_HOPM, SUITES, Plan
 
 DEMOS = ("pullback", "atlas")
 
@@ -112,7 +113,7 @@ class RunConfig:
         return cls(**raw)
 
     def pool_size(self) -> int:
-        """Processes for verify's cells, threads for sweep's: workers, else min(4, usable CPUs).
+        """Processes for the cells of verify and sweep: workers, else min(4, usable CPUs).
 
         The usable CPUs are those this process may run on (its affinity
         mask where the platform has one), not every CPU of the machine:
@@ -214,13 +215,14 @@ def _one_blas_thread():
         setter(before)
 
 
-def _suite_reports(plans: dict, processes: int) -> dict:
-    """Each planned suite's report, its cells run on forked worker processes, else inline.
+def _run_plans(plans: dict, processes: int) -> dict:
+    """Each plan's assembled result, its cells run on forked worker processes, else inline.
 
-    Every cell is submitted, in suite-name and then cell order, before
-    any result is read; the results are read, and each suite assembled,
-    in the same order, so a cell that raises raises here as it would
-    inline, and the reports do not depend on the pool size.
+    Every cell is submitted, in plan and then cell order, before any
+    result is read; the results are read, and each plan assembled, in
+    the same order, so a cell that raises raises here as it would
+    inline, and the results do not depend on the pool size.  Once a
+    cell has raised, the cells not yet started are cancelled.
     """
     if processes < 2:
         return {name: plan.run() for name, plan in plans.items()}
@@ -229,22 +231,30 @@ def _suite_reports(plans: dict, processes: int) -> dict:
 
     with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = {name: [pool.submit(fn, *args) for fn, args in plan.cells] for name, plan in plans.items()}
-        return {name: plan.assemble([f.result() for f in futures[name]]) for name, plan in plans.items()}
+        try:
+            return {name: plan.assemble([f.result() for f in futures[name]]) for name, plan in plans.items()}
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _run(command: str, cfg: RunConfig, plans: dict) -> dict:
+    """The plans' results, their cells run while OpenBLAS is held at one thread."""
+    cells = sum(len(plan.cells) for plan in plans.values())
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            print(f"{command}: no OpenBLAS thread setter found; the cells run inline", file=sys.stderr)
+        # a BLAS thread count above one would make the rounding, and so the
+        # output's bytes, depend on it, and would oversubscribe the CPUs the
+        # processes share; fork copies the parent's threads' locks but not
+        # the threads, so it waits until this is the only thread
+        forkable = pinned and hasattr(os, "fork") and threading.active_count() == 1
+        return _run_plans(plans, min(cfg.pool_size(), cells) if forkable else 1)
 
 
 def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     names = sorted(cfg.suites)
-    plans = {name: SUITES[name](cfg) for name in names}
-    cells = sum(len(plan.cells) for plan in plans.values())
-    with _one_blas_thread() as pinned:
-        if not pinned:
-            print("verify: no OpenBLAS thread setter found; the cells run inline", file=sys.stderr)
-        # a BLAS thread count above one would make the rounding, and so the
-        # report's bytes, depend on it, and would oversubscribe the CPUs the
-        # processes share; fork copies the parent's threads' locks but not
-        # the threads, so it waits until this is the only thread
-        forkable = pinned and hasattr(os, "fork") and threading.active_count() == 1
-        results = _suite_reports(plans, min(cfg.pool_size(), cells) if forkable else 1)
+    results = _run("verify", cfg, {name: SUITES[name](cfg) for name in names})
     verdict = "pass" if all(r["verdict"] == "pass" for r in results.values()) else "fail"
     report = {
         "command": "verify",
@@ -264,46 +274,42 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def _sweep_rows(cfg: RunConfig) -> list[tuple]:
-    """The sweep's rows, in a fixed order; the independent cells run on the worker pool.
+def _sweep_plan(cfg: RunConfig) -> Plan:
+    """The sweep as one cell per truncation; assembled, the rows in a fixed order.
 
-    A cell is one computation that gives rows: the action gap, one norm
-    per level pair, or one s's kappa check.  Operators and random loops
-    are made here, in row order, and each row reads its cell's result in
-    row order, so the rows do not depend on the pool size, and a cell
-    that raises raises here as it would run alone.  Each N's kappa cells,
-    the longest, are submitted before its short cells.
+    Each N's random loop is drawn here, in config order, so the rows do
+    not depend on where the cells run.
     """
     rng = np.random.default_rng(cfg.seed)
+    cells = [(_sweep_cell, (N, random_loop(rng, 2, N, amplitude=0.4), cfg.s)) for N in cfg.N]
+    return Plan(cells, lambda results: [row for rows in results for row in rows])
+
+
+def _sweep_rows(cfg: RunConfig) -> list[tuple]:
+    """The sweep's (suite, N, s, quantity, value) rows, its cells run as verify's are."""
+    return _run("sweep", cfg, {"sweep": _sweep_plan(cfg)})["sweep"]
+
+
+def _sweep_cell(N: int, q, s_values: list[float]) -> list[tuple]:
+    """The rows of truncation N: inclusion, action gap, one norm per level pair, kappa per s."""
     F = symplectic_action(quadratic_hamiltonian())
+    # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
+    rows = [
+        ("scale_operator", N, "", "inclusion_sigma_min", float(inclusion_singular_values(N, 2, 1.0, 0.0)[-1])),
+        ("floer_function", N, "", "action_gap", float(weighted_singular_values(F.hessian(q), 1.0, 0.0)[-1])),
+    ]
+    # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
+    norms = {}
+    for key, pair in sorted(SIGNATURES.items()):
+        if pair not in norms:
+            norms[pair] = float(op_norm(mult_operator(smooth_factor(N)), *pair))
+        rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair]))
     shear = shear_chart()
-    rows = []  # (suite, N, s, quantity, cell, key of the cell's result or None)
-    with ThreadPoolExecutor(max_workers=cfg.pool_size()) as pool:
-        for N in cfg.N:
-            q = random_loop(rng, 2, N, amplitude=0.4)
-            checks = [pool.submit(kappa_bound_check, F, shear, q, s, hopm=LIGHT_HOPM) for s in cfg.s]
-
-            # the inclusion H_1 -> H_0 is least at |k| = N: (1 + 4 pi^2 N^2)^(-1/2)
-            iota = pool.submit(inclusion_singular_values, N, 2, 1.0, 0.0)
-            rows.append(("scale_operator", N, "", "inclusion_sigma_min", iota, -1))
-
-            gap = pool.submit(weighted_singular_values, F.hessian(q), 1.0, 0.0)
-            rows.append(("floer_function", N, "", "action_gap", gap, -1))
-
-            # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
-            norms = {}
-            for key, pair in sorted(SIGNATURES.items()):
-                if pair not in norms:
-                    norms[pair] = pool.submit(op_norm, mult_operator(smooth_factor(N)), *pair)
-                rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair], None))
-
-            for s, check in zip(cfg.s, checks):
-                rows.append(("pullback", N, f"{s:g}", "kappa", check, "kappa"))
-                rows.append(("pullback", N, f"{s:g}", "correction_norm", check, "K_norm"))
-        return [
-            (suite, N, s, quantity, float(cell.result() if key is None else cell.result()[key]))
-            for suite, N, s, quantity, cell, key in rows
-        ]
+    for s in s_values:
+        check = kappa_bound_check(F, shear, q, s, hopm=LIGHT_HOPM)
+        rows.append(("pullback", N, f"{s:g}", "kappa", float(check["kappa"])))
+        rows.append(("pullback", N, f"{s:g}", "correction_norm", float(check["K_norm"])))
+    return rows
 
 
 def cmd_sweep(cfg: RunConfig, out: str | None) -> int:

@@ -18,7 +18,7 @@ process; charts, atlases and Floer functions do not pickle and are built
 inside the cells.  A cell reads nothing another cell made, so the
 report does not depend on where or in which order the cells ran.
 run_suite runs a plan's cells inline; `floerlab verify` sends every
-planned cell to its process pool.
+planned cell to its process pool, as `floerlab sweep` does its own.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ INTERPOLATION_LEVELS = (0.25, 0.5, 0.75)
 
 
 class Plan(NamedTuple):
-    """A suite as ordered cells and the step that reads their results.
+    """A suite, or cli's sweep, as ordered cells and the step that reads their results.
 
     Each cell is (function, args), the function module-level and the
     args picklable; assemble takes the cells' results in cell order and
-    returns the suite report.
+    returns the suite report (the sweep's rows).
     """
 
     cells: list[tuple[Callable, tuple]]

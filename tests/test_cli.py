@@ -2,8 +2,12 @@
 
 import json
 import multiprocessing
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -209,17 +213,19 @@ def test_sweep_rows_and_monotone_inclusion(tmp_path):
 @pytest.mark.parametrize("seed", [0, 4])
 def test_sweep_csv_does_not_depend_on_workers(tmp_path, seed):
     outs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         cfg = _config(tmp_path, f"w{workers}.json", N=[16, 32, 64], s=[0.6, 0.9], seed=seed, workers=workers)
         outs.append(tmp_path / f"sweep-w{workers}.csv")
         assert main(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert multiprocessing.active_children() == []
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 1 + 3 * (1 + 1 + 4 + 2 * 2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_path, workers):
-    # two cells raise; the one first in row order is the error, as in a run one cell at a time
+    # two truncations' cells raise; the one first in cell order is the error, as
+    # inline; the cell reads both names from cli, so the patches reach a forked worker
     kappa, norm = cli.kappa_bound_check, cli.op_norm
 
     def failing_kappa(F, phi, q, s, **kw):
@@ -236,9 +242,36 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
     monkeypatch.setattr(cli, "op_norm", failing_norm)
     cfg = _config(tmp_path, N=[16, 32, 64], s=[0.6, 0.9], workers=workers)
     out = tmp_path / "sweep.csv"
-    with pytest.raises(FloatingPointError, match="kappa failed at N=32"):
+    with pytest.raises(FloatingPointError, match="kappa failed at N=32") as raised:
         main(["sweep", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+    assert (type(raised.value.__cause__).__name__ == "_RemoteTraceback") == (workers > 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_one_truncation_sweep_imports_no_pool(tmp_path):
+    # one truncation is one cell, run inline whatever workers says
+    script = textwrap.dedent(
+        """
+        import sys
+        from floerlab import cli
+
+        cli.cmd_sweep(cli.RunConfig(N=[16], s=[0.75], workers=4), sys.argv[1])
+        print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "sweep.csv"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    assert len(out.read_text().splitlines()) == 1 + 1 + 1 + 4 + 2
 
 
 CORE = {"suites": ["floer_function", "sobolev_evidence"], "negative_controls": True}
@@ -252,10 +285,13 @@ def test_pool_size_reads_the_usable_cpus(monkeypatch):
     assert RunConfig(workers=3).pool_size() == 3
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
+PLANNERS = {**SUITES, "sweep": cli._sweep_plan}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNERS))
 def test_every_planned_cell_pickles(name):
     # the pool sends each cell to a worker by pickle: the function by name, the arguments as data
-    plan = SUITES[name](RunConfig(negative_controls=True))
+    plan = PLANNERS[name](RunConfig(negative_controls=True))
     assert plan.cells
     for fn, args in plan.cells:
         fn_back, args_back = pickle.loads(pickle.dumps((fn, args)))
@@ -296,6 +332,24 @@ def test_a_failing_verify_cell_fails_verify_with_its_error(monkeypatch, tmp_path
     # a pooled cell's error carries the worker's traceback as its cause
     assert (type(raised.value.__cause__).__name__ == "_RemoteTraceback") == (workers > 1)
     assert multiprocessing.active_children() == []
+
+
+def _marking_cell(index, folder):
+    if index == 0:
+        raise FloatingPointError("the first cell failed")
+    time.sleep(0.2)
+    (Path(folder) / f"cell-{index}").touch()
+
+
+def test_a_failing_cell_cancels_the_cells_not_started(tmp_path):
+    # the first cell raises at once while the others take 0.2 s each: the
+    # error comes with its worker's traceback, and the queued cells never run
+    cells = [(_marking_cell, (index, str(tmp_path))) for index in range(8)]
+    with pytest.raises(FloatingPointError, match="the first cell failed") as raised:
+        cli._run_plans({"marking": suites.Plan(cells, list)}, 2)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) < len(cells) - 1
 
 
 def test_verify_holds_blas_at_one_thread_and_restores_it(tmp_path):
