@@ -60,7 +60,6 @@ from .pullback import (
     riesz_correction,
 )
 from .scale_operator import (
-    FredholmReport,
     LevelOperator,
     adjoint,
     band_indices,

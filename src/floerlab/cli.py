@@ -277,11 +277,12 @@ def cmd_verify(cfg: RunConfig, out: str | None) -> int:
 def _sweep_plan(cfg: RunConfig) -> Plan:
     """The sweep as one cell per truncation; assembled, the rows in a fixed order.
 
-    Each N's random loop is drawn here, in config order, so the rows do
-    not depend on where the cells run.
+    One random loop is drawn here, at the smallest N, and each cell gets
+    it resized to its own N: every row of the sweep reads the same loop,
+    and the rows do not depend on where the cells run.
     """
-    rng = np.random.default_rng(cfg.seed)
-    cells = [(_sweep_cell, (N, random_loop(rng, 2, N, amplitude=0.4), cfg.s)) for N in cfg.N]
+    q = random_loop(np.random.default_rng(cfg.seed), 2, min(cfg.N), amplitude=0.4)
+    cells = [(_sweep_cell, (N, q.resize(N), cfg.s)) for N in cfg.N]
     return Plan(cells, lambda results: [row for rows in results for row in rows])
 
 
@@ -325,10 +326,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
 def cmd_demo(name: str) -> int:
     if name == "pullback":
         return _demo_pullback()
-    if name == "atlas":
-        return _demo_atlas()
-    print(f"unknown demo {name!r}; choose from {DEMOS}", file=sys.stderr)
-    return 2
+    return _demo_atlas()
 
 
 def _demo_pullback() -> int:

@@ -313,7 +313,7 @@ def hessian_axiom_check(
     modulus = op_norm(dA, 1.0, 0.0) / bump.norm(1.0)
 
     fred = {
-        f"({a:g}->{b:g})": fredholm_diagnostic(family, a, b).to_json()
+        f"({a:g}->{b:g})": fredholm_diagnostic(family, a, b)
         for a, b in ((1.0, 0.0), (2.0, 1.0))
     }
     fred_ok = all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values())

@@ -34,7 +34,7 @@ differences at the largest N, into one such batch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,25 +308,13 @@ def invert(chart: DiffeoChart) -> DiffeoChart:
 # axiom verification
 
 
-@dataclass
-class AxiomReport:
-    axiom: str
-    s: float
-    sweep: list[dict]
-    continuity_modulus: float
-    verdict: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def verify_floer_axioms(
     chart: DiffeoChart,
     s: float,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
     hopm: dict | None = None,
-) -> list[AxiomReport]:
+) -> list[dict]:
     """Run the four extension-axiom checks of chart's map at level s over an N-sweep.
 
     s is meant to lie in (1/2, 1); values down to the failing range are
@@ -380,24 +368,25 @@ def verify_floer_axioms(
 
 def axiom_reports(
     s: float, Ns: list[int], norms: dict[str, list[float]], moduli: list[float]
-) -> list[AxiomReport]:
-    """The four AxiomReports from the worst norm per N and the moduli, in AXIOMS order.
+) -> list[dict]:
+    """The four axiom reports from the worst norm per N and the moduli, in AXIOMS order.
 
+    Each report is a dict with the keys axiom, s, sweep (one
+    {"N", "norm"} entry per truncation), continuity_modulus and verdict.
     The one rule for an axiom: pass when sweep_verdict finds its norms
     stable at STABLE_RTOL and its continuity modulus is finite.
     """
     reports = []
     for axiom, modulus in zip(AXIOMS, moduli):
-        sweep = [{"N": int(N), "norm": float(v)} for N, v in zip(Ns, norms[axiom])]
         ok = sweep_verdict(norms[axiom], STABLE_RTOL) == "stable" and np.isfinite(modulus)
         reports.append(
-            AxiomReport(
-                axiom=axiom,
-                s=s,
-                sweep=sweep,
-                continuity_modulus=float(modulus),
-                verdict="pass" if ok else "fail",
-            )
+            {
+                "axiom": axiom,
+                "s": s,
+                "sweep": [{"N": int(N), "norm": float(v)} for N, v in zip(Ns, norms[axiom])],
+                "continuity_modulus": float(modulus),
+                "verdict": "pass" if ok else "fail",
+            }
         )
     return reports
 

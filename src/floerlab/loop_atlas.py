@@ -30,7 +30,7 @@ from .charts import (
     identity_chart,
     pair_inverses,
 )
-from .floer_map import AxiomReport, apply, axiom_reports, dphi, verify_floer_axioms
+from .floer_map import apply, axiom_reports, dphi, verify_floer_axioms
 from .scale_space import FourierLoop, default_grid_points, from_grid, random_loop, to_grid
 
 SPHERE_CAP = 0.1
@@ -279,13 +279,13 @@ def check_compatibility(
                 stride = np.linspace(0, len(samples) - 1, max_samples).astype(int)
                 samples = [samples[i] for i in stride]
             reports = verify_floer_axioms(_pair_map(a, b), A.s, samples, N_sweep, hopm=hopm)
-            ok = all(r.verdict == "pass" for r in reports)
+            ok = all(r["verdict"] == "pass" for r in reports)
             pairs.append(
                 {
                     "from": a.name,
                     "to": b.name,
                     "overlap": len(samples),
-                    "axioms": [r.to_json() for r in reports],
+                    "axioms": reports,
                     "verdict": "pass" if ok else "fail",
                 }
             )
@@ -294,7 +294,7 @@ def check_compatibility(
     return {"s": A.s, "pairs": pairs, "verdict": verdict}
 
 
-def _union_reports(pieces: list[list[AxiomReport]], s: float) -> list[AxiomReport]:
+def _union_reports(pieces: list[list[dict]], s: float) -> list[dict]:
     """The axiom reports of all the pieces' samples together, read off the pieces.
 
     verify_floer_axioms on the union of the samples would give, at each
@@ -302,12 +302,12 @@ def _union_reports(pieces: list[list[AxiomReport]], s: float) -> list[AxiomRepor
     not depend on the others in its batch), and the moduli of the first
     piece, which holds the union's first sample.
     """
-    Ns = [e["N"] for e in pieces[0][0].sweep]
+    Ns = [e["N"] for e in pieces[0][0]["sweep"]]
     norms = {
-        r.axiom: [max(p[i].sweep[j]["norm"] for p in pieces) for j in range(len(Ns))]
+        r["axiom"]: [max(p[i]["sweep"][j]["norm"] for p in pieces) for j in range(len(Ns))]
         for i, r in enumerate(pieces[0])
     }
-    return axiom_reports(s, Ns, norms, [r.continuity_modulus for r in pieces[0]])
+    return axiom_reports(s, Ns, norms, [r["continuity_modulus"] for r in pieces[0]])
 
 
 # The truncation of check_transitivity's residuals, the N-sweep and the
@@ -391,9 +391,9 @@ def check_transitivity(
                     }
                 )
             if pieces:
-                union_verdicts = [r.verdict for r in _union_reports(list(pieces.values()), A.s)]
+                union_verdicts = [r["verdict"] for r in _union_reports(list(pieces.values()), A.s)]
                 pieces_agree = pieces_agree and all(
-                    [r.verdict for r in piece] == union_verdicts for piece in pieces.values()
+                    [r["verdict"] for r in piece] == union_verdicts for piece in pieces.values()
                 )
     ok = worst_apply <= APPLY_RTOL and worst_dphi <= DPHI_RTOL and pieces_agree and triples
     return {

@@ -187,7 +187,7 @@ def certify_pullback(
         "kappa": kb["kappa"],
         "K_norm": kb["K_norm"],
         "kappa_passed": kb["passed"],
-        "conjugated_fredholm": conj_fred.to_json(),
+        "conjugated_fredholm": conj_fred,
         "compact_tail": [float(v) for v in tail[::stride]],
         "tail_slope": slope,
         "tail_decaying": decaying,
@@ -196,8 +196,8 @@ def certify_pullback(
     ok = (
         report["verdict"] == "pass"
         and kb["passed"]
-        and conj_fred.verdict == "fredholm"
-        and conj_fred.index_estimate == 0
+        and conj_fred["verdict"] == "fredholm"
+        and conj_fred["index_estimate"] == 0
         and decaying
     )
     report["verdict"] = "pass" if ok else "fail"

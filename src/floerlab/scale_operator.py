@@ -129,7 +129,6 @@ than two truncations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -799,32 +798,22 @@ def sweep_verdict(values: list[float], rtol: float) -> str:
     return "unstable"
 
 
-@dataclass
-class FredholmReport:
-    """N-sweep evidence for Fredholm structure of an operator family.
-
-    At any fixed truncation a square matrix has equal kernel and cokernel
-    counts; the informative part is whether the first singular value above
-    the kernel cluster stabilizes at a positive constant as N grows.
-    The verdict is fredholm, non_fredholm, or insufficient for a sweep of
-    fewer than two truncations.
-    """
-
-    a: float
-    b: float
-    sweep: list[dict]
-    index_estimate: int
-    verdict: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float) -> FredholmReport:
-    """Read an N-sweep of descending singular values into a FredholmReport.
+def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float) -> dict:
+    """N-sweep evidence for Fredholm structure, read off descending singular values.
 
     spectra maps each truncation N to the weighted singular values of
-    the family's operator H_a -> H_b at that N.
+    the family's operator H_a -> H_b at that N.  The report is a dict
+    with the keys a, b, sweep, index_estimate and verdict; each sweep
+    entry holds N, sigma_min, gap (the first singular value above the
+    kernel cluster), ker_dim and coker_dim.
+
+    At any fixed truncation a square matrix has equal kernel and cokernel
+    counts, so coker_dim is set to ker_dim, and index_estimate, their
+    difference at the largest N, is 0 by construction: it is no evidence
+    of index zero.  The informative part is whether the gap stabilizes
+    at a positive constant as N grows, with a kernel count that does not
+    move.  The verdict is fredholm, non_fredholm, or insufficient for a
+    sweep of fewer than two truncations.
     """
     sweep = []
     for N in sorted(spectra):
@@ -832,9 +821,6 @@ def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float)
         smax = float(sv[0]) if sv.size else 0.0
         cut = KERNEL_RTOL * smax
         ker = int(np.sum(sv < cut))
-        # Left and right null counts agree for a square matrix; both are
-        # reported because the contract asks for both.
-        coker = ker
         asc = np.sort(sv)
         gap = float(asc[ker]) if ker < asc.size else float("inf")
         sweep.append(
@@ -843,24 +829,24 @@ def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float)
                 "sigma_min": float(asc[0]),
                 "gap": gap,
                 "ker_dim": ker,
-                "coker_dim": coker,
+                "coker_dim": ker,
             }
         )
     kers = [e["ker_dim"] for e in sweep]
-    cokers = [e["coker_dim"] for e in sweep]
     gaps = [e["gap"] for e in sweep]
-    stable_dims = len(set(kers)) == 1 and len(set(cokers)) == 1
     gap_verdict = sweep_verdict(gaps, STABLE_RTOL)
-    index = kers[-1] - cokers[-1]
     if gap_verdict == "insufficient":
         verdict = gap_verdict
     else:
-        verdict = "fredholm" if (stable_dims and gap_verdict == "stable") else "non_fredholm"
-    return FredholmReport(a=a, b=b, sweep=sweep, index_estimate=index, verdict=verdict)
+        verdict = "fredholm" if (len(set(kers)) == 1 and gap_verdict == "stable") else "non_fredholm"
+    return {"a": a, "b": b, "sweep": sweep, "index_estimate": 0, "verdict": verdict}
 
 
-def fredholm_diagnostic(family: Mapping[int, LevelOperator], a: float, b: float) -> FredholmReport:
+def fredholm_diagnostic(family: Mapping[int, LevelOperator], a: float, b: float) -> dict:
     """Fredholm evidence for an operator family {N: T_N}, each read as H_a -> H_b.
+
+    The report is fredholm_from_spectra's, on each T_N's weighted
+    singular values.
 
     The same Hessian is read at (1 -> 0) and at (2 -> 1) by passing
     those levels.

@@ -164,8 +164,8 @@ def _floer_map_checks(s, Ns, samples, xi, eta, rough_samples) -> list[dict]:
     checks.append(
         {
             "name": "shear chart satisfies the four extension axioms",
-            "passed": all(r.verdict == "pass" for r in reports),
-            "axioms": [r.to_json() for r in reports],
+            "passed": all(r["verdict"] == "pass" for r in reports),
+            "axioms": reports,
         }
     )
 
@@ -206,12 +206,12 @@ def _floer_map_checks(s, Ns, samples, xi, eta, rough_samples) -> list[dict]:
 
     if rough_samples is not None:
         rep = verify_floer_axioms(c1_only_chart(), s, rough_samples, Ns, hopm=LIGHT_HOPM)
-        ii2 = next(r for r in rep if r.axiom == "(ii)2")
+        ii2 = next(r for r in rep if r["axiom"] == "(ii)2")
         checks.append(
             _expected_fail(
                 "once-differentiable chart fails the heavy second-derivative axiom",
-                ii2.verdict == "fail",
-                {"axioms": [r.to_json() for r in rep]},
+                ii2["verdict"] == "fail",
+                {"axioms": rep},
             )
         )
     return checks
@@ -223,17 +223,17 @@ def _inclusion_control(sweep: tuple[int, ...]) -> dict:
     # configured sweep on both ends (the inclusion's spectrum is closed form)
     ctrl = sorted({max(8, min(sweep) // 2), *sweep, 2 * max(sweep)})
     rep = fredholm_from_spectra({N: inclusion_singular_values(N, 2, 1.0, 0.0) for N in ctrl}, 1.0, 0.0)
-    first = rep.sweep[0]["sigma_min"]
-    last = rep.sweep[-1]["sigma_min"]
+    first = rep["sweep"][0]["sigma_min"]
+    last = rep["sweep"][-1]["sigma_min"]
     # sigma_min of the insertion scales like 1/N, so require half the
     # span ratio rather than a fixed factor the sweep may not reach
     span = max(ctrl) / min(ctrl)
     return {
         "name": "inclusion control loses its smallest singular value",
-        "passed": rep.verdict == "non_fredholm" and first >= 0.5 * span * last,
+        "passed": rep["verdict"] == "non_fredholm" and first >= 0.5 * span * last,
         "drop_factor": float(first / max(last, 1e-300)),
         "required_factor": float(0.5 * span),
-        "report": rep.to_json(),
+        "report": rep,
     }
 
 
@@ -243,13 +243,14 @@ def plan_floer_function(cfg: RunConfig) -> Plan:
     top = max(Ns)
     samples = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
     directions = [random_loop(rng, 2, top, amplitude=0.5) for _ in range(2)]
-    # one Hessian per N of the Fredholm sweep, read at both level pairs
-    hessian_loops = {N: random_loop(rng, 2, N, amplitude=0.5) for N in cfg.capped(256)}
-    cells = [(_floer_function_checks, (Ns, samples, directions, hessian_loops))]
+    # one Hessian loop, resized to each N of the Fredholm sweep
+    fredholm_Ns = cfg.capped(256)
+    hessian_loop = random_loop(rng, 2, min(fredholm_Ns), amplitude=0.5)
+    cells = [(_floer_function_checks, (Ns, samples, directions, hessian_loop, fredholm_Ns))]
     return Plan(cells, _check_lists("floer_function", cfg.seed))
 
 
-def _floer_function_checks(Ns, samples, directions, hessian_loops) -> list[dict]:
+def _floer_function_checks(Ns, samples, directions, hessian_loop, fredholm_Ns) -> list[dict]:
     checks = []
 
     F = symplectic_action(driven_hamiltonian())
@@ -264,22 +265,22 @@ def _floer_function_checks(Ns, samples, directions, hessian_loops) -> list[dict]
     )
 
     well = symplectic_action(quadratic_hamiltonian())
-    hessians = {N: well.hessian(q) for N, q in hessian_loops.items()}
+    hessians = {N: well.hessian(hessian_loop.resize(N)) for N in fredholm_Ns}
     for a, b in ((1.0, 0.0), (2.0, 1.0)):
         rep = fredholm_diagnostic(hessians, a, b)
-        final_gap = rep.sweep[-1]["gap"]
+        final_gap = rep["sweep"][-1]["gap"]
         gap_ok = abs(final_gap - ACTION_GAP) <= 1e-9 * ACTION_GAP
-        dims_ok = all(e["ker_dim"] == e["coker_dim"] == 0 for e in rep.sweep)
+        dims_ok = all(e["ker_dim"] == e["coker_dim"] == 0 for e in rep["sweep"])
         checks.append(
             {
                 "name": f"action Hessian is Fredholm of index zero at ({a:g}->{b:g})",
-                "passed": rep.verdict == "fredholm" and gap_ok and dims_ok,
-                "report": rep.to_json(),
+                "passed": rep["verdict"] == "fredholm" and gap_ok and dims_ok,
+                "report": rep,
                 "expected_gap": ACTION_GAP,
             }
         )
 
-    checks.append(_inclusion_control(tuple(hessian_loops)))
+    checks.append(_inclusion_control(fredholm_Ns))
     return checks
 
 

@@ -133,8 +133,8 @@ def test_criterion_04_fredholm_index_zero(criterion):
     dims_ok, gaps_ok = True, True
     for a, b in ((1.0, 0.0), (2.0, 1.0)):
         rep = fredholm_diagnostic(family, a, b)
-        dims_ok = dims_ok and all(e["ker_dim"] == e["coker_dim"] for e in rep.sweep)
-        by_N = {e["N"]: e["gap"] for e in rep.sweep}
+        dims_ok = dims_ok and all(e["ker_dim"] == e["coker_dim"] for e in rep["sweep"])
+        by_N = {e["N"]: e["gap"] for e in rep["sweep"]}
         gaps_ok = gaps_ok and abs(by_N[256] - by_N[64]) / by_N[64] <= 0.02
 
     sig32 = weighted_singular_values(identity_operator(32, 2), 1.0, 0.0)[-1]

@@ -11,10 +11,20 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from floerlab import cli, suites
+from floerlab.charts import shear_chart
 from floerlab.cli import ConfigError, RunConfig, main
+from floerlab.floer_map import verify_floer_axioms
+from floerlab.scale_operator import (
+    fredholm_diagnostic,
+    fredholm_from_spectra,
+    identity_operator,
+    inclusion_singular_values,
+)
+from floerlab.scale_space import random_loop
 from floerlab.suites import SUITES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -220,6 +230,36 @@ def test_sweep_csv_does_not_depend_on_workers(tmp_path, seed):
         assert multiprocessing.active_children() == []
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 1 + 3 * (1 + 1 + 4 + 2 * 2)
+
+
+def test_every_truncation_of_the_sweep_reads_one_loop():
+    # the sweep draws one loop at the smallest N and resizes it for each
+    # cell, so a quantity of that loop alone, such as the Riesz correction
+    # norm, reads the same at every N; each N once drew its own loop
+    by_s = {}
+    for _, _, s, quantity, value in cli._sweep_rows(RunConfig(workers=1)):
+        if quantity == "correction_norm":
+            by_s.setdefault(s, []).append(value)
+    assert sorted(by_s) == ["0.6", "0.75", "0.9"]
+    for s, values in by_s.items():
+        assert len(values) == 5
+        assert max(abs(v - values[0]) for v in values) <= 1e-12 * abs(values[0]), s
+
+
+def test_axiom_and_fredholm_reports_are_json_as_returned():
+    # the reports embed these as they are: plain dicts that need no
+    # conversion, with the keys of the report contract
+    rng = np.random.default_rng(0)
+    samples = [random_loop(rng, 2, 16, amplitude=0.3) for _ in range(2)]
+    axioms = verify_floer_axioms(shear_chart(), 0.75, samples, (16, 32), hopm={"restarts": 0, "iters": 20})
+    fredholm = [
+        fredholm_diagnostic({N: identity_operator(N, 2) for N in (16, 32)}, 1.0, 0.0),
+        fredholm_from_spectra({N: inclusion_singular_values(N, 2, 1.0, 0.0) for N in (16, 32)}, 1.0, 0.0),
+    ]
+    assert [list(r) for r in axioms] == [["axiom", "s", "sweep", "continuity_modulus", "verdict"]] * 4
+    assert [list(r) for r in fredholm] == [["a", "b", "sweep", "index_estimate", "verdict"]] * 2
+    for rep in axioms + fredholm:
+        assert json.dumps(rep, sort_keys=True) == json.dumps(cli._jsonable(rep), sort_keys=True)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -82,9 +82,9 @@ def test_quadratic_action_gap_is_level_independent():
     rep1 = fredholm_diagnostic(family, 1.0, 0.0)
     rep2 = fredholm_diagnostic(family, 2.0, 1.0)
     for rep in (rep1, rep2):
-        assert rep.verdict == "fredholm"
-        assert rep.index_estimate == 0
-        for entry in rep.sweep:
+        assert rep["verdict"] == "fredholm"
+        assert rep["index_estimate"] == 0
+        for entry in rep["sweep"]:
             assert entry["ker_dim"] == 0
             assert entry["coker_dim"] == 0
             assert abs(entry["gap"] - ACTION_GAP) < 1e-9

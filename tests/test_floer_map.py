@@ -149,8 +149,8 @@ def test_axioms_pass_for_smooth_charts():
     samples = [random_loop(rng, 2, 16, amplitude=0.3) for _ in range(2)]
     phi = compose_charts(shear_chart(), rotation_field_chart(0.4))  # mix the two builtin smooth charts
     reports = verify_floer_axioms(phi, 0.75, samples, N_sweep=(16, 32), hopm=HOPM)
-    assert [r.axiom for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
-    assert all(r.verdict == "pass" for r in reports)
+    assert [r["axiom"] for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
+    assert all(r["verdict"] == "pass" for r in reports)
 
 
 def test_c1_chart_fails_second_axiom_family():
@@ -165,12 +165,12 @@ def test_c1_chart_fails_second_axiom_family():
     pert = random_loop(np.random.default_rng(2), 2, N, amplitude=0.05)
     samples = [base, FourierLoop(base.coeffs + pert.coeffs)]
     phi = c1_only_chart()
-    reports = {r.axiom: r for r in verify_floer_axioms(phi, 0.75, samples, N_sweep=(16, 32, 64), hopm=HOPM)}
-    assert reports["(ii)2"].verdict == "fail"
-    norms = [e["norm"] for e in reports["(ii)2"].sweep]
+    reports = {r["axiom"]: r for r in verify_floer_axioms(phi, 0.75, samples, N_sweep=(16, 32, 64), hopm=HOPM)}
+    assert reports["(ii)2"]["verdict"] == "fail"
+    norms = [e["norm"] for e in reports["(ii)2"]["sweep"]]
     assert norms[-1] > 1.4 * norms[0]
-    assert reports["(i)1"].verdict == "pass"
-    assert reports["(i)2"].verdict == "pass"
+    assert reports["(i)1"]["verdict"] == "pass"
+    assert reports["(i)2"]["verdict"] == "pass"
 
 
 def test_leibniz_residual_is_second_order():
@@ -241,13 +241,13 @@ def test_axiom_reports_match_per_sample_norms(chart, samples):
     Ns = (16, 32, 64)
     got = verify_floer_axioms(chart, 0.75, samples, Ns, hopm=HOPM)
     want = _per_sample_reports(chart, 0.75, samples, Ns, HOPM)
-    assert [r.verdict for r in got] == [w[3] for w in want]
+    assert [r["verdict"] for r in got] == [w[3] for w in want]
     for r, (axiom, norms, modulus, _) in zip(got, want):
-        assert r.axiom == axiom
-        assert [e["N"] for e in r.sweep] == list(Ns)
-        for e, v in zip(r.sweep, norms):
+        assert r["axiom"] == axiom
+        assert [e["N"] for e in r["sweep"]] == list(Ns)
+        for e, v in zip(r["sweep"], norms):
             assert abs(e["norm"] - v) <= 1e-13 * v
-        assert abs(r.continuity_modulus - modulus) <= 1e-13 * modulus
+        assert abs(r["continuity_modulus"] - modulus) <= 1e-13 * modulus
 
 
 def test_axioms_build_each_derivative_once_and_batch_per_truncation(monkeypatch):

@@ -75,10 +75,10 @@ def test_adjoint_involution():
 def test_rotated_derivative_is_fredholm_with_two_dim_kernel():
     fam = {N: _rotated_derivative(N) for N in (16, 32, 64)}
     rep = fredholm_diagnostic(fam, 1.0, 0.0)
-    assert rep.verdict == "fredholm"
-    assert rep.index_estimate == 0
+    assert rep["verdict"] == "fredholm"
+    assert rep["index_estimate"] == 0
     gap = 2 * np.pi / np.sqrt(1 + 4 * np.pi**2)
-    for entry in rep.sweep:
+    for entry in rep["sweep"]:
         assert entry["ker_dim"] == 2
         assert entry["coker_dim"] == 2
         assert entry["gap"] == pytest.approx(gap, rel=1e-12)
@@ -87,8 +87,8 @@ def test_rotated_derivative_is_fredholm_with_two_dim_kernel():
 def test_inclusion_is_not_fredholm():
     fam = {N: identity_operator(N, 2) for N in (16, 32, 64, 128)}
     rep = fredholm_diagnostic(fam, 1.0, 0.0)
-    assert rep.verdict == "non_fredholm"
-    mins = [e["sigma_min"] for e in rep.sweep]
+    assert rep["verdict"] == "non_fredholm"
+    mins = [e["sigma_min"] for e in rep["sweep"]]
     assert all(a > b for a, b in zip(mins, mins[1:]))
 
 
@@ -122,7 +122,7 @@ def test_interpolation_rejects_outer_levels():
 def test_one_point_fredholm_sweep_is_insufficient():
     # the inclusion is the non-Fredholm control, but one truncation cannot show it
     rep = fredholm_diagnostic({32: identity_operator(32, 2)}, 1.0, 0.0)
-    assert rep.verdict == "insufficient"
+    assert rep["verdict"] == "insufficient"
 
 
 # rtol 1/4 and power-of-two values keep every comparison exact

@@ -279,7 +279,7 @@ def test_axioms_leibniz_and_pulled_back_gradient_build_no_matrix(monkeypatch):
     rotation = rotation_field_chart(0.5)
     q, xi, eta = (random_loop(rng, 2, 32, amplitude=0.4) for _ in range(3))
     reports = verify_floer_axioms(shear, 0.75, [q, xi], (16, 32), hopm={"restarts": 1, "iters": 20})
-    assert [r.axiom for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
+    assert [r["axiom"] for r in reports] == ["(i)1", "(i)2", "(ii)1", "(ii)2"]
     rep = leibniz_check(rotation, shear, q, xi, eta)
     assert all(np.isfinite(rep["residuals"]))
     F = symplectic_action(quadratic_hamiltonian())
