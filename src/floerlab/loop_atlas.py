@@ -337,8 +337,10 @@ def check_transitivity(
     TRANSITIVITY_N_SWEEP with the ascent budget TRANSITIVITY_HOPM, must
     match the union's, which are read off the pieces' own reports
     (_union_reports).  A piece with the samples of an earlier piece of
-    its (a, c) would repeat that piece's reports, so only its residuals
-    are computed.
+    its (a, c) would repeat that piece's reports, and an overlap whose
+    pieces all have one sample list would compare that list's reports
+    with themselves, so the axioms are verified only on an overlap with
+    two or more distinct lists, once per list.
     """
     if not (A.s == B.s == C.s):
         raise ValueError("atlases must share the level parameter")
@@ -354,7 +356,7 @@ def check_transitivity(
     for a in A.charts:
         for c in C.charts:
             direct = _pair_map(a, c)
-            pieces = {}  # axiom reports by the bytes of the piece's samples
+            pieces = {}  # the pieces' distinct sample lists, by their bytes
             for b in B.charts:
                 samples = loops_in_chart(corpus, a, N, also_in=(b, c))[:max_samples]
                 if not samples:
@@ -374,11 +376,7 @@ def check_transitivity(
                 worst_apply = max(worst_apply, r_apply)
                 worst_two_step = max(worst_two_step, r_two)
                 worst_dphi = max(worst_dphi, r_dphi)
-                key = tuple(q.coeffs.tobytes() for q in samples)
-                if key not in pieces:
-                    pieces[key] = verify_floer_axioms(
-                        direct, A.s, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM
-                    )
+                pieces.setdefault(tuple(q.coeffs.tobytes() for q in samples), samples)
                 triples.append(
                     {
                         "from": a.name,
@@ -390,11 +388,13 @@ def check_transitivity(
                         "dphi_residual": float(r_dphi),
                     }
                 )
-            if pieces:
-                union_verdicts = [r["verdict"] for r in _union_reports(list(pieces.values()), A.s)]
-                pieces_agree = pieces_agree and all(
-                    [r["verdict"] for r in piece] == union_verdicts for piece in pieces.values()
-                )
+            if len(pieces) >= 2:
+                reports = [
+                    verify_floer_axioms(direct, A.s, samples, TRANSITIVITY_N_SWEEP, TRANSITIVITY_HOPM)
+                    for samples in pieces.values()
+                ]
+                union = [r["verdict"] for r in _union_reports(reports, A.s)]
+                pieces_agree = pieces_agree and all([r["verdict"] for r in piece] == union for piece in reports)
     ok = worst_apply <= APPLY_RTOL and worst_dphi <= DPHI_RTOL and pieces_agree and triples
     return {
         "s": A.s,

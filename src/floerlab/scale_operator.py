@@ -63,8 +63,8 @@ Toeplitz matrix plus a tail E, the entries 2 <= |m| <= 2N, and
 
 within ||E|| + O(eps) sigma_max by Weyl's inequality, where ||E|| is at
 most the sum of the tail's moduli; the path is taken only when that
-sum is at most (2N+1) eps sigma_max, the error scale of the symmetric
-eigensolve below.  The other pairs of the call take the paths that
+sum is at most (2N+1) eps sigma_max, the error scale of an eigensolve
+of the level-0 form.  The other pairs of the call take the paths that
 follow.
 
 A pair of a pure multiplication operator may be certified by a power
@@ -97,16 +97,10 @@ admitted pair iterates on R with dense matvecs.  Any other operator
 (dense, or a factor with blocks) has no symbol screen: its pairs share
 one form too and take no power step.  The forms still open, clustered
 tops, every top the bounds cannot separate and every pair of those
-other operators, take one of two eigensolves, each with absolute error
-O(eps sigma_max^2) in sigma_max^2 or better, so relative error O(eps)
-in sigma_max, as exact as the SVD's:
-
-- a self-adjoint operator read at (0, 0), structured with symmetric
-  factor samples and Hermitian mode blocks, has a symmetric R, and
-  sigma_max = max(-lambda_min, lambda_max) of one eigvalsh of R, with
-  no Gram matrix and no d^3 matrix product;
-- every other form takes the top eigenvalue of its Gram matrix R^T R,
-  the reference the other paths are tested against.
+other operators, take the top eigenvalue of the form's Gram matrix
+R^T R, the reference the other paths are tested against: its absolute
+error is O(eps sigma_max^2) in sigma_max^2, so its relative error in
+sigma_max is O(eps), as exact as the SVD's.
 
 The Gram's error swamps any sigma^2 below about eps sigma_max^2, so
 sigma_min, gaps and kernel counts would lose half their digits;
@@ -117,9 +111,8 @@ matrix-free path holds no d x d array, d = (2N+1)n; a call whose pairs
 all take them builds no real form.  The paths on the form hold at their
 peak the level-free form, weighed in place for the last pair, and for
 the pairs before it one weighed form, whose top is read before the next
-pair is weighed.  The iterations on R add nothing of size d x d.  The
-symmetric path adds eigvalsh's working copy of R, the Gram path R^T R
-and eigvalsh's working copy of it.
+pair is weighed.  The iterations on R add nothing of size d x d; the
+Gram adds R^T R and eigvalsh's working copy of it.
 
 Truncation certifies boundedness only as an N-sweep that stabilizes.
 sweep_verdict is the one rule every sweep in the package is read by:
@@ -624,32 +617,6 @@ def _gram_top(R: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(R.T @ R)[-1], 0.0)))
 
 
-def _self_adjoint(T: LevelOperator) -> bool:
-    """Whether T is self-adjoint at level 0, read from its structure.
-
-    A structured T whose factor samples are all symmetric and whose mode
-    blocks, if any, are Hermitian has a Hermitian matrix, so its real form
-    at (0, 0), an orthogonal change of basis with unit weights, is
-    symmetric up to the rounding of its mode-0 rows.  A dense T is not read.
-    """
-    if _dense(T):
-        return False
-    if T.factor is not None and not np.array_equal(T.factor, T.factor.transpose(0, 2, 1)):
-        return False
-    return T.blocks is None or np.array_equal(T.blocks, np.conj(T.blocks.transpose(0, 2, 1)))
-
-
-def _symmetric_top(R: np.ndarray) -> float:
-    """sigma_max of a symmetric real form R: its largest |eigenvalue|, from one eigvalsh.
-
-    For a symmetric R, ||R|| = max(-lambda_min, lambda_max) (Parlett, The
-    Symmetric Eigenvalue Problem, chapter 1), with no Gram matrix and no
-    d^3 matrix product; eigvalsh reads R's lower triangle.
-    """
-    w = np.linalg.eigvalsh(R)
-    return float(max(-w[0], w[-1]))
-
-
 def _tridiagonal_top(T: LevelOperator) -> float | None:
     """sigma_max at (0, 0) of a scalar multiplication operator whose symbol is degree one, else None.
 
@@ -662,7 +629,7 @@ def _tridiagonal_top(T: LevelOperator) -> float | None:
     2N, is Hermitian with ||E|| <= tail, the sum of their moduli, so by
     Weyl's inequality the value is within tail + O(eps) sigma_max of T's.
     The path is taken when tail is at most (2N+1) eps sigma_max, the error
-    scale of the symmetric eigensolve it replaces: the symbol is degree one
+    scale of an eigensolve of the form it replaces: the symbol is degree one
     up to its FFT roundoff.  The computed tail is raised by 2 (4N) eps, for
     the rounding of its 4N - 2 moduli and their sums.
     """
@@ -688,10 +655,9 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     T, weighed per pair into one buffer, the last pair in place, and an
     admitted pair's iteration runs on its weighed form R with dense
     matvecs (_dense_top).  Any other operator builds the one form at once
-    and takes no power step.  A form still open takes one symmetric
-    eigensolve if it is a self-adjoint T's (0, 0) form, else its Gram's.
-    No path returns a Krylov lower bound, so a check such as ||K|| <=
-    kappa stays evidence.
+    and takes no power step.  A form still open takes the top eigenvalue
+    of its Gram (_gram_top).  No path returns a Krylov lower bound, so a
+    check such as ||K|| <= kappa stays evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
     blocks = _mode_blocks(T)
@@ -718,12 +684,7 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     for i in todo:
         R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == todo[-1] else buf)
         top = None if screens.get(i) is None else _dense_top(R, *screens[i])
-        if top is not None:
-            norms[i] = float(np.sqrt(top))
-        elif pairs[i] == (0.0, 0.0) and _self_adjoint(T):
-            norms[i] = _symmetric_top(R)
-        else:
-            norms[i] = _gram_top(R)
+        norms[i] = _gram_top(R) if top is None else float(np.sqrt(top))
     return norms
 
 

@@ -99,7 +99,8 @@ class FourierLoop:
         return self.coeffs.reshape(-1)
 
     def norm(self, s: float) -> float:
-        return sobolev_norm(self, s)
+        w = weights(self.N, s)
+        return float(np.sqrt(np.sum(w[:, None] * np.abs(self.coeffs) ** 2)))
 
     def derivative(self) -> "FourierLoop":
         k = mode_numbers(self.N)
@@ -125,11 +126,6 @@ class FourierLoop:
 
     def __neg__(self) -> "FourierLoop":
         return FourierLoop(-self.coeffs)
-
-
-def sobolev_norm(u: FourierLoop, s: float) -> float:
-    w = weights(u.N, s)
-    return float(np.sqrt(np.sum(w[:, None] * np.abs(u.coeffs) ** 2)))
 
 
 def inner(u: FourierLoop, v: FourierLoop, s: float) -> float:

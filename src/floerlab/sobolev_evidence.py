@@ -132,8 +132,13 @@ def dual_pairing_check(fstar: FourierLoop, g: FourierLoop, h: FourierLoop) -> di
     }
 
 
+def _fine_grid(N: int) -> int:
+    """The smallest power of two that is at least FINE_GRID and carries the modes -N..N."""
+    return max(FINE_GRID, 1 << (2 * N).bit_length())
+
+
 def sup_norm(g: FourierLoop) -> float:
-    return float(np.max(np.abs(to_grid(g, max(FINE_GRID, 2 * g.N + 1)))))
+    return float(np.max(np.abs(to_grid(g, _fine_grid(g.N)))))
 
 
 def c0_embedding_constant(N: int) -> float:
@@ -207,12 +212,13 @@ def extremal_profile(N: int, s: float) -> FourierLoop:
 
 
 def holder_seminorm(u: FourierLoop, alpha: float) -> float:
-    """sup over dyadic offsets y of |u(t+y) - u(t)| / y^alpha on FINE_GRID points."""
-    vals = to_grid(u, FINE_GRID)
+    """sup over dyadic offsets y of |u(t+y) - u(t)| / y^alpha on _fine_grid(u.N) points."""
+    G = _fine_grid(u.N)
+    vals = to_grid(u, G)
     best = 0.0
     for j in DYADIC_OFFSETS:
-        shift = FINE_GRID >> j
-        y = shift / FINE_GRID
+        shift = G >> j
+        y = shift / G
         diff = float(np.max(np.abs(np.roll(vals, -shift, axis=0) - vals)))
         best = max(best, diff / y**alpha)
     return best

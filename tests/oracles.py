@@ -1,7 +1,7 @@
 """Reference computations and sizes that tests read and the program does not.
 
 The norm and SVD paths of scale_operator are tested against the dense
-weighted matrix and the two eigensolve references, and op_norm's
+weighted matrix and the Gram eigensolve reference, and op_norm's
 matrix-free certificate is read alone; min_grid_points is the smallest
 grid the 3/2-rule admits, which the grid bridge must handle.
 """
@@ -17,7 +17,6 @@ from floerlab.scale_operator import (
     _matrix_free_top,
     _real_form,
     _symbol_screen,
-    _symmetric_top,
     adjoint,
 )
 from floerlab.scale_space import check_level
@@ -42,14 +41,6 @@ def _gram_norm(T: LevelOperator, a: float, b: float) -> float:
     The reference for the Gram fallback of op_norms, which gives its bits.
     """
     return _gram_top(_real_form(T, a, b))
-
-
-def _symmetric_norm(T: LevelOperator, a: float, b: float) -> float:
-    """sigma_max of the real form from one symmetric eigensolve.
-
-    The reference for the self-adjoint pairs of op_norms, which gives their bits.
-    """
-    return _symmetric_top(_real_form(T, a, b))
 
 
 def _matrix_free_alone(T: LevelOperator, a: float, b: float) -> float | None:

@@ -1,4 +1,4 @@
-"""op_norms: the closed form of a degree-one symbol, the symbol's Kato-Temple certificate, one cosine/sine form per operator, the symmetric eigensolve and the Gram."""
+"""op_norms: the closed form of a degree-one symbol, the symbol's Kato-Temple certificate, one cosine/sine form per operator and its Gram eigensolve."""
 
 import tracemalloc
 
@@ -7,7 +7,7 @@ import pytest
 
 from floerlab import cli, scale_operator, suites
 from floerlab.charts import shear_chart
-from floerlab.floer_function import quadratic_hamiltonian, symplectic_action
+from floerlab.floer_function import HamiltonianData, quadratic_hamiltonian, symplectic_action
 from floerlab.floer_map import dphi
 from floerlab.loop_atlas import loops_in_chart, sphere_small_loop_atlas, transition
 from floerlab.pullback import pull_back
@@ -15,23 +15,22 @@ from floerlab.scale_operator import (
     LevelOperator,
     _cos_sin_form,
     _dense_top,
+    _gram_top,
     _mode_blocks,
     _multiplication,
     _real_form,
-    _self_adjoint,
     _symbol_pass,
     _symbol_screen,
-    _symmetric_top,
     _tridiagonal_top,
     _weigh,
     op_norm,
     op_norms,
 )
-from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
+from floerlab.scale_space import FourierLoop, default_grid_points, mode_numbers, random_loop, weights
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
-from oracles import _gram_norm, _matrix_free_alone, _symmetric_norm
+from oracles import _gram_norm, _matrix_free_alone
 from test_scale_operator import _reality_preserving
-from test_structured_operator import _bits, _bumped_factor, _kappa_correction, _no_form, _random_structured
+from test_structured_operator import _bits, _kappa_correction, _no_form, _random_structured
 from test_weighted_svd import _composed
 
 # the interpolation check's five levels, the dual level, and two off-diagonal pairs
@@ -58,22 +57,18 @@ def _interpolation_factors(count, N=64):
     return [mult_operator(random_loop(rng, 1, N, top_mode=5, amplitude=0.8)) for _ in range(count)]
 
 
-def _eigensolve(T, a, b):
-    return _symmetric_norm(T, a, b) if (a, b) == (0.0, 0.0) and _self_adjoint(T) else _gram_norm(T, a, b)
-
-
 def _on_the_form(T, a, b):
     # what a pair of a pure multiplication operator gets once its call has built the real form
     screen = _symbol_screen(T, a, b)
     top = None if screen is None else _dense_top(_real_form(T, a, b), *screen)
-    return _eigensolve(T, a, b) if top is None else float(np.sqrt(top))
+    return _gram_norm(T, a, b) if top is None else float(np.sqrt(top))
 
 
 def _expected_norms(T, pairs):
     # op_norms' rule for a pure multiplication operator: a (0, 0) pair of a
     # degree-one scalar symbol takes the closed form; of the pairs left, with
     # every pair admitted, the pairs before the first stall are certified
-    # matrix-free as alone, the stalled pair takes an eigensolve, and the
+    # matrix-free as alone, the stalled pair takes the Gram, and the
     # pairs after it read the form; with a pair not admitted, every pair
     # reads the form
     closed = _tridiagonal_top(T)
@@ -85,7 +80,7 @@ def _expected_norms(T, pairs):
     alone = [_matrix_free_alone(T, a, b) for a, b in pairs]
     k = alone.index(None) if None in alone else len(pairs)
     return [float(np.sqrt(top)) for top in alone[:k]] + [
-        _eigensolve(T, a, b) if i == k else _on_the_form(T, a, b) for i, (a, b) in enumerate(pairs) if i >= k
+        _gram_norm(T, a, b) if i == k else _on_the_form(T, a, b) for i, (a, b) in enumerate(pairs) if i >= k
     ]
 
 
@@ -113,20 +108,20 @@ def _record(monkeypatch, events):
     monkeypatch.setattr(scale_operator, "_matvec", lambda T, x: events.append("matvec") or matvec(T, x))
 
 
-def test_one_call_mixes_iterations_on_the_form_with_the_symmetric_and_gram_pairs(monkeypatch):
+def test_one_call_mixes_iterations_on_the_form_with_gram_pairs(monkeypatch):
     # a degree-5 interpolation factor at N = 64: alone, (1, -1) and (1, 1) are
-    # certified matrix-free; with the clustered (0, 0), self-adjoint, and
-    # (0.25, 0.25) the call builds the form first, and both iterate on it by
-    # dense matvecs
+    # certified matrix-free; with the clustered (0, 0) and (0.25, 0.25) the
+    # call builds the form first, both iterate on it by dense matvecs, and
+    # the other two take the Gram
     T = _interpolation_factors(1)[0]
     pairs = [(0.0, 0.0), (1.0, -1.0), (1.0, 1.0), (0.25, 0.25)]
     assert all(_matrix_free_alone(T, a, b) is not None for a, b in pairs[1:3])
     events = []
     _record(monkeypatch, events)
     many = op_norms(T, pairs)
-    assert events == ["form", "gram"]
+    assert events == ["form", "gram", "gram"]
     assert many == [_on_the_form(T, a, b) for a, b in pairs]
-    assert many[0] == _symmetric_norm(T, 0.0, 0.0) and many[3] == _gram_norm(T, 0.25, 0.25)
+    assert many[0] == _gram_norm(T, 0.0, 0.0) and many[3] == _gram_norm(T, 0.25, 0.25)
     for (a, b), value in zip(pairs[1:3], many[1:3]):
         oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
         assert oracle * (1.0 - 1e-15) <= value <= oracle * (1.0 + 1e-13)
@@ -212,19 +207,56 @@ def _hermitian_blocks_operator(N, seed):
     return LevelOperator(None, N, 2, factor=f + f.transpose(0, 2, 1), blocks=blocks)
 
 
-def test_self_adjoint_level_zero_norm_is_one_symmetric_eigensolve(monkeypatch):
-    # smooth (1,0->0) is checked the same way in test_structured_operator
-    operators = _interpolation_factors(2) + [_hermitian_blocks_operator(64, 5)]
-    steps, grams = [], []
-    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
-    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
-    for T in operators:
-        assert _self_adjoint(T)
-        norm = op_norm(T, 0.0, 0.0)
-        assert norm == _symmetric_norm(T, 0.0, 0.0)
-        oracle = np.linalg.svd(_real_form(T, 0.0, 0.0), compute_uv=False)[0]
-        assert abs(norm - oracle) <= 1e-13 * oracle, T
-    assert steps == [] and grams == []  # no power step and no Gram
+def _anharmonic_hessian(N):
+    # the action Hessian of H = |x|^2/2 + |x|^4/4 along a loop: the factor
+    # -hess_x H, symmetric at each sample, varies along the loop, so the
+    # operator is not mode-block diagonal
+    def grad_x(t, x):
+        return (1.0 + np.sum(x**2, axis=1))[:, None] * x
+
+    def hess_x(t, x):
+        return (1.0 + np.sum(x**2, axis=1))[:, None, None] * np.eye(2) + 2.0 * x[:, :, None] * x[:, None, :]
+
+    H = HamiltonianData(2, lambda t, x: 0.5 * np.sum(x**2, axis=1) + 0.25 * np.sum(x**2, axis=1) ** 2, grad_x, hess_x)
+    q = random_loop(np.random.default_rng(N), 2, N, amplitude=0.4)
+    return symplectic_action(H).hessian(q)
+
+
+def _reflecting_transition_jacobian(N):
+    # the north-to-south sphere transition is anti-Moebius: its Jacobian is
+    # r R(theta) diag(1, -1), a symmetric matrix at every sample
+    atlas = sphere_small_loop_atlas(s=0.75)
+    north, south = atlas.chart("north"), atlas.chart("south")
+    q = loops_in_chart(atlas.corpus, north, N, also_in=(south,))[0]
+    return dphi(transition(atlas, "north", "south", N), q)
+
+
+SELF_ADJOINT = {
+    "interpolation-factor": lambda: _interpolation_factors(1)[0],
+    "reflecting-transition": lambda: _reflecting_transition_jacobian(64),
+    "action-hessian": lambda: _anharmonic_hessian(64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_ADJOINT))
+def test_self_adjoint_level_zero_norms_take_the_gram(monkeypatch, name):
+    # symmetric factor samples and Hermitian mode blocks, if any, so the
+    # level-0 real form is symmetric; it is read like any other: one form,
+    # one Gram eigensolve and no power step, since a multiplication's
+    # clustered top is screened out and the Hessian has no screen
+    T = SELF_ADJOINT[name]()
+    assert _mode_blocks(T) is None and np.array_equal(T.factor, T.factor.transpose(0, 2, 1))
+    assert T.blocks is None or np.array_equal(T.blocks, np.conj(T.blocks.transpose(0, 2, 1)))
+    events = []
+    _record(monkeypatch, events)
+    kato_temple = scale_operator._kato_temple
+    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: events.append("step") or kato_temple(*args))
+    norm = op_norm(T, 0.0, 0.0)
+    monkeypatch.undo()
+    assert events == ["form", "gram"], events
+    assert norm == _gram_norm(T, 0.0, 0.0)
+    oracle = np.linalg.svd(_real_form(T, 0.0, 0.0), compute_uv=False)[0]
+    assert abs(norm - oracle) <= 1e-13 * oracle
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -238,7 +270,6 @@ def test_operators_not_self_adjoint_at_level_zero_keep_the_gram(monkeypatch, N):
     kato_temple = scale_operator._kato_temple
     monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args) or kato_temple(*args))
     for T in (D, skew, dense):
-        assert not _self_adjoint(T)
         assert op_norm(T, 0.0, 0.0) == _gram_norm(T, 0.0, 0.0), T
     assert steps == []  # D's clustered top is screened out; the others take no power step
     # a self-adjoint operator off level 0 keeps the Gram too
@@ -256,7 +287,7 @@ def _pulled_back_hessian(N):
 @pytest.mark.parametrize("N", [16, 64])
 def test_operators_that_are_not_multiplications_build_one_form_and_take_no_power_step(N):
     # dense and factor + blocks operators have no symbol screen: each call
-    # builds one form, and every pair takes its eigensolve
+    # builds one form, and every pair takes its Gram
     names = ("dense-1", "composed-2", "factor+blocks-1", "factor+blocks-2")
     operators = [OPERATORS[name](N) for name in names] + [_pulled_back_hessian(N)]
     cos_sin, kato_temple = scale_operator._cos_sin_form, scale_operator._kato_temple
@@ -268,7 +299,7 @@ def test_operators_that_are_not_multiplications_build_one_form_and_take_no_power
             mp.setattr(scale_operator, "_kato_temple", lambda *args: events.append("step") or kato_temple(*args))
             many = op_norms(T, PAIRS)
         assert events == ["form"], (T, events)
-        assert many == [_eigensolve(T, a, b) for a, b in PAIRS], T
+        assert many == [_gram_norm(T, a, b) for a, b in PAIRS], T
         for (a, b), value in zip(PAIRS, many):
             oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
             assert abs(value - oracle) <= 1e-13 * oracle, (T, a, b)
@@ -292,7 +323,7 @@ def test_pullback_suite_takes_power_steps_only_on_multiplication_operators(monke
     report = suites.run_suite("pullback", cli.RunConfig(seed=0, negative_controls=True, workers=1))
     assert report["verdict"] == "pass"
     assert len(steps) == len(certified) == 13 and all(certified)
-    assert counts["eigensolves"] == 7 and counts["symmetric"] == 0
+    assert counts["eigensolves"] == 7
 
 
 def test_gram_tops_are_read_as_each_form_is_weighed(monkeypatch):
@@ -405,12 +436,9 @@ def test_certified_values_are_within_1e13_of_the_svd_and_never_below(N):
 
 
 def _count_traffic(monkeypatch):
-    counts = {"forms": 0, "eigensolves": 0, "symmetric": 0}
-    cos_sin, gram_top, symmetric_top = (
-        scale_operator._cos_sin_form,
-        scale_operator._gram_top,
-        scale_operator._symmetric_top,
-    )
+    # real forms built and Gram eigensolves taken
+    counts = {"forms": 0, "eigensolves": 0}
+    cos_sin, gram_top = scale_operator._cos_sin_form, scale_operator._gram_top
 
     def forms(T):
         counts["forms"] += 1
@@ -420,13 +448,8 @@ def _count_traffic(monkeypatch):
         counts["eigensolves"] += 1
         return gram_top(R)
 
-    def symmetric(R):
-        counts["symmetric"] += 1
-        return symmetric_top(R)
-
     monkeypatch.setattr(scale_operator, "_cos_sin_form", forms)
     monkeypatch.setattr(scale_operator, "_gram_top", grams)
-    monkeypatch.setattr(scale_operator, "_symmetric_top", symmetric)
     return counts
 
 
@@ -454,11 +477,11 @@ def _count_symbol_passes(monkeypatch):
 def test_one_point_sweep_builds_no_form(monkeypatch):
     # at N = 512: mult(1,0->0), of a degree-one symbol, takes the closed form;
     # mult(1,1->1), mult(-1,1->-1) and the correction are certified
-    # matrix-free; no real form, symmetric eigensolve or Gram is left
+    # matrix-free; no real form or Gram is left
     counts = _count_traffic(monkeypatch)
     rows = cli._sweep_rows(cli.RunConfig(N=[512], s=[0.75], seed=0, workers=1))
     assert len(rows) == 8
-    assert counts == {"forms": 0, "eigensolves": 0, "symmetric": 0}
+    assert counts == {"forms": 0, "eigensolves": 0}
 
 
 def test_sobolev_evidence_traffic(monkeypatch):
@@ -466,25 +489,26 @@ def test_sobolev_evidence_traffic(monkeypatch):
     # before the symmetric path, 169 Gram eigensolves, 56 of them self-adjoint level-0 pairs;
     # before the symbol's one-deletion bound, 62 forms and 113 Gram eigensolves;
     # before the closed form of a degree-one symbol, 56 forms and 56 symmetric
-    # eigensolves, 6 of them the smooth factor's level-0 norms
+    # eigensolves, 6 of them the smooth factor's level-0 norms; before the
+    # symmetric path was deleted, 50 forms, 50 symmetric and 95 Gram eigensolves
     counts = _count_traffic(monkeypatch)
     symbol = _count_symbol_passes(monkeypatch)
     report = suites.run_suite("sobolev_evidence", cli.RunConfig(seed=0, negative_controls=True))
     assert report["verdict"] == "pass"
-    assert counts["forms"] <= 50 and counts["eigensolves"] <= 95 and counts["symmetric"] <= 50
+    assert counts["forms"] <= 50 and counts["eigensolves"] <= 145
     # the adjoint is built only for a call whose pairs are all admitted:
     # 17 adjoints, 123 of 268 screens admitted here
     assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
-def test_closed_form_agrees_with_the_symmetric_eigensolve(N):
-    # the kept reference, one eigvalsh of the real form, within the closed
-    # form's gate: (2N+1) eps sigma_max
+def test_closed_form_agrees_with_the_gram_eigensolve(N):
+    # the reference every other path is tested against, the Gram of the
+    # real form, within the closed form's gate: (2N+1) eps sigma_max
     T = mult_operator(smooth_factor(N))
     norm = op_norm(T, 0.0, 0.0)
     assert norm == _tridiagonal_top(T)
-    reference = _symmetric_top(_real_form(T, 0.0, 0.0))
+    reference = _gram_top(_real_form(T, 0.0, 0.0))
     assert abs(norm - reference) <= (2 * N + 1) * EPS * reference, (norm - reference) / reference
 
 
@@ -497,6 +521,14 @@ def test_closed_form_is_the_tridiagonal_toeplitz_top(monkeypatch, N):
     assert abs(op_norm(mult_operator(smooth_factor(N)), 0.0, 0.0) - exact) <= 4 * EPS * exact
 
 
+def _bumped_factor(N):
+    # 2 + sin(2 pi t) + 1e-3 cos(4 pi t): degree two, so its symbol's tail,
+    # 1e-3, is far above the gate of the closed form for degree one
+    c = np.array(smooth_factor(N).coeffs)
+    c[N - 2] = c[N + 2] = 5e-4
+    return FourierLoop(c)
+
+
 def _diagonal_pair(N):
     # the smooth factor on both components of an n = 2 loop: the same norm, but not scalar
     factor = mult_operator(smooth_factor(N)).factor * np.eye(2)
@@ -504,20 +536,20 @@ def _diagonal_pair(N):
 
 
 @pytest.mark.parametrize(
-    "make, pair, symmetric",
+    "make, pair",
     [
-        (lambda N: mult_operator(_bumped_factor(N)), (0.0, 0.0), 1),  # the tail is above the gate
-        (_diagonal_pair, (0.0, 0.0), 1),  # n = 2
-        (lambda N: mult_operator(smooth_factor(N)), (0.25, 0.25), 0),  # not level 0: the Gram
+        (lambda N: mult_operator(_bumped_factor(N)), (0.0, 0.0)),  # the tail is above the gate
+        (_diagonal_pair, (0.0, 0.0)),  # n = 2
+        (lambda N: mult_operator(smooth_factor(N)), (0.25, 0.25)),  # not level 0
     ],
     ids=["degree-two", "n2", "level-quarter"],
 )
-def test_cells_outside_the_gate_keep_the_form(monkeypatch, make, pair, symmetric):
+def test_cells_outside_the_gate_keep_the_form(monkeypatch, make, pair):
     T = make(64)
     counts = _count_traffic(monkeypatch)
     norm = op_norm(T, *pair)
-    assert counts == {"forms": 1, "eigensolves": 1 - symmetric, "symmetric": symmetric}
-    assert norm == (_symmetric_norm if symmetric else _gram_norm)(T, *pair)
+    assert counts == {"forms": 1, "eigensolves": 1}
+    assert norm == _gram_norm(T, *pair)
 
 
 def test_one_call_with_the_closed_form_stays_matrix_free(monkeypatch):

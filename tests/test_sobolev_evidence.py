@@ -140,6 +140,16 @@ def test_extremal_profile_attains_the_constant():
         assert abs(attained / c - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_holder_check_samples_past_the_fine_grid(s):
+    # the 4097 modes of N = 2048 do not fit on FINE_GRID = 4096 points: the
+    # seminorm samples on 8192, and the profile still attains the constant
+    rep = holder_embedding_check(s, (1024, 2048))
+    assert [e["N"] for e in rep["sweep"]] == [1024, 2048]
+    for e in rep["sweep"]:
+        assert abs(e["attained"] - 1.0) < 1e-6, e
+
+
 def test_endpoint_constant_keeps_growing():
     rep = holder_embedding_check(0.5)
     assert rep["verdict"] == "growing"

@@ -17,7 +17,6 @@ from floerlab.scale_operator import (
     LevelOperator,
     _mode_blocks,
     _real_form,
-    _tridiagonal_top,
     adjoint,
     derivative_operator,
     identity_operator,
@@ -25,7 +24,6 @@ from floerlab.scale_operator import (
     weighted_singular_values,
 )
 from floerlab.scale_space import (
-    FourierLoop,
     default_grid_points,
     grid_times,
     half_spectrum,
@@ -37,7 +35,7 @@ from floerlab.scale_space import (
     toeplitz_rows,
 )
 from floerlab.sobolev_evidence import mult_operator, smooth_factor
-from oracles import _matrix_free_alone, _symmetric_norm
+from oracles import _matrix_free_alone
 
 
 def _bits(x):
@@ -338,28 +336,3 @@ def test_fft_adjoint_multiplies_by_the_transposed_factor(N, levels):
     D = dphi(shear_chart(), q)
     assert np.max(np.abs(D.factor - D.factor.transpose(0, 2, 1))) > 0.5
     _assert_certified_against_svd(D, *levels)
-
-
-def _bumped_factor(N):
-    # 2 + sin(2 pi t) + 1e-3 cos(4 pi t): degree two, so its symbol's tail,
-    # 1e-3, is far above the gate of the closed form for degree one
-    c = np.array(smooth_factor(N).coeffs)
-    c[N - 2] = c[N + 2] = 5e-4
-    return FourierLoop(c)
-
-
-@pytest.mark.parametrize("N", [16, 64, 512])
-def test_level_zero_multiplication_takes_the_symmetric_eigensolve(monkeypatch, N):
-    # a clustered top: the symbol screen hands it on without a power step, and the
-    # self-adjoint level-0 form takes one symmetric eigensolve, not the Gram; the
-    # factor is degree two, so the closed form of a degree-one symbol does not apply
-    steps, grams = [], []
-    monkeypatch.setattr(scale_operator, "_kato_temple", lambda *args: steps.append(args))
-    monkeypatch.setattr(scale_operator, "_gram_top", lambda R: grams.append(R))
-    T = mult_operator(_bumped_factor(N))
-    assert _matrix_free_alone(T, 0.0, 0.0) is None and _tridiagonal_top(T) is None
-    norm = op_norm(T, 0.0, 0.0)
-    assert norm == _symmetric_norm(T, 0.0, 0.0)
-    assert steps == [] and grams == []
-    oracle = np.linalg.svd(_real_form(T, 0.0, 0.0), compute_uv=False)[0]
-    assert abs(norm - oracle) <= 1e-13 * oracle
