@@ -2,13 +2,16 @@
 
 Reports are plain JSON (verify) or CSV (sweep) and depend only on the
 config, so a fixed seed reproduces them byte for byte.  The config
-chooses what to run (N, s, seed, suites, negative_controls) and the
-pool size (workers); the suites read it directly, and their gates are
-constants in suites.py that no config moves.  Both commands plan their
-work as ordered cells (a verify suite's checks, a sweep's truncations)
-and run them through one runner, on forked worker processes or inline,
-with OpenBLAS held at one thread.  --out names the output file.  Exit
-codes: 0 all good, 1 a suite failed, 2 the config or arguments were bad.
+chooses what to run (N, s, seed, suites, negative_controls) and how
+many worker processes run it (workers); the suites read it directly, and
+their gates are constants in suites.py that no config moves.  Both
+commands plan their work as ordered cells (a verify suite's checks, a
+sweep's truncations) and run them through one runner, with OpenBLAS held
+at one thread: inline, or on forked workers that pull cell indices from
+one pipe and return each cell's result pickled on their own pipe, with
+no pool module imported (_run_plans).  --out names the output file.
+Exit codes: 0 all good, 1 a suite failed, 2 the config or arguments were
+bad.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import ctypes
 import io
 import json
 import os
+import pickle
 import sys
 import threading
 from contextlib import contextmanager
@@ -215,27 +219,110 @@ def _one_blas_thread():
         setter(before)
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback: the cause of the error its cell raised."""
+
+
+def _work(cells: list, todo: int, out: int) -> None:
+    """A worker: run each cell whose index it reads from todo, and write its outcome to out.
+
+    The outcome (index, result or exception, formatted traceback or None)
+    goes to out as an 8-byte length and then its pickle; a result that
+    does not pickle fails its cell with the pickling error.
+    """
+    with os.fdopen(out, "wb") as fh:
+        while index := os.read(todo, 4):
+            i = int.from_bytes(index, "little")
+            _, _, fn, args = cells[i]
+            try:
+                data = pickle.dumps((i, fn(*args), None))
+            except BaseException as exc:
+                import traceback  # only a failing cell's worker loads it
+
+                data = pickle.dumps((i, exc, traceback.format_exc()))
+            fh.write(len(data).to_bytes(8, "little") + data)
+            fh.flush()
+
+
 def _run_plans(plans: dict, processes: int) -> dict:
     """Each plan's assembled result, its cells run on forked worker processes, else inline.
 
-    Every cell is submitted, in plan and then cell order, before any
-    result is read; the results are read, and each plan assembled, in
-    the same order, so a cell that raises raises here as it would
-    inline, and the results do not depend on the pool size.  Once a
-    cell has raised, the cells not yet started are cancelled.
+    The parent writes every cell's index, in plan and then cell order, to
+    one pipe, then forks the workers; each inherits the cells through
+    fork, reads one index at a time and returns each cell's outcome,
+    pickled, on its own pipe (_work).  Indices leave the pipe in order,
+    so when a cell has started every earlier one has too.  Once a cell
+    has failed, the parent empties the index pipe, so no later cell
+    starts, and waits for the cells already started.  Each plan is
+    assembled in cell order, and the error raised is the first failing
+    cell's in that order, as inline, with the worker's traceback as its
+    cause; a cell whose worker exited before reporting fails with a
+    RuntimeError that names it.  The results do not depend on the number
+    of processes.  No pool module is imported.
     """
     if processes < 2:
         return {name: plan.run() for name, plan in plans.items()}
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import select
+    import signal
 
-    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: [pool.submit(fn, *args) for fn, args in plan.cells] for name, plan in plans.items()}
-        try:
-            return {name: plan.assemble([f.result() for f in futures[name]]) for name, plan in plans.items()}
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    cells = [(name, k, fn, args) for name, plan in plans.items() for k, (fn, args) in enumerate(plan.cells)]
+    todo, todo_w = os.pipe()
+    workers, buffers, outcomes, exits, failed = {}, {}, {}, [], False
+    try:
+        indices = b"".join(i.to_bytes(4, "little") for i in range(len(cells)))
+        os.set_blocking(todo_w, False)  # more indices than the pipe holds raise here, not hang
+        written = os.write(todo_w, indices)
+        os.close(todo_w)
+        if written < len(indices):
+            raise RuntimeError(f"{len(cells)} cells do not fit the index pipe")
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for _ in range(processes):
+            out, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller
+                code = 1
+                try:
+                    _work(cells, todo, out_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out_w)
+            workers[out], buffers[out] = pid, bytearray()
+        while workers:
+            for out in select.select(list(workers), [], [])[0]:
+                chunk = os.read(out, 1 << 16)
+                buf = buffers[out]
+                buf += chunk
+                while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                    i, value, tb = pickle.loads(buf[8 : 8 + size])
+                    del buf[: 8 + size]
+                    outcomes[i] = value, tb
+                    failed = failed or tb is not None
+                if not chunk:  # the worker has exited
+                    os.close(out)
+                    exits.append(os.waitstatus_to_exitcode(os.waitpid(workers.pop(out), 0)[1]))
+                if failed or not chunk:
+                    while os.read(todo, 1 << 16):
+                        pass
+    finally:
+        os.close(todo)
+        for out, pid in workers.items():
+            os.close(out)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def outcome(i: int):
+        name, k, fn, _ = cells[i]
+        if i not in outcomes:
+            raise RuntimeError(f"{name} cell {k} ({fn.__name__}) did not report; worker exit codes: {exits}")
+        value, tb = outcomes[i]
+        if tb is not None:
+            raise value from _RemoteTraceback(tb)
+        return value
+
+    order = iter(range(len(cells)))
+    return {name: plan.assemble([outcome(next(order)) for _ in plan.cells]) for name, plan in plans.items()}
 
 
 def _run(command: str, cfg: RunConfig, plans: dict) -> dict:

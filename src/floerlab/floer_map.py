@@ -200,7 +200,9 @@ def trilinear_norms(
 
     Every step acts on each trial alone, on C-ordered arrays, so a map's
     value, exits and iteration counts are those of the same map run
-    alone, bit for bit.  Each trial's value is the trilinear form at its
+    alone, bit for bit.  A map whose samples are all 0 takes no ascent:
+    its record is the one the ascent would give it, value 0 and every
+    trial "null" at step 0.  Each trial's value is the trilinear form at its
     current triple of unit vectors, by grid quadrature exact for
     band-limited data, so every returned maximum is attained and never
     overestimates.
@@ -212,6 +214,16 @@ def trilinear_norms(
         raise ValueError("bilinear maps live on different grids")
     G, n = shape[0], shape[1]
     per_map = restarts + 2
+    nonzero = [p for p, B in enumerate(maps) if B.tensor.any()]
+    if iters > 0 and len(nonzero) < len(maps):
+        # at iters = 0 no step runs, and the ascent itself records "cap"
+        values = np.zeros(len(maps))
+        exits = np.full((len(maps), per_map), "null", dtype="<U4")
+        steps = np.zeros((len(maps), per_map), dtype=int)
+        if nonzero:
+            rest = trilinear_norms([maps[p] for p in nonzero], [levels[p] for p in nonzero], restarts, iters)
+            values[nonzero], exits[nonzero], steps[nonzero] = rest.values, rest.exits, rest.iterations
+        return Ascent(values=values, exits=exits, iterations=steps)
     trials = len(maps) * per_map
     # each trial carries its map's tensor as [trial, i, j, k, g]
     t = np.repeat(np.stack([B.tensor.transpose(1, 2, 3, 0) for B in maps]), per_map, axis=0)

@@ -13,12 +13,14 @@ A suite is planned, then run.  Its planner (SUITES) draws every random
 input from the seed, in a fixed order, and returns a Plan: an ordered
 list of cells and the step that assembles the report from their results,
 in cell order.  A cell is a module-level function with plain-data
-arguments (levels, truncations, loops), so it can be sent to a worker
-process; charts, atlases and Floer functions do not pickle and are built
-inside the cells.  A cell reads nothing another cell made, so the
-report does not depend on where or in which order the cells ran.
-run_suite runs a plan's cells inline; `floerlab verify` sends every
-planned cell to its process pool, as `floerlab sweep` does its own.
+arguments (levels, truncations, loops); charts, atlases and Floer
+functions are built inside the cells.  A cell reads nothing another cell
+made, so the report does not depend on where or in which order the cells
+ran.  run_suite runs a plan's cells inline; `floerlab verify` runs every
+planned cell, as `floerlab sweep` does its own, on forked worker
+processes that inherit the cells through fork, pull their indices from
+one pipe and return each result pickled (cli._run_plans), with no pool
+module imported.
 """
 
 from __future__ import annotations
@@ -95,8 +97,10 @@ class Plan(NamedTuple):
     """A suite, or cli's sweep, as ordered cells and the step that reads their results.
 
     Each cell is (function, args), the function module-level and the
-    args picklable; assemble takes the cells' results in cell order and
-    returns the suite report (the sweep's rows).
+    args plain data.  A forked worker inherits the cells and returns each
+    result by pickle, so a cell's result must pickle; assemble takes the
+    cells' results in cell order and returns the suite report (the
+    sweep's rows).
     """
 
     cells: list[tuple[Callable, tuple]]

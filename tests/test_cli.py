@@ -1,7 +1,6 @@
 """Command-line entry points: config validation, determinism, exit codes."""
 
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -28,6 +27,12 @@ from floerlab.scale_space import random_loop
 from floerlab.suites import SUITES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _assert_no_child_left():
+    # every worker the runner forked has been reaped: this process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _config(tmp_path, name="cfg.json", **overrides):
@@ -227,7 +232,7 @@ def test_sweep_csv_does_not_depend_on_workers(tmp_path, seed):
         cfg = _config(tmp_path, f"w{workers}.json", N=[16, 32, 64], s=[0.6, 0.9], seed=seed, workers=workers)
         outs.append(tmp_path / f"sweep-w{workers}.csv")
         assert main(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 1 + 3 * (1 + 1 + 4 + 2 * 2)
 
@@ -286,32 +291,48 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
         main(["sweep", "--config", cfg, "--out", str(out)])
     assert not out.exists()
     assert (type(raised.value.__cause__).__name__ == "_RemoteTraceback") == (workers > 1)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_a_one_truncation_sweep_imports_no_pool(tmp_path):
-    # one truncation is one cell, run inline whatever workers says
+    # one truncation is one cell, run inline whatever workers says; the core
+    # verify at two workers forks two workers (where OpenBLAS can be held at
+    # one thread) and imports no pool module either
     script = textwrap.dedent(
         """
-        import sys
+        import os, sys
         from floerlab import cli
 
+        pools = {"concurrent.futures", "multiprocessing"}
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
         cli.cmd_sweep(cli.RunConfig(N=[16], s=[0.75], workers=4), sys.argv[1])
-        print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+        print(sorted(pools & set(sys.modules)), len(forks))
+        core = cli.RunConfig(suites=["floer_function", "sobolev_evidence"], negative_controls=True, workers=2)
+        cli.cmd_verify(core, sys.argv[2])
+        print(sorted(pools & set(sys.modules)), len(forks), cli._openblas_thread_calls() is not None)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
         """
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = tmp_path / "sweep.csv"
+    sweep, core = tmp_path / "sweep.csv", tmp_path / "core.json"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(out)],
+        [sys.executable, "-c", script, str(sweep), str(core)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
-    assert len(out.read_text().splitlines()) == 1 + 1 + 1 + 4 + 2
+    after_sweep, after_verify, last = done.stdout.splitlines()
+    assert after_sweep == "[] 0"
+    assert after_verify in ("[] 2 True", "[] 0 False")
+    assert last == "no child left"
+    assert len(sweep.read_text().splitlines()) == 1 + 1 + 1 + 4 + 2
+    assert json.loads(core.read_text())["verdict"] == "pass"
 
 
 CORE = {"suites": ["floer_function", "sobolev_evidence"], "negative_controls": True}
@@ -330,12 +351,24 @@ PLANNERS = {**SUITES, "sweep": cli._sweep_plan}
 
 @pytest.mark.parametrize("name", sorted(PLANNERS))
 def test_every_planned_cell_pickles(name):
-    # the pool sends each cell to a worker by pickle: the function by name, the arguments as data
+    # a worker inherits its cells through fork, but a cell's arguments stay
+    # plain data (levels, truncations, loops), never charts or atlases
     plan = PLANNERS[name](RunConfig(negative_controls=True))
     assert plan.cells
     for fn, args in plan.cells:
-        fn_back, args_back = pickle.loads(pickle.dumps((fn, args)))
-        assert fn_back is fn and len(args_back) == len(args)
+        assert len(pickle.loads(pickle.dumps(args))) == len(args)
+
+
+def test_core_cell_results_survive_a_pickle_round_trip():
+    # a worker returns each cell's result by pickle: assembled from the
+    # round-tripped results, every core suite report keeps its bytes
+    cfg = RunConfig(**CORE)
+    for name in CORE["suites"]:
+        plan = SUITES[name](cfg)
+        results = [fn(*args) for fn, args in plan.cells]
+        back = pickle.loads(pickle.dumps(results))
+        want = json.dumps(cli._jsonable(plan.assemble(results)), sort_keys=True)
+        assert json.dumps(cli._jsonable(plan.assemble(back)), sort_keys=True) == want
 
 
 def test_core_report_does_not_depend_on_workers(tmp_path):
@@ -344,7 +377,7 @@ def test_core_report_does_not_depend_on_workers(tmp_path):
         cfg = _config(tmp_path, f"core-w{workers}.json", **CORE, N=[16, 32, 64, 128, 256], workers=workers)
         reports.append(tmp_path / f"core-w{workers}.json.out")
         assert main(["verify", "--config", cfg, "--out", str(reports[-1])]) == 0
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
     assert reports[0].read_bytes() == reports[1].read_bytes() == reports[2].read_bytes()
 
 
@@ -371,7 +404,7 @@ def test_a_failing_verify_cell_fails_verify_with_its_error(monkeypatch, tmp_path
     assert not out.exists()
     # a pooled cell's error carries the worker's traceback as its cause
     assert (type(raised.value.__cause__).__name__ == "_RemoteTraceback") == (workers > 1)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def _marking_cell(index, folder):
@@ -388,8 +421,27 @@ def test_a_failing_cell_cancels_the_cells_not_started(tmp_path):
     with pytest.raises(FloatingPointError, match="the first cell failed") as raised:
         cli._run_plans({"marking": suites.Plan(cells, list)}, 2)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert len(list(tmp_path.iterdir())) < len(cells) - 1
+
+
+def _exiting_cell(index):
+    if index == 2:
+        os._exit(3)
+    time.sleep(0.05)
+    return index
+
+
+def test_a_worker_that_exits_in_a_cell_fails_the_run_naming_that_cell():
+    # the worker running cell 2 dies without reporting: the run raises
+    # promptly, with an error that names the cell, and reaps every worker
+    cells = [(_exiting_cell, (index,)) for index in range(6)]
+    plans = {"ok": suites.Plan([(_exiting_cell, (0,))], list), "dying": suites.Plan(cells, list)}
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"dying cell 2 \(_exiting_cell\) did not report; worker exit codes: .*3"):
+        cli._run_plans(plans, 2)
+    assert time.perf_counter() - start < 5.0
+    _assert_no_child_left()
 
 
 def test_verify_holds_blas_at_one_thread_and_restores_it(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from floerlab.charts import rotation_field_chart, shear_chart
+from floerlab import floer_map
 from floerlab.floer_map import EXITS, BilinearLevelMap, d2phi, trilinear_norms
 from floerlab.scale_space import default_grid_points, mode_numbers, random_loop, weights
 
@@ -187,6 +188,41 @@ def test_batch_records_each_trial_as_if_run_alone(hopm):
     assert set(batch.exits[-1]) == {"null"} and not batch.iterations[-1].any()
     cap = batch.exits == "cap"
     assert np.all(batch.iterations[cap] == hopm.get("iters", 150))
+
+
+@pytest.mark.parametrize("hopm", BUDGETS)
+def test_zero_maps_take_no_ascent_and_the_batch_keeps_its_records(monkeypatch, hopm):
+    # a map whose samples are all 0, such as the Hessian of an identity
+    # transition, leaves the batch before the ascent; zero maps first, in the
+    # middle and last must leave every record as one map at a time gives it
+    maps, levels = _mixed_batch()
+    zero = maps[-1]
+    maps = [zero] + maps[:3] + [zero] + maps[3:]
+    levels = [LEVELS[1]] + levels[:3] + [LEVELS[0]] + levels[3:]
+    batched_trials = []
+    slot_gradient = floer_map._slot_gradient
+
+    def counting(t, *args):
+        batched_trials.append(len(t))
+        return slot_gradient(t, *args)
+
+    monkeypatch.setattr(floer_map, "_slot_gradient", counting)
+    batch = trilinear_norms(maps, levels, **hopm)
+    per_map = hopm.get("restarts", 4) + 2
+    assert max(batched_trials) == 3 * 2 * per_map  # shear, rotation and random tensors at both levels
+    for p, (B, lv) in enumerate(zip(maps, levels)):
+        alone = trilinear_norms([B], [lv], **hopm)
+        assert alone.values[0] == batch.values[p]
+        assert alone.exits.dtype == batch.exits.dtype and list(alone.exits[0]) == list(batch.exits[p])
+        assert alone.iterations.dtype == batch.iterations.dtype
+        assert list(alone.iterations[0]) == list(batch.iterations[p])
+        if not B.tensor.any():
+            assert batch.values[p] == 0.0 and set(batch.exits[p]) == {"null"} and not batch.iterations[p].any()
+    batched_trials.clear()
+    assert trilinear_norms([zero, zero], LEVELS, **hopm).values.tolist() == [0.0, 0.0]
+    assert batched_trials == []
+    # with no step allowed, the ascent records the cap, as at any other map
+    assert list(trilinear_norms([zero], LEVELS[:1], iters=0).exits[0]) == ["cap"] * 6
 
 
 def test_permuting_the_maps_permutes_the_values():
