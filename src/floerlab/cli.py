@@ -8,8 +8,9 @@ their gates are constants in suites.py that no config moves.  Both
 commands plan their work as ordered cells (a verify suite's checks, a
 sweep's truncations) and run them through one runner, with OpenBLAS held
 at one thread: inline, or on forked workers that pull cell indices from
-one pipe and return each cell's result pickled on their own pipe, with
-no pool module imported (_run_plans).  --out names the output file.
+one pipe and append each cell's result, pickled, to a memfd file of
+their own, which the parent reads once they have exited, with no pool
+module imported (_run_plans).  --out names the output file.
 Exit codes: 0 all good, 1 a suite failed, 2 the config or arguments were
 bad.
 """
@@ -25,7 +26,7 @@ import os
 import pickle
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,50 +225,54 @@ class _RemoteTraceback(Exception):
 
 
 def _work(cells: list, todo: int, out: int) -> None:
-    """A worker: run each cell whose index it reads from todo, and write its outcome to out.
+    """A worker: run each cell whose index it reads from todo, and append its outcome to out.
 
     The outcome (index, result or exception, formatted traceback or None)
-    goes to out as an 8-byte length and then its pickle; a result that
-    does not pickle fails its cell with the pickling error.
+    is appended to the file out as its pickle, flushed whole before the
+    next index is read; a result that does not pickle fails its cell with
+    the pickling error.  After a failing cell the worker empties todo, so
+    no later cell starts, and so stops.
     """
     with os.fdopen(out, "wb") as fh:
         while index := os.read(todo, 4):
             i = int.from_bytes(index, "little")
             _, _, fn, args = cells[i]
             try:
-                data = pickle.dumps((i, fn(*args), None))
+                data, failed = pickle.dumps((i, fn(*args), None)), False
             except BaseException as exc:
                 import traceback  # only a failing cell's worker loads it
 
-                data = pickle.dumps((i, exc, traceback.format_exc()))
-            fh.write(len(data).to_bytes(8, "little") + data)
+                data, failed = pickle.dumps((i, exc, traceback.format_exc())), True
+            fh.write(data)
             fh.flush()
+            while failed and os.read(todo, 1 << 16):
+                pass
 
 
 def _run_plans(plans: dict, processes: int) -> dict:
     """Each plan's assembled result, its cells run on forked worker processes, else inline.
 
     The parent writes every cell's index, in plan and then cell order, to
-    one pipe, then forks the workers; each inherits the cells through
-    fork, reads one index at a time and returns each cell's outcome,
-    pickled, on its own pipe (_work).  Indices leave the pipe in order,
-    so when a cell has started every earlier one has too.  Once a cell
-    has failed, the parent empties the index pipe, so no later cell
-    starts, and waits for the cells already started.  Each plan is
-    assembled in cell order, and the error raised is the first failing
-    cell's in that order, as inline, with the worker's traceback as its
-    cause; a cell whose worker exited before reporting fails with a
-    RuntimeError that names it.  The results do not depend on the number
-    of processes.  No pool module is imported.
+    one pipe, then forks the workers, each with a memfd file of its own;
+    each inherits the cells through fork, reads one index at a time and
+    appends each cell's outcome, pickled, to its file (_work).  Indices
+    leave the pipe in order, so when a cell has started every earlier one
+    has too.  The parent waits for the workers in fork order, empties the
+    index pipe when one exits nonzero, so no later cell starts, and then
+    reads every file from its start; a tail cut short is not reported.
+    Each plan is assembled in cell order, and the error raised is the
+    first failing cell's in that order, as inline, with the worker's
+    traceback as its cause; a cell whose worker exited before reporting
+    fails with a RuntimeError that names it.  The results do not depend
+    on the number of processes.  No pool module is imported.
     """
     if processes < 2:
         return {name: plan.run() for name, plan in plans.items()}
-    import select
     import signal
 
     cells = [(name, k, fn, args) for name, plan in plans.items() for k, (fn, args) in enumerate(plan.cells)]
     todo, todo_w = os.pipe()
-    workers, buffers, outcomes, exits, failed = {}, {}, {}, [], False
+    files, pids, exits, outcomes = [], [], [], {}
     try:
         indices = b"".join(i.to_bytes(4, "little") for i in range(len(cells)))
         os.set_blocking(todo_w, False)  # more indices than the pipe holds raise here, not hang
@@ -278,39 +283,33 @@ def _run_plans(plans: dict, processes: int) -> dict:
         sys.stdout.flush()
         sys.stderr.flush()
         for _ in range(processes):
-            out, out_w = os.pipe()
+            files.append(os.memfd_create("floerlab-outcomes"))
             pid = os.fork()
             if pid == 0:  # the worker never returns into the caller
                 code = 1
                 try:
-                    _work(cells, todo, out_w)
+                    _work(cells, todo, files[-1])
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(out_w)
-            workers[out], buffers[out] = pid, bytearray()
-        while workers:
-            for out in select.select(list(workers), [], [])[0]:
-                chunk = os.read(out, 1 << 16)
-                buf = buffers[out]
-                buf += chunk
-                while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
-                    i, value, tb = pickle.loads(buf[8 : 8 + size])
-                    del buf[: 8 + size]
+            pids.append(pid)
+        for pid in pids:
+            exits.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            while exits[-1] != 0 and os.read(todo, 1 << 16):
+                pass
+        for out in files:
+            with open(out, "rb", closefd=False) as fh, suppress(EOFError, pickle.UnpicklingError):
+                fh.seek(0)  # the worker's appends moved the offset it shares with the parent
+                while True:
+                    i, value, tb = pickle.load(fh)
                     outcomes[i] = value, tb
-                    failed = failed or tb is not None
-                if not chunk:  # the worker has exited
-                    os.close(out)
-                    exits.append(os.waitstatus_to_exitcode(os.waitpid(workers.pop(out), 0)[1]))
-                if failed or not chunk:
-                    while os.read(todo, 1 << 16):
-                        pass
     finally:
         os.close(todo)
-        for out, pid in workers.items():
-            os.close(out)
+        for pid in pids[len(exits) :]:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for out in files:
+            os.close(out)
 
     def outcome(i: int):
         name, k, fn, _ = cells[i]
@@ -335,7 +334,7 @@ def _run(command: str, cfg: RunConfig, plans: dict) -> dict:
         # output's bytes, depend on it, and would oversubscribe the CPUs the
         # processes share; fork copies the parent's threads' locks but not
         # the threads, so it waits until this is the only thread
-        forkable = pinned and hasattr(os, "fork") and threading.active_count() == 1
+        forkable = pinned and hasattr(os, "fork") and hasattr(os, "memfd_create") and threading.active_count() == 1
         return _run_plans(plans, min(cfg.pool_size(), cells) if forkable else 1)
 
 

@@ -283,7 +283,12 @@ def hessian_axiom_check(
     pairs: list[tuple[FourierLoop, FourierLoop]],
     N_sweep: tuple[int, ...] = (16, 32, 64),
 ) -> dict:
-    """Check the four Hessian axioms; the Fredholm entry carries both level pairs."""
+    """Check the four Hessian axioms; the Fredholm entry carries both level pairs.
+
+    The Fredholm entry passes when both reports read fredholm.  Their
+    index_estimate is 0 by construction (fredholm_from_spectra), so index
+    zero is not tested until ROADMAP item 3 counts it.
+    """
     sym_err = 0.0
     fd_err = 0.0
     for q in samples:
@@ -316,7 +321,7 @@ def hessian_axiom_check(
         f"({a:g}->{b:g})": fredholm_diagnostic(family, a, b)
         for a, b in ((1.0, 0.0), (2.0, 1.0))
     }
-    fred_ok = all(r["verdict"] == "fredholm" and r["index_estimate"] == 0 for r in fred.values())
+    fred_ok = all(r["verdict"] == "fredholm" for r in fred.values())
 
     report = {
         "H0-Hessian": {

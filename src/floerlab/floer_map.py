@@ -201,8 +201,10 @@ def trilinear_norms(
     Every step acts on each trial alone, on C-ordered arrays, so a map's
     value, exits and iteration counts are those of the same map run
     alone, bit for bit.  A map whose samples are all 0 takes no ascent:
-    its record is the one the ascent would give it, value 0 and every
-    trial "null" at step 0.  Each trial's value is the trilinear form at its
+    when iters > 0 its trials are recorded "null" at step 0, value 0, the
+    record the ascent would give them, and leave the live set before the
+    first step; at iters = 0 no step runs, and every trial records "cap".
+    Each trial's value is the trilinear form at its
     current triple of unit vectors, by grid quadrature exact for
     band-limited data, so every returned maximum is attained and never
     overestimates.
@@ -214,43 +216,35 @@ def trilinear_norms(
         raise ValueError("bilinear maps live on different grids")
     G, n = shape[0], shape[1]
     per_map = restarts + 2
-    nonzero = [p for p, B in enumerate(maps) if B.tensor.any()]
-    if iters > 0 and len(nonzero) < len(maps):
-        # at iters = 0 no step runs, and the ascent itself records "cap"
-        values = np.zeros(len(maps))
-        exits = np.full((len(maps), per_map), "null", dtype="<U4")
-        steps = np.zeros((len(maps), per_map), dtype=int)
-        if nonzero:
-            rest = trilinear_norms([maps[p] for p in nonzero], [levels[p] for p in nonzero], restarts, iters)
-            values[nonzero], exits[nonzero], steps[nonzero] = rest.values, rest.exits, rest.iterations
-        return Ascent(values=values, exits=exits, iterations=steps)
     trials = len(maps) * per_map
-    # each trial carries its map's tensor as [trial, i, j, k, g]
-    t = np.repeat(np.stack([B.tensor.transpose(1, 2, 3, 0) for B in maps]), per_map, axis=0)
+    vals = np.zeros(trials)
+    exits = np.full(trials, "cap", dtype="<U4")
+    steps = np.full(trials, iters)
+    zero = np.repeat([iters > 0 and not B.tensor.any() for B in maps], per_map)
+    exits[zero], steps[zero] = "null", 0
+    live = np.flatnonzero(~zero)
+    # each live trial carries its map's tensor as [trial, i, j, k, g]
+    t = np.take([B.tensor.transpose(1, 2, 3, 0) for B in maps], live // per_map, axis=0)
     # weight rows per slot (output, xi, eta) and trial; the output's is the dual weight
     a, b, out = zip(*levels)
-    w = np.repeat(
-        np.stack(
-            [
-                [1.0 / weights(N, x)[N:] for x in out],
-                [weights(N, x)[N:] for x in a],
-                [weights(N, x)[N:] for x in b],
-            ]
-        ),
-        per_map,
+    w = np.take(
+        [
+            [1.0 / weights(N, x)[N:] for x in out],
+            [weights(N, x)[N:] for x in a],
+            [weights(N, x)[N:] for x in b],
+        ],
+        live // per_map,
         axis=1,
     )[:, :, None, :]
     m = np.r_[1.0, np.full(N, 2.0)] * w[:, :, 0]  # mode k > 0 stands for k and -k
 
-    cx, ce = (np.tile(c, (len(maps), 1, 1)) for c in _start_spectra(N, n, restarts))
+    cx, ce = (c[live % per_map] for c in _start_spectra(N, n, restarts))
     vx = _unit_samples(cx, m[1], G)
     ve = _unit_samples(ce, m[2], G)
 
-    vals = np.zeros(trials)
-    exits = np.full(trials, "cap", dtype="<U4")
-    steps = np.full(trials, iters)
-    live = np.arange(trials)
     for step in range(iters):
+        if live.size == 0:
+            break
         rz = half_spectrum(_slot_gradient(t, 0, vx, ve), N, axis=-1) / w[0]
         nz = _level_norms(rz, m[0])
         null = ~(nz > 0.0)
@@ -273,8 +267,6 @@ def trilinear_norms(
             exits[live[done]], steps[live[done]] = "rtol", step + 1
             keep = ~done
             live, t, w, m, vx, ve = live[keep], t[keep], w[:, keep], m[:, keep], vx[keep], ve[keep]
-            if live.size == 0:
-                break
     return Ascent(
         values=np.max(np.abs(vals).reshape(len(maps), per_map), axis=1, initial=0.0),
         exits=exits.reshape(len(maps), per_map),
@@ -362,19 +354,18 @@ def verify_floer_axioms(
         maps = [d2phi(chart, q) for q in qs]
         batch = maps + maps
         levels = [second[0]] * len(maps) + [second[1]] * len(maps)
-        if N == Ns[-1]:
+        if N < Ns[-1]:
+            values = trilinear_norms(batch, levels, **hopm).values
+        else:  # the batch ends with the modulus difference at both levels
             bump = MODULUS_STEP * _unit_direction(qs[0])
             step = bump.norm(1.0)
             moved = qs[0] + bump
-            diff = dphi(chart, moved) - first
-            moduli = [v / step for v in _first_norms(diff)]
-            batch += [d2phi(chart, moved) - maps[0]] * 2
-            levels += second
-        values = trilinear_norms(batch, levels, **hopm).values
+            values = trilinear_norms(batch + [d2phi(chart, moved) - maps[0]] * 2, levels + second, **hopm).values
+            moduli = [v / step for v in _first_norms(dphi(chart, moved) - first)]
+            moduli += [float(v) / step for v in values[-2:]]
         worst = values[: 2 * len(maps)].reshape(2, len(maps)).max(axis=1)
         norms["(ii)1"].append(worst[0])
         norms["(ii)2"].append(worst[1])
-    moduli += [float(v) / step for v in values[-2:]]  # the largest N's batch ends with them
     return axiom_reports(s, Ns, norms, moduli)
 
 

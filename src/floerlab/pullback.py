@@ -161,9 +161,11 @@ def certify_pullback(
     bound reads.
 
     On top of the gradient/Hessian reports the certificate checks the two
-    summands separately: index-zero evidence for the conjugated term and
+    summands separately: Fredholm evidence for the conjugated term and
     singular value decay for the correction, with the kappa bound tying
-    the correction's size to computable data.
+    the correction's size to computable data.  The conjugated term's
+    index_estimate is 0 by construction (fredholm_from_spectra), so index
+    zero is not tested until ROADMAP item 3 counts it.
     """
     Ft = pull_back(F, phi)
     base_q = samples[0]
@@ -197,7 +199,6 @@ def certify_pullback(
         report["verdict"] == "pass"
         and kb["passed"]
         and conj_fred["verdict"] == "fredholm"
-        and conj_fred["index_estimate"] == 0
         and decaying
     )
     report["verdict"] = "pass" if ok else "fail"

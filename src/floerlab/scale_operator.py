@@ -88,15 +88,15 @@ screen ||A||_1 ||A||_inf >= sigma_max^2, a lower bound on sigma_max^2
 ||.||_inf bound of A with its heaviest row or column deleted.  A pair
 whose screen is at most F/2 and whose lower bound is at most min(F -
 lower, second) is a clustered top (multiplication operators at level 0,
-whose singular values crowd near sup |g|) and skips the iteration.  If
-every pair of the call is admitted, the iterations apply A and A^H by
-_matvec, matrix-free, and no real form is built unless one stalls.
-Otherwise, and from a stalled pair on, the pairs share one level-free
-_cos_sin_form of T, weighed per pair into the real form R, and an
-admitted pair iterates on R with dense matvecs.  Any other operator
-(dense, or a factor with blocks) has no symbol screen: its pairs share
-one form too and take no power step.  The forms still open, clustered
-tops, every top the bounds cannot separate and every pair of those
+whose singular values crowd near sup |g|) and skips the iteration.  Any
+other operator (dense, or a factor with blocks) has no symbol screen.
+op_norms reads its pairs in order.  While no real form exists, an
+admitted pair iterates matrix-free, applying A and A^H by _matvec.  The
+first pair that is not admitted, that stalls, or that has no screen
+builds the one level-free _cos_sin_form of T, and from it on every pair
+is weighed from that form into the real form R: an admitted pair
+iterates on R with dense matvecs, and the others, clustered tops, every
+top the bounds cannot separate, a stalled pair and every pair of those
 other operators, take the top eigenvalue of the form's Gram matrix
 R^T R, the reference the other paths are tested against: its absolute
 error is O(eps sigma_max^2) in sigma_max^2, so its relative error in
@@ -645,18 +645,17 @@ def _tridiagonal_top(T: LevelOperator) -> float | None:
 def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     """Operator norms of T : H_a -> H_b for each level pair (a, b), in order.
 
-    Takes the block path, else the closed, certified and dense paths of
-    the module docstring.  A (0, 0) pair that _tridiagonal_top answers
-    takes its closed form.  A pure multiplication operator reads
-    _symbol_screen for each pair left.  If it admits every one, each
-    one's power iteration runs matrix-free (_matrix_free_top), in order,
-    and no real form is built unless one of them stalls.  Otherwise, and
-    from the stalled pair on, the pairs left share one _cos_sin_form of
-    T, weighed per pair into one buffer, the last pair in place, and an
-    admitted pair's iteration runs on its weighed form R with dense
-    matvecs (_dense_top).  Any other operator builds the one form at once
-    and takes no power step.  A form still open takes the top eigenvalue
-    of its Gram (_gram_top).  No path returns a Krylov lower bound, so a
+    Takes the block path, else reads the pairs in order by the module
+    docstring's rule.  A (0, 0) pair that _tridiagonal_top answers takes
+    its closed form.  While no real form exists, a pair of a pure
+    multiplication operator that _symbol_screen admits is certified
+    matrix-free (_matrix_free_top, the adjoint built on first use).  The
+    first pair that is not admitted, that stalls, or whose operator is
+    not a pure multiplication builds the one _cos_sin_form of T, and it
+    and every later pair are weighed from it into one buffer, the last
+    pair in place: an admitted pair iterates on its weighed form R with
+    dense matvecs (_dense_top), and any other takes the top eigenvalue of
+    the Gram (_gram_top).  No path returns a Krylov lower bound, so a
     check such as ||K|| <= kappa stays evidence.
     """
     pairs = [(check_level(a), check_level(b)) for a, b in pairs]
@@ -666,24 +665,21 @@ def op_norms(T: LevelOperator, pairs: list[tuple[float, float]]) -> list[float]:
     closed = _tridiagonal_top(T) if (0.0, 0.0) in pairs else None
     norms = [closed if pair == (0.0, 0.0) else None for pair in pairs]
     todo = [i for i, norm in enumerate(norms) if norm is None]
-    if not todo:
-        return norms
-    screens = {i: _symbol_screen(T, *pairs[i]) for i in todo} if _multiplication(T) else {}
-    if screens and all(screen is not None for screen in screens.values()):
-        TH = adjoint(T)  # multiplication by g(t)^T
-        while todo:
-            top = _matrix_free_top(T, TH, *pairs[todo[0]], *screens[todo[0]])
-            if top is None:  # stalled: the pair takes an eigensolve
-                screens[todo[0]] = None
-                break
-            norms[todo.pop(0)] = float(np.sqrt(top))
-        if not todo:
-            return norms
-    C = _cos_sin_form(T)
-    buf = np.empty_like(C) if len(todo) > 1 else None
+    TH = C = buf = None
     for i in todo:
+        screen = _symbol_screen(T, *pairs[i]) if _multiplication(T) else None
+        if C is None and screen is not None:
+            TH = adjoint(T) if TH is None else TH  # multiplication by g(t)^T
+            top = _matrix_free_top(T, TH, *pairs[i], *screen)
+            if top is not None:
+                norms[i] = float(np.sqrt(top))
+                continue
+            screen = None  # stalled: the pair takes an eigensolve
+        if C is None:
+            C = _cos_sin_form(T)
+            buf = None if i == todo[-1] else np.empty_like(C)
         R = _weigh(C, T.N, T.n, *pairs[i], out=C if i == todo[-1] else buf)
-        top = None if screens.get(i) is None else _dense_top(R, *screens[i])
+        top = None if screen is None else _dense_top(R, *screen)
         norms[i] = _gram_top(R) if top is None else float(np.sqrt(top))
     return norms
 

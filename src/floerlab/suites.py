@@ -19,7 +19,8 @@ made, so the report does not depend on where or in which order the cells
 ran.  run_suite runs a plan's cells inline; `floerlab verify` runs every
 planned cell, as `floerlab sweep` does its own, on forked worker
 processes that inherit the cells through fork, pull their indices from
-one pipe and return each result pickled (cli._run_plans), with no pool
+one pipe and append each result, pickled, to a file of their own that
+the parent reads once they have exited (cli._run_plans), with no pool
 module imported.
 """
 
@@ -274,7 +275,9 @@ def _floer_function_checks(Ns, samples, directions, hessian_loop, fredholm_Ns) -
         rep = fredholm_diagnostic(hessians, a, b)
         final_gap = rep["sweep"][-1]["gap"]
         gap_ok = abs(final_gap - ACTION_GAP) <= 1e-9 * ACTION_GAP
-        dims_ok = all(e["ker_dim"] == e["coker_dim"] == 0 for e in rep["sweep"])
+        # coker_dim is ker_dim by construction, so index zero is not tested
+        # until ROADMAP item 3 counts it
+        dims_ok = all(e["ker_dim"] == 0 for e in rep["sweep"])
         checks.append(
             {
                 "name": f"action Hessian is Fredholm of index zero at ({a:g}->{b:g})",

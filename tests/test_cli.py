@@ -297,13 +297,13 @@ def test_a_failing_sweep_cell_fails_the_sweep_with_its_error(monkeypatch, tmp_pa
 def test_a_one_truncation_sweep_imports_no_pool(tmp_path):
     # one truncation is one cell, run inline whatever workers says; the core
     # verify at two workers forks two workers (where OpenBLAS can be held at
-    # one thread) and imports no pool module either
+    # one thread) and imports no pool module, nor select, either
     script = textwrap.dedent(
         """
         import os, sys
         from floerlab import cli
 
-        pools = {"concurrent.futures", "multiprocessing"}
+        pools = {"concurrent.futures", "multiprocessing", "select"}
         forks, fork = [], os.fork
         os.fork = lambda: forks.append(1) or fork()
         cli.cmd_sweep(cli.RunConfig(N=[16], s=[0.75], workers=4), sys.argv[1])
@@ -441,6 +441,58 @@ def test_a_worker_that_exits_in_a_cell_fails_the_run_naming_that_cell():
     with pytest.raises(RuntimeError, match=r"dying cell 2 \(_exiting_cell\) did not report; worker exit codes: .*3"):
         cli._run_plans(plans, 2)
     assert time.perf_counter() - start < 5.0
+    _assert_no_child_left()
+
+
+def _large_cell(index):
+    # 1 MiB of float64, far more than a pipe holds
+    return np.random.default_rng(index).standard_normal(1 << 17)
+
+
+def test_a_large_cell_result_assembles_as_inline():
+    cells = [(_large_cell, (index,)) for index in range(3)]
+    plans = {"large": suites.Plan(cells, list), "small": suites.Plan([(_exiting_cell, (0,))], list)}
+    pooled, inline = cli._run_plans(plans, 2), cli._run_plans(plans, 1)
+    _assert_no_child_left()
+    assert pooled["small"] == inline["small"] == [0]
+    assert len(pooled["large"]) == len(inline["large"]) == 3
+    for got, want in zip(pooled["large"], inline["large"]):
+        assert got.nbytes == 1 << 20 and np.array_equal(got, want)
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+def test_a_pooled_run_leaves_no_descriptor_open():
+    # the index pipe and every worker's outcome file are closed, after a
+    # run that passes and after one whose cell fails
+    before = _open_descriptors()
+    cells = [(_large_cell, (index,)) for index in range(4)]
+    cli._run_plans({"large": suites.Plan(cells, list)}, 2)
+    assert _open_descriptors() == before
+    with pytest.raises(FloatingPointError):
+        cli._run_plans({"failing": suites.Plan([(_marking_cell, (0, "unused"))] * 3, list)}, 2)
+    assert _open_descriptors() == before
+    _assert_no_child_left()
+
+
+def test_without_memfd_the_cells_run_inline(monkeypatch, tmp_path):
+    # the workers return their outcomes in memfd files: where os.memfd_create
+    # is missing, verify runs its cells inline, forks nothing and writes the
+    # same bytes as on two workers
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    cfg = _config(tmp_path, **CORE, workers=2)
+    pooled, inline = tmp_path / "pooled.json", tmp_path / "inline.json"
+    assert main(["verify", "--config", cfg, "--out", str(pooled)]) == 0
+    assert len(forks) == (2 if cli._openblas_thread_calls() is not None else 0)
+    forks.clear()
+    monkeypatch.delattr(os, "memfd_create")
+    assert main(["verify", "--config", cfg, "--out", str(inline)]) == 0
+    assert forks == []
+    assert pooled.read_bytes() == inline.read_bytes()
     _assert_no_child_left()
 
 

@@ -29,6 +29,7 @@ from floerlab.scale_operator import (
 from floerlab.scale_space import FourierLoop, default_grid_points, mode_numbers, random_loop, weights
 from floerlab.sobolev_evidence import mult_operator, rough_factor, smooth_factor
 from oracles import _gram_norm, _matrix_free_alone
+from test_benchmark_workloads import _workloads
 from test_scale_operator import _reality_preserving
 from test_structured_operator import _bits, _kappa_correction, _no_form, _random_structured
 from test_weighted_svd import _composed
@@ -65,23 +66,24 @@ def _on_the_form(T, a, b):
 
 
 def _expected_norms(T, pairs):
-    # op_norms' rule for a pure multiplication operator: a (0, 0) pair of a
-    # degree-one scalar symbol takes the closed form; of the pairs left, with
-    # every pair admitted, the pairs before the first stall are certified
-    # matrix-free as alone, the stalled pair takes the Gram, and the
-    # pairs after it read the form; with a pair not admitted, every pair
+    # op_norms' rule for a pure multiplication operator, pair by pair in
+    # order: a (0, 0) pair of a degree-one scalar symbol takes the closed
+    # form; until the form is built, an admitted pair is certified
+    # matrix-free as alone; the first pair that is not admitted or that
+    # stalls builds the form and takes the Gram, and every pair after it
     # reads the form
     closed = _tridiagonal_top(T)
-    if closed is not None and (0.0, 0.0) in pairs:
-        rest = iter(_expected_norms(T, [p for p in pairs if p != (0.0, 0.0)]))
-        return [closed if p == (0.0, 0.0) else next(rest) for p in pairs]
-    if any(_symbol_screen(T, a, b) is None for a, b in pairs):
-        return [_on_the_form(T, a, b) for a, b in pairs]
-    alone = [_matrix_free_alone(T, a, b) for a, b in pairs]
-    k = alone.index(None) if None in alone else len(pairs)
-    return [float(np.sqrt(top)) for top in alone[:k]] + [
-        _gram_norm(T, a, b) if i == k else _on_the_form(T, a, b) for i, (a, b) in enumerate(pairs) if i >= k
-    ]
+    expected, form = [], False
+    for a, b in pairs:
+        if closed is not None and (a, b) == (0.0, 0.0):
+            expected.append(closed)
+        elif form:
+            expected.append(_on_the_form(T, a, b))
+        else:
+            top = _matrix_free_alone(T, a, b)
+            form = top is None
+            expected.append(_gram_norm(T, a, b) if form else float(np.sqrt(top)))
+    return expected
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -125,6 +127,28 @@ def test_one_call_mixes_iterations_on_the_form_with_gram_pairs(monkeypatch):
     for (a, b), value in zip(pairs[1:3], many[1:3]):
         oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
         assert oracle * (1.0 - 1e-15) <= value <= oracle * (1.0 + 1e-13)
+
+
+def test_pairs_are_read_in_order(monkeypatch):
+    # the factor of the test above with its pairs reordered: (1, -1), admitted
+    # and first, is certified matrix-free; the clustered (0, 0) builds the
+    # form and takes the Gram; (1, 1), admitted, then iterates on the form
+    T = _interpolation_factors(1)[0]
+    pairs = [(1.0, -1.0), (0.0, 0.0), (1.0, 1.0)]
+    assert _symbol_screen(T, 0.0, 0.0) is None
+    assert _dense_top(_real_form(T, 1.0, 1.0), *_symbol_screen(T, 1.0, 1.0)) is not None
+    events = []
+    _record(monkeypatch, events)
+    many = op_norms(T, pairs)
+    monkeypatch.undo()
+    assert "matvec" in events and events[events.index("form") :] == ["form", "gram"], events
+    assert set(events[: events.index("form")]) == {"matvec"}
+    assert many[0] == float(np.sqrt(_matrix_free_alone(T, 1.0, -1.0)))
+    assert many[1] == _gram_norm(T, 0.0, 0.0)
+    assert many[2] == _on_the_form(T, 1.0, 1.0)
+    for (a, b), value in zip(pairs, many):
+        oracle = np.linalg.svd(_real_form(T, a, b), compute_uv=False)[0]
+        assert abs(value - oracle) <= 1e-13 * oracle, (a, b)
 
 
 def test_no_matvec_after_the_form_is_built(monkeypatch):
@@ -499,6 +523,26 @@ def test_sobolev_evidence_traffic(monkeypatch):
     # the adjoint is built only for a call whose pairs are all admitted:
     # 17 adjoints, 123 of 268 screens admitted here
     assert symbol["adjoints"] <= symbol["admitted"] < symbol["passes"], symbol
+
+
+def test_atlas_workload_traffic(monkeypatch):
+    # the benchmark's atlas workload: each op_norms call reads a transition's
+    # dphi at (0, 0) and then (-1, -1), and the clustered (0, 0) builds the
+    # form at once; 33 forms and 66 Gram eigensolves, and the 22 iterations
+    # on the forms all stall, since the tops are paired; none runs matrix-free
+    counts = _count_traffic(monkeypatch)
+    dense, matrix_free = [], []
+    dense_top, matrix_free_top = scale_operator._dense_top, scale_operator._matrix_free_top
+    monkeypatch.setattr(scale_operator, "_dense_top", lambda *args: dense.append(dense_top(*args)) or dense[-1])
+    monkeypatch.setattr(
+        scale_operator, "_matrix_free_top", lambda *args: matrix_free.append(args) or matrix_free_top(*args)
+    )
+    workloads = _workloads(monkeypatch)
+    report = workloads.atlas_report(cli.RunConfig(**workloads.WORKLOADS["atlas"].config(0)))
+    assert report["verdict"] == "pass"
+    assert counts == {"forms": 33, "eigensolves": 66}
+    assert len(dense) == 22 and all(top is None for top in dense)
+    assert matrix_free == []
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256])
