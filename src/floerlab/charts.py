@@ -171,8 +171,7 @@ def identity_chart(n: int = 2) -> DiffeoChart:
         jacobian=lambda x: np.broadcast_to(np.eye(n), (x.shape[0], n, n)).copy(),
         hessian=lambda x: np.zeros((x.shape[0], n, n, n)),
     )
-    chart.inverse = chart
-    return chart
+    return pair_inverses(chart, chart)
 
 
 LINEAR_CHART_NAME = "linear"
@@ -197,27 +196,33 @@ def linear_chart(A: np.ndarray) -> DiffeoChart:
     return pair_inverses(make(A, LINEAR_CHART_NAME), make(np.linalg.inv(A), LINEAR_CHART_NAME + "_inv"))
 
 
+def _graph_chart(name: str, h, dh, d2h) -> DiffeoChart:
+    """The planar graph map (x, y) -> (x, y + h(x)), given h and its first two derivatives."""
+
+    def value(p):
+        out = np.array(p, dtype=float, copy=True)
+        out[:, 1] += h(p[:, 0])
+        return out
+
+    def jac(p):
+        G = p.shape[0]
+        out = np.broadcast_to(np.eye(2), (G, 2, 2)).copy()
+        out[:, 1, 0] = dh(p[:, 0])
+        return out
+
+    def hes(p):
+        out = np.zeros((p.shape[0], 2, 2, 2))
+        out[:, 1, 0, 0] = d2h(p[:, 0])
+        return out
+
+    return DiffeoChart(n=2, name=name, value=value, jacobian=jac, hessian=hes)
+
+
 def shear_chart() -> DiffeoChart:
     """Planar shear (x, y) -> (x, y + x^2); polynomial, globally invertible."""
 
     def make(sign: float, nm: str) -> DiffeoChart:
-        def value(p):
-            out = np.array(p, dtype=float, copy=True)
-            out[:, 1] += sign * p[:, 0] ** 2
-            return out
-
-        def jac(p):
-            G = p.shape[0]
-            out = np.broadcast_to(np.eye(2), (G, 2, 2)).copy()
-            out[:, 1, 0] = 2.0 * sign * p[:, 0]
-            return out
-
-        def hes(p):
-            out = np.zeros((p.shape[0], 2, 2, 2))
-            out[:, 1, 0, 0] = 2.0 * sign
-            return out
-
-        return DiffeoChart(n=2, name=nm, value=value, jacobian=jac, hessian=hes)
+        return _graph_chart(nm, lambda x: sign * x**2, lambda x: 2.0 * sign * x, lambda x: 2.0 * sign)
 
     return pair_inverses(make(1.0, "shear"), make(-1.0, "shear_inv"))
 
@@ -263,8 +268,7 @@ def inversion_chart(min_radius: float = 0.0) -> DiffeoChart:
         return np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2) - min_radius
 
     chart = _mobius_chart(0.0, 1.0, 1.0, 0.0, True, "inversion", boundary_clearance=clearance)
-    chart.inverse = chart
-    return chart
+    return pair_inverses(chart, chart)
 
 
 def c1_only_chart() -> DiffeoChart:
@@ -274,28 +278,23 @@ def c1_only_chart() -> DiffeoChart:
     second derivative sign(x) is discontinuous, so the second-order
     extension checks must flag divergence.
     """
-
-    def value(p):
-        out = np.array(p, dtype=float, copy=True)
-        out[:, 1] += 0.5 * p[:, 0] * np.abs(p[:, 0])
-        return out
-
-    def jac(p):
-        G = p.shape[0]
-        out = np.broadcast_to(np.eye(2), (G, 2, 2)).copy()
-        out[:, 1, 0] = np.abs(p[:, 0])
-        return out
-
-    def hes(p):
-        out = np.zeros((p.shape[0], 2, 2, 2))
-        out[:, 1, 0, 0] = np.sign(p[:, 0])
-        return out
-
-    return DiffeoChart(n=2, name="c1_only", value=value, jacobian=jac, hessian=hes)
+    return _graph_chart("c1_only", lambda x: 0.5 * x * np.abs(x), np.abs, np.sign)
 
 
-def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool = True) -> DiffeoChart:
-    """Chart of the composite outer(inner(.)), chain-ruled through order 2."""
+def compose_charts(outer: DiffeoChart, inner: DiffeoChart) -> DiffeoChart:
+    """Chart of the composite outer(inner(.)), chain-ruled through order 2.
+
+    When both charts carry an inverse, the composite is paired with the
+    composite of the inverses, inner^-1 o outer^-1 (pair_inverses).
+    """
+    chart = _composite(outer, inner)
+    if outer.inverse is not None and inner.inverse is not None:
+        pair_inverses(chart, _composite(inner.inverse, outer.inverse))
+    return chart
+
+
+def _composite(outer: DiffeoChart, inner: DiffeoChart) -> DiffeoChart:
+    """outer o inner with no inverse attached."""
     if outer.n != inner.n:
         raise ValueError("chart dimensions do not match")
     n = outer.n
@@ -325,7 +324,7 @@ def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool =
                 vals = np.minimum(vals, outer.boundary_clearance(inner.value(p)))
             return vals
 
-    chart = DiffeoChart(
+    return DiffeoChart(
         n=n,
         name=f"({outer.name} o {inner.name})",
         value=value,
@@ -333,8 +332,3 @@ def compose_charts(outer: DiffeoChart, inner: DiffeoChart, _wire_inverse: bool =
         hessian=hes,
         boundary_clearance=clearance,
     )
-    if _wire_inverse and outer.inverse is not None and inner.inverse is not None:
-        inv = compose_charts(inner.inverse, outer.inverse, _wire_inverse=False)
-        chart.inverse = inv
-        inv.inverse = chart
-    return chart

@@ -33,17 +33,13 @@ import numpy as np
 
 from .charts import shear_chart
 from .floer_function import quadratic_hamiltonian, symplectic_action
-from .loop_atlas import (
-    check_compatibility,
-    check_transitivity,
-    rotated_sphere_atlas,
-    sphere_small_loop_atlas,
-)
+from .floer_map import LIGHT_HOPM
+from .loop_atlas import check_compatibility, check_transitivity, cocycle_frames
 from .pullback import certify_pullback, kappa_bound_check
 from .scale_operator import inclusion_singular_values, op_norm, weighted_singular_values
 from .scale_space import random_loop
-from .sobolev_evidence import SIGNATURES, mult_operator, smooth_factor
-from .suites import LIGHT_HOPM, SUITES, Plan
+from .sobolev_evidence import SIGNATURES, by_signature, mult_operator, smooth_factor
+from .suites import SUITES, Plan
 
 DEMOS = ("pullback", "atlas")
 
@@ -385,12 +381,8 @@ def _sweep_cell(N: int, q, s_values: list[float]) -> list[tuple]:
         ("scale_operator", N, "", "inclusion_sigma_min", float(inclusion_singular_values(N, 2, 1.0, 0.0)[-1])),
         ("floer_function", N, "", "action_gap", float(weighted_singular_values(F.hessian(q), 1.0, 0.0)[-1])),
     ]
-    # one norm per level pair: (1,0->0) and (C0,0->0) are the same operator
-    norms = {}
-    for key, pair in sorted(SIGNATURES.items()):
-        if pair not in norms:
-            norms[pair] = float(op_norm(mult_operator(smooth_factor(N)), *pair))
-        rows.append(("sobolev_evidence", N, "", f"mult{key}", norms[pair]))
+    norms = by_signature(lambda key: float(op_norm(mult_operator(smooth_factor(N)), *SIGNATURES[key])))
+    rows += [("sobolev_evidence", N, "", f"mult{key}", norm) for key, norm in norms]
     shear = shear_chart()
     for s in s_values:
         check = kappa_bound_check(F, shear, q, s, hopm=LIGHT_HOPM)
@@ -454,7 +446,7 @@ def _demo_pullback() -> int:
 
 def _demo_atlas() -> int:
     s = 0.75
-    A = sphere_small_loop_atlas(s=s)
+    A, B, C = cocycle_frames(s)
     compat = check_compatibility(A, A, N_sweep=(16, 32, 64))
     print(f"Sphere atlas, two stereographic charts, s={s}")
     print()
@@ -463,8 +455,6 @@ def _demo_atlas() -> int:
         print(f"  {pair['from']:>5} -> {pair['to']:<5}  {pair['verdict']}  ({pair['overlap']} loops)")
     print(f"  verdict: {compat['verdict']}")
     print()
-    B = rotated_sphere_atlas(0.3, s=s)
-    C = rotated_sphere_atlas(-0.25, s=s, axis=1, seed=13)
     trans = check_transitivity(A, B, C)
     print("Cocycle residuals on triple overlaps (direct vs composite)")
     print(f"  {'from':>10} {'via':>10} {'to':>10} {'apply':>12} {'dphi':>12}")

@@ -25,12 +25,11 @@ from typing import Callable
 import numpy as np
 
 from .scale_operator import (
-    STABLE_RTOL,
     LevelOperator,
     adjoint,
     fredholm_diagnostic,
+    norm_sweep,
     op_norm,
-    sweep_verdict,
 )
 from .scale_space import (
     FourierLoop,
@@ -255,11 +254,8 @@ def gradient_axiom_check(
     grad_ok = pair_err <= GRAD_FD_RTOL
     c1_ok = c1_err <= C1_RTOL
 
-    sweep = []
-    for M in sorted(N_sweep):
-        worst = max(F.gradient(q.resize(M)).norm(1.0) for q in samples)
-        sweep.append({"N": int(M), "norm": float(worst)})
-    restr_ok = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL) == "stable"
+    Ns = sorted(N_sweep)
+    sweep, restr_verdict = norm_sweep(Ns, [max(F.gradient(q.resize(M)).norm(1.0) for q in samples) for M in Ns])
     base = samples[0]
     bump = 1e-3 * (1.0 / directions[0].norm(2.0)) * directions[0]
     modulus = (F.gradient(base + bump) - F.gradient(base)).norm(1.0) / bump.norm(2.0)
@@ -269,7 +265,7 @@ def gradient_axiom_check(
         "Restriction": {
             "sweep": sweep,
             "continuity_modulus": float(modulus),
-            "passed": bool(restr_ok and np.isfinite(modulus)),
+            "passed": bool(restr_verdict == "stable" and np.isfinite(modulus)),
         },
         "Differentiability": {"max_rel_err": float(c1_err), "tol": C1_RTOL, "passed": bool(c1_ok)},
     }
@@ -303,14 +299,14 @@ def hessian_axiom_check(
             fd_err = max(fd_err, _rel(abs(fd - left), max(abs(left), scale)))
 
     # one Hessian per (N, sample), read at both level pairs
-    sweep2 = []
+    Ns = sorted(N_sweep)
+    worst = []
     family = {}
-    for M in sorted(N_sweep):
+    for M in Ns:
         hessians = [F.hessian(q.resize(M)) for q in samples]
         family[M] = hessians[0]
-        worst = max(op_norm(A, 2.0, 1.0) for A in hessians)
-        sweep2.append({"N": int(M), "norm": float(worst)})
-    restr_ok = sweep_verdict([e["norm"] for e in sweep2], STABLE_RTOL) == "stable"
+        worst.append(max(op_norm(A, 2.0, 1.0) for A in hessians))
+    sweep2, restr_verdict = norm_sweep(Ns, worst)
 
     base = samples[0]
     bump = 1e-3 * (1.0 / pairs[0][0].norm(1.0)) * pairs[0][0]
@@ -332,7 +328,7 @@ def hessian_axiom_check(
         },
         "Restriction": {
             "sweep": sweep2,
-            "passed": bool(restr_ok),
+            "passed": restr_verdict == "stable",
         },
         "Continuity": {"modulus": float(modulus), "passed": bool(np.isfinite(modulus))},
         "Fredholm": {"reports": fred, "passed": bool(fred_ok)},

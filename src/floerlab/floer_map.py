@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import DEFAULT_MARGIN, DiffeoChart, compose_charts
-from .scale_operator import STABLE_RTOL, LevelOperator, op_norms, sweep_verdict
+from .scale_operator import LevelOperator, norm_sweep, op_norms
 from .scale_space import (
     FourierLoop,
     from_grid,
@@ -172,6 +172,10 @@ class Ascent:
     values: np.ndarray
     exits: np.ndarray
     iterations: np.ndarray
+
+
+# The restarts and iters of every ascent that the suites and the command line run.
+LIGHT_HOPM = {"restarts": 1, "iters": 80}
 
 
 def trilinear_norms(
@@ -316,8 +320,8 @@ def verify_floer_axioms(
     chart: DiffeoChart,
     s: float,
     samples: list[FourierLoop],
-    N_sweep: tuple[int, ...] = (16, 32, 64),
-    hopm: dict | None = None,
+    N_sweep: tuple[int, ...],
+    hopm: dict,
 ) -> list[dict]:
     """Run the four extension-axiom checks of chart's map at level s over an N-sweep.
 
@@ -335,11 +339,11 @@ def verify_floer_axioms(
     Per N the samples are resized once, dphi and d2phi are built once per
     sample at that N, and one trilinear_norms call holds every sample at
     both the (ii)1 and the (ii)2 levels, plus, at the largest N, the
-    modulus difference at both.
+    modulus difference at both, with the ascent budget hopm; N_sweep and
+    hopm have no default, so every caller names the sweep and budget it reads.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("level parameter s must lie in (0, 1)")
-    hopm = dict(hopm or {})
     Ns = sorted(N_sweep)
     second = [(s, 0.0, 0.0), (1.0 + s, -1.0, -1.0)]  # (ii)1, (ii)2
     norms = {axiom: [] for axiom in AXIOMS}
@@ -376,17 +380,18 @@ def axiom_reports(
 
     Each report is a dict with the keys axiom, s, sweep (one
     {"N", "norm"} entry per truncation), continuity_modulus and verdict.
-    The one rule for an axiom: pass when sweep_verdict finds its norms
-    stable at STABLE_RTOL and its continuity modulus is finite.
+    The one rule for an axiom: pass when norm_sweep reads its norms as
+    stable and its continuity modulus is finite.
     """
     reports = []
     for axiom, modulus in zip(AXIOMS, moduli):
-        ok = sweep_verdict(norms[axiom], STABLE_RTOL) == "stable" and np.isfinite(modulus)
+        sweep, verdict = norm_sweep(Ns, norms[axiom])
+        ok = verdict == "stable" and np.isfinite(modulus)
         reports.append(
             {
                 "axiom": axiom,
                 "s": s,
-                "sweep": [{"N": int(N), "norm": float(v)} for N, v in zip(Ns, norms[axiom])],
+                "sweep": sweep,
                 "continuity_modulus": float(modulus),
                 "verdict": "pass" if ok else "fail",
             }

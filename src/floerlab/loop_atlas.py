@@ -4,7 +4,9 @@ A chart here is a pointwise diffeomorphism onto chart coordinates plus a
 sampled domain predicate; the induced loop chart acts coordinatewise on
 grid samples.  A transition between two charts is one DiffeoChart, whose
 superposition map floer_map evaluates at any truncation, so the whole
-axiom battery from floer_map applies to it unchanged.
+axiom battery from floer_map applies to it unchanged.  It carries the
+transition back as its inverse: always between sphere charts, and between
+planar charts whenever the target chart's map has an inverse.
 
 Sphere charts are stereographic projections in a rotated (possibly
 reflected) orthonormal frame.  Their pairwise transitions are Moebius
@@ -30,7 +32,7 @@ from .charts import (
     identity_chart,
     pair_inverses,
 )
-from .floer_map import apply, axiom_reports, dphi, verify_floer_axioms
+from .floer_map import apply, axiom_reports, dphi, invert, verify_floer_axioms
 from .scale_space import FourierLoop, default_grid_points, from_grid, random_loop, to_grid
 
 SPHERE_CAP = 0.1
@@ -70,9 +72,13 @@ class SphereChart:
             raise ValueError("chart frame must be a 3x3 orthogonal matrix")
         self.Q = Q
 
-    @property
-    def point_dim(self) -> int:
-        return 3
+    def points(self, u: FourierLoop, G: int) -> np.ndarray:
+        """u's G grid samples normalised onto the sphere; ValueError near its centre."""
+        vals = to_grid(u, G)
+        norms = np.linalg.norm(vals, axis=1)
+        if np.min(norms) < 0.3:
+            raise ValueError("corpus loop passes too close to the sphere's center")
+        return vals / norms[:, None]
 
     def clearance(self, points: np.ndarray) -> np.ndarray:
         """Height below the cap rim, per sample; positive means inside."""
@@ -88,13 +94,11 @@ class SphereChart:
     def from_coords(self, x: np.ndarray) -> np.ndarray:
         return _unstereo(x) @ self.Q
 
-    def transition_to(self, other: "SphereChart", build_inverse: bool = True) -> DiffeoChart:
+    def transition_to(self, other: "SphereChart") -> DiffeoChart:
+        """The transition to other's coordinates, paired with the one back."""
         if not isinstance(other, SphereChart):
             raise TypeError("cannot build a transition between different point models")
-        chart = _stereo_chart(self, other)
-        if build_inverse:
-            pair_inverses(chart, _stereo_chart(other, self))
-        return chart
+        return pair_inverses(_stereo_chart(self, other), _stereo_chart(other, self))
 
 
 def _su2_lift(R: np.ndarray) -> tuple[complex, complex, complex, complex]:
@@ -151,9 +155,9 @@ class PlanarChart:
     name: str
     rho: DiffeoChart
 
-    @property
-    def point_dim(self) -> int:
-        return self.rho.n
+    def points(self, u: FourierLoop, G: int) -> np.ndarray:
+        """u's G grid samples, already points of R^n."""
+        return to_grid(u, G)
 
     def covers(self, points: np.ndarray) -> bool:
         return self.rho.contains(points)
@@ -162,25 +166,21 @@ class PlanarChart:
         return self.rho.value(points)
 
     def from_coords(self, x: np.ndarray) -> np.ndarray:
-        if self.rho.inverse is None:
-            raise ValueError(f"chart {self.name!r} carries no inverse")
-        return self.rho.inverse.value(x)
+        return invert(self.rho).value(x)
 
-    def transition_to(self, other: "PlanarChart", build_inverse: bool = True) -> DiffeoChart:
+    def transition_to(self, other: "PlanarChart") -> DiffeoChart:
+        """other's map after this one's inverse, paired with the one back if other's map inverts."""
         if not isinstance(other, PlanarChart):
             raise TypeError("cannot build a transition between different point models")
-        if self.rho.inverse is None:
-            raise ValueError(f"chart {self.name!r} carries no inverse")
-        return compose_charts(other.rho, self.rho.inverse, _wire_inverse=build_inverse)
+        return compose_charts(other.rho, invert(self.rho))
 
 
 @dataclass
 class LoopAtlas:
     """Charts plus the level parameter and a corpus of abstract test loops.
 
-    Sphere corpora are stored as band-limited loops in R^3 whose samples
-    are normalized onto the sphere before any chart sees them; planar
-    corpora are plain R^n loops.
+    Sphere corpora are band-limited loops in R^3, planar corpora plain R^n
+    loops; each chart samples a corpus loop through its points(u, G).
     """
 
     charts: list
@@ -195,24 +195,13 @@ class LoopAtlas:
         raise KeyError(f"no chart named {name!r}")
 
 
-def _abstract_points(u: FourierLoop, chart, grid_points: int) -> np.ndarray:
-    """Sample an abstract corpus loop where the chart expects its points."""
-    vals = to_grid(u, grid_points)
-    if chart.point_dim == 3:
-        norms = np.linalg.norm(vals, axis=1)
-        if np.min(norms) < 0.3:
-            raise ValueError("corpus loop passes too close to the sphere's center")
-        return vals / norms[:, None]
-    return vals
-
-
 def loops_in_chart(corpus: list[FourierLoop], chart, N: int, also_in=()) -> list[FourierLoop]:
     """Corpus members covered by the chart (and every chart in also_in),
     expressed in its coordinates at truncation N."""
     G = default_grid_points(N)
     found = []
     for u in corpus:
-        pts = _abstract_points(u, chart, G)
+        pts = chart.points(u, G)
         if not chart.covers(pts):
             continue
         if any(not other.covers(pts) for other in also_in):
@@ -224,20 +213,21 @@ def loops_in_chart(corpus: list[FourierLoop], chart, N: int, also_in=()) -> list
 def transition(atlas: LoopAtlas, alpha, beta, N: int = 32) -> DiffeoChart:
     """The transition chart between two charts of one atlas, with its inverse.
 
-    Its superposition map is the loop-space transition at every
-    truncation.  N is only the truncation at which the overlap must hold
-    a corpus loop; EmptyOverlapError when it holds none.
+    It is _pair_map's, the map the compatibility and transitivity checks
+    verify; its superposition map is the loop-space transition at every
+    truncation.  N is only the truncation at which the overlap of two
+    distinct charts must hold a corpus loop; EmptyOverlapError when it
+    holds none.
     """
     a, b = atlas.chart(alpha), atlas.chart(beta)
-    if a is b:
-        return identity_chart(2)
-    if not loops_in_chart(atlas.corpus, a, N, also_in=(b,)):
+    if a is not b and not loops_in_chart(atlas.corpus, a, N, also_in=(b,)):
         raise EmptyOverlapError(f"charts {a.name!r} and {b.name!r} share no corpus loop")
-    return a.transition_to(b)
+    return _pair_map(a, b)
 
 
 def _pair_map(a, b) -> DiffeoChart:
-    return identity_chart(2) if a is b else a.transition_to(b, build_inverse=False)
+    """The transition from chart a to chart b, the identity when they are one chart."""
+    return identity_chart(2) if a is b else a.transition_to(b)
 
 
 def _corpus_of(*atlases: LoopAtlas) -> list[FourierLoop]:
@@ -249,24 +239,33 @@ def _corpus_of(*atlases: LoopAtlas) -> list[FourierLoop]:
     return corpus
 
 
+# The ascent budget of check_compatibility's axiom checks unless one is
+# passed; the truncation of check_transitivity's residuals, the N-sweep
+# and the ascent budget of its axiom checks.
+COMPATIBILITY_HOPM = {"restarts": 1, "iters": 100}
+TRANSITIVITY_N = 32
+TRANSITIVITY_N_SWEEP = (16, 32)
+TRANSITIVITY_HOPM = {"restarts": 0, "iters": 60}
+
+
 def check_compatibility(
     A: LoopAtlas,
     B: LoopAtlas,
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    hopm: dict | None = None,
+    hopm: dict = COMPATIBILITY_HOPM,
     max_samples: int = 5,
 ) -> dict:
     """Axiom reports for every cross transition, one chart from each atlas.
 
     The samples come from the corpora of A and B.  Pairs whose overlap
     carries no corpus loop are reported and skipped; the verdict is the
-    conjunction over the populated pairs.  The ascent settings default to
-    a light budget; pass hopm for a heavier one.
+    conjunction over the populated pairs.  Each populated pair's
+    transition (_pair_map) is checked by verify_floer_axioms over N_sweep
+    with the ascent budget hopm, COMPATIBILITY_HOPM unless one is passed.
     """
     if A.s != B.s:
         raise ValueError("atlases must share the level parameter")
     corpus = _corpus_of(A, B)
-    hopm = hopm if hopm is not None else {"restarts": 1, "iters": 100}
     top = max(N_sweep)
     pairs = []
     for a in A.charts:
@@ -308,13 +307,6 @@ def _union_reports(pieces: list[list[dict]], s: float) -> list[dict]:
         for i, r in enumerate(pieces[0])
     }
     return axiom_reports(s, Ns, norms, [r["continuity_modulus"] for r in pieces[0]])
-
-
-# The truncation of check_transitivity's residuals, the N-sweep and the
-# ascent budget of its axiom checks.
-TRANSITIVITY_N = 32
-TRANSITIVITY_N_SWEEP = (16, 32)
-TRANSITIVITY_HOPM = {"restarts": 0, "iters": 60}
 
 
 def check_transitivity(
@@ -462,6 +454,13 @@ def rotated_sphere_atlas(angle: float, s: float = 0.75, axis: int = 0, seed: int
     R = _rotation(axis, angle)
     charts = [SphereChart(f"north@{angle:g}", R), SphereChart(f"south@{angle:g}", _SOUTH_FLIP @ R)]
     return LoopAtlas(charts=charts, s=s, corpus=equatorial_corpus(seed), name=f"sphere@{angle:g}")
+
+
+def cocycle_frames(s: float) -> tuple[LoopAtlas, LoopAtlas, LoopAtlas]:
+    """The three atlases of the rotated-frames cocycle: sphere_small_loop_atlas,
+    then rotated_sphere_atlas at 0.3 about x and at -0.25 about y with corpus seed 13."""
+    rotated = rotated_sphere_atlas(0.3, s=s), rotated_sphere_atlas(-0.25, s=s, axis=1, seed=13)
+    return sphere_small_loop_atlas(s=s), *rotated
 
 
 def planar_atlas(

@@ -87,18 +87,19 @@ def kappa_bound_check(
     phi: DiffeoChart,
     q: FourierLoop,
     s: float,
-    hopm: dict | None = None,
+    hopm: dict,
 ) -> dict:
     """Bound op_norm(K, 1+s, 1) by ||grad f||_1 times the second-derivative
     norm at (1+s, -1; -1).
 
-    The trilinear factor comes from alternating ascent and is attained by
-    an explicit triple, so it never overestimates; a pass is therefore
-    evidence for the inequality, not an artifact of a loose bound.
+    The trilinear factor comes from alternating ascent on the budget hopm
+    (no default) and is attained by an explicit triple, so it never
+    overestimates; a pass is therefore evidence for the inequality, not an
+    artifact of a loose bound.
     """
     _check_match(F, phi)
     g = F.gradient(apply(phi, q))
-    c = d2phi(phi, q).norm(1.0 + s, -1.0, -1.0, **(hopm or {}))
+    c = d2phi(phi, q).norm(1.0 + s, -1.0, -1.0, **hopm)
     kappa = g.norm(1.0) * c
     k_norm = op_norm(riesz_correction(F, phi, q), 1.0 + s, 1.0)
     return {
@@ -152,13 +153,14 @@ def certify_pullback(
     s: float,
     samples: list[FourierLoop],
     N_sweep: tuple[int, ...] = (16, 32, 64),
-    hopm: dict | None = None,
+    *,
+    hopm: dict,
 ) -> dict:
     """Run the full function-axiom battery on f o phi plus the split evidence.
 
     The samples fix the truncation of the random directions and of the
     correction's singular values (samples[0].N); s is the level the kappa
-    bound reads.
+    bound reads, and hopm (keyword only, no default) its ascent budget.
 
     On top of the gradient/Hessian reports the certificate checks the two
     summands separately: Fredholm evidence for the conjugated term and

@@ -755,6 +755,13 @@ def sweep_verdict(values: list[float], rtol: float) -> str:
     return "unstable"
 
 
+def norm_sweep(Ns, values) -> tuple[list[dict], str]:
+    """An N-sweep of norms as report entries, one {"N", "norm"} per truncation,
+    and their sweep_verdict at STABLE_RTOL."""
+    values = [float(v) for v in values]
+    return [{"N": int(N), "norm": v} for N, v in zip(Ns, values)], sweep_verdict(values, STABLE_RTOL)
+
+
 def fredholm_from_spectra(spectra: Mapping[int, np.ndarray], a: float, b: float) -> dict:
     """N-sweep evidence for Fredholm structure, read off descending singular values.
 

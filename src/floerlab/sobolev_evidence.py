@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scale_operator import STABLE_RTOL, LevelOperator, op_norm, op_norms, sweep_verdict
+from .scale_operator import LevelOperator, norm_sweep, op_norm, op_norms, sweep_verdict
 from .scale_space import (
     FourierLoop,
     LevelError,
@@ -51,6 +51,16 @@ SIGNATURES = {
 }
 
 
+def by_signature(read: Callable[[str], object]) -> list[tuple[str, object]]:
+    """(label, read(label)) for each SIGNATURES label in sorted order, read
+    once per distinct level pair: (1,0->0) and (C0,0->0) share the one read."""
+    reads = {}
+    for label, pair in sorted(SIGNATURES.items()):
+        if pair not in reads:
+            reads[pair] = read(label)
+    return [(label, reads[pair]) for label, pair in sorted(SIGNATURES.items())]
+
+
 def mult_operator(g: FourierLoop) -> LevelOperator:
     """Dealiased multiplication by the scalar loop g, read at any signature's levels."""
     if g.n != 1:
@@ -76,11 +86,8 @@ def mult_norm_sweep(
     if label not in SIGNATURES:
         raise ValueError(f"unknown multiplication signature {label!r}")
     factory = g if callable(g) else (lambda M: g.resize(M))
-    sweep = []
-    for M in sorted(N_sweep):
-        norm = op_norm(mult_operator(factory(M)), *SIGNATURES[label])
-        sweep.append({"N": int(M), "norm": float(norm)})
-    verdict = sweep_verdict([e["norm"] for e in sweep], STABLE_RTOL)
+    Ns = sorted(N_sweep)
+    sweep, verdict = norm_sweep(Ns, [op_norm(mult_operator(factory(M)), *SIGNATURES[label]) for M in Ns])
     if verdict != "insufficient":
         verdict = "bounded" if verdict == "stable" else "unbounded"
     return {"signature": label, "sweep": sweep, "verdict": verdict}

@@ -38,13 +38,13 @@ from .floer_function import (
     quadratic_hamiltonian,
     symplectic_action,
 )
-from .floer_map import apply, d2phi, dphi, invert, leibniz_check, verify_floer_axioms
+from .floer_map import LIGHT_HOPM, apply, d2phi, dphi, invert, leibniz_check, verify_floer_axioms
 from .loop_atlas import (
     check_compatibility,
     check_transitivity,
+    cocycle_frames,
     loops_in_chart,
     planar_atlas,
-    rotated_sphere_atlas,
     sphere_small_loop_atlas,
     transition,
 )
@@ -58,7 +58,7 @@ from .scale_operator import (
 )
 from .scale_space import FourierLoop, inner, random_loop
 from .sobolev_evidence import (
-    SIGNATURES,
+    by_signature,
     dual_estimate_check,
     dual_pairing_check,
     holder_embedding_check,
@@ -74,8 +74,6 @@ if TYPE_CHECKING:
 
 # closed-form spectral gap of the action Hessian for H = |x|^2/2, any N
 ACTION_GAP = 0.8303937666738019
-
-LIGHT_HOPM = {"restarts": 1, "iters": 80}
 
 # The suites' gates and the interpolation check's sample count; no config moves them.
 CHAIN_RULE_TOL = 1e-12
@@ -397,20 +395,15 @@ def plan_sobolev_evidence(cfg: RunConfig) -> Plan:
 
 
 def _smooth_factor_checks(sweep) -> list[dict]:
-    # one sweep per level pair: (1,0->0) and (C0,0->0) are the same operator
-    checks, sweeps = [], {}
-    for key, pair in sorted(SIGNATURES.items()):
-        if pair not in sweeps:
-            sweeps[pair] = mult_norm_sweep(smooth_factor(max(sweep)), key, N_sweep=sweep)
-        rep = sweeps[pair]
-        checks.append(
-            {
-                "name": f"smooth factor bounded at {key}",
-                "passed": rep["verdict"] == "bounded",
-                "sweep": rep["sweep"],
-            }
-        )
-    return checks
+    reps = by_signature(lambda key: mult_norm_sweep(smooth_factor(max(sweep)), key, N_sweep=sweep))
+    return [
+        {
+            "name": f"smooth factor bounded at {key}",
+            "passed": rep["verdict"] == "bounded",
+            "sweep": rep["sweep"],
+        }
+        for key, rep in reps
+    ]
 
 
 def _rough_factor_control(sweep) -> list[dict]:
@@ -545,10 +538,7 @@ def _reverse_transition_check(s) -> list[dict]:
 def _cocycle_check(s, rotated) -> list[dict]:
     """The cocycle on one sphere atlas with itself, or across three rotated frames."""
     if rotated:
-        A = sphere_small_loop_atlas(s=s)
-        B = rotated_sphere_atlas(0.3, s=s)
-        C = rotated_sphere_atlas(-0.25, s=s, axis=1, seed=13)
-        rep, label = check_transitivity(A, B, C), "rotated frames"
+        rep, label = check_transitivity(*cocycle_frames(s)), "rotated frames"
     else:
         atlas = sphere_small_loop_atlas(s=s)
         rep, label = check_transitivity(atlas, atlas, atlas), "one atlas"

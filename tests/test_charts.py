@@ -84,7 +84,7 @@ def test_inverse_after_chart_is_the_identity_through_second_order(name):
     # the order-2 chain rule of compose_charts ties each inverse's hessian to
     # its chart's: inverse o chart has value p, jacobian Id and hessian 0
     chart = CHARTS[name]
-    loop = compose_charts(chart.inverse, chart, _wire_inverse=False)
+    loop = compose_charts(chart.inverse, chart)
     p = _points(3, G=15)
     assert np.max(np.abs(loop.value(p) - p)) < 1e-10
     assert np.max(np.abs(loop.jacobian(p) - np.eye(2))) < 1e-10

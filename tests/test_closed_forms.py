@@ -55,7 +55,7 @@ def _symbolic_stereo(a, b):
 def test_transition_values_match_the_frames_coordinate_maps(a):
     pts = _disk(0)
     for b in FRAMES.values():
-        t = FRAMES[a].transition_to(b, build_inverse=False)
+        t = FRAMES[a].transition_to(b)
         inside = _in_domain(t, pts)
         expected = b.to_coords(FRAMES[a].from_coords(inside))
         assert np.max(np.abs(t.value(inside) - expected)) < 1e-13, b.name
@@ -71,7 +71,7 @@ def test_transition_values_match_the_frames_coordinate_maps(a):
     ],
 )
 def test_transition_tensors_match_symbolic_oracle(a, b):
-    t = FRAMES[a].transition_to(FRAMES[b], build_inverse=False)
+    t = FRAMES[a].transition_to(FRAMES[b])
     _assert_tensors_match(t, _symbolic_stereo(FRAMES[a], FRAMES[b]), _in_domain(t, _disk(1)))
 
 

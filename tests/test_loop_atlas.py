@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from floerlab.charts import c1_only_chart, inversion_chart, rotation_field_chart, shear_chart
+from floerlab.charts import c1_only_chart, identity_chart, inversion_chart, rotation_field_chart, shear_chart
 from floerlab import loop_atlas
 from floerlab.cli import RunConfig
 from floerlab.floer_map import apply, dphi, invert, verify_floer_axioms
@@ -26,7 +26,7 @@ from floerlab.loop_atlas import (
     transition,
 )
 from floerlab.scale_operator import weighted_singular_values
-from floerlab.scale_space import FourierLoop, random_loop, to_grid
+from floerlab.scale_space import FourierLoop, default_grid_points, random_loop, to_grid
 from floerlab.suites import run_suite
 
 LIGHT = {"restarts": 1, "iters": 80}
@@ -157,6 +157,47 @@ def test_corpus_loops_near_center_rejected():
     atlas = sphere_small_loop_atlas()
     with pytest.raises(ValueError, match="center"):
         loops_in_chart([tiny], atlas.charts[0], 16)
+
+
+def test_sphere_points_reject_a_loop_through_the_centre():
+    N = 16
+    c = np.zeros((2 * N + 1, 3), dtype=complex)
+    c[N + 1, 0] = c[N - 1, 0] = 0.5  # x = cos(2 pi t) on the x axis: |u(1/4)| = 0
+    for chart in sphere_small_loop_atlas().charts:
+        with pytest.raises(ValueError, match="center"):
+            chart.points(FourierLoop(c), default_grid_points(N))
+
+
+@pytest.mark.parametrize(
+    "atlas",
+    [
+        sphere_small_loop_atlas(),
+        rotated_sphere_atlas(0.3),
+        planar_atlas([identity_chart(2), shear_chart()], name="identity/shear"),
+    ],
+    ids=lambda atlas: atlas.name,
+)
+def test_every_transition_carries_an_inverse_that_undoes_it(atlas):
+    for a in atlas.charts:
+        for b in atlas.charts:
+            samples = loops_in_chart(atlas.corpus, a, CORPUS_N, also_in=(b,))
+            assert samples, (a.name, b.name)
+            x = np.concatenate([to_grid(q) for q in samples])
+            built = [_pair_map(a, b), transition(atlas, a.name, b.name, N=CORPUS_N), a.transition_to(b)]
+            for t in built:
+                assert t.inverse is not None and t.inverse.inverse is t, t.name
+                assert np.max(np.abs(t.inverse.value(t.value(x)) - x)) <= 1e-12, t.name
+
+
+def test_a_chart_without_an_inverse_raises_naming_it():
+    atlas = planar_atlas([identity_chart(2), c1_only_chart()])
+    flat, kinked = atlas.charts
+    with pytest.raises(ValueError, match="c1_only"):
+        kinked.from_coords(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="c1_only"):
+        kinked.transition_to(flat)
+    # into it, the transition is built, with no transition back to carry
+    assert flat.transition_to(kinked).inverse is None
 
 
 def test_rotated_atlas_names_and_compatibility():
